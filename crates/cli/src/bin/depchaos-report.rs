@@ -531,11 +531,10 @@ fn fig6_dist(opts: &ReportOpts) {
             .results
             .iter()
             .map(|r| {
-                let per = if r.spec.dist.is_deterministic() && !r.spec.fault.takes_draws() {
-                    1
-                } else {
-                    depchaos_launch::DEFAULT_REPLICATES
-                };
+                let per = LaunchConfig::default()
+                    .with_service_dist(r.spec.dist)
+                    .with_fault(r.spec.fault)
+                    .effective_replicates(depchaos_launch::DEFAULT_REPLICATES);
                 per * r.stats.len()
             })
             .sum();

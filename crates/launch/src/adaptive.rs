@@ -26,12 +26,17 @@
 //! The stopping decision for a cell is likewise a pure function of that
 //! cell's own sample prefix ([`stop_k`]), so running cells one at a time,
 //! batched per sweep, or batched across a whole matrix
-//! ([`run_adaptive_units`]) lands on the same K — which is what lets the
-//! per-scenario path, [`crate::matrix::ExperimentMatrix`]`::run`, and the
-//! serve layer's incremental executor stay bit-identical to each other.
+//! ([`run_adaptive_units`]) lands on the same K — which is what lets a
+//! sweep, [`crate::matrix::ExperimentMatrix`]`::run`, and the serve layer's
+//! incremental executor stay bit-identical to each other.
 //!
-//! Deterministic cells under a draw-free fault model keep their existing
-//! clamp-to-1: the rule never engages where there is no variance to chase.
+//! [`run_adaptive_units`] is also the fixed-K driver: under
+//! [`AdaptiveControl::fixed`] the rule is off and every unit plans its K
+//! replicate rows in a single round, which is exactly the fixed-K grid.
+//!
+//! Cells that take no draws ([`LaunchConfig::takes_draws`]) keep the
+//! clamp to one replicate: the rule never engages where there is no
+//! variance to chase.
 //!
 //! # Common random numbers
 //!
@@ -81,6 +86,14 @@ impl AdaptiveControl {
     /// ([`crate::matrix::DEFAULT_REPLICATES`]).
     pub fn default_for(max_k: usize) -> AdaptiveControl {
         AdaptiveControl { target_rel_milli: 50, min_k: 4, max_k, batch: 4 }.normalized()
+    }
+
+    /// Fixed-K replication as a stopping rule: the precision rule off and
+    /// all `k` replicates in one round, so [`run_adaptive_units`] under it
+    /// plans exactly the fixed-K row grid — the sweeps' and the matrix
+    /// pipeline's only replicate-row builder.
+    pub fn fixed(k: usize) -> AdaptiveControl {
+        AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k: k, batch: k }.normalized()
     }
 
     /// The same rule with every bound made self-consistent; all consumers
@@ -211,14 +224,6 @@ pub struct AdaptiveUnit<'a> {
     pub cfg: LaunchConfig,
 }
 
-impl AdaptiveUnit<'_> {
-    /// Does this unit draw at all? Deterministic service under a draw-free
-    /// fault model keeps the existing clamp-to-1 — the rule never engages.
-    fn takes_draws(&self) -> bool {
-        !self.cfg.service_dist.is_deterministic() || self.cfg.fault.takes_draws()
-    }
-}
-
 /// Drive the stopping rule over any number of units at once: per round,
 /// every still-active unit contributes its next batch of replicate rows to
 /// **one** [`BatchPlan`] (kernel dedup across units preserved), the plan
@@ -247,7 +252,9 @@ pub fn run_adaptive_units(
             }
             let id = plan.stream(u.stream);
             let done = out[i].len();
-            let step = if u.takes_draws() { ctl.batch.min(ctl.max_k - done) } else { 1 };
+            // A unit that takes no draws keeps the clamp to one replicate:
+            // the rule never engages where there is no variance to chase.
+            let step = if u.cfg.takes_draws() { ctl.batch.min(ctl.max_k - done) } else { 1 };
             for r in done..done + step {
                 plan.push(id, &u.cfg.clone().with_seed(replicate_seed(u.cfg.seed, r)));
             }
@@ -265,7 +272,7 @@ pub fn run_adaptive_units(
             }
             cursor += n;
             let k = out[i].len();
-            active[i] = units[i].takes_draws()
+            active[i] = units[i].cfg.takes_draws()
                 && k < ctl.max_k
                 && !(k >= ctl.min_k && ctl.precision_met(&acc[i]));
         }

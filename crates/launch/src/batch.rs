@@ -1,202 +1,106 @@
-//! Columnar batch execution: simulate every pending (cell, rank point,
-//! replicate) of a sweep in one data-parallel pass.
+//! Batch execution: simulate every pending (cell, rank point, replicate)
+//! of a sweep in one pass, solving each distinct cold fleet once.
 //!
 //! The sweep layers above this module — [`crate::sweep`],
-//! [`crate::experiment`], and the incremental executor in `crates/serve` —
-//! used to issue one [`simulate_classified`](crate::simulate_classified) call per pending simulation.
-//! A full fig6-backends × dist × replicate matrix is thousands of such
-//! calls, each re-deriving the same facts about the same handful of
-//! segment schedules. [`BatchPlan`] turns that inside out:
+//! [`crate::experiment`], and through it the incremental executor in
+//! `crates/serve` — used to issue one
+//! [`simulate_classified`](crate::simulate_classified) call per pending
+//! simulation. A full fig6-backends × dist × replicate matrix is thousands
+//! of such calls, each re-deriving the same facts about the same handful
+//! of segment schedules. [`BatchPlan`] turns that inside out:
 //!
 //! 1. **Gather.** Callers register each distinct [`ClassifiedStream`]
 //!    once ([`BatchPlan::stream`]) and then push one *row* per pending
-//!    simulation ([`BatchPlan::push`]). Rows are stored
-//!    structure-of-arrays — one column per parameter (schedule id, rank
-//!    count, ranks per node, cold-node count, broadcast flag, seed,
-//!    distribution tag, overheads) — and each registered schedule is
-//!    itself columnarised: a `service_ns` column, a precomputed `gap_ns`
-//!    column, and the scalar aggregates (`warm_replay_ns`,
-//!    `local_total_ns`, tail/op counts) every row over that schedule
-//!    shares.
+//!    simulation ([`BatchPlan::push`]): the schedule id, the row's
+//!    [`LaunchConfig`], and its solver class. Each registered schedule's
+//!    round-major guard is evaluated once.
 //!
 //! 2. **Partition.** At push time every row is classified into one of
-//!    four solver classes (see [`SolverClass`]), mirroring the regime
-//!    selection inside [`simulate_classified`](crate::simulate_classified) exactly.
+//!    four solver classes (see [`SolverClass`]) by the same rule
+//!    [`simulate_classified`](crate::simulate_classified) applies.
 //!
-//! 3. **Advance in lockstep.** [`BatchPlan::execute`] first collapses
-//!    rows to unique *kernel jobs* — `(schedule, cold-node count, seed,
-//!    fault, server topology)` tuples, with the seed normalised away for draw-free rows
-//!    (deterministic service, no draw-taking fault), since the
-//!    cold-fleet completion time is a pure function of that tuple.
-//!    Replicate 0 of every rank point, every deterministic replicate,
-//!    and every cell that only differs in overheads or warm fleet size
-//!    all collapse onto the same kernel. Analytic kernels
-//!    then advance **in lockstep over the shared segment schedule**: one
-//!    outer loop per segment, one envelope update per live kernel, so
-//!    the schedule's columns are streamed once per batch instead of once
-//!    per simulation. Heap and stochastic kernels replay the schedule
-//!    through the retained per-row event heap (`des::heap_schedule`).
+//! 3. **Solve each kernel once.** [`BatchPlan::execute`] collapses rows
+//!    to unique *kernel jobs* — `(schedule, cold-node count, seed, fault,
+//!    server topology)` tuples, with the seed normalised away for rows
+//!    that take no draws, since the cold-fleet completion time is a pure
+//!    function of that tuple. Replicate 0 of every rank point, every
+//!    deterministic replicate, and every cell that only differs in
+//!    overheads or warm fleet size all collapse onto the same kernel,
+//!    which the per-call path's own kernel dispatch solves once.
 //!
 //! 4. **Scatter.** Each row combines its kernel's `(cold finish, peak
-//!    queue)` with the per-row arithmetic — warm-fleet replay, op
-//!    accounting, spawn and base overheads — reproducing
-//!    [`simulate_classified`](crate::simulate_classified)'s output bit for bit.
+//!    queue, fault counts)` with the per-row arithmetic — warm-fleet
+//!    replay, op accounting, spawn and base overheads — through the same
+//!    function [`simulate_classified`](crate::simulate_classified) uses.
 //!
 //! # The four solver classes
 //!
-//! | class | rows | cost per row |
-//! |-------|------|--------------|
+//! | class | rows | cost per kernel |
+//! |-------|------|-----------------|
 //! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | O(1) scatter arithmetic |
-//! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | amortised: one envelope update per (segment, kernel) |
-//! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay per kernel (seeds never collapse) |
-//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one (faulty) heap replay per kernel |
+//! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | one envelope recursion, O(server_ops) |
+//! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay (seeds never collapse) |
+//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one heap replay, under the fault's hook |
 //!
-//! A row pushed as `Analytic` can still *demote* to the heap mid-batch:
-//! the envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
-//! discoverable during the recursion, and `simulate_classified` falls
-//! back to the heap when it trips. The lockstep does the same per
-//! kernel, so the fallback criterion — not just the happy path — is
-//! shared with the per-call implementation.
+//! A row pushed as `Analytic` can still *demote* to the heap: the
+//! envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
+//! discoverable during the recursion, and the shared kernel dispatch
+//! falls back to the heap when it trips, in a plan exactly as per call.
 //!
 //! # Exactness
 //!
-//! Every numeric path here is the per-call one, re-plumbed: the envelope
-//! recursion is `des::envelope_round` (the same function
-//! `analytic_all_cold` runs), heap rows call `des::heap_schedule`, and
-//! stochastic draws reconstruct the per-(node, segment) [`SplitMix`]
-//! streams verbatim. `tests/des_equivalence.rs` pins the whole plan
-//! against per-call [`simulate_classified`](crate::simulate_classified) and the `des::reference`
-//! oracle property-by-property.
+//! Every numeric path here is the per-call one: every kernel goes through
+//! the per-call kernel dispatch, and every row through the per-call
+//! scatter.
+//! `tests/des_equivalence.rs` pins the whole plan against per-call
+//! [`simulate_classified`](crate::simulate_classified) and the
+//! `des::reference` oracle property-by-property.
 
-use depchaos_workloads::SplitMix;
+use std::collections::HashMap;
 
-use crate::config::{
-    AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution,
-};
-use crate::des::{self, ClassifiedStream, ClassifyParams};
-use crate::fault::{FaultCounts, FaultModel};
+use crate::config::{LaunchConfig, LaunchResult, ServerTopology};
+use crate::des::{self, ClassifiedStream, FleetRun, SolverClass};
+use crate::fault::FaultModel;
 
 /// Handle to a segment schedule registered with [`BatchPlan::stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamId(usize);
 
-/// The solver class a row was partitioned into at push time.
-///
-/// Mirrors the regime selection inside [`simulate_classified`](crate::simulate_classified): which of
-/// the bit-identical implementations is cheapest for this row's
-/// (schedule, distribution, cold-fleet) combination.
-///
-/// [`simulate_classified`](crate::simulate_classified): crate::des::simulate_classified
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolverClass {
-    /// No server segments: warm or serverless rows coalesce to pure
-    /// segment arithmetic — no kernel job at all.
-    Coalesced,
-    /// Deterministic service, ≥ 2 cold nodes, round-major schedule, and
-    /// a hash-routed (or single-server) fleet: the max-plus line-envelope
-    /// recursion over the busiest lane, advanced in lockstep across
-    /// every kernel sharing the schedule. `LeastLoaded` multi-server
-    /// rows demote to [`SolverClass::Heap`] — their routing depends on
-    /// the event schedule.
-    Analytic,
-    /// Jittered service distribution: per-kernel heap replay with the
-    /// per-(node, segment) draw streams. Distinct seeds never collapse.
-    Stochastic,
-    /// Event-heap fallback: a lone cold node (heap is cheaper than the
-    /// envelope), a schedule that violates the round-major guard, or any
-    /// fault-injected row — stalls and retries break the analytic
-    /// symmetry, so every [`FaultModel`] other than `None` demotes here
-    /// (through the faulty engine) whatever the distribution.
-    Heap,
-}
-
-/// One registered segment schedule, laid out as columns plus the scalar
-/// aggregates every row over it shares.
+/// One registered segment schedule and its round-major guard verdict,
+/// which holds for any fleet of ≥ 2 cold nodes or for none (the guard is
+/// node-count independent).
 struct Schedule<'a> {
     stream: &'a ClassifiedStream,
-    /// Per-segment server occupancy.
-    service_ns: Vec<u64>,
-    /// `gap_ns[j]` = time between finishing segment `j` and arriving for
-    /// segment `j + 1` (length `segments − 1`).
-    gap_ns: Vec<u64>,
-    /// Whether the round-major guard holds for any fleet of ≥ 2 cold
-    /// nodes (the guard is node-count independent).
     round_major: bool,
-    half_rtt: u64,
-    warm_replay_ns: u64,
-    local_total_ns: u64,
-    n_ops: u64,
-    n_local: u64,
-    server_ops: u64,
 }
 
-/// One deduplicated unit of cold-fleet work: the completion time and
-/// peak queue depth of `cold_nodes` identical nodes replaying
-/// `schedule` against a `topology` fleet, seeded with `seed` when
-/// stochastic.
-struct Kernel {
+/// One pending simulation.
+struct Row {
     schedule: usize,
-    cold_nodes: usize,
-    /// Normalised to 0 when the row takes no draws (deterministic service
-    /// *and* a draw-free fault model), so such rows differing only in seed
-    /// share the kernel.
-    seed: u64,
-    fault: FaultModel,
-    /// Server fleet shape — part of the dedup key: the same schedule and
-    /// fleet over a different server count is different work.
-    topology: ServerTopology,
+    cfg: LaunchConfig,
     class: SolverClass,
 }
 
-/// Sentinel kernel index for [`SolverClass::Coalesced`] rows.
-const NO_KERNEL: usize = usize::MAX;
-
-/// A columnar batch of pending simulations over shared segment
-/// schedules. See the module docs for the execution model; see
-/// [`crate::sweep::sweep_ranks_replicated`] and
-/// [`ExperimentMatrix::run`](crate::ExperimentMatrix::run) for the two in-crate
-/// callers, and `crates/serve`'s incremental executor for the third.
+/// A batch of pending simulations over shared segment schedules. See the
+/// module docs for the execution model; the sweeps in [`crate::sweep`]
+/// and every [`ExperimentMatrix`](crate::ExperimentMatrix) run (through
+/// [`crate::run_adaptive_units`]) are its callers.
 ///
 /// Row results come back from [`BatchPlan::execute`] in push order and
 /// are bit-identical to calling
-/// [`simulate_classified`](crate::simulate_classified)(crate::des::simulate_classified) per row.
+/// [`simulate_classified`](crate::simulate_classified) per row.
+#[derive(Default)]
 pub struct BatchPlan<'a> {
     schedules: Vec<Schedule<'a>>,
-    // Row columns (structure-of-arrays, one entry per pushed row).
-    row_schedule: Vec<u32>,
-    row_ranks: Vec<usize>,
-    row_ranks_per_node: Vec<usize>,
-    row_nodes: Vec<usize>,
-    row_cold_nodes: Vec<usize>,
-    row_seed: Vec<u64>,
-    row_dist: Vec<ServiceDistribution>,
-    row_fault: Vec<FaultModel>,
-    row_topology: Vec<ServerTopology>,
-    row_base_overhead_ns: Vec<u64>,
-    row_per_rank_overhead_ns: Vec<u64>,
-    row_class: Vec<SolverClass>,
+    rows: Vec<Row>,
 }
 
 impl<'a> BatchPlan<'a> {
     pub fn new() -> Self {
-        BatchPlan {
-            schedules: Vec::new(),
-            row_schedule: Vec::new(),
-            row_ranks: Vec::new(),
-            row_ranks_per_node: Vec::new(),
-            row_nodes: Vec::new(),
-            row_cold_nodes: Vec::new(),
-            row_seed: Vec::new(),
-            row_dist: Vec::new(),
-            row_fault: Vec::new(),
-            row_topology: Vec::new(),
-            row_base_overhead_ns: Vec::new(),
-            row_per_rank_overhead_ns: Vec::new(),
-            row_class: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Register a classified stream, columnarising its segment schedule.
+    /// Register a classified stream and evaluate its round-major guard.
     /// Registering the same `&ClassifiedStream` again (by address) is
     /// deduplicated and returns the original id.
     pub fn stream(&mut self, stream: &'a ClassifiedStream) -> StreamId {
@@ -204,23 +108,8 @@ impl<'a> BatchPlan<'a> {
             return StreamId(i);
         }
         let segs = stream.server_segments();
-        let half_rtt = stream.params().rtt_ns / 2;
-        let service_ns: Vec<u64> = segs.iter().map(|s| s.service_ns).collect();
-        let gap_ns: Vec<u64> =
-            (0..segs.len().saturating_sub(1)).map(|j| des::seg_gap(segs, half_rtt, j)).collect();
-        let round_major = !segs.is_empty() && des::round_major(segs, half_rtt);
-        self.schedules.push(Schedule {
-            stream,
-            service_ns,
-            gap_ns,
-            round_major,
-            half_rtt,
-            warm_replay_ns: stream.warm_replay_ns(),
-            local_total_ns: stream.local_total_ns(),
-            n_ops: stream.len(),
-            n_local: stream.n_local(),
-            server_ops: stream.server_ops(),
-        });
+        let round_major = !segs.is_empty() && des::round_major(segs, stream.params().rtt_ns / 2);
+        self.schedules.push(Schedule { stream, round_major });
         StreamId(self.schedules.len() - 1)
     }
 
@@ -228,63 +117,26 @@ impl<'a> BatchPlan<'a> {
     /// it into its solver class. Returns the row index ([`execute`]
     /// returns results in push order).
     ///
-    /// Panics like [`simulate_classified`](crate::simulate_classified) if `cfg`'s latency
-    /// calibration differs from the stream's classification.
+    /// Panics like [`simulate_classified`](crate::simulate_classified) if
+    /// `cfg`'s latency calibration differs from the stream's
+    /// classification.
     ///
     /// [`execute`]: BatchPlan::execute
-    /// [`simulate_classified`](crate::simulate_classified): crate::des::simulate_classified
     pub fn push(&mut self, stream: StreamId, cfg: &LaunchConfig) -> usize {
         let sched = &self.schedules[stream.0];
-        assert_eq!(
-            sched.stream.params(),
-            ClassifyParams::of(cfg),
-            "ClassifiedStream reused under a different latency calibration; reclassify"
-        );
-        let nodes = cfg.nodes();
-        let cold_nodes = if cfg.broadcast_cache { 1 } else { nodes };
-        // Mirrors `all_cold_closed_form`'s topology guard: hash-routed
-        // lanes are independent single-server systems, so the envelope
-        // runs over the busiest lane; schedule-dependent `LeastLoaded`
-        // routing never qualifies. A one-node lane needs no guard.
-        let servers = cfg.topology.servers.max(1);
-        let analytic_topology = servers == 1 || cfg.topology.assign == AssignPolicy::HashByNode;
-        let lane_nodes = cold_nodes.div_ceil(servers);
-        let class = if sched.server_ops == 0 {
-            // No server segments: no stall, loss, or straggler can
-            // manifest either (`simulate_classified` skips the fault
-            // engine on an empty schedule), so faults stay coalesced.
-            SolverClass::Coalesced
-        } else if !cfg.fault.is_none() {
-            SolverClass::Heap
-        } else if !cfg.service_dist.is_deterministic() {
-            SolverClass::Stochastic
-        } else if cold_nodes > 1 && analytic_topology && (lane_nodes == 1 || sched.round_major) {
-            SolverClass::Analytic
-        } else {
-            SolverClass::Heap
-        };
-        self.row_schedule.push(stream.0 as u32);
-        self.row_ranks.push(cfg.ranks);
-        self.row_ranks_per_node.push(cfg.ranks_per_node);
-        self.row_nodes.push(nodes);
-        self.row_cold_nodes.push(cold_nodes);
-        self.row_seed.push(cfg.seed);
-        self.row_dist.push(cfg.service_dist);
-        self.row_fault.push(cfg.fault);
-        self.row_topology.push(cfg.topology);
-        self.row_base_overhead_ns.push(cfg.base_overhead_ns);
-        self.row_per_rank_overhead_ns.push(cfg.per_rank_overhead_ns);
-        self.row_class.push(class);
-        self.row_class.len() - 1
+        sched.stream.check_calibration(cfg);
+        let class = SolverClass::of(cfg, sched.stream.server_ops(), || sched.round_major);
+        self.rows.push(Row { schedule: stream.0, cfg: cfg.clone(), class });
+        self.rows.len() - 1
     }
 
     /// Rows gathered so far.
     pub fn len(&self) -> usize {
-        self.row_class.len()
+        self.rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.row_class.is_empty()
+        self.rows.is_empty()
     }
 
     /// Row counts per solver class, in `[Coalesced, Analytic,
@@ -292,224 +144,41 @@ impl<'a> BatchPlan<'a> {
     /// envelope-cap demotions during [`execute`](BatchPlan::execute).
     pub fn class_counts(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
-        for class in &self.row_class {
-            let i = match class {
-                SolverClass::Coalesced => 0,
-                SolverClass::Analytic => 1,
-                SolverClass::Stochastic => 2,
-                SolverClass::Heap => 3,
-            };
-            counts[i] += 1;
+        for row in &self.rows {
+            counts[row.class as usize] += 1;
         }
         counts
     }
 
-    /// Solve every row: dedup to kernel jobs, advance the analytic class
-    /// in lockstep per schedule, replay heap/stochastic kernels, scatter
-    /// per-row results. Results are in push order, each bit-identical to
-    /// [`simulate_classified`](crate::simulate_classified)(crate::des::simulate_classified) on the
-    /// row's (stream, cfg).
+    /// Solve every row: one kernel solve per unique kernel job, then the
+    /// per-row scatter. Results are in push order, each bit-identical to
+    /// [`simulate_classified`](crate::simulate_classified) on the row's
+    /// (stream, cfg).
     pub fn execute(&self) -> Vec<LaunchResult> {
-        let (kernels, row_kernel) = self.gather_kernels();
-        let mut kernel_done: Vec<(u64, usize, FaultCounts)> =
-            vec![(0, 0, FaultCounts::default()); kernels.len()];
-
-        // Analytic kernels advance in lockstep, grouped by schedule.
-        let mut by_schedule: Vec<Vec<usize>> = vec![Vec::new(); self.schedules.len()];
-        let mut heap_jobs: Vec<usize> = Vec::new();
-        for (ki, k) in kernels.iter().enumerate() {
-            match k.class {
-                SolverClass::Analytic => by_schedule[k.schedule].push(ki),
-                SolverClass::Stochastic | SolverClass::Heap => heap_jobs.push(ki),
-                SolverClass::Coalesced => unreachable!("coalesced rows carry no kernel"),
-            }
-        }
-        for (si, job_ids) in by_schedule.iter().enumerate() {
-            if !job_ids.is_empty() {
-                self.lockstep_analytic(si, job_ids, &kernels, &mut kernel_done, &mut heap_jobs);
-            }
-        }
-
-        // Heap and stochastic kernels (plus analytic demotions) replay
-        // the schedule through the retained per-row event heap.
-        for &ki in &heap_jobs {
-            kernel_done[ki] = self.heap_kernel(&kernels[ki]);
-        }
-
-        // Scatter: per-row arithmetic identical to `simulate_classified`.
-        (0..self.len())
-            .map(|r| {
-                let sched = &self.schedules[self.row_schedule[r] as usize];
-                let nodes = self.row_nodes[r];
-                let cold_nodes = self.row_cold_nodes[r];
-                let warm_nodes = nodes - cold_nodes;
-                let warm_done_ns = if warm_nodes > 0 { sched.warm_replay_ns } else { 0 };
-                let local_ops = warm_nodes as u64 * sched.n_ops + cold_nodes as u64 * sched.n_local;
-                let server_ops = cold_nodes as u64 * sched.server_ops;
-                let (cold_done_ns, peak_queue_depth, fc) = match row_kernel[r] {
-                    NO_KERNEL => (sched.local_total_ns, 0, FaultCounts::default()),
-                    ki => kernel_done[ki],
-                };
-                let spawn_ns = self.row_per_rank_overhead_ns[r]
-                    * self.row_ranks_per_node[r].min(self.row_ranks[r]) as u64;
-                LaunchResult {
-                    time_to_launch_ns: self.row_base_overhead_ns[r]
-                        + spawn_ns
-                        + cold_done_ns.max(warm_done_ns),
-                    nodes,
-                    server_ops,
-                    local_ops,
-                    peak_queue_depth,
-                    retries_issued: fc.retries,
-                    timeouts_hit: fc.timeouts,
-                    max_backoff_ns: fc.max_backoff_ns,
-                    slowed_nodes: fc.slowed_nodes,
-                }
+        // A kernel job is (schedule, cold-node count, seed, fault,
+        // topology), the seed normalised to 0 for rows that take no draws:
+        // the cold fleet's replay is a pure function of that tuple.
+        let mut kernels: HashMap<(usize, usize, u64, FaultModel, ServerTopology), FleetRun> =
+            HashMap::new();
+        self.rows
+            .iter()
+            .map(|row| {
+                let (stream, cfg) = (self.schedules[row.schedule].stream, &row.cfg);
+                let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
+                let key = (row.schedule, cfg.cold_nodes(), seed, cfg.fault, cfg.topology);
+                let run = *kernels
+                    .entry(key)
+                    .or_insert_with(|| des::solve_kernel(stream, cfg, row.class));
+                des::scatter(stream, cfg, run)
             })
             .collect()
-    }
-
-    /// Collapse rows to unique kernel jobs. Draw-free rows (deterministic
-    /// service and a draw-free fault model) normalise the seed to 0, so
-    /// rows differing only in seed share a kernel; coalesced rows map to
-    /// [`NO_KERNEL`].
-    fn gather_kernels(&self) -> (Vec<Kernel>, Vec<usize>) {
-        use std::collections::HashMap;
-        let mut kernels: Vec<Kernel> = Vec::new();
-        let mut index: HashMap<(u32, usize, u64, FaultModel, ServerTopology), usize> =
-            HashMap::new();
-        let row_kernel = (0..self.len())
-            .map(|r| {
-                if self.row_class[r] == SolverClass::Coalesced {
-                    return NO_KERNEL;
-                }
-                let takes_draws =
-                    !self.row_dist[r].is_deterministic() || self.row_fault[r].takes_draws();
-                let seed = if takes_draws { self.row_seed[r] } else { 0 };
-                let key = (
-                    self.row_schedule[r],
-                    self.row_cold_nodes[r],
-                    seed,
-                    self.row_fault[r],
-                    self.row_topology[r],
-                );
-                *index.entry(key).or_insert_with(|| {
-                    kernels.push(Kernel {
-                        schedule: self.row_schedule[r] as usize,
-                        cold_nodes: self.row_cold_nodes[r],
-                        seed,
-                        fault: self.row_fault[r],
-                        topology: self.row_topology[r],
-                        class: self.row_class[r],
-                    });
-                    kernels.len() - 1
-                })
-            })
-            .collect();
-        (kernels, row_kernel)
-    }
-
-    /// Advance every analytic kernel of one schedule in lockstep: outer
-    /// loop over the segment columns, inner loop over the live kernels,
-    /// each holding its own envelope. A kernel whose envelope exceeds
-    /// the line cap demotes to `heap_jobs` — the same fallback
-    /// `simulate_classified` takes.
-    fn lockstep_analytic(
-        &self,
-        si: usize,
-        job_ids: &[usize],
-        kernels: &[Kernel],
-        kernel_done: &mut [(u64, usize, FaultCounts)],
-        heap_jobs: &mut Vec<usize>,
-    ) {
-        let sched = &self.schedules[si];
-        let segs = sched.stream.server_segments();
-        let seed_line = des::envelope_seed(segs, sched.half_rtt);
-        struct Live {
-            kernel: usize,
-            last: u64,
-            lines: Vec<(u64, u64)>,
-        }
-        let mut live: Vec<Live> = job_ids
-            .iter()
-            .map(|&ki| {
-                // Hash-routed lanes: the envelope runs over the busiest
-                // lane (`ceil(cold / S)` nodes) — `all_cold_closed_form`'s
-                // `last`, verbatim. S = 1 reduces to the full cold fleet.
-                let k = &kernels[ki];
-                let lane_nodes = k.cold_nodes.div_ceil(k.topology.servers.max(1));
-                Live { kernel: ki, last: (lane_nodes - 1) as u64, lines: vec![seed_line] }
-            })
-            .collect();
-        let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
-        for j in 1..sched.service_ns.len() {
-            let s = sched.service_ns[j];
-            let g_prev = sched.gap_ns[j - 1];
-            live.retain_mut(|st| {
-                if des::envelope_round(&mut st.lines, &mut scratch, s, g_prev, st.last) {
-                    true
-                } else {
-                    heap_jobs.push(st.kernel);
-                    false
-                }
-            });
-            if live.is_empty() {
-                return;
-            }
-        }
-        for st in &live {
-            let done = des::envelope_finish(&st.lines, sched.stream, sched.half_rtt, st.last);
-            kernel_done[st.kernel] = (done, kernels[st.kernel].cold_nodes, FaultCounts::default());
-        }
-    }
-
-    /// Replay one heap or stochastic kernel through the per-row event
-    /// heap, reconstructing `simulate_classified`'s draw streams — the
-    /// faulty engine when the kernel carries a non-`None` fault model.
-    fn heap_kernel(&self, k: &Kernel) -> (u64, usize, FaultCounts) {
-        let sched = &self.schedules[k.schedule];
-        let params = sched.stream.params();
-        // The engines only read the calibration, seed, fault, and
-        // topology off the config; rebuild one from the classification
-        // params.
-        let cfg = LaunchConfig {
-            rtt_ns: params.rtt_ns,
-            meta_service_ns: params.meta_service_ns,
-            warm_ns: params.warm_ns,
-            service_dist: params.dist,
-            seed: k.seed,
-            fault: k.fault,
-            topology: k.topology,
-            ..LaunchConfig::default()
-        };
-        if !k.fault.is_none() {
-            des::heap_schedule_faulty(sched.stream, &cfg, k.cold_nodes)
-        } else if params.dist.is_deterministic() {
-            let (done, peak) =
-                des::heap_schedule(sched.stream, &cfg, k.cold_nodes, |_, seg| seg.service_ns);
-            (done, peak, FaultCounts::default())
-        } else {
-            let dist = params.dist;
-            let mut rngs: Vec<SplitMix> = (0..k.cold_nodes)
-                .map(|i| SplitMix::split(k.seed, SplitMix::NODE, i as u64))
-                .collect();
-            let (done, peak) = des::heap_schedule(sched.stream, &cfg, k.cold_nodes, |i, seg| {
-                des::scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
-            });
-            (done, peak, FaultCounts::default())
-        }
-    }
-}
-
-impl Default for BatchPlan<'_> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceDistribution;
     use crate::des::simulate_classified;
     use depchaos_vfs::strace::{Op, Outcome, StraceLog, Syscall};
 

@@ -8,8 +8,9 @@ use crate::fault::FaultModel;
 
 /// The metadata server's per-op service-time distribution.
 ///
-/// The paper's Fig 6 model is [`Deterministic`](ServiceDistribution::Deterministic)(ServiceDistribution): every
-/// op occupies the server for exactly `meta_service_ns`. Real NFS/metadata
+/// The paper's Fig 6 model is
+/// [`Deterministic`](ServiceDistribution::Deterministic): every op
+/// occupies the server for exactly `meta_service_ns`. Real NFS/metadata
 /// servers jitter and show heavy tails, so the DES also offers two
 /// stochastic models. Both are *mean-preserving* multiplicative factors on
 /// the classified service time — the expected server occupancy (and so the
@@ -92,9 +93,10 @@ impl ServiceDistribution {
         None
     }
 
-    /// One multiplicative service-time factor. [`Deterministic`](ServiceDistribution::Deterministic)
-    /// (ServiceDistribution) returns 1.0 without touching `rng` — callers
-    /// on the exact path must not even construct a generator.
+    /// One multiplicative service-time factor.
+    /// [`Deterministic`](ServiceDistribution::Deterministic) returns 1.0
+    /// without touching `rng` — callers on the exact path must not even
+    /// construct a generator.
     pub fn sample(&self, rng: &mut SplitMix) -> f64 {
         match *self {
             ServiceDistribution::Deterministic => 1.0,
@@ -238,10 +240,11 @@ pub struct LaunchConfig {
     /// the rest replay warm (ablation of the paper's "combining Shrinkwrap
     /// with an approach like Spindle" remark).
     pub broadcast_cache: bool,
-    /// Per-op server service-time distribution. [`Deterministic`](ServiceDistribution::Deterministic)
-    /// (ServiceDistribution) reproduces the paper's FIFO model bit for bit;
-    /// the stochastic variants draw one factor per (cold node, server op)
-    /// from [`SplitMix::split`]`(seed, SplitMix::NODE, node)`.
+    /// Per-op server service-time distribution.
+    /// [`Deterministic`](ServiceDistribution::Deterministic) reproduces the
+    /// paper's FIFO model bit for bit; the stochastic variants draw one
+    /// factor per (cold node, server op) from
+    /// [`SplitMix::split`]`(seed, SplitMix::NODE, node)`.
     pub service_dist: ServiceDistribution,
     /// Base RNG seed for stochastic service draws. Ignored (no draws occur)
     /// under [`ServiceDistribution::Deterministic`] with a draw-free
@@ -308,6 +311,36 @@ impl LaunchConfig {
     /// Number of nodes (ceil division).
     pub fn nodes(&self) -> usize {
         self.ranks.div_ceil(self.ranks_per_node).max(1)
+    }
+
+    /// Nodes that pay the cold op stream: all of them, or only node 0
+    /// under a broadcast cache (the others replay warm).
+    pub fn cold_nodes(&self) -> usize {
+        if self.broadcast_cache {
+            1
+        } else {
+            self.nodes()
+        }
+    }
+
+    /// Whether a launch under this config takes any RNG draw: a stochastic
+    /// service distribution or a draw-taking fault model. The one
+    /// definition the engine, the sweeps and the serve cache key share —
+    /// a config that takes no draws simulates identically under every
+    /// seed.
+    pub fn takes_draws(&self) -> bool {
+        !self.service_dist.is_deterministic() || self.fault.takes_draws()
+    }
+
+    /// The replicate count a sweep of this config runs when `requested`
+    /// are asked for: at least one, and exactly one when the config takes
+    /// no draws — extra replicates could only repeat the same value.
+    pub fn effective_replicates(&self, requested: usize) -> usize {
+        if self.takes_draws() {
+            requested.max(1)
+        } else {
+            1
+        }
     }
 }
 

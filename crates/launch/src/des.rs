@@ -24,10 +24,16 @@
 //!    output is immutable — [`crate::sweep_ranks`] and the experiment
 //!    engine share one `ClassifiedStream` across every rank point of a
 //!    cell instead of re-deriving (and re-allocating) it per point.
-//! 2. [`simulate_classified`] runs the DES against the schedule, picking
-//!    the cheapest of **three regimes that all produce bit-identical
-//!    results**:
+//! 2. [`simulate_classified`] picks the row's [`SolverClass`] — the
+//!    cheapest of the regimes below, all of which produce **bit-identical
+//!    results** — solves the cold fleet in it, and adds the per-row
+//!    arithmetic (warm fleet, op accounting, overheads). The class
+//!    selection, the heap dispatch and that per-row arithmetic are single
+//!    crate-internal functions shared with [`crate::batch::BatchPlan`],
+//!    which is what keeps a batched row and a per-call result equal:
 //!
+//!    * **Coalesced** — no server segments: every node replays the same
+//!      local compute, so one replay covers the fleet.
 //!    * **Analytic** ([`analytic_all_cold`]) — the symmetric all-cold
 //!      fleet under deterministic service: when the segment schedule is
 //!      round-major (uniform metadata streams always are), the whole
@@ -35,15 +41,15 @@
 //!      segments, `O(server_ops)` independent of the node count, exact
 //!      `peak_queue_depth` included. Warm and serverless nodes are always
 //!      coalesced analytically (one replay, multiplied out).
-//!    * **Heap** — cold nodes walk the segment schedule through a binary
+//!    * **Heap** — cold nodes walk the segment schedule through one binary
 //!      event heap, one event per *server* op: `O(cold_nodes ×
 //!      server_ops · log cold_nodes)`. The fallback whenever the closed
 //!      form's guard declines (payload-heavy gaps can break round-major
-//!      ordering) and the stochastic path's engine.
+//!      ordering), and the engine of the stochastic and faulted classes.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
-//!      sweeps; exists so the other two have an independent ground truth
-//!      (`tests/des_equivalence.rs` and the in-crate suite pin all three
+//!      sweeps; exists so the others have an independent ground truth
+//!      (`tests/des_equivalence.rs` and the in-crate suite pin them all
 //!      to bit-identical [`LaunchResult`]s by property test).
 //!
 //! # Stochastic service times
@@ -57,8 +63,8 @@
 //! strictly in segment order, so:
 //!
 //! * every draw reproduces from `(seed, node, segment index)` alone —
-//!   independent of heap interleaving, replicate fan-out, or rayon
-//!   scheduling;
+//!   independent of heap interleaving, replicate fan-out, or how rows are
+//!   batched;
 //! * warm and serverless nodes take no draws and stay coalesced (they never
 //!   occupy the server, so they remain symmetric even under jitter);
 //! * the [`reference`](mod@reference) oracle draws the *same* per-(node, segment) factors,
@@ -93,19 +99,22 @@
 //!
 //! # Fault injection
 //!
-//! `cfg.fault` (a [`FaultModel`]) selects a degraded-mode engine,
-//! `heap_schedule_faulty`: server brownout stalls postpone service
-//! starts, lost RPC responses are re-issued after client timeout plus
-//! exponential backoff (each retry is real extra server work), and a
-//! seeded fraction of cold nodes runs slow. Every fault draw comes from
-//! the FAULT domain, per cold node in that node's own event order —
-//! decorrelated from the NODE-domain service draws, so a faulted and a
-//! healthy cell of the same seed share service times (common random
-//! numbers). [`FaultModel::None`] never enters the faulty engine; its
-//! results are bit-identical to the pre-fault DES. [`reference`](mod@reference) carries
-//! the same fault semantics as the oracle, and `LaunchResult.server_ops`
-//! keeps counting *distinct* ops — retried attempts are accounted
-//! separately in `retries_issued`.
+//! `cfg.fault` (a [`FaultModel`]) plugs a fault hook into the one event
+//! loop: server brownout stalls postpone service starts, lost RPC
+//! responses are re-issued after client timeout plus exponential backoff
+//! (each retry is real extra server work), and a seeded fraction of cold
+//! nodes runs slow. Every fault draw comes from the FAULT domain, per cold
+//! node in that node's own event order — decorrelated from the NODE-domain
+//! service draws, so a faulted and a healthy cell of the same seed share
+//! service times (common random numbers). [`FaultModel::None`] plugs in the
+//! zero-sized healthy hook, whose every method is the identity, so the
+//! healthy loop carries no per-event fault dispatch and its results are
+//! bit-identical to the pre-fault DES. Any other model sends the row to the
+//! heap: retries break the closed form's round-major symmetry and stalls
+//! its service pacing. [`reference`](mod@reference) carries the same fault
+//! semantics as the oracle, and `LaunchResult.server_ops` keeps counting
+//! *distinct* ops — retried attempts are accounted separately in
+//! `retries_issued`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -119,8 +128,8 @@ use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
 /// plus the routing policy. `S = 1` degenerates to the pre-topology single
 /// `server_busy_ns` cell exactly: one lane, always picked, same max/add
-/// sequence. Shared by the healthy heap, the faulty heap, and the
-/// [`reference`](mod@reference) oracle so all three route identically.
+/// sequence. Shared by the event heap and the [`reference`](mod@reference)
+/// oracle so both route identically.
 pub(crate) struct ServerLanes {
     /// Busy-until clock per server, indexed by lane.
     pub(crate) busy_ns: Vec<u64>,
@@ -149,15 +158,6 @@ impl ServerLanes {
                 best
             }
         }
-    }
-
-    /// Serve one request on `lane`: FIFO after the lane's previous work,
-    /// never before `arrival`. Returns the completion instant.
-    pub(crate) fn serve(&mut self, lane: usize, arrival: u64, service_ns: u64) -> u64 {
-        let start = self.busy_ns[lane].max(arrival);
-        let done = start + service_ns;
-        self.busy_ns[lane] = done;
-        done
     }
 }
 
@@ -200,7 +200,6 @@ const MAX_SERVICE_NS: u64 = 1 << 40;
 /// Apply a drawn factor to a base service time. Rounds toward zero and
 /// clamps to `1..=MAX_SERVICE_NS`: a pathological tail draw can neither
 /// produce a zero-occupancy server op nor overflow the simulation clocks.
-/// Crate-visible so [`crate::batch`]'s stochastic rows draw identically.
 pub(crate) fn scale_service_ns(base_ns: u64, factor: f64) -> u64 {
     let scaled = base_ns as f64 * factor;
     if scaled >= MAX_SERVICE_NS as f64 {
@@ -287,6 +286,17 @@ impl ClassifiedStream {
         self.params
     }
 
+    /// Panics unless `cfg` has the latency calibration this stream was
+    /// classified under (rank count, node shape, overheads, and cache
+    /// policy may differ freely).
+    pub(crate) fn check_calibration(&self, cfg: &LaunchConfig) {
+        assert_eq!(
+            self.params,
+            ClassifyParams::of(cfg),
+            "ClassifiedStream reused under a different latency calibration; reclassify"
+        );
+    }
+
     /// Server round trips one cold replay performs.
     pub fn server_ops(&self) -> u64 {
         self.segments.len() as u64
@@ -322,12 +332,6 @@ impl ClassifiedStream {
     pub(crate) fn tail_local(&self) -> u64 {
         self.tail_local_ns
     }
-
-    /// Ops classified client-local on a cold node (the accounting column
-    /// [`crate::batch`] scatters per row).
-    pub(crate) fn n_local(&self) -> u64 {
-        self.n_local
-    }
 }
 
 /// Simulate launching `cfg.ranks` ranks whose per-rank startup op stream is
@@ -348,72 +352,109 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
 /// was classified under (rank count, node shape, overheads, and cache
 /// policy may differ freely).
 pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
-    assert_eq!(
-        stream.params(),
-        ClassifyParams::of(cfg),
-        "ClassifiedStream reused under a different latency calibration; reclassify"
-    );
+    stream.check_calibration(cfg);
+    let class =
+        SolverClass::of(cfg, stream.server_ops(), || round_major(&stream.segments, cfg.rtt_ns / 2));
+    scatter(stream, cfg, solve_kernel(stream, cfg, class))
+}
+
+/// The solver class a simulation row takes: which of the bit-identical
+/// regimes is cheapest for its (schedule, distribution, fault, cold-fleet,
+/// topology) combination. [`simulate_classified`] and
+/// [`crate::batch::BatchPlan::push`] both select it by the same rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SolverClass {
+    /// No server segments: warm or serverless rows coalesce to pure
+    /// segment arithmetic — no event, no draw, no fault can manifest.
+    Coalesced,
+    /// Deterministic service, ≥ 2 cold nodes, round-major schedule, and
+    /// a hash-routed (or single-server) fleet: the max-plus line-envelope
+    /// recursion over the busiest lane. `LeastLoaded` multi-server rows
+    /// take [`SolverClass::Heap`] — their routing depends on the event
+    /// schedule.
+    Analytic,
+    /// Jittered service distribution: an event-heap replay with the
+    /// per-(node, segment) draw streams. Distinct seeds never collapse.
+    Stochastic,
+    /// Event-heap fallback: a lone cold node (the heap is cheaper than the
+    /// envelope), a schedule that violates the round-major guard, or any
+    /// fault-injected row — stalls and retries break the analytic
+    /// symmetry, so every [`FaultModel`] other than `None` lands here
+    /// whatever the distribution.
+    Heap,
+}
+
+impl SolverClass {
+    /// The class of a row simulating `cfg` over a schedule of `server_ops`
+    /// segments. `round_major` is the schedule's guard verdict
+    /// ([`round_major`]); it is only evaluated when the class hinges on
+    /// it.
+    pub(crate) fn of(
+        cfg: &LaunchConfig,
+        server_ops: u64,
+        round_major: impl FnOnce() -> bool,
+    ) -> SolverClass {
+        let cold_nodes = cfg.cold_nodes();
+        if server_ops == 0 {
+            SolverClass::Coalesced
+        } else if !cfg.fault.is_none() {
+            SolverClass::Heap
+        } else if !cfg.service_dist.is_deterministic() {
+            SolverClass::Stochastic
+        } else if cold_nodes > 1 && closed_form_admits(cfg, round_major) {
+            SolverClass::Analytic
+        } else {
+            SolverClass::Heap
+        }
+    }
+}
+
+/// One cold fleet's replay: `(slowest cold finish, peak queue depth, fault
+/// accounting)` — everything a row needs from its kernel.
+pub(crate) type FleetRun = (u64, usize, FaultCounts);
+
+/// Solve `cfg`'s cold fleet over `stream` in `class`'s regime — the one
+/// kernel dispatch [`simulate_classified`] and [`crate::batch::BatchPlan`]
+/// share. An analytic row whose envelope trips the line cap falls back to
+/// the heap.
+pub(crate) fn solve_kernel(
+    stream: &ClassifiedStream,
+    cfg: &LaunchConfig,
+    class: SolverClass,
+) -> FleetRun {
+    match class {
+        SolverClass::Coalesced => (stream.local_total_ns(), 0, FaultCounts::default()),
+        SolverClass::Analytic => match closed_form(stream, cfg) {
+            Some(done) => (done, cfg.cold_nodes(), FaultCounts::default()),
+            None => heap_kernel(stream, cfg),
+        },
+        SolverClass::Stochastic | SolverClass::Heap => heap_kernel(stream, cfg),
+    }
+}
+
+/// The per-row arithmetic around a cold fleet's replay: the coalesced warm
+/// fleet, op accounting, and the spawn and base overheads. The one
+/// scatter [`simulate_classified`] and [`crate::batch::BatchPlan`] share.
+pub(crate) fn scatter(
+    stream: &ClassifiedStream,
+    cfg: &LaunchConfig,
+    (cold_done_ns, peak_queue_depth, fc): FleetRun,
+) -> LaunchResult {
     let nodes = cfg.nodes();
-    // With a broadcast cache only node 0 pays the cold stream; the others
-    // see every op warm.
-    let cold_nodes = if cfg.broadcast_cache { 1 } else { nodes };
+    let cold_nodes = cfg.cold_nodes();
     let warm_nodes = nodes - cold_nodes;
-
     // Warm nodes never interact with the server and replay identical
-    // streams: one analytic replay covers them all.
+    // streams: one analytic replay covers them all. Every cold node
+    // consumes the same local-class ops regardless of how the server
+    // queue interleaves them.
     let warm_done_ns = if warm_nodes > 0 { stream.warm_replay_ns() } else { 0 };
-    let mut local_ops = warm_nodes as u64 * stream.n_ops;
-
-    // Every cold node consumes the same local-class ops regardless of how
-    // the server queue interleaves them.
-    local_ops += cold_nodes as u64 * stream.n_local;
-    let server_ops = cold_nodes as u64 * stream.server_ops();
-
-    let (cold_done_ns, peak_queue_depth, fc) = if stream.segments.is_empty() {
-        // No server traffic: cold nodes take no draws under any
-        // distribution, so they are symmetric too — coalesce. No fault can
-        // manifest either (stalls, losses, and straggler slowdowns all act
-        // on server ops), so the fault engine is skipped and the counts
-        // stay zero.
-        (stream.local_total_ns(), 0, FaultCounts::default())
-    } else if !cfg.fault.is_none() {
-        // Degraded mode: the faulty event heap is the only engine —
-        // retries break the closed form's round-major symmetry and stalls
-        // its service pacing, so faulted rows never coalesce analytically.
-        heap_schedule_faulty(stream, cfg, cold_nodes)
-    } else if cfg.service_dist.is_deterministic() {
-        // The exact fast path: no RNG is even constructed, and when the
-        // fleet is symmetric with a round-major segment schedule (see
-        // `all_cold_closed_form`) not even the event heap — the cold fleet
-        // collapses to a line-envelope recursion over the segments. A lone
-        // cold node keeps the heap: its O(server_ops) walk is cheaper than
-        // maintaining the envelope.
-        let (done, peak) = (cold_nodes > 1)
-            .then(|| all_cold_closed_form(stream, cfg, cold_nodes))
-            .flatten()
-            .unwrap_or_else(|| heap_schedule(stream, cfg, cold_nodes, |_, seg| seg.service_ns));
-        (done, peak, FaultCounts::default())
-    } else {
-        // Stochastic: one independent draw stream per cold node, consumed
-        // in segment order (each node's events are pushed sequentially), so
-        // the factor for (node, segment) is schedule-independent.
-        let dist = cfg.service_dist;
-        let mut rngs: Vec<SplitMix> =
-            (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64)).collect();
-        let (done, peak) = heap_schedule(stream, cfg, cold_nodes, |i, seg| {
-            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
-        });
-        (done, peak, FaultCounts::default())
-    };
-
     // Per-node completion plus serialized per-rank spawn overhead.
     let spawn_ns = cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64;
-    let slowest = cold_done_ns.max(warm_done_ns);
     LaunchResult {
-        time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + slowest,
+        time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + cold_done_ns.max(warm_done_ns),
         nodes,
-        server_ops,
-        local_ops,
+        server_ops: cold_nodes as u64 * stream.server_ops(),
+        local_ops: warm_nodes as u64 * stream.n_ops + cold_nodes as u64 * stream.n_local,
         peak_queue_depth,
         retries_issued: fc.retries,
         timeouts_hit: fc.timeouts,
@@ -422,79 +463,66 @@ pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Lau
     }
 }
 
-/// The event loop shared by the exact and stochastic paths: `cold_nodes`
-/// cursors over the segment schedule, one heap event per server op.
-/// `draw(node, segment)` supplies the service time — the deterministic
-/// instantiation reads it straight off the segment, the stochastic one
-/// scales it by the node's next factor. Returns `(slowest cold finish,
-/// peak queue depth)`. Crate-visible: [`crate::batch`] runs it per kernel
-/// job for the heap-fallback and stochastic solver classes.
-pub(crate) fn heap_schedule(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    cold_nodes: usize,
-    mut draw: impl FnMut(usize, &ServerSeg) -> u64,
-) -> (u64, usize) {
-    // Per-node cursor into the segment schedule and local clock. Only
-    // cold nodes exist here, and only their server ops are events.
-    struct Node {
-        next_seg: usize,
-        clock_ns: u64,
-    }
-    let mut node_state: Vec<Node> =
-        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
-
-    // Event queue of (arrival at server, node, service time, client
-    // extra) — the tuple layout (and so the tie-breaking order) of the
-    // reference implementation.
-    let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
-        BinaryHeap::with_capacity(cold_nodes);
-    let first = stream.segments[0];
-    for (i, n) in node_state.iter_mut().enumerate() {
-        n.clock_ns = first.pre_local_ns;
-        heap.push(Reverse((
-            n.clock_ns + cfg.rtt_ns / 2,
-            i,
-            draw(i, &first),
-            first.client_extra_ns,
-        )));
-    }
-
-    let mut peak_queue_depth = 0usize;
-    let mut lanes = ServerLanes::new(cfg);
-    let mut done_max_ns = 0u64;
-    while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
-        peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
-        let done = lanes.serve(lanes.pick(i), arrival, svc);
-        // Client resumes after the response returns and it has consumed
-        // the payload (reads stream for `extra` after the server moves
-        // on), then computes locally until its next request.
-        let n = &mut node_state[i];
-        n.clock_ns = done + cfg.rtt_ns / 2 + extra;
-        n.next_seg += 1;
-        match stream.segments.get(n.next_seg) {
-            Some(seg) => {
-                n.clock_ns += seg.pre_local_ns;
-                heap.push(Reverse((
-                    n.clock_ns + cfg.rtt_ns / 2,
-                    i,
-                    draw(i, seg),
-                    seg.client_extra_ns,
-                )));
-            }
-            None => {
-                n.clock_ns += stream.tail_local_ns;
-                done_max_ns = done_max_ns.max(n.clock_ns);
-            }
+/// The heap dispatch: replay `cfg`'s cold nodes through
+/// [`heap_schedule`] with the service draws `cfg.service_dist` asks for
+/// (none under `Deterministic` — no generator is even constructed — else
+/// one NODE-domain stream per cold node, consumed in segment order) and
+/// `cfg.fault`'s hook. Each (distribution, hook) pair is its own
+/// monomorphised loop.
+fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig) -> FleetRun {
+    fn with_draws(stream: &ClassifiedStream, cfg: &LaunchConfig, hook: impl FaultHook) -> FleetRun {
+        let dist = cfg.service_dist;
+        if dist.is_deterministic() {
+            return heap_schedule(stream, cfg, hook, |_, seg| seg.service_ns);
         }
+        let mut rngs: Vec<SplitMix> = (0..cfg.cold_nodes())
+            .map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64))
+            .collect();
+        heap_schedule(stream, cfg, hook, |i, seg| {
+            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
+        })
     }
-    (done_max_ns, peak_queue_depth)
+    if cfg.fault.is_none() {
+        with_draws(stream, cfg, Healthy)
+    } else {
+        with_draws(stream, cfg, Faulty::new(cfg))
+    }
 }
 
-/// The degraded-mode event loop: [`heap_schedule`]'s walk with `cfg.fault`
-/// executed event-accurately. Kept separate from the healthy engine — the
-/// million-rank bench gates that loop, and [`FaultModel::None`] rows never
-/// enter this one. The semantics, identical in [`reference`](mod@reference):
+/// What a [`FaultModel`] does to the event loop, event by event. Every
+/// method defaults to the identity, which is all the zero-sized healthy
+/// hook is, so the healthy instance of [`heap_schedule`] compiles to the
+/// plain loop.
+trait FaultHook {
+    /// Node `node`'s service time after the fault's own scaling (of the
+    /// already distribution-scaled `svc_ns`).
+    fn service(&self, _node: usize, svc_ns: u64) -> u64 {
+        svc_ns
+    }
+    /// The instant service actually starts on a lane that could start at
+    /// `start_ns`.
+    fn start(&self, start_ns: u64) -> u64 {
+        start_ns
+    }
+    /// The server finished `node`'s request that arrived at `arrival_ns`:
+    /// `Some(re-arrival)` when the response was lost and the same request
+    /// is re-issued, `None` when it got through.
+    fn lost(&mut self, _node: usize, _arrival_ns: u64) -> Option<u64> {
+        None
+    }
+    /// The fault accounting of the replay.
+    fn counts(&self) -> FaultCounts {
+        FaultCounts::default()
+    }
+}
+
+/// [`FaultModel::None`]: nothing happens, at no cost.
+struct Healthy;
+
+impl FaultHook for Healthy {}
+
+/// Every other [`FaultModel`], executed event-accurately. The semantics,
+/// identical in [`reference`](mod@reference):
 ///
 /// * **ServerStall** — an op whose service would *start* inside
 ///   `[at_ns, at_ns + duration_ns)` waits until the window closes;
@@ -514,68 +542,132 @@ pub(crate) fn heap_schedule(
 /// Fault draws come from `SplitMix::split(cfg.seed, FAULT, node)`, consumed
 /// in the node's own event order — a node has exactly one outstanding
 /// request, so its verdict sequence is heap-schedule-independent, which is
-/// what keeps this engine and the reference oracle bit-identical.
-pub(crate) fn heap_schedule_faulty(
+/// what keeps this hook and the reference oracle bit-identical.
+struct Faulty {
+    fault: FaultModel,
+    half_rtt: u64,
+    rngs: Vec<SplitMix>,
+    /// Straggler membership per cold node (empty unless `Stragglers`).
+    slow: Vec<bool>,
+    slow_factor: f64,
+    /// Retry attempt of each node's outstanding request (RpcLoss).
+    attempts: Vec<u32>,
+    counts: FaultCounts,
+}
+
+impl Faulty {
+    fn new(cfg: &LaunchConfig) -> Self {
+        let (fault, cold_nodes) = (cfg.fault, cfg.cold_nodes());
+        let mut rngs: Vec<SplitMix> = if fault.takes_draws() {
+            (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
+        } else {
+            Vec::new()
+        };
+        // Straggler membership: one FAULT draw per cold node, in node
+        // order, before any event executes.
+        let (slow, slow_factor) = match fault {
+            FaultModel::Stragglers { frac_milli, slow_milli } => (
+                rngs.iter_mut().map(|r| r.below(1000) < frac_milli as u64).collect::<Vec<bool>>(),
+                slow_milli as f64 / 1000.0,
+            ),
+            _ => (Vec::new(), 1.0),
+        };
+        let counts =
+            FaultCounts { slowed_nodes: slow.iter().filter(|&&s| s).count(), ..Default::default() };
+        Faulty {
+            fault,
+            half_rtt: cfg.rtt_ns / 2,
+            rngs,
+            slow,
+            slow_factor,
+            attempts: vec![0; cold_nodes],
+            counts,
+        }
+    }
+}
+
+impl FaultHook for Faulty {
+    #[inline]
+    fn service(&self, node: usize, svc_ns: u64) -> u64 {
+        if self.slow.get(node).copied().unwrap_or(false) {
+            scale_service_ns(svc_ns, self.slow_factor)
+        } else {
+            svc_ns
+        }
+    }
+
+    #[inline]
+    fn start(&self, start_ns: u64) -> u64 {
+        if let FaultModel::ServerStall { at_ns, duration_ns } = self.fault {
+            // A brownout stalls the whole fleet: every lane's start inside
+            // the window waits for it to close.
+            let end = at_ns.saturating_add(duration_ns);
+            if start_ns >= at_ns && start_ns < end {
+                return end;
+            }
+        }
+        start_ns
+    }
+
+    #[inline]
+    fn lost(&mut self, node: usize, arrival_ns: u64) -> Option<u64> {
+        let FaultModel::RpcLoss { loss_milli, timeout_ns, backoff_base_ns, max_retries } =
+            self.fault
+        else {
+            return None;
+        };
+        let attempt = &mut self.attempts[node];
+        if *attempt < max_retries && self.rngs[node].below(1000) < loss_milli as u64 {
+            // Response lost: the client never hears back. It times out
+            // relative to its own send instant, sleeps its exponential
+            // backoff, and re-issues the same request.
+            let t_send = arrival_ns - self.half_rtt;
+            let backoff = backoff_ns(backoff_base_ns, *attempt);
+            self.counts.note_retry(backoff);
+            *attempt += 1;
+            let resend = t_send.saturating_add(timeout_ns).saturating_add(backoff);
+            return Some(resend.saturating_add(self.half_rtt));
+        }
+        *attempt = 0;
+        None
+    }
+
+    fn counts(&self) -> FaultCounts {
+        self.counts
+    }
+}
+
+/// The event loop — the one heap every stochastic, faulted, and
+/// guard-declined row runs: one cursor per cold node over the segment
+/// schedule, one heap event per server op. `draw(node, segment)` supplies
+/// the distribution-scaled service time and `hook` the fault semantics
+/// ([`FaultHook`]). Returns the [`FleetRun`].
+fn heap_schedule(
     stream: &ClassifiedStream,
     cfg: &LaunchConfig,
-    cold_nodes: usize,
-) -> (u64, usize, FaultCounts) {
-    let fault = cfg.fault;
-    let dist = cfg.service_dist;
-    let half_rtt = cfg.rtt_ns / 2;
-    let mut counts = FaultCounts::default();
-
-    let mut dist_rngs: Vec<SplitMix> = if dist.is_deterministic() {
-        Vec::new()
-    } else {
-        (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64)).collect()
-    };
-    let mut fault_rngs: Vec<SplitMix> = if fault.takes_draws() {
-        (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
-    } else {
-        Vec::new()
-    };
-
-    // Straggler membership: one FAULT draw per cold node, in node order,
-    // before any event executes.
-    let (slow, slow_factor) = match fault {
-        FaultModel::Stragglers { frac_milli, slow_milli } => (
-            (0..cold_nodes)
-                .map(|i| fault_rngs[i].below(1000) < frac_milli as u64)
-                .collect::<Vec<bool>>(),
-            slow_milli as f64 / 1000.0,
-        ),
-        _ => (Vec::new(), 1.0),
-    };
-    counts.slowed_nodes = slow.iter().filter(|&&s| s).count();
-
-    let mut svc_for = |i: usize, seg: &ServerSeg| -> u64 {
-        let mut svc = if dist.is_deterministic() {
-            seg.service_ns
-        } else {
-            scale_service_ns(seg.service_ns, dist.sample(&mut dist_rngs[i]))
-        };
-        if slow.get(i).copied().unwrap_or(false) {
-            svc = scale_service_ns(svc, slow_factor);
-        }
-        svc
-    };
-
+    mut hook: impl FaultHook,
+    mut draw: impl FnMut(usize, &ServerSeg) -> u64,
+) -> FleetRun {
+    let (cold_nodes, half_rtt) = (cfg.cold_nodes(), cfg.rtt_ns / 2);
+    // Per-node cursor into the segment schedule and local clock. Only
+    // cold nodes exist here, and only their server ops are events.
     struct Node {
         next_seg: usize,
         clock_ns: u64,
-        /// Retry attempt of the node's outstanding request (RpcLoss).
-        attempt: u32,
     }
     let mut node_state: Vec<Node> =
-        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0, attempt: 0 }).collect();
+        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
 
+    // Event queue of (arrival at server, node, service time, client
+    // extra) — the tuple layout (and so the tie-breaking order) of the
+    // reference implementation.
     let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
         BinaryHeap::with_capacity(cold_nodes);
     let first = stream.segments[0];
     for (i, n) in node_state.iter_mut().enumerate() {
         n.clock_ns = first.pre_local_ns;
-        heap.push(Reverse((n.clock_ns + half_rtt, i, svc_for(i, &first), first.client_extra_ns)));
+        let svc = hook.service(i, draw(i, &first));
+        heap.push(Reverse((n.clock_ns + half_rtt, i, svc, first.client_extra_ns)));
     }
 
     let mut peak_queue_depth = 0usize;
@@ -583,47 +675,27 @@ pub(crate) fn heap_schedule_faulty(
     let mut done_max_ns = 0u64;
     while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
         peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
+        // FIFO after the lane's previous work, never before `arrival`.
         let lane = lanes.pick(i);
-        let mut start = lanes.busy_ns[lane].max(arrival);
-        if let FaultModel::ServerStall { at_ns, duration_ns } = fault {
-            // A brownout stalls the whole fleet: every lane's start inside
-            // the window waits for it to close.
-            let end = at_ns.saturating_add(duration_ns);
-            if start >= at_ns && start < end {
-                start = end;
-            }
-        }
-        let done = start + svc;
+        let done = hook.start(lanes.busy_ns[lane].max(arrival)) + svc;
         lanes.busy_ns[lane] = done;
-        let n = &mut node_state[i];
-        if let FaultModel::RpcLoss { loss_milli, timeout_ns, backoff_base_ns, max_retries } = fault
-        {
-            if n.attempt < max_retries && fault_rngs[i].below(1000) < loss_milli as u64 {
-                // Response lost: the server did the work (the busy clock
-                // above stands) but the client never hears back. It times
-                // out relative to its own send instant, sleeps its
-                // exponential backoff, and re-issues the same request.
-                let t_send = arrival - half_rtt;
-                let backoff = backoff_ns(backoff_base_ns, n.attempt);
-                counts.note_retry(backoff);
-                n.attempt += 1;
-                let resend = t_send.saturating_add(timeout_ns).saturating_add(backoff);
-                heap.push(Reverse((resend.saturating_add(half_rtt), i, svc, extra)));
-                continue;
-            }
-            n.attempt = 0;
+        if let Some(rearrival) = hook.lost(i, arrival) {
+            // The server did the work (its busy clock stands), but the
+            // same request, with the same drawn service, arrives again.
+            heap.push(Reverse((rearrival, i, svc, extra)));
+            continue;
         }
+        // Client resumes after the response returns and it has consumed
+        // the payload (reads stream for `extra` after the server moves
+        // on), then computes locally until its next request.
+        let n = &mut node_state[i];
         n.clock_ns = done + half_rtt + extra;
         n.next_seg += 1;
         match stream.segments.get(n.next_seg) {
             Some(seg) => {
                 n.clock_ns += seg.pre_local_ns;
-                heap.push(Reverse((
-                    n.clock_ns + half_rtt,
-                    i,
-                    svc_for(i, seg),
-                    seg.client_extra_ns,
-                )));
+                let svc = hook.service(i, draw(i, seg));
+                heap.push(Reverse((n.clock_ns + half_rtt, i, svc, seg.client_extra_ns)));
             }
             None => {
                 n.clock_ns += stream.tail_local_ns;
@@ -631,35 +703,27 @@ pub(crate) fn heap_schedule_faulty(
             }
         }
     }
-    (done_max_ns, peak_queue_depth, counts)
+    (done_max_ns, peak_queue_depth, hook.counts())
 }
 
 /// The analytic all-cold fast path: `simulate_classified`'s deterministic
 /// no-broadcast regime without the event heap. Returns the full
-/// [`LaunchResult`] when the closed form applies (see
-/// `all_cold_closed_form` for the exactness guard), `None` when the
-/// segment schedule forces a heap replay — callers and tests can tell
-/// *whether* the analytic regime engaged, and the result is bit-identical
-/// to [`simulate_classified`] whenever it does.
+/// [`LaunchResult`] when the closed form applies (see `closed_form` for
+/// why it is exact), `None` when the segment schedule forces a heap replay
+/// — callers and tests can tell *whether* the analytic regime engaged, and
+/// the result is bit-identical to [`simulate_classified`] whenever it does.
 pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
+    let half_rtt = cfg.rtt_ns / 2;
     if !cfg.service_dist.is_deterministic()
         || !cfg.fault.is_none()
         || cfg.broadcast_cache
         || stream.segments.is_empty()
+        || !closed_form_admits(cfg, || round_major(&stream.segments, half_rtt))
     {
         return None;
     }
-    let nodes = cfg.nodes();
-    let (cold_done_ns, peak_queue_depth) = all_cold_closed_form(stream, cfg, nodes)?;
-    let spawn_ns = cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64;
-    Some(LaunchResult {
-        time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + cold_done_ns,
-        nodes,
-        server_ops: nodes as u64 * stream.server_ops(),
-        local_ops: nodes as u64 * stream.n_local,
-        peak_queue_depth,
-        ..Default::default()
-    })
+    let done = closed_form(stream, cfg)?;
+    Some(scatter(stream, cfg, (done, cfg.cold_nodes(), FaultCounts::default())))
 }
 
 /// Upper bound on the line-envelope size before the closed form bails to
@@ -670,11 +734,27 @@ pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Optio
 /// degenerate toward O(server_ops²).
 const MAX_ENVELOPE_LINES: usize = 64;
 
+/// The closed form's guard on `cfg`'s deterministic cold fleet under its
+/// topology. Under an S-lane `HashByNode` fleet the lanes are fully
+/// independent single-server systems over the same schedule (node `i` only
+/// ever talks to lane `i % S`), so the closed form runs per lane and the
+/// busiest lane — `ceil(cold / S)` nodes — finishes last (adding a node to
+/// a FIFO lane never speeds it up). `LeastLoaded` routing depends on the
+/// event schedule, so it is never analytic-eligible. A lane of two or more
+/// nodes also needs the schedule to be round-major ([`round_major`],
+/// evaluated only then); a single node always is.
+fn closed_form_admits(cfg: &LaunchConfig, round_major: impl FnOnce() -> bool) -> bool {
+    (cfg.topology.servers <= 1 || cfg.topology.assign == AssignPolicy::HashByNode)
+        && (lane_last(cfg) == 0 || round_major())
+}
+
 /// Closed form for the symmetric all-cold fleet under deterministic
-/// service: `cold_nodes` identical nodes replay the segment schedule
-/// through the FIFO server, and the result is **bit-identical** to
-/// [`heap_schedule`] — `(slowest cold finish, peak queue depth)` — computed
-/// in `O(server_ops × envelope lines)` independent of the node count.
+/// service, for a fleet [`closed_form_admits`]: `cfg`'s identical cold
+/// nodes replay the segment schedule through the FIFO server, and the
+/// slowest cold finish is **bit-identical** to [`heap_schedule`]'s,
+/// computed in `O(server_ops × envelope lines)` independent of the node
+/// count. `None` when the envelope outgrows [`MAX_ENVELOPE_LINES`]; the
+/// caller falls back to the heap.
 ///
 /// # Why this is exact
 ///
@@ -687,9 +767,9 @@ const MAX_ENVELOPE_LINES: usize = 64;
 /// service), folds the flatter ones into the server-paced chain line of
 /// slope `s_k`, and the envelope never grows beyond one line per distinct
 /// service time. The slowest finish is the envelope at `i = N-1` plus the
-/// response/tail time, and the peak queue depth is exactly `cold_nodes`:
-/// from the first pop until the first node retires, every node keeps one
-/// outstanding request in the calendar.
+/// response/tail time, and the peak queue depth is exactly the cold node
+/// count: from the first pop until the first node retires, every node
+/// keeps one outstanding request in the calendar.
 ///
 /// # The round-major guard
 ///
@@ -700,67 +780,48 @@ const MAX_ENVELOPE_LINES: usize = 64;
 /// per consecutive segment pair guarantees it for any node count (gap =
 /// rtt + client extra + next pre-local). Uniform metadata streams satisfy
 /// it trivially; a payload-heavy read followed by a bare stat can violate
-/// it (its huge gap lets node 0 lap the stragglers), and then we return
-/// `None` and let the heap replay the schedule. A single cold node is
+/// it (its huge gap lets node 0 lap the stragglers), and then the guard
+/// declines and the heap replays the schedule. A single cold node is
 /// always round-major.
-fn all_cold_closed_form(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    cold_nodes: usize,
-) -> Option<(u64, usize)> {
+fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<u64> {
     let segs = &stream.segments;
-    let half_rtt = cfg.rtt_ns / 2;
-
-    // Under an S-lane `HashByNode` fleet the lanes are fully independent
-    // single-server systems over the same schedule (node `i` only ever
-    // talks to lane `i % S`), so the closed form runs per lane; the
-    // busiest lane — `ceil(cold / S)` nodes — finishes last (adding a
-    // node to a FIFO lane never speeds it up). `LeastLoaded` routing
-    // depends on the event schedule, so it is never analytic-eligible.
-    let servers = cfg.topology.servers.max(1);
-    if servers > 1 && cfg.topology.assign != AssignPolicy::HashByNode {
-        return None;
-    }
-    let lane_nodes = cold_nodes.div_ceil(servers);
-
-    if lane_nodes > 1 && !round_major(segs, half_rtt) {
-        return None;
-    }
-
+    let (half_rtt, last) = (cfg.rtt_ns / 2, lane_last(cfg));
     // The envelope: D(i, round) = max over lines of (c + i·slope), for
-    // lane-local node index i in [0, lane_nodes). Round 0: every node
-    // arrives at a₀ = pre_local₀ + rtt/2 and is served back to back. Two
-    // buffers swap roles per round, so the whole recursion allocates
-    // twice, total.
-    let last = (lane_nodes - 1) as u64;
+    // lane-local node index i in [0, last]. Round 0: every node arrives at
+    // a₀ = pre_local₀ + rtt/2 and is served back to back — the single line
+    // a₀ + (i+1)·s₀. Two buffers swap roles per round, so the whole
+    // recursion allocates twice, total.
     let mut lines: Vec<(u64, u64)> = Vec::with_capacity(8);
     let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
-    lines.push(envelope_seed(segs, half_rtt));
+    lines.push((segs[0].pre_local_ns + half_rtt + segs[0].service_ns, segs[0].service_ns));
     for j in 1..segs.len() {
-        if !envelope_round(
-            &mut lines,
-            &mut scratch,
-            segs[j].service_ns,
-            seg_gap(segs, half_rtt, j - 1),
-            last,
-        ) {
+        let (s, g_prev) = (segs[j].service_ns, seg_gap(segs, half_rtt, j - 1));
+        if !envelope_round(&mut lines, &mut scratch, s, g_prev, last) {
             return None;
         }
     }
+    // The slowest node's completion, plus the response trip and the
+    // stream's tail compute.
+    let served_last = lines.iter().map(|&(c, m)| c + last * m).max().expect("nonempty");
+    Some(served_last + half_rtt + segs[segs.len() - 1].client_extra_ns + stream.tail_local_ns)
+}
 
-    Some((envelope_finish(&lines, stream, half_rtt, last), cold_nodes))
+/// The last node index of `cfg`'s busiest lane, `ceil(cold / S) − 1`: the
+/// fleet [`closed_form`] solves for `cfg` (S = 1 is the whole cold fleet).
+fn lane_last(cfg: &LaunchConfig) -> u64 {
+    (cfg.cold_nodes().div_ceil(cfg.topology.servers.max(1)) - 1) as u64
 }
 
 /// Gap between finishing server op `j` and arriving for op `j + 1`,
 /// exactly as the heap accumulates it (half_rtt twice, not rtt once:
 /// integer halving must round the same way).
-pub(crate) fn seg_gap(segs: &[ServerSeg], half_rtt: u64, j: usize) -> u64 {
+fn seg_gap(segs: &[ServerSeg], half_rtt: u64, j: usize) -> u64 {
     2 * half_rtt + segs[j].client_extra_ns + segs[j + 1].pre_local_ns
 }
 
-/// The round-major guard of `all_cold_closed_form`, node-count
-/// independent for any fleet of two or more cold nodes: every consecutive
-/// segment pair must satisfy `s_k + gap_k > gap_{k-1}`.
+/// The round-major guard of `closed_form`, node-count independent for any
+/// fleet of two or more cold nodes: every consecutive segment pair must
+/// satisfy `s_k + gap_k > gap_{k-1}`.
 pub(crate) fn round_major(segs: &[ServerSeg], half_rtt: u64) -> bool {
     let mut prev_gap = 0u64;
     for (j, seg) in segs[..segs.len() - 1].iter().enumerate() {
@@ -773,22 +834,13 @@ pub(crate) fn round_major(segs: &[ServerSeg], half_rtt: u64) -> bool {
     true
 }
 
-/// Round 0 of the envelope: every node arrives at `a₀ = pre_local₀ +
-/// rtt/2` and is served back to back — the single line `a₀ + (i+1)·s₀`,
-/// i.e. `(a₀ + s₀)` at node 0 with slope `s₀`.
-pub(crate) fn envelope_seed(segs: &[ServerSeg], half_rtt: u64) -> (u64, u64) {
-    let a0 = segs[0].pre_local_ns + half_rtt;
-    (a0 + segs[0].service_ns, segs[0].service_ns)
-}
-
 /// One round of the max-plus envelope recursion: advance `lines` (the
 /// completion envelope of the previous round) across a segment of service
 /// time `s` reached over inter-op gap `g_prev`, for a fleet whose last
 /// node index is `last`. Returns `false` — envelope abandoned — when the
 /// line count exceeds [`MAX_ENVELOPE_LINES`]; the caller falls back to
-/// the heap. Shared verbatim by the per-call closed form and the batch
-/// lockstep in [`crate::batch`], which is what keeps the two bit-identical.
-pub(crate) fn envelope_round(
+/// the heap.
+fn envelope_round(
     lines: &mut Vec<(u64, u64)>,
     scratch: &mut Vec<(u64, u64)>,
     s: u64,
@@ -827,19 +879,6 @@ pub(crate) fn envelope_round(
         }
     }
     lines.len() <= MAX_ENVELOPE_LINES
-}
-
-/// Close out the envelope: the slowest node's completion at index `last`
-/// plus the response trip and the stream's tail compute.
-pub(crate) fn envelope_finish(
-    lines: &[(u64, u64)],
-    stream: &ClassifiedStream,
-    half_rtt: u64,
-    last: u64,
-) -> u64 {
-    let segs = &stream.segments;
-    let served_last = lines.iter().map(|&(c, m)| c + last * m).max().expect("nonempty");
-    served_last + half_rtt + segs[segs.len() - 1].client_extra_ns + stream.tail_local_ns
 }
 
 pub mod reference {
@@ -1499,7 +1538,7 @@ mod tests {
     #[test]
     fn closed_form_matches_the_heap_bit_for_bit_whenever_it_engages() {
         // The in-module ground truth: whenever the round-major guard admits
-        // a stream, the envelope recursion must reproduce heap_schedule's
+        // a stream, the envelope recursion must reproduce the heap's
         // (slowest finish, peak queue depth) exactly — same tie-breaks,
         // same integer halving. Random streams exercise both guard
         // verdicts; the uniform metadata stream must always engage.
@@ -1512,10 +1551,9 @@ mod tests {
                 if classified.segments.is_empty() {
                     continue;
                 }
-                let cold = cfg.nodes();
-                if let Some(analytic) = all_cold_closed_form(&classified, &cfg, cold) {
+                if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
                     engaged += 1;
-                    let heap = heap_schedule(&classified, &cfg, cold, |_, seg| seg.service_ns);
+                    let heap = scatter(&classified, &cfg, heap_kernel(&classified, &cfg));
                     assert_eq!(analytic, heap, "seed={seed} ranks={ranks}");
                 }
             }
@@ -1525,7 +1563,7 @@ mod tests {
             let cfg = fast_cfg().with_ranks(ranks);
             let classified = ClassifiedStream::classify(&stream(200, 50), &cfg);
             assert!(
-                all_cold_closed_form(&classified, &cfg, cfg.nodes()).is_some(),
+                analytic_all_cold(&classified, &cfg).is_some(),
                 "uniform cold metadata streams are always round-major"
             );
         }
@@ -1695,10 +1733,9 @@ mod tests {
                     if classified.segments.is_empty() {
                         continue;
                     }
-                    let cold = cfg.nodes();
-                    if let Some(analytic) = all_cold_closed_form(&classified, &cfg, cold) {
+                    if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
                         engaged += 1;
-                        let heap = heap_schedule(&classified, &cfg, cold, |_, seg| seg.service_ns);
+                        let heap = scatter(&classified, &cfg, heap_kernel(&classified, &cfg));
                         assert_eq!(analytic, heap, "seed={seed} servers={servers} ranks={ranks}");
                     }
                 }

@@ -1,5 +1,5 @@
-//! Executing an [`ExperimentMatrix`]: memoized profiling, parallel DES
-//! sweeps, and the [`SweepReport`] renderers.
+//! Executing an [`ExperimentMatrix`]: memoized profiling, the launch
+//! pipeline, and the [`SweepReport`] renderers.
 //!
 //! Execution is two-phase:
 //!
@@ -10,8 +10,12 @@
 //!    land in a shared, memoized [`ProfileCache`], so scenarios differing
 //!    only in wrap state, cache policy, or rank points reuse one profile.
 //! 2. **Sweep** — every scenario replays its cell's op stream through the
-//!    DES at each rank point, fanned out over rayon (the simulations are
-//!    independent).
+//!    DES at each rank point, the whole matrix's replicate rows batched
+//!    into shared plans (the simulations are independent).
+//!
+//! [`ExperimentMatrix::run_with`] is the one pipeline behind both phases;
+//! an optional [`CellMemo`] lets it skip the cells a previous run already
+//! answered, which is all the serve layer's incremental executor adds.
 //!
 //! A backend that cannot resolve the workload is data, not a crash: the
 //! cell records the unresolved count or wrap error and the report renders
@@ -19,10 +23,11 @@
 //! the §IV story).
 
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use depchaos_core::{wrap, ShrinkwrapOptions};
@@ -31,7 +36,6 @@ use depchaos_vfs::{StraceLog, Vfs};
 use depchaos_workloads::{SplitMix, Workload};
 
 use crate::adaptive::{run_adaptive_units, AdaptiveControl, AdaptiveUnit};
-use crate::batch::BatchPlan;
 use crate::config::{LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 use crate::des::{ClassifiedStream, ClassifyParams};
 use crate::fault::FaultModel;
@@ -40,7 +44,7 @@ use crate::matrix::{
 };
 use crate::profile::profile_load_checked;
 use crate::queueing::{mg1_bounds, validate_against_mg1, QueueingCheck};
-use crate::sweep::{render_fig6, replicate_seed, sweep_ranks_replicated, LaunchStats};
+use crate::sweep::{render_fig6, LaunchStats};
 
 /// The RNG seed one scenario simulates under: a stable FNV-1a digest of the
 /// scenario label, taken through the [`SplitMix::WORKLOAD`] stream domain of
@@ -304,8 +308,7 @@ pub struct SweepReport {
     pub cells_profiled: usize,
     /// The sequential stopping rule the sweep ran under, when adaptive
     /// replicate control was requested — `None` for fixed-K sweeps. Each
-    /// cell's stopped-at K is in its [`LaunchStats::replicates`]. Serde
-    /// default keeps reports written before the rule existed loadable.
+    /// cell's stopped-at K is in its [`LaunchStats::replicates`].
     #[serde(default)]
     pub adaptive: Option<AdaptiveControl>,
 }
@@ -786,253 +789,343 @@ impl SweepReport {
     }
 }
 
-/// Execute **one** scenario at the given rank points against a shared
-/// profile cache — the single-cell entry point. [`ExperimentMatrix::run`]
-/// is exactly this, fanned over the full expansion, and the serve layer
-/// (`depchaos-serve`) calls it per store miss with whatever subset of rank
-/// points is cold; because every rank point is simulated independently
-/// (same per-point `LaunchConfig`, same seed derivation from the scenario
-/// label), a subset run is bit-identical to the matching slice of a full
-/// run — which is what makes per-(scenario, rank point) memoization sound.
-pub fn run_scenario(
-    s: &Scenario,
-    base: &LaunchConfig,
-    replicates: usize,
-    rank_points: &[usize],
-    cache: &ProfileCache,
-) -> ScenarioResult {
-    let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
-    let spec = s.spec();
-    let mut cfg = s.cache.apply(base.clone());
-    cfg.service_dist = s.dist;
-    cfg.fault = s.fault;
-    cfg.topology = s.topology;
-    // Each cell draws from its own decorrelated stream, derived
-    // from (experiment seed, cell label) — deterministic across
-    // runs and across rayon schedules.
-    cfg.seed = scenario_seed(base.seed, &spec.label());
-    match cell.outcome(s.wrap) {
-        Ok(p) => {
-            // One classification per (cell, wrap, calibration),
-            // shared across cache policies, rank points, and
-            // stochastic replicates.
-            let stream = cache.classified(&cell.key, s.wrap, &p.log, &cfg);
-            let rows = sweep_ranks_replicated(&stream, &cfg, rank_points, replicates);
-            let queueing = rows
-                .iter()
-                .map(|&(r, _, st)| {
-                    let b = mg1_bounds(&stream, &cfg.clone().with_ranks(r));
-                    (r, validate_against_mg1(&b, &st))
-                })
-                .collect();
-            ScenarioResult {
-                spec,
-                stat_openat: p.stat_openat,
-                misses: p.misses,
-                complete: p.complete,
-                unresolved: p.unresolved,
-                error: None,
-                series: rows.iter().map(|&(r, l, _)| (r, l)).collect(),
-                stats: rows.iter().map(|&(r, _, st)| (r, st)).collect(),
-                queueing,
-            }
+/// The profile summary every cell of a scenario carries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfileSummary {
+    pub stat_openat: usize,
+    pub misses: usize,
+    pub complete: bool,
+    pub unresolved: usize,
+}
+
+/// The simulated payload of a cell that has one (profile errors don't).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellOutcome {
+    pub result: LaunchResult,
+    pub stats: LaunchStats,
+    pub queueing: QueueingCheck,
+}
+
+/// One `(scenario, rank point)` cell's answer: what the pipeline computes
+/// per cold cell, what a [`CellMemo`] remembers, and what every
+/// [`ScenarioResult`] is assembled from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellAnswer {
+    /// The scenario's profile summary (all zero when profiling failed).
+    pub profile: ProfileSummary,
+    /// Why the cell has no outcome, when it doesn't.
+    pub error: Option<String>,
+    pub outcome: Option<CellOutcome>,
+}
+
+/// A per-cell memo for [`ExperimentMatrix::run_with`]: the cells it
+/// recalls are answered without profiling or simulating, and every cell
+/// the run computes is offered back to it. The serve layer's result store
+/// is the memo of its incremental executor.
+pub trait CellMemo {
+    /// The remembered answer for `spec` at `ranks` under `matrix`'s
+    /// replicate plan and base configuration, if any.
+    fn recall(
+        &self,
+        matrix: &ExperimentMatrix,
+        spec: &ScenarioSpec,
+        ranks: usize,
+    ) -> Option<CellAnswer>;
+
+    /// Remember a cell this run computed. Cells whose profiling panicked
+    /// are never offered: a crash is not a result.
+    fn record(
+        &self,
+        matrix: &ExperimentMatrix,
+        spec: &ScenarioSpec,
+        ranks: usize,
+        cell: &CellAnswer,
+    ) -> std::io::Result<()>;
+}
+
+/// What one [`ExperimentMatrix::run_with`] did — the hit/miss accounting
+/// the serve front door reports per batch and CI asserts on (a warm replay
+/// must show `cold_cells == 0`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Scenarios in the expanded matrix.
+    pub scenarios: usize,
+    /// `(scenario, rank point)` cells the matrix describes.
+    pub cells_total: usize,
+    /// Cells the memo answered.
+    pub warm_hits: usize,
+    /// Cells this run computed.
+    pub cold_cells: usize,
+    /// Worker threads the profiling pool used.
+    pub jobs: usize,
+    /// Profiling runs this call triggered.
+    pub cells_profiled: usize,
+    /// Cold cells whose profiling run panicked. Each is isolated by a
+    /// per-cell `catch_unwind`, reported as a failed cell, and never
+    /// offered to the memo — the rest of the run completes normally.
+    pub panics: usize,
+}
+
+impl ExecStats {
+    /// Warm fraction in `[0, 1]`; 1.0 for an empty matrix.
+    pub fn hit_rate(&self) -> f64 {
+        if self.cells_total == 0 {
+            1.0
+        } else {
+            self.warm_hits as f64 / self.cells_total as f64
         }
-        Err(e) => ScenarioResult {
-            spec,
-            stat_openat: 0,
-            misses: 0,
-            complete: false,
-            unresolved: 0,
-            error: Some(e.clone()),
-            series: Vec::new(),
-            stats: Vec::new(),
-            queueing: Vec::new(),
-        },
     }
 }
 
+/// A cold scenario's prep, shared by every cold cell of the scenario: the
+/// cell config and either (profile summary, classification) — the
+/// classification an `Arc` straight out of the [`ProfileCache`] — or why
+/// there is none.
+struct Prep {
+    cfg: LaunchConfig,
+    outcome: Result<(ProfileSummary, Arc<ClassifiedStream>), String>,
+    /// The error in `outcome` is a caught profiling panic.
+    panicked: bool,
+}
+
 impl ExperimentMatrix {
-    /// Run the matrix against a shared profile cache: profile each unique
-    /// cell once, then gather every scenario's (rank point × replicate)
-    /// grid into **one** columnar [`BatchPlan`] and simulate the whole
-    /// matrix in a single batched pass — bit-identical to running
-    /// [`run_scenario`] per scenario.
+    /// Run the matrix against a shared profile cache:
+    /// [`ExperimentMatrix::run_with`] with no memo, profiling inline.
     pub fn run(&self, cache: &ProfileCache) -> SweepReport {
+        self.run_with(cache, 1, None).expect("a run without a memo does no I/O").0
+    }
+
+    /// The launch pipeline every matrix run takes. For each `(scenario,
+    /// rank point)` cell that `memo` does not recall:
+    ///
+    /// 1. **Profile** each unique (workload, backend, storage) cell once,
+    ///    on up to `jobs` worker threads pulling cells off a shared counter
+    ///    (`jobs <= 1` runs inline). Each run is isolated behind its own
+    ///    `catch_unwind`, so a workload that panics poisons only its own
+    ///    cells, which answer as errors.
+    /// 2. **Configure and classify** each cold scenario once
+    ///    ([`Scenario::launch_config`], then the shared
+    ///    `Arc<ClassifiedStream>` of `profiles`).
+    /// 3. **Simulate** every cold cell's replicate rows through
+    ///    [`run_adaptive_units`]: under the matrix's stopping rule, or with
+    ///    the rule off ([`AdaptiveControl::fixed`]) for fixed K.
+    /// 4. **Summarise** each cell ([`LaunchStats`] and the M/G/k check),
+    ///    offer it to `memo`, and assemble the report in matrix order.
+    ///
+    /// Every cell simulates independently (per-cell config, replicate seeds
+    /// derived from the scenario label), so a recalled cell, or any subset
+    /// of cold cells, is bit-identical to the same cell of a full run.
+    pub fn run_with(
+        &self,
+        profiles: &ProfileCache,
+        jobs: usize,
+        memo: Option<&dyn CellMemo>,
+    ) -> std::io::Result<(SweepReport, ExecStats)> {
         let scenarios = self.expand();
         let rank_points = self.effective_rank_points();
-
-        // Phase 1: realise every unique cell once. Deduplicate here rather
-        // than leaning on the cache's race guard so each cell is profiled
-        // by exactly one worker even under a parallel fill.
-        let mut unique: Vec<&Scenario> = Vec::new();
-        let mut seen: HashSet<CellKey> = HashSet::new();
-        for s in &scenarios {
-            if seen.insert(s.cell_key()) {
-                unique.push(s);
-            }
-        }
-        let cells_profiled = unique
-            .par_iter()
-            .map(|s| {
-                let (_, computed_here) =
-                    cache.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage);
-                usize::from(computed_here)
-            })
-            .sum();
-
-        // Phase 2: per-scenario prep — profile lookup (warm after phase 1),
-        // per-cell config and seed derivation, shared classification. The
-        // Arcs are held here so the plan can borrow every stream at once.
-        struct Prep {
-            spec: ScenarioSpec,
-            cfg: LaunchConfig,
-            outcome: Result<(Arc<CellProfile>, Arc<ClassifiedStream>), String>,
-        }
-        let preps: Vec<Prep> = scenarios
+        let specs: Vec<ScenarioSpec> = scenarios.iter().map(Scenario::spec).collect();
+        let mut cells: Vec<Vec<Option<CellAnswer>>> = specs
             .iter()
-            .map(|s| {
-                let cell = cache.get_or_profile(s.workload.as_ref(), &s.backend, s.storage);
-                let spec = s.spec();
-                let mut cfg = s.cache.apply(self.base.clone());
-                cfg.service_dist = s.dist;
-                cfg.fault = s.fault;
-                cfg.topology = s.topology;
-                // Each cell draws from its own decorrelated stream, derived
-                // from (experiment seed, cell label) — deterministic across
-                // runs and across execution orders.
-                cfg.seed = scenario_seed(self.base.seed, &spec.label());
-                let outcome = match cell.outcome(s.wrap) {
-                    Ok(p) => {
-                        let stream = cache.classified(&cell.key, s.wrap, &p.log, &cfg);
-                        Ok((Arc::clone(&cell), stream))
-                    }
-                    Err(e) => Err(e.clone()),
+            .map(|spec| rank_points.iter().map(|&ranks| memo?.recall(self, spec, ranks)).collect())
+            .collect();
+        let warm_hits = cells.iter().flatten().filter(|c| c.is_some()).count();
+        let cold: Vec<usize> =
+            (0..scenarios.len()).filter(|&i| cells[i].iter().any(Option::is_none)).collect();
+
+        // Phase 1: profile every unique cold cell once.
+        let mut unique: Vec<&Scenario> = Vec::new();
+        let mut index: HashMap<CellKey, usize> = HashMap::new();
+        let cell_of: Vec<usize> = cold
+            .iter()
+            .map(|&i| {
+                *index.entry(scenarios[i].cell_key()).or_insert_with(|| {
+                    unique.push(&scenarios[i]);
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        let workers = jobs.clamp(1, unique.len().max(1));
+        let profiled = profile_cells(&unique, profiles, workers);
+        let cells_profiled = profiled.iter().filter(|p| matches!(p, Ok((_, true)))).count();
+
+        // Phase 2: each cold scenario's config, classified once.
+        let preps: Vec<Prep> = cold
+            .iter()
+            .zip(&cell_of)
+            .map(|(&i, &c)| {
+                let s = &scenarios[i];
+                let cfg = s.launch_config(&self.base);
+                let (outcome, panicked) = match &profiled[c] {
+                    Ok((cell, _)) => (
+                        cell.outcome(s.wrap).as_ref().map_err(Clone::clone).map(|p| {
+                            let summary = ProfileSummary {
+                                stat_openat: p.stat_openat,
+                                misses: p.misses,
+                                complete: p.complete,
+                                unresolved: p.unresolved,
+                            };
+                            (summary, profiles.classified(&cell.key, s.wrap, &p.log, &cfg))
+                        }),
+                        false,
+                    ),
+                    Err(e) => (Err(e.clone()), true),
                 };
-                Prep { spec, cfg, outcome }
+                Prep { cfg, outcome, panicked }
             })
             .collect();
 
-        // Phase 3: simulate every pending (scenario, rank point,
-        // replicate). Fixed-K gathers the whole grid into one plan — the
-        // same row grid `sweep_ranks_replicated` would build per scenario.
-        // Under adaptive control the grid is built round by round instead:
-        // each round plans one replicate batch for every still-active cell
-        // (kernel dedup across cells preserved), tests each cell's
-        // stopping rule, and plans the next batch. Either way
-        // `per_point[i][pi]` holds scenario i's replicate-ordered results
-        // at rank point pi.
-        let per_point: Vec<Vec<Vec<LaunchResult>>> = if let Some(ctl) = self.adaptive {
-            let mut units: Vec<AdaptiveUnit<'_>> = Vec::new();
-            for prep in &preps {
-                if let Ok((_, stream)) = &prep.outcome {
-                    for &ranks in &rank_points {
+        // Phase 3: every cold cell with a stream is one unit of the
+        // replicate driver; fixed K is the stopping rule switched off.
+        let mut units: Vec<AdaptiveUnit<'_>> = Vec::new();
+        for (&i, prep) in cold.iter().zip(&preps) {
+            if let Ok((_, stream)) = &prep.outcome {
+                for (&ranks, cell) in rank_points.iter().zip(&cells[i]) {
+                    if cell.is_none() {
                         units
                             .push(AdaptiveUnit { stream, cfg: prep.cfg.clone().with_ranks(ranks) });
                     }
                 }
             }
-            let mut outs = run_adaptive_units(&units, ctl).into_iter();
-            preps
-                .iter()
-                .map(|prep| match &prep.outcome {
-                    Ok(_) => rank_points.iter().map(|_| outs.next().unwrap()).collect(),
-                    Err(_) => Vec::new(),
-                })
-                .collect()
-        } else {
-            let mut plan = BatchPlan::new();
-            let mut row_counts: Vec<usize> = Vec::with_capacity(preps.len());
-            for prep in &preps {
-                let Ok((_, stream)) = &prep.outcome else {
-                    row_counts.push(0);
-                    continue;
-                };
-                let id = plan.stream(stream);
-                let k = if prep.cfg.service_dist.is_deterministic() && !prep.cfg.fault.takes_draws()
-                {
-                    1
-                } else {
-                    self.replicates.max(1)
-                };
-                for &ranks in &rank_points {
-                    for r in 0..k {
-                        let cfg = prep
-                            .cfg
-                            .clone()
-                            .with_ranks(ranks)
-                            .with_seed(replicate_seed(prep.cfg.seed, r));
-                        plan.push(id, &cfg);
-                    }
-                }
-                row_counts.push(rank_points.len() * k);
-            }
-            let rows = plan.execute();
-            let mut cursor = 0usize;
-            preps
-                .iter()
-                .zip(&row_counts)
-                .map(|(_, &n)| {
-                    let slice = &rows[cursor..cursor + n];
-                    cursor += n;
-                    if n == 0 {
-                        return Vec::new();
-                    }
-                    let k = n / rank_points.len();
-                    (0..rank_points.len()).map(|pi| slice[pi * k..(pi + 1) * k].to_vec()).collect()
-                })
-                .collect()
-        };
+        }
+        let ctl = self.adaptive.unwrap_or(AdaptiveControl::fixed(self.replicates));
+        let mut samples = run_adaptive_units(&units, ctl).into_iter();
 
-        // Phase 4: summarise per scenario and rank point, replicating
-        // `run_scenario`'s assembly.
-        let mut results: Vec<ScenarioResult> = Vec::with_capacity(preps.len());
-        for (prep, points) in preps.iter().zip(&per_point) {
-            results.push(match &prep.outcome {
-                Ok((cell, stream)) => {
-                    let p = cell
-                        .outcome(prep.spec.wrap)
-                        .as_ref()
-                        .expect("prep outcome mirrors the cell outcome");
-                    let mut series = Vec::with_capacity(rank_points.len());
-                    let mut stats = Vec::with_capacity(rank_points.len());
-                    let mut queueing = Vec::with_capacity(rank_points.len());
-                    for (reps, &ranks) in points.iter().zip(&rank_points) {
-                        let mut samples: Vec<u64> =
-                            reps.iter().map(|l| l.time_to_launch_ns).collect();
-                        let st = LaunchStats::from_samples(&mut samples);
-                        let b = mg1_bounds(stream, &prep.cfg.clone().with_ranks(ranks));
-                        series.push((ranks, reps[0]));
-                        queueing.push((ranks, validate_against_mg1(&b, &st)));
-                        stats.push((ranks, st));
-                    }
-                    ScenarioResult {
-                        spec: prep.spec.clone(),
-                        stat_openat: p.stat_openat,
-                        misses: p.misses,
-                        complete: p.complete,
-                        unresolved: p.unresolved,
-                        error: None,
-                        series,
-                        stats,
-                        queueing,
-                    }
+        // Phase 4: summarise every cold cell and offer it to the memo.
+        let mut panics = 0usize;
+        for (&i, prep) in cold.iter().zip(&preps) {
+            for (&ranks, slot) in rank_points.iter().zip(&mut cells[i]) {
+                if slot.is_some() {
+                    continue;
                 }
-                Err(e) => ScenarioResult {
-                    spec: prep.spec.clone(),
-                    stat_openat: 0,
-                    misses: 0,
-                    complete: false,
-                    unresolved: 0,
-                    error: Some(e.clone()),
-                    series: Vec::new(),
-                    stats: Vec::new(),
-                    queueing: Vec::new(),
-                },
-            });
+                let cell = match &prep.outcome {
+                    Ok((profile, stream)) => {
+                        let reps = samples.next().expect("one replicate vector per cold cell");
+                        let stats = LaunchStats::of(&reps);
+                        let bounds = mg1_bounds(stream, &prep.cfg.clone().with_ranks(ranks));
+                        let queueing = validate_against_mg1(&bounds, &stats);
+                        CellAnswer {
+                            profile: *profile,
+                            error: None,
+                            outcome: Some(CellOutcome { result: reps[0], stats, queueing }),
+                        }
+                    }
+                    Err(e) => CellAnswer {
+                        profile: ProfileSummary::default(),
+                        error: Some(e.clone()),
+                        outcome: None,
+                    },
+                };
+                match memo {
+                    _ if prep.panicked => panics += 1,
+                    Some(m) => m.record(self, &specs[i], ranks, &cell)?,
+                    None => {}
+                }
+                *slot = Some(cell);
+            }
         }
 
-        SweepReport { rank_points, results, cells_profiled, adaptive: self.adaptive }
+        let results: Vec<ScenarioResult> = specs
+            .into_iter()
+            .zip(cells)
+            .map(|(spec, cells)| assemble(spec, &rank_points, cells))
+            .collect();
+        let cells_total = scenarios.len() * rank_points.len();
+        let stats = ExecStats {
+            scenarios: scenarios.len(),
+            cells_total,
+            warm_hits,
+            cold_cells: cells_total - warm_hits,
+            jobs: workers,
+            cells_profiled,
+            panics,
+        };
+        let report = SweepReport { rank_points, results, cells_profiled, adaptive: self.adaptive };
+        Ok((report, stats))
     }
+}
+
+/// Profile each of `cells` once on `workers` threads pulling cells off a
+/// shared counter — dynamic load balancing, since profiling costs vary by
+/// orders of magnitude across workloads; one worker runs inline with no
+/// spawns. Each run is isolated behind its own `catch_unwind`: a workload
+/// that panics mid-install poisons only its own cell (the cache entry is
+/// simply never filled — `parking_lot` mutexes don't poison) and comes
+/// back as the error. `Ok` carries whether this call did the profiling run.
+fn profile_cells(
+    cells: &[&Scenario],
+    profiles: &ProfileCache,
+    workers: usize,
+) -> Vec<Result<(Arc<CellProfile>, bool), String>> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(s) = cells.get(i) else { return done };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                profiles.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage)
+            }));
+            done.push((i, run.map_err(|e| format!("panic in profiling: {}", panic_msg(e)))));
+        }
+    };
+    let mut done = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = (0..workers).map(|_| sc.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("profiling panics are caught"))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, run)| run).collect()
+}
+
+/// Render a caught panic payload (the `&str`/`String` cases `panic!`
+/// produces; anything else is named as such).
+fn panic_msg(e: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// One scenario's result from its per-rank-point cells, in rank point
+/// order. The first cell carries the profile summary; any error wins.
+fn assemble(
+    spec: ScenarioSpec,
+    rank_points: &[usize],
+    cells: Vec<Option<CellAnswer>>,
+) -> ScenarioResult {
+    let cells: Vec<CellAnswer> =
+        cells.into_iter().map(|c| c.expect("every cell answered")).collect();
+    let profile = cells.first().map(|c| c.profile).unwrap_or_default();
+    let mut r = ScenarioResult {
+        spec,
+        stat_openat: profile.stat_openat,
+        misses: profile.misses,
+        complete: profile.complete,
+        unresolved: profile.unresolved,
+        error: cells.iter().find_map(|c| c.error.clone()),
+        series: Vec::new(),
+        stats: Vec::new(),
+        queueing: Vec::new(),
+    };
+    if r.error.is_none() {
+        for (&ranks, cell) in rank_points.iter().zip(cells) {
+            if let Some(o) = cell.outcome {
+                r.series.push((ranks, o.result));
+                r.stats.push((ranks, o.stats));
+                r.queueing.push((ranks, o.queueing));
+            }
+        }
+    }
+    r
 }
 
 #[cfg(test)]

@@ -36,49 +36,52 @@
 //!    Simulation is two-phase:
 //!    [`ClassifiedStream::classify`] compacts the op stream into a
 //!    per-server-op schedule exactly once, and [`simulate_classified`]
-//!    replays it through the cheapest exact regime — the
-//!    [`analytic_all_cold`] closed form when the symmetric all-cold fleet
-//!    is round-major (`O(server_ops)`, node-count independent, exact peak
-//!    queue depth), the per-server-op event heap otherwise — coalescing
-//!    the symmetric warm/serverless nodes analytically in every regime.
-//!    That takes a 4M-rank point (broadcast *or* all-cold) to microseconds
-//!    while staying bit-identical to the retained [`des::reference`]
-//!    oracle (property-tested equivalence, deterministic *and*
-//!    stochastic).
-//! 3. [`batch`] is the columnar execution layer over the DES: a
+//!    replays it through the cheapest exact regime, its [`SolverClass`] —
+//!    the [`analytic_all_cold`] closed form when the symmetric all-cold
+//!    fleet is round-major (`O(server_ops)`, node-count independent, exact
+//!    peak queue depth), otherwise the one per-server-op event heap, whose
+//!    fault model plugs in as a hook (the healthy hook is zero-sized) —
+//!    coalescing the symmetric warm/serverless nodes analytically in every
+//!    regime. That takes a 4M-rank point (broadcast *or* all-cold) to
+//!    microseconds while staying bit-identical to the retained
+//!    [`des::reference`] oracle (property-tested equivalence,
+//!    deterministic *and* stochastic).
+//! 3. [`batch`] is the batched execution layer over the DES: a
 //!    [`BatchPlan`] gathers every pending (cell, rank point, replicate)
-//!    into structure-of-arrays columns — segment schedules columnarised
-//!    once per stream (`service_ns`, precomputed gaps, shared
-//!    aggregates), rows as parallel parameter columns (cold-node count,
-//!    seed, distribution, overheads) — and partitions rows into four
-//!    solver classes: **coalesced** (no server segments — pure
-//!    arithmetic), **analytic** (deterministic round-major fleets —
-//!    advanced in lockstep over the shared schedule, deduplicated to
-//!    unique (schedule, fleet) kernels), **stochastic** (per-seed heap
-//!    replay), and **heap** (lone-cold-node or guard-violating
-//!    fallback, including mid-batch envelope-cap demotions). Outputs
-//!    are bit-identical to per-row [`simulate_classified`]; every sweep
-//!    layer below runs on it.
+//!    as rows over shared segment schedules, classifies each row with the
+//!    per-call [`SolverClass`] rule — **coalesced** (no server segments —
+//!    pure arithmetic), **analytic** (deterministic round-major fleets,
+//!    one closed-form envelope recursion each), **stochastic** (per-seed
+//!    heap replay), and **heap** (lone-cold-node, guard-violating or
+//!    faulted rows, plus envelope-cap demotions) — deduplicates rows to
+//!    unique (schedule, fleet) kernels, and solves and scatters each
+//!    through the per-call kernel dispatch and per-row arithmetic.
+//!    Outputs are bit-identical to per-row
+//!    [`simulate_classified`]; every sweep layer below runs on it.
 //! 4. [`sweep`] runs rank scalings for one figure series, all points
-//!    sharing one [`ClassifiedStream`] and executing as a single
-//!    [`BatchPlan`]. [`sweep_ranks_replicated`] adds the stochastic
-//!    dimension: K seeded replicates per rank point
-//!    ([`replicate_seed`]), summarised as [`LaunchStats`] p50/p95/p99 —
-//!    K collapses to 1 when the distribution is deterministic. [`adaptive`]
-//!    replaces the fixed K with a sequential stopping rule
-//!    ([`AdaptiveControl`]): replicates run in seeded batches and each
-//!    cell stops as soon as the t-based 95% half-width of its mean
-//!    launch time meets a relative target — bit-reproducibly, because
-//!    replicate `r`'s draws are a pure function of `(base seed, r)`
-//!    (the batch-prefix property; see `docs/determinism.md`).
+//!    sharing one [`ClassifiedStream`] and executing as one batched pass.
+//!    [`sweep_ranks_replicated`] adds the stochastic dimension: K seeded
+//!    replicates per rank point ([`replicate_seed`]), summarised as
+//!    [`LaunchStats`] p50/p95/p99 — K collapses to 1 when the run takes
+//!    no draws ([`LaunchConfig::takes_draws`]). [`adaptive`] replaces the
+//!    fixed K with a sequential stopping rule ([`AdaptiveControl`]):
+//!    replicates run in seeded batches and each cell stops as soon as the
+//!    t-based 95% half-width of its mean launch time meets a relative
+//!    target — bit-reproducibly, because replicate `r`'s draws are a pure
+//!    function of `(base seed, r)` (the batch-prefix property; see
+//!    `docs/determinism.md`). Its driver, [`run_adaptive_units`], is the
+//!    only replicate-row builder: fixed K is the rule switched off
+//!    ([`AdaptiveControl::fixed`]).
 //!    [`sweep_paired`] is the common-random-numbers companion: both arms
 //!    of a comparison run under shared replicate seeds and
 //!    [`PairedDiff`] reports the CRN-tightened interval on their
 //!    difference ([`render_fig6_paired`]).
 //! 5. [`matrix`] describes a whole experiment: a [`Scenario`] is one point
 //!    of (workload × loader backend × storage model × wrap state × cache
-//!    policy × service distribution), and an [`ExperimentMatrix`] expands
-//!    the cross product. Workloads come from the
+//!    policy × service distribution × fault model × server topology), and
+//!    an [`ExperimentMatrix`] expands the cross product;
+//!    [`Scenario::launch_config`] derives each cell's launch configuration.
+//!    Workloads come from the
 //!    [`depchaos_workloads::Workload`] trait (pynamic and its RPATH
 //!    variant, emacs, the >200-package Axom stack, the ROCm module world);
 //!    storage models are [`depchaos_vfs::StorageModel`]; backends are
@@ -90,15 +93,20 @@
 //!    launch time — [`validate_against_mg1`] flags any cell whose
 //!    replicate mean escapes the envelope, so a modelling bug shared by
 //!    the DES and its oracle would still be caught by theory.
-//! 7. [`experiment`] executes a matrix: each unique (workload, backend,
+//! 7. [`experiment`] executes a matrix through one pipeline
+//!    ([`ExperimentMatrix::run_with`]): each unique (workload, backend,
 //!    storage) cell is profiled **exactly once** into a shared, memoized
-//!    [`ProfileCache`] (plain and wrapped streams captured in one run) and
-//!    classified once per (cell, wrap state, latency calibration) — shared
-//!    across cache policies, rank points, *and* stochastic replicates —
-//!    then the whole matrix is simulated as **one** [`BatchPlan`] pass and
-//!    everything lands in a serde-serializable [`SweepReport`] with
+//!    [`ProfileCache`] (plain and wrapped streams captured in one run, each
+//!    profiling run isolated against panics) and classified once per
+//!    (cell, wrap state, latency calibration) — shared across cache
+//!    policies, rank points, *and* stochastic replicates — then every
+//!    cell's replicate rows are simulated in batched passes, summarised
+//!    with the M/G/k check, and assembled into a [`SweepReport`] with
 //!    per-backend Fig 6, per-distribution band, queueing-check, and TSV
-//!    renderers. Every stochastic cell draws from
+//!    renderers. An optional [`CellMemo`] answers cells a previous run
+//!    computed — the serve layer's result store is one, and
+//!    [`ExperimentMatrix::run`] is the pipeline without. Every stochastic
+//!    cell draws from
 //!    [`scenario_seed`]`(base seed, cell label)`, so any single cell
 //!    reproduces standalone, byte for byte, from the experiment seed and
 //!    its label.
@@ -149,15 +157,15 @@ pub mod sweep;
 pub use adaptive::{
     run_adaptive_units, stop_k, t_critical_95, AdaptiveControl, AdaptiveUnit, PairedDiff, Welford,
 };
-pub use batch::{BatchPlan, SolverClass, StreamId};
+pub use batch::{BatchPlan, StreamId};
 pub use config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 pub use des::{
     analytic_all_cold, reference, simulate_classified, simulate_launch, ClassifiedStream,
-    ClassifyParams,
+    ClassifyParams, SolverClass,
 };
 pub use experiment::{
-    run_scenario, scenario_seed, CellProfile, ProfileCache, ProfileOutcome, ScenarioResult,
-    SweepReport,
+    scenario_seed, CellAnswer, CellMemo, CellOutcome, CellProfile, ExecStats, ProfileCache,
+    ProfileOutcome, ProfileSummary, ScenarioResult, SweepReport,
 };
 pub use fault::{FaultCounts, FaultModel};
 pub use matrix::{

@@ -4,9 +4,11 @@
 //! model × wrap state × cache policy × service distribution × fault
 //! model × server topology); an
 //! [`ExperimentMatrix`] holds the axis values and expands the full cross
-//! product. Execution lives in [`crate::experiment`], which gathers the
-//! expanded grid into one columnar [`crate::batch::BatchPlan`] pass —
-//! this module is purely the *description* of what to run, which is what
+//! product. Execution lives in [`crate::experiment`], whose one pipeline
+//! ([`ExperimentMatrix::run_with`]) batches the expanded grid through
+//! [`crate::batch::BatchPlan`] passes — this module is purely the
+//! *description* of what to run, plus the per-cell config derivation
+//! ([`Scenario::launch_config`]), which is what
 //! makes "Fig 6, but for every backend", "Fig 6, but on local disk with
 //! a Spindle cache", or "Fig 6, but under a heavy-tailed metadata
 //! server" one-line requests.
@@ -22,6 +24,7 @@ use depchaos_workloads::{InstalledWorkload, Workload};
 
 use crate::adaptive::AdaptiveControl;
 use crate::config::{LaunchConfig, ServerTopology, ServiceDistribution};
+use crate::experiment::scenario_seed;
 use crate::fault::FaultModel;
 
 /// The wrap-state axis: is the binary launched as built, or after
@@ -190,6 +193,22 @@ impl Scenario {
         }
     }
 
+    /// The launch configuration this scenario's cells simulate under:
+    /// `base` with the cache policy, service distribution, fault model and
+    /// topology applied, seeded from `(base.seed, label)` by
+    /// [`scenario_seed`] — deterministic across runs and execution orders,
+    /// and decorrelated across cells. The one derivation every run path
+    /// uses.
+    pub fn launch_config(&self, base: &LaunchConfig) -> LaunchConfig {
+        LaunchConfig {
+            service_dist: self.dist,
+            fault: self.fault,
+            topology: self.topology,
+            seed: scenario_seed(base.seed, &self.spec().label()),
+            ..self.cache.apply(base.clone())
+        }
+    }
+
     /// Serializable identity (names only) for reports.
     pub fn spec(&self) -> ScenarioSpec {
         ScenarioSpec {
@@ -275,8 +294,8 @@ pub const DEFAULT_REPLICATES: usize = 11;
 
 /// The experiment matrix: axis values plus the sweep parameters shared by
 /// every scenario. `expand()` is the cross product; `run()` (in
-/// [`crate::experiment`]) profiles each unique cell once and fans the DES
-/// sweeps out in parallel.
+/// [`crate::experiment`]) profiles each unique cell once and simulates the
+/// whole matrix in batched passes.
 #[derive(Clone)]
 pub struct ExperimentMatrix {
     pub(crate) workloads: Vec<Arc<dyn Workload>>,

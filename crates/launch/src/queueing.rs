@@ -71,7 +71,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::config::{AssignPolicy, LaunchConfig, ServiceDistribution};
-use crate::des::{ClassifiedStream, ClassifyParams};
+use crate::des::ClassifiedStream;
 use crate::fault::FaultModel;
 use crate::sweep::LaunchStats;
 
@@ -192,13 +192,9 @@ pub struct Mg1Bounds {
 /// the point). Panics, like [`crate::simulate_classified`], when `cfg`'s
 /// calibration differs from the one the stream was classified under.
 pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
-    assert_eq!(
-        stream.params(),
-        ClassifyParams::of(cfg),
-        "ClassifiedStream reused under a different latency calibration; reclassify"
-    );
+    stream.check_calibration(cfg);
     let nodes = cfg.nodes();
-    let cold = if cfg.broadcast_cache { 1u64 } else { nodes as u64 };
+    let cold = cfg.cold_nodes() as u64;
     let warm_done = if (nodes as u64) > cold { stream.warm_replay_ns() as u128 } else { 0 };
     let overhead = cfg.base_overhead_ns as u128
         + cfg.per_rank_overhead_ns as u128 * cfg.ranks_per_node.min(cfg.ranks) as u128;

@@ -5,9 +5,11 @@
 //! replicates (replicate `r` re-seeds the config from
 //! [`SplitMix::split`]`(base.seed, SplitMix::REPLICATE, r)`, replicate 0
 //! *being* the base seed) and summarised as [`LaunchStats`] —
-//! p50/p95/p99/mean of the launch time. Under a deterministic service
-//! distribution every replicate would be identical, so K collapses to 1
-//! and the stats degenerate to the single exact value.
+//! p50/p95/p99/mean of the launch time. When a run takes no draws every
+//! replicate would be identical, so K collapses to 1 and the stats
+//! degenerate to the single exact value. Every sweep here plans its rows
+//! through [`run_adaptive_units`], fixed K being the stopping rule
+//! switched off.
 
 use std::collections::HashMap;
 
@@ -16,7 +18,6 @@ use depchaos_workloads::SplitMix;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{run_adaptive_units, AdaptiveControl, AdaptiveUnit, PairedDiff};
-use crate::batch::BatchPlan;
 use crate::config::{LaunchConfig, LaunchResult};
 use crate::des::ClassifiedStream;
 
@@ -34,6 +35,12 @@ pub struct LaunchStats {
 }
 
 impl LaunchStats {
+    /// Summarise a non-empty replicate vector's launch times.
+    pub fn of(replicates: &[LaunchResult]) -> LaunchStats {
+        let mut samples: Vec<u64> = replicates.iter().map(|l| l.time_to_launch_ns).collect();
+        LaunchStats::from_samples(&mut samples)
+    }
+
     /// Summarise a non-empty replicate sample (sorts in place).
     pub fn from_samples(samples: &mut [u64]) -> LaunchStats {
         assert!(!samples.is_empty(), "stats need at least one replicate");
@@ -84,42 +91,22 @@ pub fn replicate_seed(base_seed: u64, replicate: usize) -> u64 {
 /// [`sweep_ranks_classified`] over K seeded replicates per rank point:
 /// returns, per point, replicate 0's full [`LaunchResult`] (the series the
 /// plain renderers draw) plus the [`LaunchStats`] over all replicates.
-/// `replicates` is clamped to 1 when the run takes no draws at all — a
-/// deterministic distribution under a draw-free fault model — since extra
-/// replicates could only repeat the same value.
+/// `replicates` is clamped to 1 when the run takes no draws at all
+/// ([`LaunchConfig::takes_draws`]), since extra replicates could only
+/// repeat the same value.
 ///
-/// The whole (rank point × replicate) grid executes as one [`BatchPlan`]:
-/// deterministic points collapse to shared analytic kernels, stochastic
-/// replicates batch into one heap pass per seed.
+/// This is [`sweep_ranks_adaptive`] with the stopping rule off
+/// ([`AdaptiveControl::fixed`]): the whole (rank point × replicate) grid
+/// executes as one [`BatchPlan`](crate::BatchPlan), where deterministic
+/// points collapse to shared analytic kernels and stochastic replicates
+/// batch into one heap pass per seed.
 pub fn sweep_ranks_replicated(
     stream: &ClassifiedStream,
     base: &LaunchConfig,
     rank_points: &[usize],
     replicates: usize,
 ) -> Vec<(usize, LaunchResult, LaunchStats)> {
-    let k = if stream.params().dist.is_deterministic() && !base.fault.takes_draws() {
-        1
-    } else {
-        replicates.max(1)
-    };
-    let mut plan = BatchPlan::new();
-    let id = plan.stream(stream);
-    for &ranks in rank_points {
-        for r in 0..k {
-            plan.push(id, &base.clone().with_ranks(ranks).with_seed(replicate_seed(base.seed, r)));
-        }
-    }
-    let results = plan.execute();
-    rank_points
-        .iter()
-        .enumerate()
-        .map(|(pi, &ranks)| {
-            let rows = &results[pi * k..(pi + 1) * k];
-            let mut samples: Vec<u64> = rows.iter().map(|l| l.time_to_launch_ns).collect();
-            let stats = LaunchStats::from_samples(&mut samples);
-            (ranks, rows[0], stats)
-        })
-        .collect()
+    sweep_ranks_adaptive(stream, base, rank_points, AdaptiveControl::fixed(replicates))
 }
 
 /// [`sweep_ranks_replicated`] under adaptive replicate control: each rank
@@ -148,11 +135,7 @@ pub fn sweep_ranks_adaptive(
     rank_points
         .iter()
         .zip(per_point)
-        .map(|(&ranks, rows)| {
-            let mut samples: Vec<u64> = rows.iter().map(|l| l.time_to_launch_ns).collect();
-            let stats = LaunchStats::from_samples(&mut samples);
-            (ranks, rows[0], stats)
-        })
+        .map(|(&ranks, rows)| (ranks, rows[0], LaunchStats::of(&rows)))
         .collect()
 }
 
@@ -173,7 +156,8 @@ pub struct PairedPoint {
 /// `replicate_seed(base.seed, r)`, so their NODE-domain service factors
 /// coincide and the per-replicate deltas cancel the common noise; the
 /// returned [`PairedDiff`] carries the CRN-tightened confidence interval
-/// on the arm difference.
+/// on the arm difference. Arms that take no draws simulate once, and
+/// their K replicates repeat that one value.
 ///
 /// This deliberately does **not** use the matrix's per-cell seed
 /// derivation ([`crate::experiment::scenario_seed`] hashes the wrap state
@@ -186,30 +170,29 @@ pub fn sweep_paired(
     rank_points: &[usize],
     replicates: usize,
 ) -> Vec<PairedPoint> {
+    // Both arms share replicate r's seed — that sharing IS the
+    // common-random-numbers design.
     let k = replicates.max(1);
-    let mut plan = BatchPlan::new();
-    let ids = [plan.stream(baseline), plan.stream(variant)];
-    for &ranks in rank_points {
-        for &id in &ids {
-            // Both arms share replicate r's seed — that sharing IS the
-            // common-random-numbers design.
-            for r in 0..k {
-                plan.push(
-                    id,
-                    &base.clone().with_ranks(ranks).with_seed(replicate_seed(base.seed, r)),
-                );
-            }
-        }
-    }
-    let rows = plan.execute();
+    let units: Vec<AdaptiveUnit<'_>> = rank_points
+        .iter()
+        .flat_map(|&ranks| {
+            [baseline, variant]
+                .map(|stream| AdaptiveUnit { stream, cfg: base.clone().with_ranks(ranks) })
+        })
+        .collect();
+    let rows = run_adaptive_units(&units, AdaptiveControl::fixed(k));
     rank_points
         .iter()
-        .enumerate()
-        .map(|(pi, &ranks)| {
-            let b = &rows[pi * 2 * k..pi * 2 * k + k];
-            let v = &rows[pi * 2 * k + k..(pi + 1) * 2 * k];
-            let bs: Vec<u64> = b.iter().map(|l| l.time_to_launch_ns).collect();
-            let vs: Vec<u64> = v.iter().map(|l| l.time_to_launch_ns).collect();
+        .zip(rows.chunks(2))
+        .map(|(&ranks, arms)| {
+            let [bs, vs] = [&arms[0], &arms[1]].map(|rows| {
+                let times: Vec<u64> = rows.iter().map(|l| l.time_to_launch_ns).collect();
+                if times.len() == 1 {
+                    vec![times[0]; k]
+                } else {
+                    times
+                }
+            });
             PairedPoint {
                 ranks,
                 baseline: LaunchStats::from_samples(&mut bs.clone()),
@@ -258,20 +241,19 @@ pub fn sweep_ranks(
     sweep_ranks_classified(&ClassifiedStream::classify(ops, base), base, rank_points)
 }
 
-/// [`sweep_ranks`] over a pre-classified stream: every point is a row of
-/// one [`BatchPlan`], so rank points that share a node count (or collapse
-/// warm) share one kernel — zero per-point classification or cloning.
+/// [`sweep_ranks`] over a pre-classified stream: the one-replicate
+/// [`sweep_ranks_replicated`], so every point is a row of one batched pass
+/// and rank points that share a node count (or collapse warm) share one
+/// kernel — zero per-point classification.
 pub fn sweep_ranks_classified(
     stream: &ClassifiedStream,
     base: &LaunchConfig,
     rank_points: &[usize],
 ) -> Vec<(usize, LaunchResult)> {
-    let mut plan = BatchPlan::new();
-    let id = plan.stream(stream);
-    for &ranks in rank_points {
-        plan.push(id, &base.clone().with_ranks(ranks));
-    }
-    rank_points.iter().copied().zip(plan.execute()).collect()
+    sweep_ranks_replicated(stream, base, rank_points, 1)
+        .into_iter()
+        .map(|(ranks, result, _)| (ranks, result))
+        .collect()
 }
 
 /// Render the Fig 6 series as an aligned table: one row per scale, normal
@@ -518,6 +500,16 @@ mod tests {
         assert!(table.contains("±delta paired"));
         assert!(table.contains("512"));
         assert!(!table.contains("inf"));
+
+        // Draw-free arms simulate once but still report K exact pairs: a
+        // zero-width interval, not the infinite one of a single sample.
+        let exact = LaunchConfig { service_dist: ServiceDistribution::Deterministic, ..cfg };
+        let plain = ClassifiedStream::classify(&cold_stream(400), &exact);
+        let wrapped = ClassifiedStream::classify(&cold_stream(360), &exact);
+        for p in sweep_paired(&plain, &wrapped, &exact, &[512], 9) {
+            assert_eq!((p.diff.pairs, p.baseline.replicates, p.variant.replicates), (9, 9, 9));
+            assert_eq!(p.diff.half_width_ns, 0.0);
+        }
     }
 
     #[test]

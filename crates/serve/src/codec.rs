@@ -26,22 +26,10 @@ use crate::key::ScenarioKey;
 
 /// The per-scenario profile summary every record of that scenario carries
 /// (duplicating a few integers per rank point buys record independence:
-/// any subset of a scenario's records is enough to serve that subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfileSummary {
-    pub stat_openat: usize,
-    pub misses: usize,
-    pub complete: bool,
-    pub unresolved: usize,
-}
-
-/// The simulated payload of a cell that has one (profile errors don't).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellOutcome {
-    pub result: LaunchResult,
-    pub stats: LaunchStats,
-    pub queueing: QueueingCheck,
-}
+/// any subset of a scenario's records is enough to serve that subset), and
+/// the simulated payload of a cell that has one — the launch pipeline's own
+/// per-cell types.
+pub use depchaos_launch::{CellOutcome, ProfileSummary};
 
 /// One stored `(scenario, rank point)` result.
 #[derive(Debug, Clone, PartialEq)]

@@ -32,8 +32,8 @@
 //!    function of those parameters and so would be redundant — while a
 //!    **fixed**-K cell (or any cell whose distribution is deterministic
 //!    *and* whose fault model takes no draws, which clamps to one
-//!    replicate exactly as [`depchaos_launch::sweep_ranks_replicated`]
-//!    does) hashes the effective replicate count, so asking for 5 or 50
+//!    replicate by the engine's own [`LaunchConfig::effective_replicates`])
+//!    hashes the effective replicate count, so asking for 5 or 50
 //!    replicates of an exact cell is one key and an adaptive request on
 //!    an exact cell is the *same* key as the fixed request it degenerates
 //!    to;
@@ -204,18 +204,15 @@ impl CellIdentity<'_> {
     /// cells collapse to one replicate no matter what was requested, so
     /// hashing the request verbatim would split one result across keys.
     pub fn effective_replicates(&self) -> usize {
-        if self.cell_takes_draws() {
-            self.replicates.max(1)
-        } else {
-            1
-        }
+        self.draw_config().effective_replicates(self.replicates)
     }
 
-    /// Whether this cell's replicate axis is live: a stochastic service
-    /// distribution or a draw-taking fault model. Exact cells clamp to one
-    /// replicate and ignore replicate control entirely.
-    fn cell_takes_draws(&self) -> bool {
-        !self.spec.dist.is_deterministic() || self.spec.fault.takes_draws()
+    /// The base config under the spec's distribution and fault model:
+    /// everything the engine's draws predicate
+    /// ([`LaunchConfig::takes_draws`]) reads, so the key and the engine
+    /// agree on which cells have a live replicate axis.
+    fn draw_config(&self) -> LaunchConfig {
+        LaunchConfig { service_dist: self.spec.dist, fault: self.spec.fault, ..*self.base }
     }
 
     /// Derive the cell's content address.
@@ -270,7 +267,7 @@ impl CellIdentity<'_> {
         // one semantic cell across keys. Exact cells take the fixed arm
         // regardless of `adaptive`, matching the execution clamp.
         match self.adaptive {
-            Some(ctl) if self.cell_takes_draws() => {
+            Some(ctl) if self.draw_config().takes_draws() => {
                 buf.u8(1);
                 buf.u32(ctl.target_rel_milli);
                 buf.u64(ctl.min_k as u64);

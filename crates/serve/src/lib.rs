@@ -53,13 +53,14 @@
 //!
 //! ## Incremental execution ([`exec`])
 //!
-//! [`run_matrix_incremental`] expands a matrix, looks every cell up,
+//! [`run_matrix_incremental`] is the launch pipeline
+//! ([`ExperimentMatrix::run_with`](depchaos_launch::ExperimentMatrix::run_with))
+//! with the [`ResultStore`] as its per-cell memo: it looks every cell up,
 //! fans the unique cold cells' *profiling* over a worker pool (`jobs`
 //! threads pulling off a shared counter; `jobs <= 1` runs inline),
 //! classifies each cold scenario once (the shared `Arc` its misses
-//! borrow), feeds every cold `(scenario, rank point)` into one columnar
-//! [`BatchPlan`](depchaos_launch::BatchPlan) executed in a single pass,
-//! persists each fresh record, and aggregates a
+//! borrow), simulates every cold `(scenario, rank point)` in batched
+//! passes, persists each fresh record, and aggregates a
 //! [`SweepReport`](depchaos_launch::SweepReport) in matrix order whose
 //! `results` are **bit-identical** to a cold `matrix.run()` — floats
 //! round-trip the disk by IEEE bit pattern, and subset runs are

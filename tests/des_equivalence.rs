@@ -327,7 +327,7 @@ fn all_cold_contention_still_exact_at_scale() {
 /// entry equals a from-scratch per-call recomputation (fresh
 /// classification, per-replicate `simulate_classified`, the same M/G/1
 /// check). If any layer of the batch path — gathering, partitioning,
-/// kernel dedup, lockstep advance, scatter — drifted by one bit, some
+/// kernel dedup, kernel solve, scatter — drifted by one bit, some
 /// cell here would differ.
 #[test]
 fn batched_matrix_is_bit_identical_to_per_call_recomputation() {

@@ -50,8 +50,8 @@ fn warm_replay_from_disk_is_bit_identical_and_simulation_free() {
     }
     // Warm pass: a fresh store handle (fresh process, as far as the store
     // can tell) and a fresh profile cache. Zero profiling runs = zero
-    // simulations — `run_scenario` cannot simulate without profiling its
-    // cell first, so the counter staying at zero proves the DES never ran.
+    // simulations — the pipeline cannot simulate a cell without profiling
+    // it first, so the counter staying at zero proves the DES never ran.
     {
         let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.load_stats().corrupt_skipped, 0);
