@@ -16,9 +16,8 @@
 //! outright instead of producing a misleading report.
 //!
 //! The parser is deliberately a scanner for the one format
-//! `hotpath::write_summary` emits (the workspace has no JSON parser —
-//! the vendored serde stand-in only serializes). It fails loudly on
-//! anything it does not recognise rather than guessing.
+//! `hotpath::write_summary` emits (the workspace has no JSON parser). It
+//! fails loudly on anything it does not recognise rather than guessing.
 
 /// One benchmark case from a summary.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -433,18 +433,23 @@ fn usecases(_opts: &ReportOpts) {
     );
 }
 
+/// The Fig 6 cell every sweep section starts from: Pynamic with `n_libs`
+/// libraries on NFS, plain vs wrapped, cold caches. The backend is left to
+/// `expand()`'s glibc default, because `backend()` appends: naming glibc
+/// here would repeat its slice in `fig6-backends`.
+fn fig6_cell(n_libs: usize) -> ExperimentMatrix {
+    ExperimentMatrix::new()
+        .workload(Pynamic::new(n_libs))
+        .storage(StorageModel::Nfs)
+        .wrap_states(WrapState::all())
+        .cache_policies([CachePolicy::Cold])
+}
+
 fn fig6(n_libs: usize, opts: &ReportOpts) {
     banner("Fig 6: Pynamic time-to-launch (normal vs shrinkwrapped)");
     // The paper's figure is one cell of the scenario matrix: pynamic ×
     // glibc × NFS, plain vs wrapped, cold caches.
-    let report = opts.run(
-        &ExperimentMatrix::new()
-            .workload(Pynamic::new(n_libs))
-            .backend(MatrixBackend::glibc())
-            .storage(StorageModel::Nfs)
-            .wrap_states(WrapState::all())
-            .cache_policies([CachePolicy::Cold]),
-    );
+    let report = opts.run(&fig6_cell(n_libs));
     println!("({n_libs} shared libraries, cold NFS, negative caching off)");
     print!("{}", report.render_fig6_tables());
     opts.persist_tsv(&report);
@@ -457,14 +462,7 @@ fn fig6(n_libs: usize, opts: &ReportOpts) {
 fn fig6_backends(opts: &ReportOpts) {
     let n_libs = 300;
     banner("Fig 6 backends: Pynamic time-to-launch per loader backend");
-    let report = opts.run(
-        &ExperimentMatrix::new()
-            .workload(Pynamic::new(n_libs))
-            .backends(MatrixBackend::all())
-            .storage(StorageModel::Nfs)
-            .wrap_states(WrapState::all())
-            .cache_policies([CachePolicy::Cold]),
-    );
+    let report = opts.run(&fig6_cell(n_libs).backends(MatrixBackend::all()));
     println!(
         "({n_libs} shared libraries, cold NFS; {} unique cells profiled once each)",
         report.cells_profiled
@@ -486,14 +484,9 @@ fn fig6_backends(opts: &ReportOpts) {
 /// and reported as p50/p99 bands next to the deterministic curve.
 fn fig6_dist(opts: &ReportOpts) {
     banner("Fig 6 dist: time-to-launch under stochastic server latency");
-    let mut matrix = ExperimentMatrix::new()
-        .workload(Pynamic::new(200))
+    let mut matrix = fig6_cell(200)
         .workload(Axom::paper())
         .workload(Rocm::matched())
-        .backend(MatrixBackend::glibc())
-        .storage(StorageModel::Nfs)
-        .wrap_states(WrapState::all())
-        .cache_policies([CachePolicy::Cold])
         .distributions(ServiceDistribution::all());
     if let Some(target_rel_milli) = opts.adaptive {
         matrix = matrix.adaptive(AdaptiveControl {
@@ -595,12 +588,7 @@ fn fig6_dist(opts: &ReportOpts) {
 fn fig6_queueing(opts: &ReportOpts) {
     banner("Fig 6 queueing: DES replicate means vs M/G/k envelope");
     let report = opts.run(
-        &ExperimentMatrix::new()
-            .workload(Pynamic::new(150))
-            .backend(MatrixBackend::glibc())
-            .storage(StorageModel::Nfs)
-            .wrap_states(WrapState::all())
-            .cache_policies([CachePolicy::Cold])
+        &fig6_cell(150)
             .distributions(ServiceDistribution::all())
             .topologies([
                 ServerTopology::single(),
@@ -638,12 +626,7 @@ fn fig6_queueing(opts: &ReportOpts) {
 fn fig6_faults(opts: &ReportOpts) {
     banner("Fig 6 faults: degraded-mode launch sweeps, plain vs shrinkwrapped");
     let report = opts.run(
-        &ExperimentMatrix::new()
-            .workload(Pynamic::new(150))
-            .backend(MatrixBackend::glibc())
-            .storage(StorageModel::Nfs)
-            .wrap_states(WrapState::all())
-            .cache_policies([CachePolicy::Cold])
+        &fig6_cell(150)
             .faults([
                 FaultModel::None,
                 FaultModel::ServerStall { at_ns: 2_000_000_000, duration_ns: 10_000_000_000 },
@@ -679,15 +662,8 @@ fn fig6_faults(opts: &ReportOpts) {
 /// servers long after the wrapped one has nothing left to parallelise.
 fn fig6_servers(opts: &ReportOpts) {
     banner("Fig 6 servers: time-to-launch vs metadata-fleet size");
-    let report = opts.run(
-        &ExperimentMatrix::new()
-            .workload(Pynamic::new(150))
-            .backend(MatrixBackend::glibc())
-            .storage(StorageModel::Nfs)
-            .wrap_states(WrapState::all())
-            .cache_policies([CachePolicy::Cold])
-            .topologies([1usize, 2, 4, 8, 16].map(ServerTopology::hash)),
-    );
+    let report =
+        opts.run(&fig6_cell(150).topologies([1usize, 2, 4, 8, 16].map(ServerTopology::hash)));
     println!(
         "({} unique cells profiled once; hash-by-node routing, so every fleet \
          size replays the same classified op streams)",

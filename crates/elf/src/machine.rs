@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Architectures the simulation distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Machine {
     /// x86-64 (EM_X86_64) — the default everywhere in the workloads.
     #[default]

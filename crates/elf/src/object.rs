@@ -1,12 +1,10 @@
 //! The [`ElfObject`] model and its builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::machine::Machine;
 use crate::symbols::Symbol;
 
 /// Where a future-loader search entry is injected (§III-C's proposal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchPosition {
     /// Before the environment's paths — the packager's pin.
     Prepend,
@@ -18,7 +16,7 @@ pub enum SearchPosition {
 /// it sits relative to the environment, and whether dependencies inherit it.
 /// "All but one of the problems listed in Section III-A can be solved by
 /// offering prepend/append and a boolean propagation flag on each path."
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchDir {
     pub dir: String,
     pub position: SearchPosition,
@@ -28,14 +26,14 @@ pub struct SearchDir {
 /// A per-dependency binding: "the ability to dictate the search space per
 /// shared object" — the final §III-A issue (Fig 3) dissolves when a soname
 /// can be mapped to an exact path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepPin {
     pub soname: String,
     pub path: String,
 }
 
 /// Executable vs shared object (`ET_EXEC`/`ET_DYN` with an interp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     Executable,
     SharedObject,
@@ -63,7 +61,7 @@ impl ObjectKind {
 /// `name` is a human label (usually the file's basename); the loader never
 /// consults it — resolution uses `soname` and `needed` only, exactly like
 /// the real loader.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElfObject {
     pub name: String,
     pub kind: ObjectKind,

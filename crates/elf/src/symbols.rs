@@ -9,11 +9,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Symbol binding, reduced to the distinction that matters for duplicate
 /// resolution: strong (GLOBAL) vs weak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymbolBinding {
     Strong,
     Weak,
@@ -37,7 +35,7 @@ impl SymbolBinding {
 }
 
 /// A defined dynamic symbol.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Symbol {
     pub name: String,
     pub binding: SymbolBinding,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// How tightly a dependency pins its target version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VersionConstraint {
     /// No version at all: `Depends: libfoo`.
     Unversioned,
@@ -57,7 +55,7 @@ impl fmt::Display for VersionConstraint {
 }
 
 /// One dependency declaration in a package archive.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependencyDecl {
     pub from: String,
     pub to: String,
@@ -65,7 +63,7 @@ pub struct DependencyDecl {
 }
 
 /// Counts per constraint class — the three bars of Fig 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConstraintTally {
     pub unversioned: u64,
     pub range: u64,

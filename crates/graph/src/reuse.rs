@@ -9,10 +9,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Per-shared-object user counts plus the population size.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReuseHistogram {
     /// `(shared object name, number of binaries using it)`, sorted by count
     /// descending then name — the Fig 4 x-axis order.

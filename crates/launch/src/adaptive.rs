@@ -1,14 +1,14 @@
 //! Adaptive replicate control: a sequential stopping rule for stochastic
 //! sweeps, bit-reproducibly.
 //!
-//! Fixed-K replication (the [`crate::sweep::sweep_ranks_replicated`]
-//! default) spends the same simulation budget on every stochastic cell no
-//! matter how concentrated its launch-time distribution is. The SGMM-style
-//! alternative implemented here drives the sample count by the estimator
-//! itself: run replicates in seeded batches, maintain the running mean and
-//! variance online ([`Welford`]), and stop a cell as soon as the t-based
-//! 95% confidence half-width of the mean launch time falls under a
-//! relative target ([`AdaptiveControl::target_rel_milli`]) — or at
+//! Fixed-K replication (the matrix default) spends the same simulation
+//! budget on every stochastic cell no matter how concentrated its
+//! launch-time distribution is. The SGMM-style alternative implemented
+//! here drives the sample count by the estimator itself: run replicates in
+//! seeded batches, maintain the running mean and variance online
+//! ([`Welford`]), and stop a cell as soon as the t-based 95% confidence
+//! half-width of the mean launch time falls under a relative target
+//! ([`AdaptiveControl::target_rel_milli`]) — or at
 //! [`AdaptiveControl::max_k`], whichever comes first.
 //!
 //! # Why adaptive K preserves bit-identity
@@ -19,20 +19,21 @@
 //! produces **exactly the first `K'` entries** of the fixed-K sample
 //! vector — the batch-prefix property — and an adaptive run whose
 //! precision rule never fires (`target_rel_milli == 0`) is byte-identical
-//! to the fixed-`max_k` sweep. Both facts are proptest-pinned (see
+//! to the fixed-`max_k` run. Both facts are proptest-pinned (see
 //! `tests/adaptive_control.rs`; the full reproducibility contract lives in
 //! `docs/determinism.md`).
 //!
 //! The stopping decision for a cell is likewise a pure function of that
 //! cell's own sample prefix ([`stop_k`]), so running cells one at a time,
 //! batched per sweep, or batched across a whole matrix
-//! ([`run_adaptive_units`]) lands on the same K — which is what lets a
-//! sweep, [`crate::matrix::ExperimentMatrix`]`::run`, and the serve layer's
-//! incremental executor stay bit-identical to each other.
+//! ([`run_adaptive_units`]) lands on the same K — which is what lets
+//! [`crate::matrix::ExperimentMatrix`]`::run`, a CRN sweep and the serve
+//! layer's incremental executor stay bit-identical to each other.
 //!
-//! [`run_adaptive_units`] is also the fixed-K driver: under
-//! [`AdaptiveControl::fixed`] the rule is off and every unit plans its K
-//! replicate rows in a single round, which is exactly the fixed-K grid.
+//! [`run_adaptive_units`] also runs fixed K, and nothing else plans
+//! replicate rows: under [`AdaptiveControl::fixed`] the rule is off and
+//! every unit plans its K replicate rows in a single round, which is
+//! exactly the fixed-K grid.
 //!
 //! Cells that take no draws ([`LaunchConfig::takes_draws`]) keep the
 //! clamp to one replicate: the rule never engages where there is no
@@ -51,8 +52,6 @@
 //! seeds and [`crate::sweep::render_fig6_paired`] renders the
 //! CRN-tightened wrapped-vs-plain table.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::BatchPlan;
 use crate::config::{LaunchConfig, LaunchResult};
 use crate::des::ClassifiedStream;
@@ -62,13 +61,13 @@ use crate::sweep::replicate_seed;
 /// struct `Eq + Hash`, so it can participate in scenario keys and cache
 /// lookups exactly like
 /// [`ServiceDistribution`](crate::config::ServiceDistribution) does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdaptiveControl {
     /// Relative precision target in milli units: stop when the 95%
     /// half-width of the mean is at most `target_rel_milli / 1000` of the
     /// running mean. **Zero disables the precision rule** — the cell runs
-    /// to `max_k`, which makes an adaptive sweep with `max_k = K` exactly
-    /// the fixed-K sweep (the equivalence the proptests pin).
+    /// to `max_k`, which makes an adaptive run with `max_k = K` exactly
+    /// the fixed-K run (the equivalence the proptests pin).
     pub target_rel_milli: u32,
     /// Never stop before this many replicates (clamped to ≥ 1).
     pub min_k: usize,
@@ -81,17 +80,9 @@ pub struct AdaptiveControl {
 }
 
 impl AdaptiveControl {
-    /// A sensible default: stop at a 5% relative half-width, test from 4
-    /// replicates in rounds of 4, never exceed the fixed-K default
-    /// ([`crate::matrix::DEFAULT_REPLICATES`]).
-    pub fn default_for(max_k: usize) -> AdaptiveControl {
-        AdaptiveControl { target_rel_milli: 50, min_k: 4, max_k, batch: 4 }.normalized()
-    }
-
     /// Fixed-K replication as a stopping rule: the precision rule off and
     /// all `k` replicates in one round, so [`run_adaptive_units`] under it
-    /// plans exactly the fixed-K row grid — the sweeps' and the matrix
-    /// pipeline's only replicate-row builder.
+    /// plans exactly the fixed-K row grid.
     pub fn fixed(k: usize) -> AdaptiveControl {
         AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k: k, batch: k }.normalized()
     }
@@ -286,7 +277,7 @@ pub fn run_adaptive_units(
 /// so the paired half-width is typically far below the unpaired one — the
 /// cell-vs-cell *difference* (the quantity Fig 6 plots) converges long
 /// before either cell does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairedDiff {
     /// Replicates in each arm.
     pub pairs: usize,
@@ -342,11 +333,28 @@ impl PairedDiff {
     }
 }
 
+/// `ctl`'s replicates of `stream` at each of `rank_points`, with the config
+/// each point ran under: one [`AdaptiveUnit`] per point. The unit tests'
+/// rank sweep.
+#[cfg(test)]
+pub(crate) fn replicate_rank_points(
+    stream: &ClassifiedStream,
+    base: &LaunchConfig,
+    rank_points: &[usize],
+    ctl: AdaptiveControl,
+) -> Vec<(LaunchConfig, Vec<LaunchResult>)> {
+    let units: Vec<AdaptiveUnit<'_>> = rank_points
+        .iter()
+        .map(|&ranks| AdaptiveUnit { stream, cfg: base.clone().with_ranks(ranks) })
+        .collect();
+    let rows = run_adaptive_units(&units, ctl);
+    units.into_iter().map(|u| u.cfg).zip(rows).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ServiceDistribution;
-    use crate::sweep::sweep_ranks_replicated;
     use depchaos_vfs::{Op, Outcome, StraceLog, Syscall};
 
     fn cold_stream(n: usize) -> StraceLog {
@@ -432,14 +440,14 @@ mod tests {
         };
         let stream = ClassifiedStream::classify(&cold_stream(120), &cfg);
         let max_k = 12;
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[1024], max_k);
-        assert_eq!(fixed[0].2.replicates, max_k);
+        let units = [AdaptiveUnit { stream: &stream, cfg: cfg.clone().with_ranks(1024) }];
+        let fixed = run_adaptive_units(&units, AdaptiveControl::fixed(max_k));
+        assert_eq!(fixed[0].len(), max_k);
 
         // A loose target stops early; the consumed sample must be a prefix
         // of the fixed-K run, and its length must match the pure stop_k
         // replay of the full vector.
         let ctl = AdaptiveControl { target_rel_milli: 500, min_k: 2, max_k, batch: 2 };
-        let units = [AdaptiveUnit { stream: &stream, cfg: cfg.clone().with_ranks(1024) }];
         let got = &run_adaptive_units(&units, ctl)[0];
         assert!(got.len() < max_k, "a 50% target must stop early on a concentrated sample");
 

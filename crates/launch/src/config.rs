@@ -1,7 +1,5 @@
 //! Launch-simulation parameters and results.
 
-use serde::{Deserialize, Serialize};
-
 use depchaos_workloads::SplitMix;
 
 use crate::fault::FaultModel;
@@ -22,7 +20,7 @@ use crate::fault::FaultModel;
 /// Parameters are stored in integer milli-units so the distribution can be
 /// part of `Eq + Hash` cache keys ([`crate::ClassifyParams`], scenario
 /// specs) without floating-point identity headaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceDistribution {
     /// Exactly `meta_service_ns` per op — the paper's model, and the only
     /// variant the coalesced fast path may take no draws for.
@@ -122,7 +120,7 @@ impl ServiceDistribution {
 /// Both policies are deterministic given the event schedule; neither takes
 /// RNG draws, so the topology axis never perturbs the NODE/FAULT stream
 /// disciplines (common random numbers hold across topologies).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AssignPolicy {
     /// Node `i` always talks to server `i % servers` — seed-free and
     /// schedule-independent (permuting the event order never changes any
@@ -162,7 +160,7 @@ impl AssignPolicy {
 /// axis. Each server keeps its own busy-until clock ("lane"); requests are
 /// routed by [`AssignPolicy`]. `S = 1` is bit-identical to the pre-axis
 /// engine for either policy — there is only one lane to pick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServerTopology {
     /// Number of independent metadata servers (`≥ 1`).
     pub servers: usize,
@@ -219,7 +217,7 @@ impl ServerTopology {
 }
 
 /// Cluster and filesystem parameters for one launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchConfig {
     /// Total MPI ranks.
     pub ranks: usize,
@@ -259,7 +257,6 @@ pub struct LaunchConfig {
     /// Metadata-server fleet shape. The default single-server topology
     /// reproduces the pre-axis engine bit for bit; `S > 1` gives each
     /// server its own busy-until lane in every engine regime.
-    #[serde(default)]
     pub topology: ServerTopology,
 }
 
@@ -345,7 +342,7 @@ impl LaunchConfig {
 }
 
 /// Outcome of one simulated launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaunchResult {
     /// Wall time until every rank finished loading.
     pub time_to_launch_ns: u64,
@@ -358,16 +355,12 @@ pub struct LaunchResult {
     pub peak_queue_depth: usize,
     /// RPC attempts re-issued after a lost response
     /// ([`FaultModel::RpcLoss`]); zero otherwise.
-    #[serde(default)]
     pub retries_issued: u64,
     /// Client timeouts that fired waiting on a lost response.
-    #[serde(default)]
     pub timeouts_hit: u64,
     /// Longest single exponential-backoff wait any client slept.
-    #[serde(default)]
     pub max_backoff_ns: u64,
     /// Cold nodes the straggler draw slowed ([`FaultModel::Stragglers`]).
-    #[serde(default)]
     pub slowed_nodes: usize,
 }
 

@@ -21,9 +21,9 @@
 //!    compact schedule: one segment per server round trip (its preceding
 //!    local-compute time folded into a single number) plus aggregate
 //!    counts. This is the only pass that touches the op stream, and its
-//!    output is immutable — [`crate::sweep_ranks`] and the experiment
-//!    engine share one `ClassifiedStream` across every rank point of a
-//!    cell instead of re-deriving (and re-allocating) it per point.
+//!    output is immutable — the experiment engine shares one
+//!    `ClassifiedStream` across every rank point and replicate of a cell
+//!    instead of re-deriving (and re-allocating) it per point.
 //! 2. [`simulate_classified`] picks the row's [`SolverClass`] — the
 //!    cheapest of the regimes below, all of which produce **bit-identical
 //!    results** — solves the cold fleet in it, and adds the per-row
@@ -890,9 +890,10 @@ pub mod reference {
     //! post-freeze extensions are the stochastic service draw, which
     //! mirrors the fast path's per-(node, segment) [`SplitMix`] streams so
     //! the oracle covers the jittered regimes too, and the fault engine,
-    //! which mirrors `super::heap_schedule_faulty` semantics (stall
-    //! windows, loss/retry with the same drawn service and an unadvanced
-    //! cursor, straggler membership) from the same FAULT-domain streams;
+    //! which mirrors the semantics of `super::heap_schedule`'s `Faulty`
+    //! hook (stall windows, loss/retry with the same drawn service and an
+    //! unadvanced cursor, straggler membership) from the same FAULT-domain
+    //! streams;
     //! under [`ServiceDistribution::Deterministic`] with
     //! [`FaultModel::None`] no generator is constructed and the walk is
     //! the original, verbatim. The server fleet is the shared
@@ -954,7 +955,8 @@ pub mod reference {
         };
         // Fault draws: node i's FAULT-domain stream, consumed in the node's
         // own event order (membership first under Stragglers, per served op
-        // under RpcLoss) — exactly heap_schedule_faulty's discipline.
+        // under RpcLoss) — exactly the discipline of heap_schedule's
+        // Faulty hook.
         let mut fault_rngs: Vec<SplitMix> = if fault.takes_draws() {
             (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
         } else {

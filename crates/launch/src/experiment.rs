@@ -21,14 +21,20 @@
 //! cell records the unresolved count or wrap error and the report renders
 //! the hole (that the future loader cannot see a RUNPATH-only world *is*
 //! the §IV story).
+//!
+//! The [`SweepReport`] table renderers share one slicing path: results are
+//! grouped, in result order, by every axis except the one a table varies
+//! (wrap state, service distribution, fault model or fleet), and each
+//! slice is headed by the axes its members share. The seconds, ratio and
+//! `no series` cells and the TSV columns naming a cell are each written
+//! once.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use depchaos_core::{wrap, ShrinkwrapOptions};
 use depchaos_loader::LdCache;
@@ -44,7 +50,7 @@ use crate::matrix::{
 };
 use crate::profile::profile_load_checked;
 use crate::queueing::{mg1_bounds, validate_against_mg1, QueueingCheck};
-use crate::sweep::{render_fig6, LaunchStats};
+use crate::sweep::{cell, ratio_cell, render_fig6, secs_cell, LaunchStats};
 
 /// The RNG seed one scenario simulates under: a stable FNV-1a digest of the
 /// scenario label, taken through the [`SplitMix::WORKLOAD`] stream domain of
@@ -64,7 +70,7 @@ pub fn scenario_seed(base_seed: u64, label: &str) -> u64 {
 }
 
 /// One captured op stream plus how the load went.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProfileOutcome {
     pub log: StraceLog,
     /// stat+openat count of the stream (the Table II metric).
@@ -79,7 +85,7 @@ pub struct ProfileOutcome {
 }
 
 /// Everything one profiling run of a cell produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellProfile {
     pub key: CellKey,
     /// The as-built op stream, or the error that prevented capturing it.
@@ -254,7 +260,7 @@ fn profile_cell(
 /// One scenario's sweep: its identity, a per-rank profile summary, the
 /// simulated series (empty when the cell has no usable op stream), and —
 /// per rank point — the replicate statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     pub spec: ScenarioSpec,
     pub stat_openat: usize,
@@ -297,9 +303,9 @@ impl ScenarioResult {
     }
 }
 
-/// Everything an [`ExperimentMatrix::run`] produced, serializable, with
-/// the Fig 6 table and TSV renderers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Everything an [`ExperimentMatrix::run`] produced, with the Fig 6 table
+/// and TSV renderers.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     pub rank_points: Vec<usize>,
     pub results: Vec<ScenarioResult>,
@@ -309,7 +315,6 @@ pub struct SweepReport {
     /// The sequential stopping rule the sweep ran under, when adaptive
     /// replicate control was requested — `None` for fixed-K sweeps. Each
     /// cell's stopped-at K is in its [`LaunchStats::replicates`].
-    #[serde(default)]
     pub adaptive: Option<AdaptiveControl>,
 }
 
@@ -336,55 +341,86 @@ impl SweepReport {
         Some(first)
     }
 
-    /// Per-backend Fig 6 tables: for every (workload, storage, cache,
-    /// backend) slice that has both wrap states, the normal-vs-wrapped
-    /// table; slices missing a series render their error instead.
-    pub fn render_fig6_tables(&self) -> String {
-        // One pass to index results by spec, so slice assembly below stays
-        // linear in the matrix size.
-        let by_spec: HashMap<&ScenarioSpec, &ScenarioResult> =
-            self.results.iter().map(|r| (&r.spec, r)).collect();
-        let mut out = String::new();
-        let mut seen: HashSet<ScenarioSpec> = HashSet::new();
+    /// One table per slice of `axis` — the results equal up to that axis,
+    /// in first-appearance order: its heading, `table` over its members in
+    /// the axis' table order, and a blank line.
+    fn tables(&self, axis: Axis, table: impl Fn(&[&ScenarioResult]) -> String) -> String {
+        let mut index: HashMap<ScenarioSpec, usize> = HashMap::new();
+        let mut slices: Vec<(ScenarioSpec, Vec<&ScenarioResult>)> = Vec::new();
         for r in &self.results {
-            let slice_key = ScenarioSpec { wrap: WrapState::Plain, ..r.spec.clone() };
-            if !seen.insert(slice_key) {
-                continue;
-            }
-            let of_wrap =
-                |w: WrapState| by_spec.get(&ScenarioSpec { wrap: w, ..r.spec.clone() }).copied();
-            let plain = of_wrap(WrapState::Plain);
-            let wrapped = of_wrap(WrapState::Wrapped);
-            out.push_str(&format!(
-                "--- {} × {} ({}, {} cache) ---\n",
-                r.spec.workload,
-                r.spec.backend,
-                r.spec.storage.name(),
-                r.spec.cache.name()
-            ));
-            for (state, res) in [("plain", plain), ("wrapped", wrapped)] {
-                if let Some(res) = res {
-                    if let Some(e) = &res.error {
-                        out.push_str(&format!("{state}: no series — {e}\n"));
-                    } else if !res.complete {
-                        out.push_str(&format!(
-                            "{state}: {} stat/openat, INCOMPLETE ({} unresolved)\n",
-                            res.stat_openat, res.unresolved
-                        ));
-                    } else {
-                        out.push_str(&format!(
-                            "{state}: {} stat/openat ({} misses)\n",
-                            res.stat_openat, res.misses
-                        ));
-                    }
-                }
-            }
-            let series =
-                |r: Option<&ScenarioResult>| r.map(|r| r.series.clone()).unwrap_or_default();
-            out.push_str(&render_fig6(&self.rank_points, &series(plain), &series(wrapped)));
+            let key = axis.reset(&r.spec);
+            let i = *index.entry(key.clone()).or_insert_with(|| {
+                slices.push((key, Vec::new()));
+                slices.len() - 1
+            });
+            slices[i].1.push(r);
+        }
+        let mut out = String::new();
+        for (slice, mut members) in slices {
+            axis.order(&mut members);
+            out.push_str(&axis.heading(&slice));
+            out.push_str(&table(&members));
             out.push('\n');
         }
         out
+    }
+
+    /// A table with one row per member: a first column headed `label` and
+    /// `width` wide, the launch seconds at each rank point, then a tail.
+    /// `tail` is the tail's header; `row` gives a member's first cell and
+    /// its tail.
+    fn member_rows(
+        &self,
+        members: &[&ScenarioResult],
+        label: &str,
+        width: usize,
+        tail: &str,
+        row: impl Fn(&ScenarioResult) -> (String, String),
+    ) -> String {
+        let mut t = format!("{label:<width$}");
+        for &p in &self.rank_points {
+            t.push_str(&format!("  {:>10}", format!("{p}(s)")));
+        }
+        t.push_str(tail);
+        t.push('\n');
+        for m in members {
+            let (name, tail) = row(m);
+            t.push_str(&format!("{name:<width$}"));
+            for &p in &self.rank_points {
+                t.push_str(&format!("  {}", secs_cell(m.seconds_at(p), 10)));
+            }
+            t.push_str(&tail);
+            t.push('\n');
+        }
+        t
+    }
+
+    /// Per-backend Fig 6 tables: for every slice of results that differ
+    /// only in wrap state, the profile line of each wrap state and the
+    /// normal-vs-wrapped table; a wrap state without a series shows its
+    /// error in place of the profile line.
+    pub fn render_fig6_tables(&self) -> String {
+        self.tables(Axis::Wrap, |members| {
+            let of = |w: WrapState| members.iter().find(|m| m.spec.wrap == w).copied();
+            let (plain, wrapped) = (of(WrapState::Plain), of(WrapState::Wrapped));
+            let mut t = String::new();
+            for (state, res) in [("plain", plain), ("wrapped", wrapped)] {
+                let Some(res) = res else { continue };
+                let line = no_series(&[res]).unwrap_or_else(|| {
+                    if res.complete {
+                        format!("{} stat/openat ({} misses)\n", res.stat_openat, res.misses)
+                    } else {
+                        format!(
+                            "{} stat/openat, INCOMPLETE ({} unresolved)\n",
+                            res.stat_openat, res.unresolved
+                        )
+                    }
+                });
+                t.push_str(&format!("{state}: {line}"));
+            }
+            let [normal, wrapped] = [plain, wrapped].map(|r| r.map_or(&[][..], |r| &r.series[..]));
+            t + &render_fig6(&self.rank_points, normal, wrapped)
+        })
     }
 
     /// The whole sweep as TSV — one row per (scenario, rank point), the raw
@@ -395,32 +431,20 @@ impl SweepReport {
     /// `adaptive-<target>m@K` with the K the sequential rule actually used
     /// for that cell (the same K the `replicates` column counts).
     pub fn render_tsv(&self) -> String {
-        let mut s = String::from(
-            "workload\tbackend\tstorage\twrap\tcache\tdist\tfault\ttopology\tranks\tseconds\tp50_s\tp95_s\tp99_s\treplicates\tserver_ops\tpeak_queue\tretries\tstopping\n",
+        let mut s = format!(
+            "{TSV_CELL_COLUMNS}\tseconds\tp50_s\tp95_s\tp99_s\treplicates\tserver_ops\tpeak_queue\
+             \tretries\tstopping\n"
         );
         for r in &self.results {
             for (ranks, l) in &r.series {
-                let st = r.stats_at(*ranks).copied().unwrap_or(LaunchStats {
-                    replicates: 1,
-                    mean_ns: l.time_to_launch_ns,
-                    p50_ns: l.time_to_launch_ns,
-                    p95_ns: l.time_to_launch_ns,
-                    p99_ns: l.time_to_launch_ns,
-                });
+                let st = r.stats_at(*ranks).copied().unwrap_or_else(|| LaunchStats::of(&[*l]));
                 let stopping = match &self.adaptive {
                     None => format!("fixed@{}", st.replicates),
                     Some(c) => format!("adaptive-{}m@{}", c.target_rel_milli, st.replicates),
                 };
                 s.push_str(&format!(
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{ranks}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{stopping}\n",
-                    r.spec.workload,
-                    r.spec.backend,
-                    r.spec.storage.name(),
-                    r.spec.wrap.name(),
-                    r.spec.cache.name(),
-                    r.spec.dist.name(),
-                    r.spec.fault.name(),
-                    r.spec.topology.name(),
+                    "{}\t{:.3}\t{:.3}\t{:.3}\t{:.3}\t{}\t{}\t{}\t{}\t{stopping}\n",
+                    tsv_cell(&r.spec, *ranks),
                     l.seconds(),
                     st.p50_s(),
                     st.p95_s(),
@@ -435,157 +459,78 @@ impl SweepReport {
         s
     }
 
-    /// Per-distribution Fig 6 tables: for every (workload, backend,
-    /// storage, cache, wrap) slice, one table with the deterministic curve
-    /// next to each stochastic distribution's p50/p99 band — the `fig6-dist`
-    /// section. Slices without a series render their error instead.
+    /// Per-distribution Fig 6 tables — the `fig6-dist` section: for every
+    /// slice swept across the distribution axis, a row per rank point with
+    /// the deterministic curve next to each stochastic distribution's
+    /// p50/p99 band.
     pub fn render_fig6_dist_tables(&self) -> String {
-        let mut out = String::new();
-        let mut seen: HashSet<ScenarioSpec> = HashSet::new();
-        for r in &self.results {
-            let slice = ScenarioSpec { dist: ServiceDistribution::Deterministic, ..r.spec.clone() };
-            if !seen.insert(slice.clone()) {
-                continue;
-            }
-            // All distributions of this slice, deterministic first, then in
-            // result order (which follows the matrix's distribution axis).
-            let mut members: Vec<&ScenarioResult> = self
-                .results
-                .iter()
-                .filter(|x| {
-                    ScenarioSpec { dist: ServiceDistribution::Deterministic, ..x.spec.clone() }
-                        == slice
-                })
-                .collect();
-            members.sort_by_key(|x| !x.spec.dist.is_deterministic());
-            out.push_str(&format!(
-                "--- {} × {} ({}, {} cache, {}) ---\n",
-                slice.workload,
-                slice.backend,
-                slice.storage.name(),
-                slice.cache.name(),
-                slice.wrap.name()
-            ));
-            if let Some(e) = members.iter().find_map(|m| m.error.as_deref()) {
-                out.push_str(&format!("no series — {e}\n\n"));
-                continue;
-            }
-            let mut header = String::from("ranks");
-            for m in &members {
-                if m.spec.dist.is_deterministic() {
-                    header.push_str(&format!("  {:>10}", "det(s)"));
-                } else {
-                    header.push_str(&format!(
-                        "  {:>22}",
+        let width = |m: &ScenarioResult| if m.spec.dist.is_deterministic() { 10 } else { 22 };
+        self.tables(Axis::Dist, |members| {
+            no_series(members).unwrap_or_else(|| {
+                let mut t = String::from("ranks");
+                for m in members {
+                    let head = if m.spec.dist.is_deterministic() {
+                        "det(s)".to_string()
+                    } else {
                         format!("{} p50/p99(s)", m.spec.dist.name())
-                    ));
+                    };
+                    t.push_str(&format!("  {head:>w$}", w = width(m)));
                 }
-            }
-            out.push_str(&header);
-            out.push('\n');
-            for &p in &self.rank_points {
-                let mut row = format!("{p:>5}");
-                for m in &members {
-                    match (m.spec.dist.is_deterministic(), m.seconds_at(p), m.stats_at(p)) {
-                        (true, Some(secs), _) => row.push_str(&format!("  {secs:>10.1}")),
-                        (false, _, Some(st)) => row.push_str(&format!(
-                            "  {:>22}",
-                            format!("{:.1}/{:.1}", st.p50_s(), st.p99_s())
-                        )),
-                        (true, None, _) => row.push_str(&format!("  {:>10}", "-")),
-                        (false, _, None) => row.push_str(&format!("  {:>22}", "-")),
-                    }
-                }
-                out.push_str(&row);
-                out.push('\n');
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Per-fault degraded-mode tables — the `fig6-faults` section. For
-    /// every (workload, backend, storage, wrap, cache, dist) slice swept
-    /// across the fault axis, one table with a row per fault model: the
-    /// launch seconds at each rank point, the slowdown over the healthy
-    /// row at the largest point, and the fault accounting (retries,
-    /// timeouts, straggler membership) from replicate 0 at that point.
-    pub fn render_fault_tables(&self) -> String {
-        let mut out = String::new();
-        let mut seen: HashSet<ScenarioSpec> = HashSet::new();
-        let last = self.rank_points.last().copied();
-        for r in &self.results {
-            let slice = ScenarioSpec { fault: FaultModel::None, ..r.spec.clone() };
-            if !seen.insert(slice.clone()) {
-                continue;
-            }
-            // All fault models of this slice, healthy first, then in
-            // result order (which follows the matrix's fault axis).
-            let mut members: Vec<&ScenarioResult> = self
-                .results
-                .iter()
-                .filter(|x| ScenarioSpec { fault: FaultModel::None, ..x.spec.clone() } == slice)
-                .collect();
-            members.sort_by_key(|x| !x.spec.fault.is_none());
-            out.push_str(&format!(
-                "--- {} × {} ({}, {} cache, {}, {}) ---\n",
-                slice.workload,
-                slice.backend,
-                slice.storage.name(),
-                slice.cache.name(),
-                slice.wrap.name(),
-                slice.dist.name()
-            ));
-            if let Some(e) = members.iter().find_map(|m| m.error.as_deref()) {
-                out.push_str(&format!("no series — {e}\n\n"));
-                continue;
-            }
-            let healthy_at = |p: usize| {
-                members.iter().find(|m| m.spec.fault.is_none()).and_then(|m| m.seconds_at(p))
-            };
-            let mut header = format!("{:<42}", "fault");
-            for &p in &self.rank_points {
-                header.push_str(&format!("  {:>10}", format!("{p}(s)")));
-            }
-            header.push_str(&format!(
-                "  {:>9}  {:>9} {:>9} {:>7}\n",
-                "slowdown", "retries", "timeouts", "slowed"
-            ));
-            out.push_str(&header);
-            for m in &members {
-                let name = if m.spec.fault.is_none() {
-                    "healthy".to_string()
-                } else {
-                    m.spec.fault.name()
-                };
-                let mut row = format!("{name:<42}");
+                t.push('\n');
                 for &p in &self.rank_points {
-                    match m.seconds_at(p) {
-                        Some(secs) => row.push_str(&format!("  {secs:>10.1}")),
-                        None => row.push_str(&format!("  {:>10}", "-")),
+                    t.push_str(&format!("{p:>5}"));
+                    for m in members {
+                        let v = if m.spec.dist.is_deterministic() {
+                            m.seconds_at(p).map(|s| format!("{s:.1}"))
+                        } else {
+                            m.stats_at(p).map(|st| format!("{:.1}/{:.1}", st.p50_s(), st.p99_s()))
+                        };
+                        t.push_str(&format!("  {}", cell(v, width(m))));
                     }
+                    t.push('\n');
                 }
-                let slowdown = last
-                    .and_then(|p| Some(m.seconds_at(p)? / healthy_at(p)?))
-                    .map(|x| format!("{x:>8.2}x"))
-                    .unwrap_or_else(|| format!("{:>9}", "-"));
-                let acct = last.and_then(|p| m.result_at(p));
-                row.push_str(&format!(
-                    "  {slowdown}  {:>9} {:>9} {:>7}\n",
-                    acct.map(|l| l.retries_issued).unwrap_or(0),
-                    acct.map(|l| l.timeouts_hit).unwrap_or(0),
-                    acct.map(|l| l.slowed_nodes).unwrap_or(0)
-                ));
-                out.push_str(&row);
-            }
-            out.push('\n');
-        }
-        out
+                t
+            })
+        })
     }
 
-    /// Per-topology fleet tables — the `fig6-servers` section. For every
-    /// (workload, backend, storage, wrap, cache, dist, fault) slice swept
-    /// across the server-topology axis, one table with a row per fleet:
+    /// Per-fault degraded-mode tables — the `fig6-faults` section: for
+    /// every slice swept across the fault axis, a row per fault model with
+    /// the launch seconds at each rank point, the slowdown over the
+    /// healthy row at the largest point, and the fault accounting
+    /// (retries, timeouts, straggler membership) from replicate 0 at that
+    /// point.
+    pub fn render_fault_tables(&self) -> String {
+        let last = self.rank_points.last().copied();
+        let tail =
+            format!("  {:>9}  {:>9} {:>9} {:>7}", "slowdown", "retries", "timeouts", "slowed");
+        self.tables(Axis::Fault, |members| {
+            let healthy = members.iter().find(|m| m.spec.fault.is_none());
+            no_series(members).unwrap_or_else(|| {
+                self.member_rows(members, "fault", 42, &tail, |m| {
+                    let name = if m.spec.fault.is_none() {
+                        "healthy".to_string()
+                    } else {
+                        m.spec.fault.name()
+                    };
+                    let slowdown =
+                        last.and_then(|p| Some(m.seconds_at(p)? / healthy?.seconds_at(p)?));
+                    let acct = last.and_then(|p| m.result_at(p));
+                    let tail = format!(
+                        "  {}  {:>9} {:>9} {:>7}",
+                        ratio_cell(slowdown, 2, 9),
+                        acct.map_or(0, |l| l.retries_issued),
+                        acct.map_or(0, |l| l.timeouts_hit),
+                        acct.map_or(0, |l| l.slowed_nodes)
+                    );
+                    (name, tail)
+                })
+            })
+        })
+    }
+
+    /// Per-topology fleet tables — the `fig6-servers` section: for every
+    /// slice swept across the server-topology axis, a row per fleet with
     /// the launch seconds at each rank point and the speedup over the
     /// single-server row at the largest point — plus the *flattening
     /// point*, the smallest fleet within 5% of the best launch at the
@@ -593,84 +538,39 @@ impl SweepReport {
     /// because the launch has gone RTT- or client-bound).
     pub fn render_servers_tables(&self) -> String {
         let display = |t: &ServerTopology| {
-            if t.is_single() {
+            if *t == ServerTopology::single() {
                 "1-server".to_string()
             } else {
                 t.name()
             }
         };
-        let mut out = String::new();
-        let mut seen: HashSet<ScenarioSpec> = HashSet::new();
         let last = self.rank_points.last().copied();
-        for r in &self.results {
-            let slice = ScenarioSpec { topology: ServerTopology::single(), ..r.spec.clone() };
-            if !seen.insert(slice.clone()) {
-                continue;
-            }
-            // All fleets of this slice, smallest first, hash before
-            // least-loaded at equal size.
-            let mut members: Vec<&ScenarioResult> = self
-                .results
-                .iter()
-                .filter(|x| {
-                    ScenarioSpec { topology: ServerTopology::single(), ..x.spec.clone() } == slice
-                })
-                .collect();
-            members.sort_by_key(|x| (x.spec.topology.servers, x.spec.topology.assign.name()));
-            out.push_str(&format!(
-                "--- {} × {} ({}, {} cache, {}, {}) ---\n",
-                slice.workload,
-                slice.backend,
-                slice.storage.name(),
-                slice.cache.name(),
-                slice.wrap.name(),
-                slice.dist.name()
-            ));
-            if let Some(e) = members.iter().find_map(|m| m.error.as_deref()) {
-                out.push_str(&format!("no series — {e}\n\n"));
-                continue;
-            }
-            let single_at = |p: usize| {
-                members.iter().find(|m| m.spec.topology.is_single()).and_then(|m| m.seconds_at(p))
-            };
-            let mut header = format!("{:<18}", "topology");
-            for &p in &self.rank_points {
-                header.push_str(&format!("  {:>10}", format!("{p}(s)")));
-            }
-            header.push_str(&format!("  {:>9}\n", "speedup"));
-            out.push_str(&header);
-            for m in &members {
-                let mut row = format!("{:<18}", display(&m.spec.topology));
-                for &p in &self.rank_points {
-                    match m.seconds_at(p) {
-                        Some(secs) => row.push_str(&format!("  {secs:>10.1}")),
-                        None => row.push_str(&format!("  {:>10}", "-")),
-                    }
-                }
-                let speedup = last
-                    .and_then(|p| Some(single_at(p)? / m.seconds_at(p)?))
-                    .map(|x| format!("{x:>8.2}x"))
-                    .unwrap_or_else(|| format!("{:>9}", "-"));
-                row.push_str(&format!("  {speedup}\n"));
-                out.push_str(&row);
-            }
-            if let Some(p) = last {
-                let best =
-                    members.iter().filter_map(|m| m.seconds_at(p)).fold(f64::INFINITY, f64::min);
-                if best.is_finite() {
-                    if let Some(flat) =
-                        members.iter().find(|m| m.seconds_at(p).is_some_and(|s| s <= best * 1.05))
-                    {
-                        out.push_str(&format!(
+        let tail = format!("  {:>9}", "speedup");
+        self.tables(Axis::Topology, |members| {
+            let single = members.iter().find(|m| m.spec.topology.is_single());
+            no_series(members).unwrap_or_else(|| {
+                let mut t = self.member_rows(members, "topology", 18, &tail, |m| {
+                    let speedup =
+                        last.and_then(|p| Some(single?.seconds_at(p)? / m.seconds_at(p)?));
+                    (display(&m.spec.topology), format!("  {}", ratio_cell(speedup, 2, 9)))
+                });
+                if let Some(p) = last {
+                    let best = members
+                        .iter()
+                        .filter_map(|m| m.seconds_at(p))
+                        .fold(f64::INFINITY, f64::min);
+                    let flat =
+                        members.iter().find(|m| m.seconds_at(p).is_some_and(|s| s <= best * 1.05));
+                    if let Some(flat) = flat {
+                        t.push_str(&format!(
                             "flattens at {} ({p} ranks, within 5% of best)\n",
                             display(&flat.spec.topology)
                         ));
                     }
                 }
-            }
-            out.push('\n');
-        }
-        out
+                t
+            })
+        })
     }
 
     /// Every `(scenario label, ranks)` whose replicate mean escaped the
@@ -691,45 +591,31 @@ impl SweepReport {
     /// Per-scenario M/G/1 validation tables — the `fig6-queueing` section:
     /// one row per rank point with the observed replicate mean, the hard
     /// envelope, the offered utilisation, the Pollaczek–Khinchine wait, and
-    /// the verdict.
+    /// the verdict. A forfeited upper bound shows as `-`, the wait of a
+    /// saturated cell (ρ ≥ 1) as `saturated`.
     pub fn render_queueing_tables(&self) -> String {
         let mut out = String::new();
         for r in &self.results {
             out.push_str(&format!("--- {} ---\n", r.spec.label()));
-            if let Some(e) = &r.error {
-                out.push_str(&format!("no series — {e}\n\n"));
-                continue;
-            }
-            out.push_str(&format!(
-                "{:>7} {:>10} {:>10} {:>10} {:>7} {:>12}  verdict\n",
-                "ranks", "mean(s)", "lower(s)", "upper(s)", "rho", "mg1-wait(ms)"
-            ));
-            for (ranks, q) in &r.queueing {
-                let wait = if q.bounds.mean_wait_ns.is_finite() {
-                    format!("{:>12.3}", q.bounds.mean_wait_ns / 1e6)
-                } else {
-                    format!("{:>12}", "saturated")
-                };
-                // Faulted cells forfeit the upper bound entirely.
-                let upper = if q.bounds.upper_ns == u64::MAX {
-                    format!("{:>10}", "-")
-                } else {
-                    format!("{:>10.2}", q.bounds.upper_ns as f64 / 1e9)
-                };
-                out.push_str(&format!(
-                    "{ranks:>7} {:>10.2} {:>10.2} {upper} {:>7.2} {wait}  {}\n",
-                    q.observed_mean_ns as f64 / 1e9,
-                    q.bounds.lower_ns as f64 / 1e9,
-                    q.bounds.utilisation,
-                    if !q.bounds.applicable {
-                        "n/a"
-                    } else if q.within {
-                        "ok"
-                    } else {
-                        "VIOLATION"
-                    }
-                ));
-            }
+            out.push_str(&no_series(&[r]).unwrap_or_else(|| {
+                let mut t = format!(
+                    "{:>7} {:>10} {:>10} {:>10} {:>7} {:>12}  verdict\n",
+                    "ranks", "mean(s)", "lower(s)", "upper(s)", "rho", "mg1-wait(ms)"
+                );
+                for (ranks, q) in &r.queueing {
+                    let (upper_s, wait_ms) = optional_fields(q);
+                    t.push_str(&format!(
+                        "{ranks:>7} {:>10.2} {:>10.2} {} {:>7.2} {:>12}  {}\n",
+                        q.observed_mean_ns as f64 / 1e9,
+                        q.bounds.lower_ns as f64 / 1e9,
+                        cell(upper_s.map(|u| format!("{u:.2}")), 10),
+                        q.bounds.utilisation,
+                        wait_ms.map_or_else(|| "saturated".to_string(), |w| format!("{w:.3}")),
+                        verdict(q, "ok", "VIOLATION")
+                    ));
+                }
+                t
+            }));
             out.push('\n');
         }
         out
@@ -738,54 +624,151 @@ impl SweepReport {
     /// The queueing validation as TSV — one row per (scenario, rank point),
     /// the raw data behind `fig6-queueing`. The `within` column is `n/a`
     /// for cells whose bounds are inapplicable (clamp-reaching tails): such
-    /// cells pass vacuously and must not read as validated. Saturated cells
-    /// (ρ ≥ 1) have no finite open-system wait; their `mg1_wait_ms` field
-    /// is left empty — the TSV convention for a missing datum — rather
-    /// than printing a non-numeric `inf` into a numeric column.
+    /// cells pass vacuously and must not read as validated. A forfeited
+    /// upper bound and the wait of a saturated cell (ρ ≥ 1, no finite
+    /// open-system wait) are left empty — the TSV convention for a
+    /// missing datum — rather than printing a non-numeric `inf` into a
+    /// numeric column.
     pub fn render_queueing_tsv(&self) -> String {
-        let mut s = String::from(
-            "workload\tbackend\tstorage\twrap\tcache\tdist\tfault\ttopology\tranks\tmean_s\tlower_s\tupper_s\
-             \tutilisation\tmg1_wait_ms\treplicates\twithin\n",
+        let mut s = format!(
+            "{TSV_CELL_COLUMNS}\tmean_s\tlower_s\tupper_s\tutilisation\tmg1_wait_ms\treplicates\
+             \twithin\n"
         );
+        let field = |v: Option<f64>| v.map_or(String::new(), |v| format!("{v:.3}"));
         for r in &self.results {
             for (ranks, q) in &r.queueing {
-                let st = r.stats_at(*ranks).map(|s| s.replicates).unwrap_or(1);
-                let wait_ms = if q.bounds.mean_wait_ns.is_finite() {
-                    format!("{:.3}", q.bounds.mean_wait_ns / 1e6)
-                } else {
-                    String::new()
-                };
-                // Missing-datum convention for the forfeited upper bound.
-                let upper_s = if q.bounds.upper_ns == u64::MAX {
-                    String::new()
-                } else {
-                    format!("{:.3}", q.bounds.upper_ns as f64 / 1e9)
-                };
+                let (upper_s, wait_ms) = optional_fields(q);
                 s.push_str(&format!(
-                    "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{ranks}\t{:.3}\t{:.3}\t{upper_s}\t{:.3}\t{wait_ms}\t{}\t{}\n",
-                    r.spec.workload,
-                    r.spec.backend,
-                    r.spec.storage.name(),
-                    r.spec.wrap.name(),
-                    r.spec.cache.name(),
-                    r.spec.dist.name(),
-                    r.spec.fault.name(),
-                    r.spec.topology.name(),
+                    "{}\t{:.3}\t{:.3}\t{}\t{:.3}\t{}\t{}\t{}\n",
+                    tsv_cell(&r.spec, *ranks),
                     q.observed_mean_ns as f64 / 1e9,
                     q.bounds.lower_ns as f64 / 1e9,
+                    field(upper_s),
                     q.bounds.utilisation,
-                    st,
-                    if !q.bounds.applicable {
-                        "n/a"
-                    } else if q.within {
-                        "yes"
-                    } else {
-                        "no"
-                    }
+                    field(wait_ms),
+                    r.stats_at(*ranks).map_or(1, |s| s.replicates),
+                    verdict(q, "yes", "no")
                 ));
             }
         }
         s
+    }
+}
+
+/// The axis a slice table varies: its members differ only there.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Axis {
+    Wrap,
+    Dist,
+    Fault,
+    Topology,
+}
+
+impl Axis {
+    /// `spec` with this axis at its default: the key of `spec`'s slice.
+    fn reset(self, spec: &ScenarioSpec) -> ScenarioSpec {
+        let mut key = spec.clone();
+        match self {
+            Axis::Wrap => key.wrap = WrapState::Plain,
+            Axis::Dist => key.dist = ServiceDistribution::Deterministic,
+            Axis::Fault => key.fault = FaultModel::None,
+            Axis::Topology => key.topology = ServerTopology::single(),
+        }
+        key
+    }
+
+    /// Sort a slice's members into table order. The sort is stable, so
+    /// ties keep result order, which follows the matrix's axis order: the
+    /// deterministic or healthy member first, fleets smallest first with
+    /// hash before least-loaded at equal size.
+    fn order(self, members: &mut [&ScenarioResult]) {
+        match self {
+            Axis::Wrap => {}
+            Axis::Dist => members.sort_by_key(|m| !m.spec.dist.is_deterministic()),
+            Axis::Fault => members.sort_by_key(|m| !m.spec.fault.is_none()),
+            Axis::Topology => {
+                members.sort_by_key(|m| (m.spec.topology.servers, m.spec.topology.assign.name()))
+            }
+        }
+    }
+
+    /// The heading of `slice`'s table: workload, backend, storage and
+    /// cache, then every axis but this one that the slice's members share.
+    /// The wrap state is always named, and the distribution always in the
+    /// fault and fleet tables; any other shared axis is named when off its
+    /// default (the topology whenever it is not [`ServerTopology::single`],
+    /// so a one-server least-loaded fleet is named too). So no two slices
+    /// of one report share a heading.
+    fn heading(self, slice: &ScenarioSpec) -> String {
+        let mut h = format!(
+            "--- {} × {} ({}, {} cache",
+            slice.workload,
+            slice.backend,
+            slice.storage.name(),
+            slice.cache.name()
+        );
+        let shared = [
+            (Axis::Wrap, true, slice.wrap.name().to_string()),
+            (
+                Axis::Dist,
+                matches!(self, Axis::Fault | Axis::Topology) || !slice.dist.is_deterministic(),
+                slice.dist.name(),
+            ),
+            (Axis::Fault, !slice.fault.is_none(), slice.fault.name()),
+            (Axis::Topology, slice.topology != ServerTopology::single(), slice.topology.name()),
+        ];
+        for (axis, named, name) in shared {
+            if axis != self && named {
+                h.push_str(", ");
+                h.push_str(&name);
+            }
+        }
+        h + ") ---\n"
+    }
+}
+
+/// The line that stands in for a table whose members lack a series: the
+/// first member's error.
+fn no_series(members: &[&ScenarioResult]) -> Option<String> {
+    members.iter().find_map(|m| m.error.as_ref()).map(|e| format!("no series — {e}\n"))
+}
+
+/// The leading TSV columns, naming a cell: every scenario axis, then the
+/// rank point.
+const TSV_CELL_COLUMNS: &str =
+    "workload\tbackend\tstorage\twrap\tcache\tdist\tfault\ttopology\tranks";
+
+/// `spec` at `ranks` as the [`TSV_CELL_COLUMNS`] fields.
+fn tsv_cell(spec: &ScenarioSpec, ranks: usize) -> String {
+    format!(
+        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{ranks}",
+        spec.workload,
+        spec.backend,
+        spec.storage.name(),
+        spec.wrap.name(),
+        spec.cache.name(),
+        spec.dist.name(),
+        spec.fault.name(),
+        spec.topology.name()
+    )
+}
+
+/// A queueing check's fields that can be missing: the upper bound in
+/// seconds, which faulted and least-loaded cells forfeit, and the M/G/k
+/// wait in milliseconds, which a saturated cell (ρ ≥ 1) does not have.
+fn optional_fields(q: &QueueingCheck) -> (Option<f64>, Option<f64>) {
+    let upper_s = (q.bounds.upper_ns != u64::MAX).then(|| q.bounds.upper_ns as f64 / 1e9);
+    let wait_ms = q.bounds.mean_wait_ns.is_finite().then(|| q.bounds.mean_wait_ns / 1e6);
+    (upper_s, wait_ms)
+}
+
+/// A queueing check's verdict in a renderer's words for pass and fail;
+/// `n/a` when the bounds do not apply.
+fn verdict(q: &QueueingCheck, pass: &'static str, fail: &'static str) -> &'static str {
+    match (q.bounds.applicable, q.within) {
+        (false, _) => "n/a",
+        (true, true) => pass,
+        (true, false) => fail,
     }
 }
 
@@ -1236,6 +1219,78 @@ mod tests {
         assert!(tsv.starts_with("workload\t"));
         // 4 scenarios × 2 rank points + header.
         assert_eq!(tsv.lines().count(), 9);
+    }
+
+    #[test]
+    fn slice_headings_are_distinct_when_other_axes_vary() {
+        // Every renderer over a matrix that also varies the axes its table
+        // does not: each slice still gets a heading of its own. Returns
+        // each renderer's headings.
+        fn distinct_headings(report: &SweepReport) -> [Vec<String>; 4] {
+            [
+                report.render_fig6_tables(),
+                report.render_fig6_dist_tables(),
+                report.render_fault_tables(),
+                report.render_servers_tables(),
+            ]
+            .map(|tables| {
+                let headings: Vec<String> =
+                    tables.lines().filter(|l| l.starts_with("--- ")).map(String::from).collect();
+                let distinct: std::collections::HashSet<&String> = headings.iter().collect();
+                assert_eq!(distinct.len(), headings.len(), "headings repeat:\n{tables}");
+                headings
+            })
+        }
+        let cache = ProfileCache::new();
+        let report = ExperimentMatrix::new()
+            .workload(Pynamic::new(30))
+            .wrap_states(WrapState::all())
+            .distributions([
+                ServiceDistribution::Deterministic,
+                ServiceDistribution::log_normal(0.5),
+            ])
+            .faults([
+                FaultModel::None,
+                FaultModel::Stragglers { frac_milli: 200, slow_milli: 4000 },
+            ])
+            .topologies([ServerTopology::single(), ServerTopology::hash(4)])
+            .replicates(3)
+            .rank_points([256usize, 512])
+            .run(&cache);
+        // 16 scenarios, two members per slice.
+        for headings in distinct_headings(&report) {
+            assert_eq!(headings.len(), 8, "{headings:?}");
+        }
+        assert!(report.render_fig6_tables().contains(
+            "--- pynamic-30 × glibc (nfs, cold cache, lognormal-500, stragglers-200-4000, \
+             servers-4-hash) ---\n"
+        ));
+        assert!(report.render_servers_tables().contains(
+            "--- pynamic-30 × glibc (nfs, cold cache, plain, deterministic, stragglers-200-4000) \
+             ---\n"
+        ));
+
+        // A one-server least-loaded fleet has the default fleet's single
+        // lane but is a different topology, so its slices are named apart.
+        let report = ExperimentMatrix::new()
+            .workload(Pynamic::new(30))
+            .wrap_states(WrapState::all())
+            .topologies([ServerTopology::single(), ServerTopology::least_loaded(1)])
+            .rank_points([256usize, 512])
+            .run(&cache);
+        let [fig6, dist, fault, servers] = distinct_headings(&report);
+        // 4 scenarios: the wrap and fleet tables pair them, the others
+        // give each its own slice.
+        assert_eq!([fig6.len(), dist.len(), fault.len(), servers.len()], [2, 4, 4, 2]);
+        assert_eq!(fig6[1], "--- pynamic-30 × glibc (nfs, cold cache, servers-1-least) ---");
+        // The fleet table's rows tell them apart the same way.
+        let rows: Vec<String> = report
+            .render_servers_tables()
+            .lines()
+            .filter_map(|l| l.split_whitespace().next().map(String::from))
+            .collect();
+        assert_eq!(rows.iter().filter(|r| *r == "1-server").count(), 2, "{rows:?}");
+        assert_eq!(rows.iter().filter(|r| *r == "servers-1-least").count(), 2, "{rows:?}");
     }
 
     #[test]

@@ -34,13 +34,11 @@
 //!
 //! [`SplitMix::FAULT`]: depchaos_workloads::SplitMix::FAULT
 
-use serde::{Deserialize, Serialize};
-
 /// The fault-injection model one launch simulates under. See the module
 /// docs for semantics; parameters are integers (milli-units for rates and
 /// factors) so the model can sit in `Eq + Hash` scenario keys and hash
 /// stably into the serve store's content address.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FaultModel {
     /// Healthy server — the exact pre-fault engine, bit for bit.
     #[default]

@@ -58,24 +58,22 @@
 //!    through the per-call kernel dispatch and per-row arithmetic.
 //!    Outputs are bit-identical to per-row
 //!    [`simulate_classified`]; every sweep layer below runs on it.
-//! 4. [`sweep`] runs rank scalings for one figure series, all points
-//!    sharing one [`ClassifiedStream`] and executing as one batched pass.
-//!    [`sweep_ranks_replicated`] adds the stochastic dimension: K seeded
-//!    replicates per rank point ([`replicate_seed`]), summarised as
-//!    [`LaunchStats`] p50/p95/p99 — K collapses to 1 when the run takes
-//!    no draws ([`LaunchConfig::takes_draws`]). [`adaptive`] replaces the
-//!    fixed K with a sequential stopping rule ([`AdaptiveControl`]):
-//!    replicates run in seeded batches and each cell stops as soon as the
-//!    t-based 95% half-width of its mean launch time meets a relative
-//!    target — bit-reproducibly, because replicate `r`'s draws are a pure
-//!    function of `(base seed, r)` (the batch-prefix property; see
-//!    `docs/determinism.md`). Its driver, [`run_adaptive_units`], is the
-//!    only replicate-row builder: fixed K is the rule switched off
-//!    ([`AdaptiveControl::fixed`]).
-//!    [`sweep_paired`] is the common-random-numbers companion: both arms
-//!    of a comparison run under shared replicate seeds and
-//!    [`PairedDiff`] reports the CRN-tightened interval on their
-//!    difference ([`render_fig6_paired`]).
+//! 4. [`adaptive`] and [`sweep`] add the stochastic dimension. Each
+//!    (cell, rank point) simulates K seeded replicates
+//!    ([`replicate_seed`]), summarised as [`LaunchStats`] p50/p95/p99 — K
+//!    collapses to 1 when the run takes no draws
+//!    ([`LaunchConfig::takes_draws`]). [`run_adaptive_units`] plans every
+//!    replicate row: it runs replicates in seeded batches and stops each
+//!    cell as soon as the t-based 95% half-width of its mean launch time
+//!    meets a relative target ([`AdaptiveControl`]) —
+//!    bit-reproducibly, because replicate `r`'s draws are a pure function
+//!    of `(base seed, r)` (the batch-prefix property; see
+//!    `docs/determinism.md`). Fixed K is the rule switched off
+//!    ([`AdaptiveControl::fixed`]). [`sweep_paired`] is the
+//!    common-random-numbers companion: both arms of a comparison run
+//!    under shared replicate seeds and [`PairedDiff`] reports the
+//!    CRN-tightened interval on their difference
+//!    ([`render_fig6_paired`]).
 //! 5. [`matrix`] describes a whole experiment: a [`Scenario`] is one point
 //!    of (workload × loader backend × storage model × wrap state × cache
 //!    policy × service distribution × fault model × server topology), and
@@ -102,14 +100,13 @@
 //!    policies, rank points, *and* stochastic replicates — then every
 //!    cell's replicate rows are simulated in batched passes, summarised
 //!    with the M/G/k check, and assembled into a [`SweepReport`] with
-//!    per-backend Fig 6, per-distribution band, queueing-check, and TSV
-//!    renderers. An optional [`CellMemo`] answers cells a previous run
-//!    computed — the serve layer's result store is one, and
-//!    [`ExperimentMatrix::run`] is the pipeline without. Every stochastic
-//!    cell draws from
-//!    [`scenario_seed`]`(base seed, cell label)`, so any single cell
-//!    reproduces standalone, byte for byte, from the experiment seed and
-//!    its label.
+//!    per-backend Fig 6, per-distribution band, fault, fleet,
+//!    queueing-check, and TSV renderers. An optional [`CellMemo`] answers
+//!    cells a previous run computed — the serve layer's result store is
+//!    one, and [`ExperimentMatrix::run`] is the pipeline without. Every
+//!    stochastic cell draws from [`scenario_seed`]`(base seed, cell
+//!    label)`, so any single cell reproduces standalone, byte for byte,
+//!    from the experiment seed and its label.
 //!
 //! The paper's figure is one cell of the matrix (pynamic × glibc × nfs);
 //! `depchaos-report fig6-backends` renders the same figure for glibc, musl,
@@ -178,6 +175,5 @@ pub use queueing::{
     ServiceMoments,
 };
 pub use sweep::{
-    render_fig6, render_fig6_paired, render_tsv, replicate_seed, sweep_paired, sweep_ranks,
-    sweep_ranks_adaptive, sweep_ranks_classified, sweep_ranks_replicated, LaunchStats, PairedPoint,
+    render_fig6, render_fig6_paired, replicate_seed, sweep_paired, LaunchStats, PairedPoint,
 };

@@ -15,8 +15,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use depchaos_core::LoaderBackend;
 use depchaos_loader::HashStoreService;
 use depchaos_vfs::{StorageModel, Vfs};
@@ -29,7 +27,7 @@ use crate::fault::FaultModel;
 
 /// The wrap-state axis: is the binary launched as built, or after
 /// Shrinkwrap froze its closure?
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WrapState {
     Plain,
     Wrapped,
@@ -57,7 +55,7 @@ impl WrapState {
 /// The cache-policy axis: every node pays the cold stream, or a
 /// Spindle-style broadcast cache lets one node pay and the rest replay warm
 /// (the paper's "combining Shrinkwrap with an approach like Spindle").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CachePolicy {
     Cold,
     Broadcast,
@@ -163,7 +161,7 @@ impl std::fmt::Debug for MatrixBackend {
 /// captures the plain stream, wraps, and captures the wrapped stream, so
 /// each unique (workload, backend, storage) triple is profiled exactly
 /// once no matter how many scenarios share it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
     pub workload: String,
     pub backend: String,
@@ -209,7 +207,7 @@ impl Scenario {
         }
     }
 
-    /// Serializable identity (names only) for reports.
+    /// The scenario's identity by axis names, for reports and keys.
     pub fn spec(&self) -> ScenarioSpec {
         ScenarioSpec {
             workload: self.workload.name().to_string(),
@@ -239,8 +237,8 @@ impl std::fmt::Debug for Scenario {
     }
 }
 
-/// The data identity of a scenario: every axis by name, serializable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The data identity of a scenario: every axis by name.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScenarioSpec {
     pub workload: String,
     pub backend: String,
@@ -248,13 +246,10 @@ pub struct ScenarioSpec {
     pub wrap: WrapState,
     pub cache: CachePolicy,
     pub dist: ServiceDistribution,
-    /// Degraded-mode axis; [`FaultModel::None`] for healthy cells. Serde
-    /// defaults keep reports written before the axis existed loadable.
-    #[serde(default)]
+    /// Degraded-mode axis; [`FaultModel::None`] for healthy cells.
     pub fault: FaultModel,
     /// Metadata-fleet axis; [`ServerTopology::single`] for the paper's one
-    /// server. Serde defaults keep pre-axis reports loadable.
-    #[serde(default)]
+    /// server.
     pub topology: ServerTopology,
 }
 

@@ -68,8 +68,6 @@
 //! (nodes sped *up*) would undercut the healthy floor, so such cells are
 //! marked inapplicable.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{AssignPolicy, LaunchConfig, ServiceDistribution};
 use crate::des::ClassifiedStream;
 use crate::fault::FaultModel;
@@ -115,7 +113,7 @@ pub fn erlang_c(servers: usize, offered_load: f64) -> f64 {
 
 /// First and second moments of one server op's service time under a
 /// distribution, averaged over the stream's segment schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMoments {
     pub mean_ns: f64,
     pub second_moment_ns2: f64,
@@ -143,7 +141,7 @@ impl ServiceMoments {
 /// point: M/G/k descriptors plus hard mean-launch bounds. (The name keeps
 /// the historical `Mg1` prefix from when the model was single-server; the
 /// `servers` field says which fleet the bounds were computed for.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mg1Bounds {
     pub ranks: usize,
     pub cold_nodes: usize,
@@ -345,7 +343,7 @@ pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
 
 /// One cell's verdict: the envelope, what the DES replicates actually
 /// averaged, and whether that mean sits inside the (slack-widened) bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingCheck {
     pub bounds: Mg1Bounds,
     pub observed_mean_ns: u64,
@@ -375,8 +373,9 @@ pub fn validate_against_mg1(bounds: &Mg1Bounds, stats: &LaunchStats) -> Queueing
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{replicate_rank_points, AdaptiveControl};
     use crate::des::simulate_classified;
-    use crate::sweep::sweep_ranks_replicated;
+    use crate::sweep::LaunchStats;
     use depchaos_vfs::{Op, Outcome, StraceLog, Syscall};
 
     fn cold_stream(n: usize) -> StraceLog {
@@ -464,9 +463,14 @@ mod tests {
             for seed in [7u64, 42, 0xD15_7A5ED] {
                 let cfg = LaunchConfig { seed, ..fast_cfg() }.with_service_dist(dist);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 2048, 8192], 7);
-                for (ranks, _, stats) in rows {
-                    let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
+                for (cell, reps) in replicate_rank_points(
+                    &stream,
+                    &cfg,
+                    &[512, 2048, 8192],
+                    AdaptiveControl::fixed(7),
+                ) {
+                    let (ranks, stats) = (cell.ranks, LaunchStats::of(&reps));
+                    let b = mg1_bounds(&stream, &cell);
                     let check = validate_against_mg1(&b, &stats);
                     assert!(
                         check.within,
@@ -589,9 +593,11 @@ mod tests {
             for dist in ServiceDistribution::all() {
                 let cfg = fast_cfg().with_service_dist(dist).with_fault(fault);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 2048], 7);
-                for (ranks, _, stats) in rows {
-                    let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
+                for (cell, reps) in
+                    replicate_rank_points(&stream, &cfg, &[512, 2048], AdaptiveControl::fixed(7))
+                {
+                    let (ranks, stats) = (cell.ranks, LaunchStats::of(&reps));
+                    let b = mg1_bounds(&stream, &cell);
                     let check = validate_against_mg1(&b, &stats);
                     assert!(
                         check.within,
@@ -713,9 +719,11 @@ mod tests {
             for dist in ServiceDistribution::all() {
                 let cfg = fast_cfg().with_service_dist(dist).with_topology(topo);
                 let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-                let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 8192], 7);
-                for (ranks, _, stats) in rows {
-                    let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
+                for (cell, reps) in
+                    replicate_rank_points(&stream, &cfg, &[512, 8192], AdaptiveControl::fixed(7))
+                {
+                    let (ranks, stats) = (cell.ranks, LaunchStats::of(&reps));
+                    let b = mg1_bounds(&stream, &cell);
                     let check = validate_against_mg1(&b, &stats);
                     assert!(
                         check.within,

@@ -1,21 +1,20 @@
-//! Rank sweeps for the Fig 6 series.
+//! Replicate statistics and the Fig 6 series tables.
 //!
-//! [`sweep_ranks`] is the one-series drive; [`sweep_ranks_replicated`] is
-//! the stochastic-aware version: each rank point is simulated over K seeded
-//! replicates (replicate `r` re-seeds the config from
-//! [`SplitMix::split`]`(base.seed, SplitMix::REPLICATE, r)`, replicate 0
-//! *being* the base seed) and summarised as [`LaunchStats`] —
-//! p50/p95/p99/mean of the launch time. When a run takes no draws every
-//! replicate would be identical, so K collapses to 1 and the stats
-//! degenerate to the single exact value. Every sweep here plans its rows
-//! through [`run_adaptive_units`], fixed K being the stopping rule
-//! switched off.
+//! A stochastic rank point is simulated over K seeded replicates —
+//! replicate `r` re-seeds the config from [`replicate_seed`], replicate 0
+//! *being* the base seed — and summarised as [`LaunchStats`]:
+//! p50/p95/p99/mean of the launch time. The replicate rows come from
+//! [`run_adaptive_units`] alone, fixed K being its stopping rule switched
+//! off; when a run takes no draws every replicate would be identical, so K
+//! collapses to 1 and the stats degenerate to the single exact value.
+//! [`sweep_paired`] drives two arms under shared replicate seeds, the
+//! common-random-numbers design.
+//!
+//! [`render_fig6`] and [`render_fig6_paired`] render series tables; their
+//! seconds and ratio cells are the ones every
+//! [`SweepReport`](crate::SweepReport) table uses.
 
-use std::collections::HashMap;
-
-use depchaos_vfs::StraceLog;
 use depchaos_workloads::SplitMix;
-use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{run_adaptive_units, AdaptiveControl, AdaptiveUnit, PairedDiff};
 use crate::config::{LaunchConfig, LaunchResult};
@@ -24,7 +23,7 @@ use crate::des::ClassifiedStream;
 /// Launch-time summary statistics over K seeded replicates of one rank
 /// point. All values are nanoseconds of `time_to_launch_ns`; percentiles
 /// are nearest-rank over the sorted replicate sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchStats {
     /// How many replicates the sample holds (1 for deterministic runs).
     pub replicates: usize,
@@ -88,61 +87,10 @@ pub fn replicate_seed(base_seed: u64, replicate: usize) -> u64 {
     }
 }
 
-/// [`sweep_ranks_classified`] over K seeded replicates per rank point:
-/// returns, per point, replicate 0's full [`LaunchResult`] (the series the
-/// plain renderers draw) plus the [`LaunchStats`] over all replicates.
-/// `replicates` is clamped to 1 when the run takes no draws at all
-/// ([`LaunchConfig::takes_draws`]), since extra replicates could only
-/// repeat the same value.
-///
-/// This is [`sweep_ranks_adaptive`] with the stopping rule off
-/// ([`AdaptiveControl::fixed`]): the whole (rank point × replicate) grid
-/// executes as one [`BatchPlan`](crate::BatchPlan), where deterministic
-/// points collapse to shared analytic kernels and stochastic replicates
-/// batch into one heap pass per seed.
-pub fn sweep_ranks_replicated(
-    stream: &ClassifiedStream,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-    replicates: usize,
-) -> Vec<(usize, LaunchResult, LaunchStats)> {
-    sweep_ranks_adaptive(stream, base, rank_points, AdaptiveControl::fixed(replicates))
-}
-
-/// [`sweep_ranks_replicated`] under adaptive replicate control: each rank
-/// point runs replicates in seeded batches and stops as soon as the
-/// sequential rule ([`AdaptiveControl`]) is satisfied, instead of always
-/// spending `max_k`. The returned [`LaunchStats::replicates`] records the
-/// K each point stopped at.
-///
-/// Bit-reproducibility: replicate `r`'s draws are identical whether `r` is
-/// reached adaptively or under fixed K ([`replicate_seed`] is a pure
-/// function of `(base seed, r)`), so the adaptive sample is exactly a
-/// prefix of the fixed-`max_k` sample — and with the precision rule
-/// disabled (`target_rel_milli == 0`) this function is byte-identical to
-/// `sweep_ranks_replicated(stream, base, rank_points, max_k)`.
-pub fn sweep_ranks_adaptive(
-    stream: &ClassifiedStream,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-    ctl: AdaptiveControl,
-) -> Vec<(usize, LaunchResult, LaunchStats)> {
-    let units: Vec<AdaptiveUnit<'_>> = rank_points
-        .iter()
-        .map(|&ranks| AdaptiveUnit { stream, cfg: base.clone().with_ranks(ranks) })
-        .collect();
-    let per_point = run_adaptive_units(&units, ctl);
-    rank_points
-        .iter()
-        .zip(per_point)
-        .map(|(&ranks, rows)| (ranks, rows[0], LaunchStats::of(&rows)))
-        .collect()
-}
-
 /// One rank point of a common-random-numbers comparison: both arms'
 /// replicate statistics plus the paired-difference estimator over their
 /// shared-seed deltas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairedPoint {
     pub ranks: usize,
     pub baseline: LaunchStats,
@@ -212,48 +160,17 @@ pub fn render_fig6_paired(points: &[PairedPoint]) -> String {
         "ranks  plain(s)  wrapped(s)  speedup  ±delta paired(s)  ±delta unpaired(s)\n",
     );
     for p in points {
-        let speedup = match p.diff.speedup() {
-            Some(x) => format!("{x:>6.1}x"),
-            None => format!("{:>7}", "-"),
-        };
         s.push_str(&format!(
-            "{:>5}  {:>8.1}  {:>10.1}  {speedup}  {:>17.3}  {:>19.3}\n",
+            "{:>5}  {:>8.1}  {:>10.1}  {}  {:>17.3}  {:>19.3}\n",
             p.ranks,
             p.diff.mean_baseline_ns / 1e9,
             p.diff.mean_variant_ns / 1e9,
+            ratio_cell(p.diff.speedup(), 1, 7),
             p.diff.half_width_ns / 1e9,
             p.diff.unpaired_half_width_ns / 1e9,
         ));
     }
     s
-}
-
-/// Simulate the same workload at several scales in one batched pass.
-///
-/// The stream is classified **once**; every rank point replays the shared
-/// [`ClassifiedStream`]. Callers that already hold one (the experiment
-/// engine's memoized cells) should use [`sweep_ranks_classified`].
-pub fn sweep_ranks(
-    ops: &StraceLog,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-) -> Vec<(usize, LaunchResult)> {
-    sweep_ranks_classified(&ClassifiedStream::classify(ops, base), base, rank_points)
-}
-
-/// [`sweep_ranks`] over a pre-classified stream: the one-replicate
-/// [`sweep_ranks_replicated`], so every point is a row of one batched pass
-/// and rank points that share a node count (or collapse warm) share one
-/// kernel — zero per-point classification.
-pub fn sweep_ranks_classified(
-    stream: &ClassifiedStream,
-    base: &LaunchConfig,
-    rank_points: &[usize],
-) -> Vec<(usize, LaunchResult)> {
-    sweep_ranks_replicated(stream, base, rank_points, 1)
-        .into_iter()
-        .map(|(ranks, result, _)| (ranks, result))
-        .collect()
 }
 
 /// Render the Fig 6 series as an aligned table: one row per scale, normal
@@ -263,49 +180,47 @@ pub fn render_fig6(
     normal: &[(usize, LaunchResult)],
     wrapped: &[(usize, LaunchResult)],
 ) -> String {
-    let by_ranks = |series: &[(usize, LaunchResult)]| -> HashMap<usize, f64> {
-        series.iter().map(|(r, l)| (*r, l.seconds())).collect()
-    };
-    let normal = by_ranks(normal);
-    let wrapped = by_ranks(wrapped);
-    let secs = |v: Option<f64>, width: usize| match v {
-        Some(t) => format!("{t:>width$.1}"),
-        None => format!("{:>width$}", "-"),
+    let at = |series: &[(usize, LaunchResult)], p: usize| {
+        series.iter().find(|(r, _)| *r == p).map(|(_, l)| l.seconds())
     };
     let mut s = String::from("ranks  normal(s)  wrapped(s)  speedup\n");
     for &p in points {
-        let n = normal.get(&p).copied();
-        let w = wrapped.get(&p).copied();
-        let speedup = match (n, w) {
-            // A zero or missing wrapped time has no meaningful ratio.
-            (Some(n), Some(w)) if (n / w).is_finite() => format!("{:>6.1}x", n / w),
-            _ => format!("{:>7}", "-"),
-        };
-        s.push_str(&format!("{p:>5}  {}  {}  {speedup}\n", secs(n, 9), secs(w, 10)));
-    }
-    s
-}
-
-/// Render the sweep as TSV (`ranks<TAB>seconds`), one series — the raw data
-/// behind Fig 6 for external plotting.
-pub fn render_tsv(series: &[(usize, LaunchResult)]) -> String {
-    let mut s = String::from("ranks\tseconds\tserver_ops\tpeak_queue\n");
-    for (ranks, r) in series {
+        let (n, w) = (at(normal, p), at(wrapped, p));
         s.push_str(&format!(
-            "{ranks}\t{:.3}\t{}\t{}\n",
-            r.seconds(),
-            r.server_ops,
-            r.peak_queue_depth
+            "{p:>5}  {}  {}  {}\n",
+            secs_cell(n, 9),
+            secs_cell(w, 10),
+            ratio_cell(n.zip(w).map(|(n, w)| n / w), 1, 7)
         ));
     }
     s
 }
 
+/// A right-aligned table cell `width` wide: the value, or `-` when it is
+/// missing.
+pub(crate) fn cell(v: Option<String>, width: usize) -> String {
+    format!("{:>width$}", v.as_deref().unwrap_or("-"))
+}
+
+/// Launch seconds to one decimal, or `-`.
+pub(crate) fn secs_cell(secs: Option<f64>, width: usize) -> String {
+    cell(secs.map(|s| format!("{s:.1}")), width)
+}
+
+/// A speedup or slowdown factor to `prec` decimals, or `-` when it is
+/// missing or not finite (a zero or missing denominator has no
+/// meaningful ratio).
+pub(crate) fn ratio_cell(x: Option<f64>, prec: usize, width: usize) -> String {
+    cell(x.filter(|x| x.is_finite()).map(|x| format!("{x:.prec$}x")), width)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::replicate_rank_points;
+    use crate::config::ServiceDistribution;
     use crate::des::simulate_classified;
-    use depchaos_vfs::{Op, Outcome, Syscall};
+    use depchaos_vfs::{Op, Outcome, StraceLog, Syscall};
 
     fn cold_stream(n: usize) -> StraceLog {
         let mut log = StraceLog::new();
@@ -315,12 +230,21 @@ mod tests {
         log
     }
 
+    /// One replicate per rank point of a freshly classified stream.
+    fn series(ops: &StraceLog, cfg: &LaunchConfig, points: &[usize]) -> Vec<(usize, LaunchResult)> {
+        let stream = ClassifiedStream::classify(ops, cfg);
+        replicate_rank_points(&stream, cfg, points, AdaptiveControl::fixed(1))
+            .into_iter()
+            .map(|(cell, reps)| (cell.ranks, reps[0]))
+            .collect()
+    }
+
     #[test]
     fn sweep_is_monotone_in_ranks() {
         let cfg =
             LaunchConfig { base_overhead_ns: 0, per_rank_overhead_ns: 0, ..Default::default() };
         let pts = [512usize, 1024, 2048];
-        let res = sweep_ranks(&cold_stream(1000), &cfg, &pts);
+        let res = series(&cold_stream(1000), &cfg, &pts);
         assert_eq!(res.len(), 3);
         let times: Vec<u64> = pts
             .iter()
@@ -330,21 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn tsv_has_header_and_rows() {
-        let cfg = LaunchConfig::default();
-        let series = sweep_ranks(&cold_stream(50), &cfg, &[512, 1024]);
-        let tsv = render_tsv(&series);
-        assert!(tsv.starts_with("ranks\t"));
-        assert_eq!(tsv.lines().count(), 3);
-        assert!(tsv.contains("512\t"));
-    }
-
-    #[test]
     fn render_contains_speedup_column() {
         let cfg = LaunchConfig::default();
         let pts = [512usize];
-        let normal = sweep_ranks(&cold_stream(100), &cfg, &pts);
-        let wrapped = sweep_ranks(&cold_stream(10), &cfg, &pts);
+        let normal = series(&cold_stream(100), &cfg, &pts);
+        let wrapped = series(&cold_stream(10), &cfg, &pts);
         let table = render_fig6(&pts, &normal, &wrapped);
         assert!(table.contains("speedup"));
         assert!(table.contains("512"));
@@ -354,14 +268,16 @@ mod tests {
     fn deterministic_sweep_collapses_to_one_replicate() {
         let cfg = LaunchConfig::default();
         let stream = ClassifiedStream::classify(&cold_stream(50), &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[512, 1024], 32);
-        for (ranks, first, stats) in rows {
+        for (cell, reps) in
+            replicate_rank_points(&stream, &cfg, &[512, 1024], AdaptiveControl::fixed(32))
+        {
+            let stats = LaunchStats::of(&reps);
             assert_eq!(stats.replicates, 1, "no point replicating an exact model");
-            assert_eq!(stats.p50_ns, first.time_to_launch_ns);
-            assert_eq!(stats.p99_ns, first.time_to_launch_ns);
+            assert_eq!(stats.p50_ns, reps[0].time_to_launch_ns);
+            assert_eq!(stats.p99_ns, reps[0].time_to_launch_ns);
             assert_eq!(
-                first,
-                sweep_ranks(&cold_stream(50), &cfg, &[ranks])[0].1,
+                reps[0],
+                series(&cold_stream(50), &cfg, &[cell.ranks])[0].1,
                 "replicate 0 is the plain sweep"
             );
         }
@@ -369,7 +285,6 @@ mod tests {
 
     #[test]
     fn stochastic_replicates_order_the_percentiles() {
-        use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             base_overhead_ns: 0,
             per_rank_overhead_ns: 0,
@@ -377,17 +292,16 @@ mod tests {
             ..Default::default()
         };
         let stream = ClassifiedStream::classify(&cold_stream(200), &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[2048], 25);
-        let (_, first, stats) = &rows[0];
+        let rows = replicate_rank_points(&stream, &cfg, &[2048], AdaptiveControl::fixed(25));
+        let (cell, reps) = &rows[0];
+        let stats = LaunchStats::of(reps);
         assert_eq!(stats.replicates, 25);
         assert!(stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns);
         assert!(stats.p99_ns > stats.p50_ns, "a heavy tail spreads the sample");
-        assert_eq!(first.time_to_launch_ns, {
-            let c = cfg.clone().with_ranks(2048);
-            simulate_classified(&stream, &c).time_to_launch_ns
-        });
+        assert_eq!(cell.ranks, 2048);
+        assert_eq!(reps[0].time_to_launch_ns, simulate_classified(&stream, cell).time_to_launch_ns);
         // Byte-identical on re-run: the replicate seeds are pure data.
-        assert_eq!(rows, sweep_ranks_replicated(&stream, &cfg, &[2048], 25));
+        assert_eq!(rows, replicate_rank_points(&stream, &cfg, &[2048], AdaptiveControl::fixed(25)));
     }
 
     #[test]
@@ -424,23 +338,19 @@ mod tests {
 
     #[test]
     fn adaptive_sweep_with_disabled_target_is_the_fixed_sweep() {
-        use crate::adaptive::AdaptiveControl;
-        use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             service_dist: ServiceDistribution::uniform_jitter(0.25),
             seed: 7,
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&cold_stream(150), &cfg);
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[512, 2048], 9);
+        let fixed = replicate_rank_points(&stream, &cfg, &[512, 2048], AdaptiveControl::fixed(9));
         let ctl = AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k: 9, batch: 4 };
-        assert_eq!(sweep_ranks_adaptive(&stream, &cfg, &[512, 2048], ctl), fixed);
+        assert_eq!(replicate_rank_points(&stream, &cfg, &[512, 2048], ctl), fixed);
     }
 
     #[test]
     fn adaptive_sweep_stops_early_and_reports_the_k_used() {
-        use crate::adaptive::AdaptiveControl;
-        use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             service_dist: ServiceDistribution::log_normal(0.5),
             seed: 11,
@@ -448,21 +358,20 @@ mod tests {
         };
         let stream = ClassifiedStream::classify(&cold_stream(150), &cfg);
         let ctl = AdaptiveControl { target_rel_milli: 500, min_k: 2, max_k: 25, batch: 2 };
-        let rows = sweep_ranks_adaptive(&stream, &cfg, &[2048], ctl);
-        let (_, first, stats) = &rows[0];
-        assert!(stats.replicates < 25, "a 50% target stops well short of the budget");
-        assert!(stats.replicates >= 2);
+        let rows = replicate_rank_points(&stream, &cfg, &[2048], ctl);
+        let reps = &rows[0].1;
+        assert!(reps.len() < 25, "a 50% target stops well short of the budget");
+        assert!(reps.len() >= 2);
         // Replicate 0 is still the series entry, identical to the fixed
         // sweep's.
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &[2048], 25);
-        assert_eq!(*first, fixed[0].1);
+        let fixed = replicate_rank_points(&stream, &cfg, &[2048], AdaptiveControl::fixed(25));
+        assert_eq!(reps[0], fixed[0].1[0]);
         // Re-run: pure data.
-        assert_eq!(rows, sweep_ranks_adaptive(&stream, &cfg, &[2048], ctl));
+        assert_eq!(rows, replicate_rank_points(&stream, &cfg, &[2048], ctl));
     }
 
     #[test]
     fn paired_sweep_tightens_the_difference_interval() {
-        use crate::config::ServiceDistribution;
         let cfg = LaunchConfig {
             service_dist: ServiceDistribution::log_normal(0.5),
             base_overhead_ns: 0,
@@ -517,7 +426,7 @@ mod tests {
         let zero = LaunchResult { nodes: 1, ..Default::default() };
         let cfg = LaunchConfig::default();
         let pts = [512usize, 1024];
-        let normal = sweep_ranks(&cold_stream(10), &cfg, &pts);
+        let normal = series(&cold_stream(10), &cfg, &pts);
         // Wrapped series: a zero time at 512, no data at all for 1024.
         let wrapped = vec![(512usize, zero)];
         let table = render_fig6(&pts, &normal, &wrapped);

@@ -1,7 +1,5 @@
 //! The process environment the loader consults.
 
-use serde::{Deserialize, Serialize};
-
 /// Environment and system configuration visible to a loader instance.
 ///
 /// Mirrors the knobs from §III: `LD_LIBRARY_PATH`, `LD_PRELOAD`, the
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// [`crate::ldcache::LdCache::ldconfig`]), the built-in default directories,
 /// and the hwcaps subdirectory names glibc probes inside every search
 /// directory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Environment {
     /// Colon-split `LD_LIBRARY_PATH` entries, in order.
     pub ld_library_path: Vec<String>,

@@ -2,12 +2,11 @@
 
 use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{path as vpath, Vfs};
-use serde::{Deserialize, Serialize};
 
 /// Where a resolved library came from — the `[runpath]` / `[default path]`
 /// annotations in `libtree` output (Listing 1), plus the cases the dynamic
 /// loader distinguishes internally.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Provenance {
     /// The root executable itself.
     Executable,
@@ -46,7 +45,7 @@ impl Provenance {
 }
 
 /// Outcome of resolving one needed entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
     /// Freshly loaded from `path`.
     Loaded { path: String, provenance: Provenance },

@@ -37,14 +37,9 @@ use parking_lot::RwLock;
 
 /// An interned path: a dense `u32` handle into the process-wide interner.
 ///
-/// `PathId` deliberately does **not** derive `Serialize`/`Deserialize`:
-/// the raw `u32` is meaningless outside the process that interned it, so a
-/// derived impl would persist interner slot numbers instead of path text.
-/// Under the offline serde stand-in the blanket marker impls keep
-/// containing types (e.g. [`crate::Syscall`]) compiling; when the real
-/// serde returns (vendor/README.md), give `PathId` a custom impl that
-/// serializes [`PathId::as_str`] and deserializes through [`intern`] — the
-/// missing derive will surface as a compile error right here.
+/// The raw `u32` is meaningless outside the process that interned it:
+/// anything persisted must carry the path text ([`PathId::as_str`]) and
+/// re-intern it on the way back in ([`intern`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(u32);
 

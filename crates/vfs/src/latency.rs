@@ -18,8 +18,6 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::PathId;
 use crate::strace::{Op, Outcome};
 
@@ -96,7 +94,7 @@ impl Backend {
 /// experiment matrices enumerate, serialize, and print. Where [`Backend`]
 /// carries calibration parameters, a `StorageModel` is pure identity: the
 /// scenario axis "where do the binaries live".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageModel {
     /// Local filesystem (warm/cold dentry cache).
     Local,

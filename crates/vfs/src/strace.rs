@@ -12,12 +12,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::{intern, PathId};
 
 /// Which syscall an entry models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     Stat,
     Openat,
@@ -38,7 +36,7 @@ impl fmt::Display for Op {
 }
 
 /// Success or the errno class the loader distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     Ok,
     Enoent,
@@ -48,7 +46,7 @@ pub enum Outcome {
 
 /// One logged syscall. `path` is interned — compare with `==` against other
 /// ids, or resolve the text with [`PathId::as_str`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Syscall {
     pub op: Op,
     pub path: PathId,
@@ -81,7 +79,7 @@ impl fmt::Display for Syscall {
 }
 
 /// An owned syscall trace with summary helpers.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StraceLog {
     pub entries: Vec<Syscall>,
 }

@@ -7,10 +7,10 @@
 //! service distributions, and every fault-model shape:
 //!
 //! 1. **Degenerate rule ≡ fixed K, byte for byte.** With the precision
-//!    target disabled (`target_rel_milli == 0`) the adaptive sweep runs
+//!    target disabled (`target_rel_milli == 0`) the adaptive run drives
 //!    every unit to `max_k` — and the result must equal
-//!    [`sweep_ranks_replicated`] at K = `max_k` exactly: same samples,
-//!    same stats, same replicate-0 series entry.
+//!    [`run_adaptive_units`] under [`AdaptiveControl::fixed`]`(max_k)`
+//!    exactly: same samples, same stats, same replicate-0 series entry.
 //! 2. **Batch-prefix property.** Whatever K the live rule stops at, the
 //!    adaptive sample is a *prefix* of the fixed-`max_k` sample vector:
 //!    replicate `r`'s draws are a pure function of `(base seed, r)`
@@ -19,8 +19,8 @@
 //!    through why this is the whole bit-reproducibility argument.
 
 use depchaos::launch::{
-    replicate_seed, stop_k, sweep_ranks_adaptive, sweep_ranks_replicated, AdaptiveControl,
-    BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ServiceDistribution,
+    replicate_seed, run_adaptive_units, stop_k, AdaptiveControl, AdaptiveUnit, BatchPlan,
+    ClassifiedStream, FaultModel, LaunchConfig, LaunchResult, LaunchStats, ServiceDistribution,
 };
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
@@ -61,6 +61,20 @@ fn stream_of(spec: &[(u8, u64)]) -> StraceLog {
     log
 }
 
+/// Each rank point's replicate rows under `ctl`.
+fn rows(
+    stream: &ClassifiedStream,
+    cfg: &LaunchConfig,
+    points: &[usize],
+    ctl: AdaptiveControl,
+) -> Vec<Vec<LaunchResult>> {
+    let units: Vec<AdaptiveUnit<'_>> = points
+        .iter()
+        .map(|&ranks| AdaptiveUnit { stream, cfg: cfg.clone().with_ranks(ranks) })
+        .collect();
+    run_adaptive_units(&units, ctl)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -84,8 +98,8 @@ proptest! {
         let stream = ClassifiedStream::classify(&stream_of(&spec), &cfg);
         let pts = [256usize, 1024];
         let ctl = AdaptiveControl { target_rel_milli: 0, min_k: 1, max_k, batch };
-        let adaptive = sweep_ranks_adaptive(&stream, &cfg, &pts, ctl);
-        let fixed = sweep_ranks_replicated(&stream, &cfg, &pts, max_k);
+        let adaptive = rows(&stream, &cfg, &pts, ctl);
+        let fixed = rows(&stream, &cfg, &pts, AdaptiveControl::fixed(max_k));
         prop_assert_eq!(adaptive, fixed);
     }
 
@@ -109,8 +123,9 @@ proptest! {
         };
         let stream = ClassifiedStream::classify(&stream_of(&spec), &cfg);
         let ctl = AdaptiveControl { target_rel_milli: target, min_k: 2, max_k: 9, batch: 3 };
-        let adaptive = sweep_ranks_adaptive(&stream, &cfg, &[512], ctl);
-        let (_, first, stats) = &adaptive[0];
+        let adaptive = &rows(&stream, &cfg, &[512], ctl)[0];
+        let stats = &LaunchStats::of(adaptive);
+        let first = &adaptive[0];
 
         // The fixed max_k grid for the same point, one row per replicate.
         let mut plan = BatchPlan::new();

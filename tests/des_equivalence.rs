@@ -11,9 +11,9 @@
 use std::time::Instant;
 
 use depchaos::launch::{
-    reference::simulate_launch_reference, replicate_seed, simulate_classified, simulate_launch,
-    sweep_ranks_replicated, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, LaunchStats,
-    ServiceDistribution,
+    reference::simulate_launch_reference, replicate_seed, run_adaptive_units, simulate_classified,
+    simulate_launch, AdaptiveControl, AdaptiveUnit, BatchPlan, ClassifiedStream, FaultModel,
+    LaunchConfig, LaunchStats, ServiceDistribution,
 };
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
@@ -209,10 +209,11 @@ proptest! {
         }
     }
 
-    /// The batched `sweep_ranks_replicated` is byte-identical to the
-    /// per-call loop it replaced: per rank point, replicate `r` simulates
-    /// under `replicate_seed(base, r)`, replicate 0 is the series value,
-    /// and the stats summarise the replicate sample.
+    /// Batched fixed-K replication (`run_adaptive_units` under
+    /// `AdaptiveControl::fixed`) is byte-identical to the per-call loop:
+    /// per rank point, replicate `r` simulates under
+    /// `replicate_seed(base, r)`, replicate 0 is the series value, and the
+    /// stats summarise the replicate sample.
     #[test]
     fn batched_replicated_sweep_equals_per_call_loop(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 1..60),
@@ -230,7 +231,11 @@ proptest! {
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&ops, &base);
-        let batched = sweep_ranks_replicated(&stream, &base, &points, replicates);
+        let units: Vec<AdaptiveUnit<'_>> = points
+            .iter()
+            .map(|&ranks| AdaptiveUnit { stream: &stream, cfg: base.clone().with_ranks(ranks) })
+            .collect();
+        let batched = run_adaptive_units(&units, AdaptiveControl::fixed(replicates));
         // The sweep clamps to one replicate only when *no* draws occur:
         // deterministic service and a draw-free fault model.
         let k = if base.service_dist.is_deterministic() && !base.fault.takes_draws() {
@@ -239,8 +244,9 @@ proptest! {
             replicates
         };
         prop_assert_eq!(batched.len(), points.len());
-        for (&(ranks, first, stats), &want_ranks) in batched.iter().zip(&points) {
-            prop_assert_eq!(ranks, want_ranks);
+        for (rows, &ranks) in batched.iter().zip(&points) {
+            prop_assert_eq!(rows.len(), k);
+            let (first, stats) = (rows[0], LaunchStats::of(rows));
             let mut samples: Vec<u64> = Vec::with_capacity(k);
             for r in 0..k {
                 let cfg = base.clone().with_ranks(ranks).with_seed(replicate_seed(seed, r));

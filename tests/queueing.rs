@@ -6,9 +6,10 @@
 use std::time::Instant;
 
 use depchaos::launch::{
-    analytic_all_cold, mg1_bounds, reference::simulate_launch_reference, simulate_classified,
-    sweep_ranks_replicated, validate_against_mg1, ClassifiedStream, ExperimentMatrix, LaunchConfig,
-    MatrixBackend, ProfileCache, ServiceDistribution, WrapState,
+    analytic_all_cold, mg1_bounds, reference::simulate_launch_reference, run_adaptive_units,
+    simulate_classified, validate_against_mg1, AdaptiveControl, AdaptiveUnit, ClassifiedStream,
+    ExperimentMatrix, LaunchConfig, LaunchStats, MatrixBackend, ProfileCache, ServiceDistribution,
+    WrapState,
 };
 use depchaos::vfs::{Op, Outcome, StorageModel, StraceLog, Syscall};
 use depchaos::workloads::{Axom, Pynamic, Rocm};
@@ -59,9 +60,9 @@ proptest! {
             ..LaunchConfig::default()
         };
         let stream = ClassifiedStream::classify(&ops, &cfg);
-        let rows = sweep_ranks_replicated(&stream, &cfg, &[ranks], 7);
-        let (_, _, stats) = rows[0];
-        let b = mg1_bounds(&stream, &cfg.clone().with_ranks(ranks));
+        let units = [AdaptiveUnit { stream: &stream, cfg: cfg.clone().with_ranks(ranks) }];
+        let stats = LaunchStats::of(&run_adaptive_units(&units, AdaptiveControl::fixed(7))[0]);
+        let b = mg1_bounds(&stream, &units[0].cfg);
         prop_assert!(b.lower_ns <= b.upper_ns);
         let check = validate_against_mg1(&b, &stats);
         prop_assert!(
