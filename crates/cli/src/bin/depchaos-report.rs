@@ -23,10 +23,12 @@
 //! store (`depchaos-serve`'s content-addressed cache): cells already in
 //! the store are served warm, only misses simulate, fresh results are
 //! appended — rendered tables are bit-identical either way, and the
-//! warm/cold counters print to stderr. `--jobs N` fans cold-cell
-//! profiling over N worker threads (default 1; misses themselves simulate
-//! as one batched planner pass). `--jobs` rejects 0 and values above the
-//! shared cap with the exit-2 usage error.
+//! warm/cold counters print to stderr. `--jobs N` (default 1) runs every
+//! section's cold pipeline on N worker threads: the profiling of cold
+//! cells and the solving of the simulation kernels alike. The output is
+//! bit-identical for every N; peak memory grows with N × the largest
+//! kernel in flight. `--jobs` rejects 0 and values above the shared cap
+//! with the exit-2 usage error.
 //!
 //! `--adaptive TARGET` switches `fig6-dist` from fixed-K replication to
 //! adaptive replicate control: `TARGET` is the relative precision goal as

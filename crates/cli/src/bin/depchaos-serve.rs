@@ -12,16 +12,17 @@
 //! `assign` choosing `hash` or `least` routing), while `servers_ideal: N`
 //! keeps the old coordination-free division of the per-op service time —
 //! answers warm queries straight from the store under `--store` (created
-//! on first use), profiles only the cold cells over `--jobs` worker threads
-//! (default: the machine's parallelism; explicit values are validated —
-//! `0` or anything past the shared cap is the exit-2 usage error),
-//! batch-simulates the misses in one planner pass, and appends every
-//! fresh result
-//! to the store. Answers (simulator-deterministic JSONL, byte-identical
-//! across replays) go to `--out` or stdout; the batch/per-query
-//! hit-miss-latency accounting and the store's load stats go to
-//! `--stats` or stderr. `--compact` rewrites the store log afterwards,
-//! shedding duplicate and dead bytes.
+//! on first use), profiles only the cold cells, batch-simulates the misses
+//! in one planner pass, and appends every fresh result to the store.
+//! `--jobs N` (default: the machine's parallelism; `0` or anything past
+//! the shared cap is the exit-2 usage error) runs the misses on N worker
+//! threads, profiling and kernel solving alike. Answers are bit-identical
+//! for every N; peak memory grows with N × the largest kernel in flight.
+//! Answers (simulator-deterministic JSONL, byte-identical across replays)
+//! go to `--out` or stdout; the batch/per-query hit-miss-latency
+//! accounting and the store's load stats go to `--stats` or stderr.
+//! `--compact` rewrites the store log afterwards, shedding duplicate and
+//! dead bytes.
 //!
 //! Exit codes (uniform across the depchaos CLIs):
 //!

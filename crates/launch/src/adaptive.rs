@@ -230,10 +230,22 @@ pub fn run_adaptive_units(
     units: &[AdaptiveUnit<'_>],
     ctl: AdaptiveControl,
 ) -> Vec<Vec<LaunchResult>> {
+    run_adaptive_units_on(units, ctl, 1).0
+}
+
+/// [`run_adaptive_units`] with each round's kernels solved on `jobs`
+/// workers ([`BatchPlan::execute_on`]), also returning the most workers
+/// any round ran on. The samples are the same for every `jobs`.
+pub(crate) fn run_adaptive_units_on(
+    units: &[AdaptiveUnit<'_>],
+    ctl: AdaptiveControl,
+    jobs: usize,
+) -> (Vec<Vec<LaunchResult>>, usize) {
     let ctl = ctl.normalized();
     let mut out: Vec<Vec<LaunchResult>> = units.iter().map(|_| Vec::new()).collect();
     let mut acc: Vec<Welford> = units.iter().map(|_| Welford::new()).collect();
     let mut active: Vec<bool> = units.iter().map(|_| true).collect();
+    let mut workers = 1usize;
     loop {
         let mut plan = BatchPlan::new();
         let mut pushed: Vec<(usize, usize)> = Vec::new();
@@ -252,9 +264,10 @@ pub fn run_adaptive_units(
             pushed.push((i, step));
         }
         if pushed.is_empty() {
-            return out;
+            return (out, workers);
         }
-        let rows = plan.execute();
+        let (rows, round_workers) = plan.execute_on(jobs);
+        workers = workers.max(round_workers);
         let mut cursor = 0usize;
         for &(i, n) in &pushed {
             for l in &rows[cursor..cursor + n] {

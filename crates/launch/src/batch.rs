@@ -26,7 +26,13 @@
 //!    function of that tuple. Replicate 0 of every rank point, every
 //!    deterministic replicate, and every cell that only differs in
 //!    overheads or warm fleet size all collapse onto the same kernel,
-//!    which the per-call path's own kernel dispatch solves once.
+//!    which the per-call path's own kernel dispatch solves once. Being
+//!    pure, the kernels are independent work: the pipeline
+//!    ([`ExperimentMatrix::run_with`](crate::ExperimentMatrix::run_with))
+//!    solves them on its `jobs` workers, largest `cold nodes × server ops`
+//!    first, and `execute` is the same path on one worker. The results are
+//!    bit-identical for every `jobs`; peak memory grows with `jobs` × the
+//!    largest kernel in flight.
 //!
 //! 4. **Scatter.** Each row combines its kernel's `(cold finish, peak
 //!    queue, fault counts)` with the per-row arithmetic — warm-fleet
@@ -56,11 +62,13 @@
 //! [`simulate_classified`](crate::simulate_classified) and the
 //! `des::reference` oracle property-by-property.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use crate::config::{LaunchConfig, LaunchResult, ServerTopology};
 use crate::des::{self, ClassifiedStream, FleetRun, SolverClass};
 use crate::fault::FaultModel;
+use crate::pool;
 
 /// Handle to a segment schedule registered with [`BatchPlan::stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,28 +158,68 @@ impl<'a> BatchPlan<'a> {
         counts
     }
 
-    /// Solve every row: one kernel solve per unique kernel job, then the
-    /// per-row scatter. Results are in push order, each bit-identical to
-    /// [`simulate_classified`](crate::simulate_classified) on the row's
-    /// (stream, cfg).
+    /// Solve every row on one worker: one kernel solve per unique kernel
+    /// job, then the per-row scatter. Results are in push order, each
+    /// bit-identical to [`simulate_classified`](crate::simulate_classified)
+    /// on the row's (stream, cfg). The pipeline runs the same path on its
+    /// `jobs` workers.
     pub fn execute(&self) -> Vec<LaunchResult> {
+        self.execute_on(1).0
+    }
+
+    /// Solve every row: one kernel solve per unique kernel job, the
+    /// kernels spread over `jobs` workers, then the per-row scatter in push
+    /// order. Returns the rows' results and the workers the solve ran on.
+    /// Each kernel is pure in its job, so the results do not depend on
+    /// `jobs`.
+    pub(crate) fn execute_on(&self, jobs: usize) -> (Vec<LaunchResult>, usize) {
         // A kernel job is (schedule, cold-node count, seed, fault,
         // topology), the seed normalised to 0 for rows that take no draws:
-        // the cold fleet's replay is a pure function of that tuple.
-        let mut kernels: HashMap<(usize, usize, u64, FaultModel, ServerTopology), FleetRun> =
+        // the cold fleet's replay is a pure function of that tuple. Each
+        // kernel is solved under its first row.
+        let mut index: HashMap<(usize, usize, u64, FaultModel, ServerTopology), usize> =
             HashMap::new();
-        self.rows
+        let mut firsts: Vec<&Row> = Vec::new();
+        let kernel_of: Vec<usize> = self
+            .rows
             .iter()
             .map(|row| {
-                let (stream, cfg) = (self.schedules[row.schedule].stream, &row.cfg);
+                let cfg = &row.cfg;
                 let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
                 let key = (row.schedule, cfg.cold_nodes(), seed, cfg.fault, cfg.topology);
-                let run = *kernels
-                    .entry(key)
-                    .or_insert_with(|| des::solve_kernel(stream, cfg, row.class));
-                des::scatter(stream, cfg, run)
+                *index.entry(key).or_insert_with(|| {
+                    firsts.push(row);
+                    firsts.len() - 1
+                })
             })
-            .collect()
+            .collect();
+        // Largest kernel first (cold nodes × server ops, its event count on
+        // the heap), so no worker is left with a big heap while the others
+        // idle.
+        let mut order: Vec<usize> = (0..firsts.len()).collect();
+        order.sort_by_key(|&k| {
+            let row = firsts[k];
+            Reverse(row.cfg.cold_nodes() as u64 * self.stream_of(row).server_ops())
+        });
+        let solved = pool::map(jobs, &order, |&k| {
+            let row = firsts[k];
+            des::solve_kernel(self.stream_of(row), &row.cfg, row.class)
+        });
+        let mut runs = vec![FleetRun::default(); firsts.len()];
+        for (k, run) in order.into_iter().zip(solved) {
+            runs[k] = run;
+        }
+        let results = self
+            .rows
+            .iter()
+            .zip(kernel_of)
+            .map(|(row, k)| des::scatter(self.stream_of(row), &row.cfg, runs[k]))
+            .collect();
+        (results, pool::workers(jobs, firsts.len()))
+    }
+
+    fn stream_of(&self, row: &Row) -> &'a ClassifiedStream {
+        self.schedules[row.schedule].stream
     }
 }
 
@@ -188,6 +236,19 @@ mod tests {
             log.push(Syscall::new(op, "/p", Outcome::Ok, cost_ns));
         }
         log
+    }
+
+    /// `plan`'s rows must equal `expected` solved on one worker and pooled
+    /// on 2, 3 and 64 workers (more workers than kernels).
+    fn assert_rows_at_every_worker_count(
+        plan: &BatchPlan<'_>,
+        expected: &[LaunchResult],
+        what: &str,
+    ) {
+        assert_eq!(plan.execute(), expected, "{what}");
+        for jobs in [2, 3, 64] {
+            assert_eq!(plan.execute_on(jobs).0, expected, "{what} jobs={jobs}");
+        }
     }
 
     fn cfg_with(dist: ServiceDistribution, ranks: usize, broadcast: bool) -> LaunchConfig {
@@ -248,7 +309,7 @@ mod tests {
         assert!(counts[1] > 0, "multi-node deterministic rows are analytic: {counts:?}");
         assert!(counts[2] > 0, "jittered rows are stochastic: {counts:?}");
         assert!(counts[3] > 0, "broadcast deterministic rows fall back to the heap: {counts:?}");
-        assert_eq!(plan.execute(), expected);
+        assert_rows_at_every_worker_count(&plan, &expected, "mixed plan");
     }
 
     /// Re-registering the same stream dedups; pushing a stream under a
@@ -307,7 +368,7 @@ mod tests {
                     expected.push(simulate_classified(&stream, &c));
                 }
             }
-            assert_eq!(plan.execute(), expected, "dist={}", dist.name());
+            assert_rows_at_every_worker_count(&plan, &expected, &dist.name());
         }
     }
 
@@ -368,7 +429,7 @@ mod tests {
                 assert!(counts[1] > 0, "hash fleets stay analytic: {counts:?}");
                 assert!(counts[3] > 0, "least-loaded fleets demote to the heap: {counts:?}");
             }
-            assert_eq!(plan.execute(), expected, "dist={}", dist.name());
+            assert_rows_at_every_worker_count(&plan, &expected, &dist.name());
         }
     }
 }

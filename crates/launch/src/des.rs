@@ -670,11 +670,9 @@ fn heap_schedule(
         heap.push(Reverse((n.clock_ns + half_rtt, i, svc, first.client_extra_ns)));
     }
 
-    let mut peak_queue_depth = 0usize;
     let mut lanes = ServerLanes::new(cfg);
     let mut done_max_ns = 0u64;
     while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
-        peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
         // FIFO after the lane's previous work, never before `arrival`.
         let lane = lanes.pick(i);
         let done = hook.start(lanes.busy_ns[lane].max(arrival)) + svc;
@@ -703,7 +701,11 @@ fn heap_schedule(
             }
         }
     }
-    (done_max_ns, peak_queue_depth, hook.counts())
+    // Every cold node queued its first request before the first pop, and a
+    // node never has two outstanding (a lost response is re-pushed only
+    // after its pop), so the queue peaks at the cold fleet, as in
+    // `closed_form`.
+    (done_max_ns, cold_nodes, hook.counts())
 }
 
 /// The analytic all-cold fast path: `simulate_classified`'s deterministic

@@ -31,7 +31,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -41,13 +40,14 @@ use depchaos_loader::LdCache;
 use depchaos_vfs::{StraceLog, Vfs};
 use depchaos_workloads::{SplitMix, Workload};
 
-use crate::adaptive::{run_adaptive_units, AdaptiveControl, AdaptiveUnit};
+use crate::adaptive::{run_adaptive_units_on, AdaptiveControl, AdaptiveUnit};
 use crate::config::{LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 use crate::des::{ClassifiedStream, ClassifyParams};
 use crate::fault::FaultModel;
 use crate::matrix::{
     CachePolicy, CellKey, ExperimentMatrix, MatrixBackend, Scenario, ScenarioSpec, WrapState,
 };
+use crate::pool;
 use crate::profile::profile_load_checked;
 use crate::queueing::{mg1_bounds, validate_against_mg1, QueueingCheck};
 use crate::sweep::{cell, ratio_cell, render_fig6, secs_cell, LaunchStats};
@@ -839,7 +839,9 @@ pub struct ExecStats {
     pub warm_hits: usize,
     /// Cells this run computed.
     pub cold_cells: usize,
-    /// Worker threads the profiling pool used.
+    /// Worker threads the run used, the calling thread included: the
+    /// larger of the profiling pool's and the busiest kernel-solving
+    /// round's, each `jobs` capped at its number of items.
     pub jobs: usize,
     /// Profiling runs this call triggered.
     pub cells_profiled: usize,
@@ -882,22 +884,29 @@ impl ExperimentMatrix {
     /// rank point)` cell that `memo` does not recall:
     ///
     /// 1. **Profile** each unique (workload, backend, storage) cell once,
-    ///    on up to `jobs` worker threads pulling cells off a shared counter
-    ///    (`jobs <= 1` runs inline). Each run is isolated behind its own
-    ///    `catch_unwind`, so a workload that panics poisons only its own
-    ///    cells, which answer as errors.
+    ///    on up to `jobs` worker threads pulling cells off a shared counter.
+    ///    Each run is isolated behind its own `catch_unwind`, so a workload
+    ///    that panics poisons only its own cells, which answer as errors.
     /// 2. **Configure and classify** each cold scenario once
     ///    ([`Scenario::launch_config`], then the shared
     ///    `Arc<ClassifiedStream>` of `profiles`).
-    /// 3. **Simulate** every cold cell's replicate rows through
-    ///    [`run_adaptive_units`]: under the matrix's stopping rule, or with
-    ///    the rule off ([`AdaptiveControl::fixed`]) for fixed K.
+    /// 3. **Simulate** every cold cell's replicate rows through the
+    ///    replicate driver ([`run_adaptive_units`](crate::run_adaptive_units)):
+    ///    under the matrix's stopping rule, or with the rule off
+    ///    ([`AdaptiveControl::fixed`]) for fixed K. Each round's unique
+    ///    kernels are solved on the same pool of up to `jobs` workers,
+    ///    largest first.
     /// 4. **Summarise** each cell ([`LaunchStats`] and the M/G/k check),
     ///    offer it to `memo`, and assemble the report in matrix order.
     ///
-    /// Every cell simulates independently (per-cell config, replicate seeds
-    /// derived from the scenario label), so a recalled cell, or any subset
-    /// of cold cells, is bit-identical to the same cell of a full run.
+    /// `jobs` is the worker count of the whole run: the calling thread
+    /// works alongside `jobs − 1` scoped threads, and `jobs <= 1`, or a
+    /// phase with one item, runs inline. The output is bit-identical for
+    /// every `jobs`; peak memory grows with `jobs` × the largest kernel in
+    /// flight. Every cell simulates independently (per-cell config,
+    /// replicate seeds derived from the scenario label), so a recalled
+    /// cell, or any subset of cold cells, is bit-identical to the same cell
+    /// of a full run.
     pub fn run_with(
         &self,
         profiles: &ProfileCache,
@@ -927,8 +936,7 @@ impl ExperimentMatrix {
                 })
             })
             .collect();
-        let workers = jobs.clamp(1, unique.len().max(1));
-        let profiled = profile_cells(&unique, profiles, workers);
+        let profiled = profile_cells(&unique, profiles, jobs);
         let cells_profiled = profiled.iter().filter(|p| matches!(p, Ok((_, true)))).count();
 
         // Phase 2: each cold scenario's config, classified once.
@@ -971,7 +979,8 @@ impl ExperimentMatrix {
             }
         }
         let ctl = self.adaptive.unwrap_or(AdaptiveControl::fixed(self.replicates));
-        let mut samples = run_adaptive_units(&units, ctl).into_iter();
+        let (samples, solve_workers) = run_adaptive_units_on(&units, ctl, jobs);
+        let mut samples = samples.into_iter();
 
         // Phase 4: summarise every cold cell and offer it to the memo.
         let mut panics = 0usize;
@@ -1018,7 +1027,7 @@ impl ExperimentMatrix {
             cells_total,
             warm_hits,
             cold_cells: cells_total - warm_hits,
-            jobs: workers,
+            jobs: pool::workers(jobs, unique.len()).max(solve_workers),
             cells_profiled,
             panics,
         };
@@ -1027,43 +1036,22 @@ impl ExperimentMatrix {
     }
 }
 
-/// Profile each of `cells` once on `workers` threads pulling cells off a
-/// shared counter — dynamic load balancing, since profiling costs vary by
-/// orders of magnitude across workloads; one worker runs inline with no
-/// spawns. Each run is isolated behind its own `catch_unwind`: a workload
-/// that panics mid-install poisons only its own cell (the cache entry is
-/// simply never filled — `parking_lot` mutexes don't poison) and comes
-/// back as the error. `Ok` carries whether this call did the profiling run.
+/// Profile each of `cells` once on [`pool::map`]'s `jobs` workers. Each
+/// run is isolated behind its own `catch_unwind`: a workload that panics
+/// mid-install poisons only its own cell (the cache entry is simply never
+/// filled — `parking_lot` mutexes don't poison) and comes back as the
+/// error. `Ok` carries whether this call did the profiling run.
 fn profile_cells(
     cells: &[&Scenario],
     profiles: &ProfileCache,
-    workers: usize,
+    jobs: usize,
 ) -> Vec<Result<(Arc<CellProfile>, bool), String>> {
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(s) = cells.get(i) else { return done };
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                profiles.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage)
-            }));
-            done.push((i, run.map_err(|e| format!("panic in profiling: {}", panic_msg(e)))));
-        }
-    };
-    let mut done = if workers <= 1 {
-        work()
-    } else {
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = (0..workers).map(|_| sc.spawn(work)).collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("profiling panics are caught"))
-                .collect()
-        })
-    };
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, run)| run).collect()
+    pool::map(jobs, cells, |s| {
+        catch_unwind(AssertUnwindSafe(|| {
+            profiles.get_or_profile_counted(s.workload.as_ref(), &s.backend, s.storage)
+        }))
+        .map_err(|e| format!("panic in profiling: {}", panic_msg(e)))
+    })
 }
 
 /// Render a caught panic payload (the `&str`/`String` cases `panic!`

@@ -98,7 +98,8 @@
 //!    profiling run isolated against panics) and classified once per
 //!    (cell, wrap state, latency calibration) — shared across cache
 //!    policies, rank points, *and* stochastic replicates — then every
-//!    cell's replicate rows are simulated in batched passes, summarised
+//!    cell's replicate rows are simulated in batched passes (profiling and
+//!    kernel solving share one pool of `jobs` workers), summarised
 //!    with the M/G/k check, and assembled into a [`SweepReport`] with
 //!    per-backend Fig 6, per-distribution band, fault, fleet,
 //!    queueing-check, and TSV renderers. An optional [`CellMemo`] answers
@@ -147,6 +148,7 @@ pub mod des;
 pub mod experiment;
 pub mod fault;
 pub mod matrix;
+mod pool;
 pub mod profile;
 pub mod queueing;
 pub mod sweep;

@@ -21,7 +21,8 @@
 //! cells off a shared counter, each run isolated behind `catch_unwind`;
 //! every cold `(scenario, rank point)` — the miss unit, so a skewed what-if
 //! batch costs exactly its missing points — joins one batched simulation
-//! pass. See [`ExperimentMatrix::run_with`] for the phases.
+//! pass, whose kernels the same pool solves. See
+//! [`ExperimentMatrix::run_with`] for the phases.
 
 use depchaos_launch::{
     CellAnswer, CellMemo, ExperimentMatrix, ProfileCache, ScenarioSpec, SweepReport,
@@ -38,12 +39,13 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Run `matrix` against `store`: serve warm cells, profile cold cells on
-/// `jobs` workers, simulate every miss in one batched pass, persist every
-/// fresh record, and aggregate the report in matrix order. The report's
-/// `results` are bit-identical to `matrix.run(profiles)` regardless of
-/// how the warm/cold line falls (`cells_profiled` necessarily differs —
-/// a warm run profiles nothing).
+/// Run `matrix` against `store`: serve warm cells, profile cold cells and
+/// simulate every miss in one batched pass, both on `jobs` workers,
+/// persist every fresh record, and aggregate the report in matrix order.
+/// The report's `results` are bit-identical to `matrix.run(profiles)`
+/// regardless of `jobs` and of how the warm/cold line falls
+/// (`cells_profiled` necessarily differs — a warm run profiles nothing).
+/// Peak memory grows with `jobs` × the largest kernel in flight.
 pub fn run_matrix_incremental(
     matrix: &ExperimentMatrix,
     store: &ResultStore,

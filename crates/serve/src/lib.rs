@@ -56,17 +56,21 @@
 //! [`run_matrix_incremental`] is the launch pipeline
 //! ([`ExperimentMatrix::run_with`](depchaos_launch::ExperimentMatrix::run_with))
 //! with the [`ResultStore`] as its per-cell memo: it looks every cell up,
-//! fans the unique cold cells' *profiling* over a worker pool (`jobs`
-//! threads pulling off a shared counter; `jobs <= 1` runs inline),
-//! classifies each cold scenario once (the shared `Arc` its misses
-//! borrow), simulates every cold `(scenario, rank point)` in batched
-//! passes, persists each fresh record, and aggregates a
+//! profiles the unique cold cells, classifies each cold scenario once
+//! (the shared `Arc` its misses borrow), simulates every cold
+//! `(scenario, rank point)` in batched passes, persists each fresh
+//! record, and aggregates a
 //! [`SweepReport`](depchaos_launch::SweepReport) in matrix order whose
 //! `results` are **bit-identical** to a cold `matrix.run()` — floats
 //! round-trip the disk by IEEE bit pattern, and subset runs are
 //! bit-identical to slices of full runs because every rank point is
-//! simulated independently. [`ExecStats`] carries the warm/cold counters
-//! a warm replay is judged by (`cold_cells == 0`).
+//! simulated independently. `jobs` sizes one worker pool (the calling
+//! thread plus `jobs − 1` threads pulling off a shared counter; `jobs <=
+//! 1` runs inline) for both the profiling and the simulation kernels of
+//! the misses. Results are bit-identical for every `jobs`; peak memory
+//! grows with `jobs` × the largest kernel in flight. [`ExecStats`]
+//! carries the warm/cold counters a warm replay is judged by
+//! (`cold_cells == 0`).
 //!
 //! ## The request format ([`requests`])
 //!

@@ -329,11 +329,12 @@ impl BatchReport {
 }
 
 /// Serve one batch of JSONL requests against a store. Queries run in batch
-/// order (each one fans its cold-cell profiling over `jobs` workers and
-/// batch-simulates its misses in one planner pass); a request
-/// that fails to parse becomes an error answer and marks the batch (exit
-/// code 1 at the CLI), without stopping later queries. I/O errors from the
-/// store are real errors.
+/// order; each one profiles its cold cells and batch-simulates its misses
+/// in one planner pass, both on `jobs` workers, with answers bit-identical
+/// for every `jobs` and peak memory growing with `jobs` × the largest
+/// kernel in flight. A request that fails to parse becomes an error
+/// answer and marks the batch (exit code 1 at the CLI), without stopping
+/// later queries. I/O errors from the store are real errors.
 pub fn serve_batch(
     input: &str,
     store: &ResultStore,

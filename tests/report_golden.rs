@@ -30,8 +30,11 @@ fn cell() -> ExperimentMatrix {
         .cache_policies([CachePolicy::Cold])
 }
 
-fn run(matrix: ExperimentMatrix) -> SweepReport {
-    matrix.run(&ProfileCache::new())
+/// The matrix's report run on one worker and on three: every golden file
+/// must hold at both, since `jobs` spreads profiling and kernel solving
+/// without changing a byte.
+fn run(matrix: ExperimentMatrix) -> [SweepReport; 2] {
+    [1, 3].map(|jobs| matrix.run_with(&ProfileCache::new(), jobs, None).expect("no memo, no I/O").0)
 }
 
 /// Compare `got` with the golden file `name`.
@@ -49,32 +52,36 @@ fn golden(name: &str, got: &str) {
 
 #[test]
 fn fig6_tables_and_tsv() {
-    let report = run(cell().rank_points([256usize, 512]));
-    golden("fig6.txt", &report.render_fig6_tables());
-    golden("fig6.tsv", &report.render_tsv());
+    for report in run(cell().rank_points([256usize, 512])) {
+        golden("fig6.txt", &report.render_fig6_tables());
+        golden("fig6.tsv", &report.render_tsv());
+    }
 }
 
 #[test]
 fn backend_tables_show_the_future_loader_hole() {
-    let report = run(cell().backends(MatrixBackend::all()).rank_points([256usize, 512]));
-    let tables = report.render_fig6_tables();
-    assert!(tables.contains("INCOMPLETE") && tables.contains("wrap failed"));
-    golden("backends.txt", &tables);
-    golden("backends.tsv", &report.render_tsv());
+    for report in run(cell().backends(MatrixBackend::all()).rank_points([256usize, 512])) {
+        let tables = report.render_fig6_tables();
+        assert!(tables.contains("INCOMPLETE") && tables.contains("wrap failed"));
+        golden("backends.txt", &tables);
+        golden("backends.tsv", &report.render_tsv());
+    }
 }
 
 #[test]
 fn dist_tables_and_fixed_k_tsv() {
-    let report = run(cell().distributions(ServiceDistribution::all()).rank_points([256usize, 512]));
-    let tsv = report.render_tsv();
-    assert!(tsv.contains(&format!("\tfixed@{DEFAULT_REPLICATES}\n")));
-    golden("dist.txt", &report.render_fig6_dist_tables());
-    golden("dist.tsv", &tsv);
+    for report in run(cell().distributions(ServiceDistribution::all()).rank_points([256usize, 512]))
+    {
+        let tsv = report.render_tsv();
+        assert!(tsv.contains(&format!("\tfixed@{DEFAULT_REPLICATES}\n")));
+        golden("dist.txt", &report.render_fig6_dist_tables());
+        golden("dist.tsv", &tsv);
+    }
 }
 
 #[test]
 fn dist_tables_and_adaptive_tsv() {
-    let report = run(cell()
+    for report in run(cell()
         .distributions(ServiceDistribution::all())
         .adaptive(AdaptiveControl {
             target_rel_milli: 50,
@@ -82,16 +89,18 @@ fn dist_tables_and_adaptive_tsv() {
             max_k: DEFAULT_REPLICATES,
             batch: 4,
         })
-        .rank_points([256usize, 512]));
-    let tsv = report.render_tsv();
-    assert!(tsv.contains("\tadaptive-50m@1\n") && tsv.contains("\tadaptive-50m@"));
-    golden("dist-adaptive.txt", &report.render_fig6_dist_tables());
-    golden("dist-adaptive.tsv", &tsv);
+        .rank_points([256usize, 512]))
+    {
+        let tsv = report.render_tsv();
+        assert!(tsv.contains("\tadaptive-50m@1\n") && tsv.contains("\tadaptive-50m@"));
+        golden("dist-adaptive.txt", &report.render_fig6_dist_tables());
+        golden("dist-adaptive.tsv", &tsv);
+    }
 }
 
 #[test]
 fn queueing_tables_and_tsv() {
-    let report = run(cell()
+    for report in run(cell()
         .distributions(ServiceDistribution::all())
         .topologies([
             ServerTopology::single(),
@@ -99,16 +108,18 @@ fn queueing_tables_and_tsv() {
             ServerTopology::least_loaded(4),
         ])
         .replicates(5)
-        .rank_points([512usize, 2048]));
-    let tables = report.render_queueing_tables();
-    assert!(tables.contains("saturated"));
-    golden("queueing.txt", &tables);
-    golden("queueing.tsv", &report.render_queueing_tsv());
+        .rank_points([512usize, 2048]))
+    {
+        let tables = report.render_queueing_tables();
+        assert!(tables.contains("saturated"));
+        golden("queueing.txt", &tables);
+        golden("queueing.tsv", &report.render_queueing_tsv());
+    }
 }
 
 #[test]
 fn fault_tables_tsv_and_forfeited_upper_bounds() {
-    let report = run(cell()
+    for report in run(cell()
         .faults([
             FaultModel::None,
             FaultModel::ServerStall { at_ns: 2_000_000_000, duration_ns: 10_000_000_000 },
@@ -121,24 +132,28 @@ fn fault_tables_tsv_and_forfeited_upper_bounds() {
             },
             FaultModel::Stragglers { frac_milli: 250, slow_milli: 4000 },
         ])
-        .rank_points([512usize, 2048]));
-    golden("faults.txt", &report.render_fault_tables());
-    golden("faults.tsv", &report.render_tsv());
-    // Faulted cells forfeit the upper bound: `-` in the table, an empty
-    // field in the TSV.
-    let tables = report.render_queueing_tables();
-    assert!(tables.lines().any(|l| l.split_whitespace().nth(3) == Some("-")));
-    golden("faults-queueing.txt", &tables);
-    golden("faults-queueing.tsv", &report.render_queueing_tsv());
+        .rank_points([512usize, 2048]))
+    {
+        golden("faults.txt", &report.render_fault_tables());
+        golden("faults.tsv", &report.render_tsv());
+        // Faulted cells forfeit the upper bound: `-` in the table, an empty
+        // field in the TSV.
+        let tables = report.render_queueing_tables();
+        assert!(tables.lines().any(|l| l.split_whitespace().nth(3) == Some("-")));
+        golden("faults-queueing.txt", &tables);
+        golden("faults-queueing.tsv", &report.render_queueing_tsv());
+    }
 }
 
 #[test]
 fn fleet_tables_and_tsv() {
-    let report = run(cell()
+    for report in run(cell()
         .topologies([1usize, 2, 4, 8, 16].map(ServerTopology::hash))
-        .rank_points([512usize, 2048]));
-    let tables = report.render_servers_tables();
-    assert!(tables.contains("flattens at"));
-    golden("servers.txt", &tables);
-    golden("servers.tsv", &report.render_tsv());
+        .rank_points([512usize, 2048]))
+    {
+        let tables = report.render_servers_tables();
+        assert!(tables.contains("flattens at"));
+        golden("servers.txt", &tables);
+        golden("servers.tsv", &report.render_tsv());
+    }
 }

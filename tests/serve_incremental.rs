@@ -47,6 +47,7 @@ fn warm_replay_from_disk_is_bit_identical_and_simulation_free() {
             run_matrix_incremental(&matrix(), &store, &ProfileCache::new(), 2).unwrap();
         assert_eq!(report.results, cold_direct.results);
         assert_eq!(stats.cold_cells, stats.cells_total);
+        assert_eq!(stats.jobs, 2, "one profiling cell, but its kernels ran on both workers");
     }
     // Warm pass: a fresh store handle (fresh process, as far as the store
     // can tell) and a fresh profile cache. Zero profiling runs = zero
@@ -61,6 +62,7 @@ fn warm_replay_from_disk_is_bit_identical_and_simulation_free() {
         assert_eq!(report.rank_points, cold_direct.rank_points);
         assert_eq!(stats.cold_cells, 0);
         assert_eq!(stats.warm_hits, stats.cells_total);
+        assert_eq!(stats.jobs, 1, "a warm run profiles and solves nothing");
         assert_eq!(profiles.computed(), 0, "no profiling ⇒ no simulation");
         assert_eq!(profiles.classified_computed(), 0);
     }
