@@ -32,6 +32,15 @@
 //!   binaries that can't execute here; stricter (a dependency hidden
 //!   behind the dedup cache is reported missing, not silently inherited).
 //!
+//! A wrap is a resolution followed by a freeze-and-rewrite. [`fn@wrap`]
+//! runs both. [`freeze_load`] runs only the second, on a backend's
+//! [`depchaos_loader::LoadResult`] for the binary that the caller already
+//! holds — the launch profiler freezes its plain capture's load this way,
+//! so a profiled cell runs two loader passes, not three. Both share one
+//! freeze path, so the output is the same bytes. What `freeze_load`
+//! cannot honour (declared dlopens, the native strategy, a load of
+//! another binary) is a named [`WrapError`], never a silent re-resolve.
+//!
 //! Limits faithfully reproduced: `LD_PRELOAD` still interposes (the PMPI
 //! escape hatch keeps working), `LD_LIBRARY_PATH` no longer does, and musl
 //! loads shrinkwrapped output incorrectly ([`audit::cross_loader_check`] —
@@ -50,4 +59,4 @@ pub use batch::{wrap_tree, TreeReport};
 pub use intern::{intern, PathId};
 pub use options::{LoaderBackend, LoaderFactory, OnMissing, ShrinkwrapOptions, Strategy};
 pub use report::{WrapError, WrapReport, WrapWarning};
-pub use wrap::wrap;
+pub use wrap::{freeze_load, wrap};

@@ -11,6 +11,15 @@ pub enum WrapError {
     Unresolved { requester: String, name: String },
     /// Filesystem failure writing the result.
     WriteFailed(String),
+    /// [`crate::freeze_load`] was asked to promote `dlopen` hints: the
+    /// promotion edits a needed list the held load never saw.
+    FreezeDeclaresDlopens(String),
+    /// [`crate::freeze_load`] under a strategy other than
+    /// [`crate::Strategy::Backend`]: only a loader's load can be frozen.
+    FreezeNotBackend { binary: String, strategy: String },
+    /// [`crate::freeze_load`] was handed a load whose root object is not
+    /// the binary being wrapped.
+    FreezeForeignLoad { binary: String, root: String },
 }
 
 impl fmt::Display for WrapError {
@@ -21,6 +30,19 @@ impl fmt::Display for WrapError {
                 write!(f, "cannot resolve {name} (needed by {requester})")
             }
             WrapError::WriteFailed(p) => write!(f, "failed to rewrite {p}"),
+            WrapError::FreezeDeclaresDlopens(p) => write!(
+                f,
+                "cannot freeze a held load of {p}: declaring dlopens edits a needed list \
+                 the load never saw"
+            ),
+            WrapError::FreezeNotBackend { binary, strategy } => write!(
+                f,
+                "cannot freeze a held load of {binary} under the {strategy} strategy: \
+                 only a loader backend's load can be frozen"
+            ),
+            WrapError::FreezeForeignLoad { binary, root } => {
+                write!(f, "cannot freeze a load of {root:?} into {binary}")
+            }
         }
     }
 }

@@ -1,8 +1,16 @@
 //! The wrap operation itself.
+//!
+//! A wrap is two steps: a *resolution* of the binary's closure, then a
+//! *freeze-and-rewrite* of that closure into its `DT_NEEDED`. [`fn@wrap`]
+//! runs both. [`freeze_load`] runs only the second, on a loader backend's
+//! load the caller already holds — a caller that has just loaded the
+//! binary (the launch profiler's plain capture) does not pay for the same
+//! resolution twice. Both go through the one freeze-and-rewrite below.
 
 use std::collections::{HashMap, HashSet};
 
 use depchaos_elf::{io, ElfEditor, ElfObject, SymbolBinding};
+use depchaos_loader::LoadResult;
 use depchaos_vfs::Vfs;
 
 use crate::native::resolve_closure;
@@ -10,188 +18,257 @@ use crate::options::{OnMissing, ShrinkwrapOptions, Strategy};
 use crate::report::{WrapError, WrapReport, WrapWarning};
 
 /// Shrinkwrap `binary_path` in place: resolve its full transitive closure
-/// under the configured loader backend, lift it to the top level, and
-/// freeze every entry as an absolute path.
+/// under the configured strategy, lift it to the top level, and freeze
+/// every entry as an absolute path.
+///
+/// Under [`Strategy::Backend`] the resolution is one load of the binary
+/// through the backend, under `opts`' environment and ld.so.cache, and
+/// the rest is exactly [`freeze_load`] of that load. Under
+/// [`Strategy::Native`] it is a hand walk of the glibc search rules.
+///
+/// With [`ShrinkwrapOptions::declare_dlopens`] the binary's `dlopen` hints
+/// are first promoted into its needed list, so the resolution sees and
+/// freezes them. A wrap that fails to resolve leaves the binary as it
+/// found it, a promoted needed list included.
 pub fn wrap(
     fs: &Vfs,
     binary_path: &str,
     opts: &ShrinkwrapOptions,
 ) -> Result<WrapReport, WrapError> {
-    // One editor session per wrap: every read and rewrite below goes
-    // through this handle.
-    let editor = ElfEditor::open(fs, binary_path)
-        .map_err(|_| WrapError::BadBinary(binary_path.to_string()))?;
-    let original = editor.object().map_err(|_| WrapError::BadBinary(binary_path.to_string()))?;
-    let original_needed = original.needed.clone();
-
-    // Optionally promote dlopen hints into the needed list first, so the
-    // resolution pass below sees and freezes them (§IV: "adding the names of
-    // these libraries to the needed section before using Shrinkwrap allows
-    // Shrinkwrap to resolve them as well").
-    let mut warnings = Vec::new();
-    if opts.declare_dlopens {
-        let mut extended = original_needed.clone();
-        for d in &original.dlopens {
-            if !extended.contains(d) {
-                extended.push(d.clone());
-            }
-        }
-        editor.set_needed(extended).map_err(|_| WrapError::WriteFailed(binary_path.to_string()))?;
-    } else {
-        for d in &original.dlopens {
-            warnings.push(WrapWarning::UndeclaredDlopen {
-                object: binary_path.to_string(),
-                name: d.clone(),
-            });
-        }
+    let target = Target::open(fs, binary_path)?;
+    if !opts.declare_dlopens {
+        return resolve(fs, binary_path, opts).and_then(|closure| target.freeze(closure, opts));
     }
 
-    // Resolve the closure and build the frozen list. Fallible: when it
-    // errors, the binary must come out of wrap() untouched, so a promoted
-    // dlopen needed-list above is rolled back before the error propagates.
-    let mut parsed_closure: HashMap<String, ElfObject> = HashMap::new();
-    let frozen = resolve_and_freeze(fs, binary_path, opts, &mut warnings, &mut parsed_closure);
-    let (new_needed, resolved_pairs) = match frozen {
-        Ok(v) => v,
-        Err(e) => {
-            if opts.declare_dlopens {
-                let _ = editor.set_needed(original_needed.clone());
-            }
-            return Err(e);
-        }
-    };
-
-    // Advisory duplicate-strong-symbol scan over the frozen closure, using
-    // the loader's already-parsed objects where available.
-    if opts.warn_duplicate_symbols {
-        let mut owner: HashMap<String, String> = HashMap::new();
-        for path in new_needed.iter().filter(|p| p.contains('/')) {
-            let parsed;
-            let obj = match parsed_closure.get(path) {
-                Some(obj) => obj,
-                None => match io::peek_object(fs, path) {
-                    Ok(obj) => {
-                        parsed = obj;
-                        &parsed
-                    }
-                    Err(_) => continue,
-                },
-            };
-            for sym in &obj.symbols {
-                if sym.binding == SymbolBinding::Strong {
-                    if let Some(first) = owner.get(&sym.name) {
-                        warnings.push(WrapWarning::DuplicateStrongSymbol {
-                            symbol: sym.name.clone(),
-                            first: first.clone(),
-                            second: path.clone(),
-                        });
-                    } else {
-                        owner.insert(sym.name.clone(), path.clone());
-                    }
-                }
-            }
+    // §IV: "adding the names of these libraries to the needed section
+    // before using Shrinkwrap allows Shrinkwrap to resolve them as well".
+    // When the wrap then fails, the promotion is rolled back before the
+    // error propagates.
+    let mut extended = target.original.needed.clone();
+    for d in &target.original.dlopens {
+        if !extended.contains(d) {
+            extended.push(d.clone());
         }
     }
-
-    // Rewrite the binary through the same editor session.
-    editor
-        .set_needed(new_needed.clone())
-        .map_err(|_| WrapError::WriteFailed(binary_path.to_string()))?;
-    if opts.strip_search_paths {
-        editor.remove_rpath().map_err(|_| WrapError::WriteFailed(binary_path.to_string()))?;
+    target.set_needed(extended)?;
+    let wrapped = resolve(fs, binary_path, opts).and_then(|closure| target.freeze(closure, opts));
+    if wrapped.is_err() {
+        let _ = target.set_needed(target.original.needed.clone());
     }
-
-    Ok(WrapReport {
-        binary: binary_path.to_string(),
-        original_needed,
-        new_needed,
-        resolved: resolved_pairs,
-        warnings,
-    })
+    wrapped
 }
 
-/// The frozen needed list plus the `(requested name, resolved path)` pairs
-/// behind it.
-type FrozenClosure = (Vec<String>, Vec<(String, String)>);
-
-/// Resolve the closure under the configured strategy and build the frozen
-/// needed list. Backend strategies also deposit their already-parsed
-/// objects into `parsed_closure` so the symbol scan does not re-open the
-/// closure.
-fn resolve_and_freeze(
+/// Shrinkwrap `binary_path` in place from a load of it the caller already
+/// ran: the freeze-and-rewrite half of [`fn@wrap`], with no resolution of
+/// its own. It charges no accounted syscall.
+///
+/// Preconditions, each checked before anything is read or written and
+/// rejected with its own [`WrapError`] (never by resolving afresh):
+///
+/// * `opts.declare_dlopens` is off — the promotion edits a needed list the
+///   load never saw ([`WrapError::FreezeDeclaresDlopens`]);
+/// * `opts.strategy` is a [`Strategy::Backend`] — only a loader's load can
+///   be frozen ([`WrapError::FreezeNotBackend`]);
+/// * the load's root object is `binary_path`
+///   ([`WrapError::FreezeForeignLoad`]).
+///
+/// What it cannot check is the caller's to keep: `load` must come from
+/// `opts`' backend, environment and ld.so.cache on this `fs`, with no
+/// write to `fs` since. The result is then byte-for-byte what
+/// [`fn@wrap`] would produce, because a load only reads the filesystem.
+/// `load` is taken by value: its parsed objects feed the
+/// duplicate-symbol scan.
+pub fn freeze_load(
     fs: &Vfs,
     binary_path: &str,
     opts: &ShrinkwrapOptions,
-    warnings: &mut Vec<WrapWarning>,
-    parsed_closure: &mut HashMap<String, ElfObject>,
-) -> Result<FrozenClosure, WrapError> {
-    // Each resolution entry is (requester, requested-name, Option<absolute
-    // path>), in load order.
-    let resolutions: Vec<(String, String, Option<String>)> = match &opts.strategy {
+    load: LoadResult,
+) -> Result<WrapReport, WrapError> {
+    if opts.declare_dlopens {
+        return Err(WrapError::FreezeDeclaresDlopens(binary_path.to_string()));
+    }
+    if !matches!(opts.strategy, Strategy::Backend(_)) {
+        return Err(WrapError::FreezeNotBackend {
+            binary: binary_path.to_string(),
+            strategy: opts.strategy.name().to_string(),
+        });
+    }
+    let root = load.objects.first().map_or("", |o| o.path.as_str());
+    if root != binary_path {
+        return Err(WrapError::FreezeForeignLoad {
+            binary: binary_path.to_string(),
+            root: root.to_string(),
+        });
+    }
+    Target::open(fs, binary_path)?.freeze(Closure::of_load(binary_path, load), opts)
+}
+
+/// A resolved closure: one `(requester, requested name, resolved path)`
+/// entry per needed-entry request, in load order (the path `None` where
+/// the request resolved nowhere), plus the objects the resolution already
+/// parsed, keyed by path, so the symbol scan does not re-open them.
+struct Closure {
+    requests: Vec<(String, String, Option<String>)>,
+    parsed: HashMap<String, ElfObject>,
+}
+
+impl Closure {
+    /// What a backend load resolved: every object after the executable,
+    /// under the first name it was requested as, then every failure.
+    fn of_load(binary_path: &str, load: LoadResult) -> Closure {
+        let mut requests: Vec<(String, String, Option<String>)> = load
+            .objects
+            .iter()
+            .skip(1) // the executable itself
+            .map(|o| {
+                let requester = o
+                    .parent
+                    .map(|p| load.objects[p].path.clone())
+                    .unwrap_or_else(|| binary_path.to_string());
+                (requester, o.requested_as[0].clone(), Some(o.path.clone()))
+            })
+            .collect();
+        for f in load.failures {
+            requests.push((f.requester, f.name, None));
+        }
+        let parsed = load.objects.into_iter().map(|o| (o.path, o.object)).collect();
+        Closure { requests, parsed }
+    }
+}
+
+/// The resolution half of [`fn@wrap`], under the configured strategy.
+fn resolve(fs: &Vfs, binary_path: &str, opts: &ShrinkwrapOptions) -> Result<Closure, WrapError> {
+    match &opts.strategy {
         Strategy::Backend(backend) => {
             let loader = backend.instantiate(fs, &opts.env, &opts.cache);
-            let r = loader
+            let load = loader
                 .load(binary_path)
                 .map_err(|_| WrapError::BadBinary(binary_path.to_string()))?;
-            let mut out: Vec<(String, String, Option<String>)> = r
-                .objects
-                .iter()
-                .skip(1) // the executable itself
-                .map(|o| {
-                    let requester = o
-                        .parent
-                        .map(|p| r.objects[p].path.clone())
-                        .unwrap_or_else(|| binary_path.to_string());
-                    (requester, o.requested_as[0].clone(), Some(o.path.clone()))
-                })
-                .collect();
-            for f in &r.failures {
-                out.push((f.requester.clone(), f.name.clone(), None));
-            }
-            parsed_closure.extend(r.objects.into_iter().map(|o| (o.path, o.object)));
-            out
+            Ok(Closure::of_load(binary_path, load))
         }
-        Strategy::Native => resolve_closure(fs, binary_path, &opts.env, &opts.cache)
-            .map_err(WrapError::BadBinary)?
-            .into_iter()
-            .map(|nr| (nr.requester, nr.name, nr.path))
-            .collect(),
-    };
-
-    // Build the frozen list; handle the unresolved per policy. The set is a
-    // side-index over `new_needed` so membership checks stay O(1) on large
-    // closures (Pynamic-sized wraps used to pay O(n²) here).
-    let mut new_needed: Vec<String> = Vec::with_capacity(resolutions.len());
-    let mut frozen: HashSet<String> = HashSet::with_capacity(resolutions.len());
-    let mut resolved_pairs: Vec<(String, String)> = Vec::new();
-    for (requester, name, path) in &resolutions {
-        match path {
-            Some(p) => {
-                if frozen.insert(p.clone()) {
-                    new_needed.push(p.clone());
-                }
-                resolved_pairs.push((name.clone(), p.clone()));
-            }
-            None => match opts.on_missing {
-                OnMissing::Error => {
-                    return Err(WrapError::Unresolved {
-                        requester: requester.clone(),
-                        name: name.clone(),
-                    })
-                }
-                OnMissing::Keep => {
-                    if frozen.insert(name.clone()) {
-                        new_needed.push(name.clone());
-                    }
-                    warnings.push(WrapWarning::LeftUnresolved {
-                        requester: requester.clone(),
-                        name: name.clone(),
-                    });
-                }
-            },
-        }
+        Strategy::Native => Ok(Closure {
+            requests: resolve_closure(fs, binary_path, &opts.env, &opts.cache)
+                .map_err(WrapError::BadBinary)?
+                .into_iter()
+                .map(|nr| (nr.requester, nr.name, nr.path))
+                .collect(),
+            parsed: HashMap::new(),
+        }),
     }
-    Ok((new_needed, resolved_pairs))
+}
+
+/// The binary being wrapped: one editor session, through which every read
+/// and rewrite goes, and the object as it was before the wrap touched it.
+struct Target<'a> {
+    fs: &'a Vfs,
+    path: &'a str,
+    editor: ElfEditor<'a>,
+    original: ElfObject,
+}
+
+impl<'a> Target<'a> {
+    fn open(fs: &'a Vfs, path: &'a str) -> Result<Target<'a>, WrapError> {
+        let bad = || WrapError::BadBinary(path.to_string());
+        let editor = ElfEditor::open(fs, path).map_err(|_| bad())?;
+        let original = editor.object().map_err(|_| bad())?;
+        Ok(Target { fs, path, editor, original })
+    }
+
+    fn set_needed(&self, needed: Vec<String>) -> Result<(), WrapError> {
+        self.editor
+            .set_needed(needed)
+            .map_err(|_| WrapError::WriteFailed(self.path.to_string()))?;
+        Ok(())
+    }
+
+    /// The freeze-and-rewrite: build the frozen needed list from `closure`,
+    /// handle what stayed unresolved per [`ShrinkwrapOptions::on_missing`],
+    /// scan for duplicate strong symbols, and rewrite the binary.
+    fn freeze(&self, closure: Closure, opts: &ShrinkwrapOptions) -> Result<WrapReport, WrapError> {
+        let mut warnings = Vec::new();
+        if !opts.declare_dlopens {
+            for d in &self.original.dlopens {
+                warnings.push(WrapWarning::UndeclaredDlopen {
+                    object: self.path.to_string(),
+                    name: d.clone(),
+                });
+            }
+        }
+
+        // The set is a side-index over `new_needed` so membership checks
+        // stay O(1) on large closures (Pynamic-sized wraps used to pay
+        // O(n²) here).
+        let requests = closure.requests;
+        let mut new_needed: Vec<String> = Vec::with_capacity(requests.len());
+        let mut frozen: HashSet<String> = HashSet::with_capacity(requests.len());
+        let mut resolved: Vec<(String, String)> = Vec::new();
+        for (requester, name, path) in requests {
+            match path {
+                Some(p) => {
+                    if frozen.insert(p.clone()) {
+                        new_needed.push(p.clone());
+                    }
+                    resolved.push((name, p));
+                }
+                None => match opts.on_missing {
+                    OnMissing::Error => return Err(WrapError::Unresolved { requester, name }),
+                    OnMissing::Keep => {
+                        if frozen.insert(name.clone()) {
+                            new_needed.push(name.clone());
+                        }
+                        warnings.push(WrapWarning::LeftUnresolved { requester, name });
+                    }
+                },
+            }
+        }
+
+        // Advisory duplicate-strong-symbol scan over the frozen closure,
+        // using the resolution's already-parsed objects where available.
+        if opts.warn_duplicate_symbols {
+            let mut owner: HashMap<String, String> = HashMap::new();
+            for path in new_needed.iter().filter(|p| p.contains('/')) {
+                let parsed;
+                let obj = match closure.parsed.get(path) {
+                    Some(obj) => obj,
+                    None => match io::peek_object(self.fs, path) {
+                        Ok(obj) => {
+                            parsed = obj;
+                            &parsed
+                        }
+                        Err(_) => continue,
+                    },
+                };
+                for sym in &obj.symbols {
+                    if sym.binding == SymbolBinding::Strong {
+                        if let Some(first) = owner.get(&sym.name) {
+                            warnings.push(WrapWarning::DuplicateStrongSymbol {
+                                symbol: sym.name.clone(),
+                                first: first.clone(),
+                                second: path.clone(),
+                            });
+                        } else {
+                            owner.insert(sym.name.clone(), path.clone());
+                        }
+                    }
+                }
+            }
+        }
+
+        self.set_needed(new_needed.clone())?;
+        if opts.strip_search_paths {
+            self.editor
+                .remove_rpath()
+                .map_err(|_| WrapError::WriteFailed(self.path.to_string()))?;
+        }
+
+        Ok(WrapReport {
+            binary: self.path.to_string(),
+            original_needed: self.original.needed.clone(),
+            new_needed,
+            resolved,
+            warnings,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -461,23 +538,90 @@ mod tests {
     }
 
     #[test]
-    fn wrap_accounting_covers_resolution_only() {
-        // The symbol scan runs on the loader's already-parsed closure and
-        // the rewrite goes through one editor session, so a wrap's entire
-        // accounted cost is exactly one resolution load.
-        let fs = world();
-        let loaded = {
-            let fs2 = world();
-            let before = fs2.snapshot();
-            GlibcLoader::new(&fs2).with_env(Environment::bare()).load("/bin/app").unwrap();
-            fs2.snapshot().since(&before)
-        };
-        let before = fs.snapshot();
-        wrap(&fs, "/bin/app", &ShrinkwrapOptions::new().env(Environment::bare())).unwrap();
-        let delta = fs.snapshot().since(&before);
-        assert_eq!(delta.openat, loaded.openat, "wrap == one load, openat-wise");
-        assert_eq!(delta.stat, loaded.stat);
-        assert_eq!(delta.read, loaded.read);
+    fn wrap_charges_one_load_and_freezing_a_held_load_none() {
+        // The symbol scan runs on the load's already-parsed closure and the
+        // rewrite goes through one editor session, so a wrap's entire
+        // accounted cost is exactly one resolution load, and freezing a
+        // load the caller holds costs nothing: the pass it saves, pinned
+        // as a count. Both leave the same bytes and the same report.
+        for backend in LoaderBackend::all_stock() {
+            let opts = ShrinkwrapOptions::new()
+                .env(Environment::bare())
+                .on_missing(OnMissing::Keep)
+                .backend(backend.clone());
+            let fs = world();
+            let load = backend.instantiate(&fs, &opts.env, &opts.cache).load("/bin/app").unwrap();
+            let one_load = load.syscalls;
+            assert!(one_load.total() > 0);
+            let (before, before_ns) = (fs.snapshot(), fs.elapsed_ns());
+            let frozen = freeze_load(&fs, "/bin/app", &opts, load).unwrap();
+            assert_eq!(fs.snapshot(), before, "{}: freezing is unaccounted", backend.name());
+            assert_eq!(fs.elapsed_ns(), before_ns);
+
+            let twin = world();
+            let before = twin.snapshot();
+            let wrapped = wrap(&twin, "/bin/app", &opts).unwrap();
+            assert_eq!(
+                twin.snapshot().since(&before),
+                one_load,
+                "{}: wrap is one load",
+                backend.name()
+            );
+            assert_eq!(frozen.new_needed, wrapped.new_needed);
+            assert_eq!(frozen.resolved, wrapped.resolved);
+            assert_eq!(frozen.warnings, wrapped.warnings);
+            assert_eq!(fs.peek_file("/bin/app").unwrap(), twin.peek_file("/bin/app").unwrap());
+        }
+    }
+
+    #[test]
+    fn freeze_load_rejects_what_it_cannot_honour() {
+        let fs = Vfs::local();
+        install(
+            &fs,
+            "/bin/app",
+            &ElfObject::exe("app").needs("liba.so").runpath("/l").dlopens("libplugin.so").build(),
+        )
+        .unwrap();
+        install(&fs, "/bin/other", &ElfObject::exe("other").needs("liba.so").runpath("/l").build())
+            .unwrap();
+        install(&fs, "/l/liba.so", &ElfObject::dso("liba.so").build()).unwrap();
+        install(&fs, "/l/libplugin.so", &ElfObject::dso("libplugin.so").build()).unwrap();
+        let load =
+            |exe: &str| GlibcLoader::new(&fs).with_env(Environment::bare()).load(exe).unwrap();
+        let opts = ShrinkwrapOptions::new().env(Environment::bare());
+        let (app, other) = (fs.peek_file("/bin/app").unwrap(), fs.peek_file("/bin/other").unwrap());
+
+        let err =
+            freeze_load(&fs, "/bin/app", &opts.clone().declare_dlopens(true), load("/bin/app"))
+                .unwrap_err();
+        assert_eq!(err, WrapError::FreezeDeclaresDlopens("/bin/app".into()));
+        assert!(err.to_string().contains("never saw"));
+
+        let err = freeze_load(
+            &fs,
+            "/bin/app",
+            &opts.clone().strategy(Strategy::Native),
+            load("/bin/app"),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            WrapError::FreezeNotBackend { binary: "/bin/app".into(), strategy: "native".into() }
+        );
+
+        let err = freeze_load(&fs, "/bin/app", &opts, load("/bin/other")).unwrap_err();
+        assert_eq!(
+            err,
+            WrapError::FreezeForeignLoad { binary: "/bin/app".into(), root: "/bin/other".into() }
+        );
+        assert_eq!(err.to_string(), "cannot freeze a load of \"/bin/other\" into /bin/app");
+
+        assert_eq!(fs.peek_file("/bin/app").unwrap(), app, "rejections never write");
+        assert_eq!(fs.peek_file("/bin/other").unwrap(), other);
+        // The precondition-free call still wraps.
+        let rep = freeze_load(&fs, "/bin/app", &opts, load("/bin/app")).unwrap();
+        assert_eq!(rep.new_needed, vec!["/l/liba.so"]);
     }
 
     #[test]

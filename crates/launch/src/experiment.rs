@@ -5,10 +5,11 @@
 //!
 //! 1. **Profile** — every unique [`CellKey`] (workload × backend × storage)
 //!    is realised exactly once: build a fresh [`Vfs`] on the cell's storage
-//!    backend, install the workload, capture the plain op stream, wrap
-//!    through the cell's backend, capture the wrapped op stream. Both logs
-//!    land in a shared, memoized [`ProfileCache`], so scenarios differing
-//!    only in wrap state, cache policy, or rank points reuse one profile.
+//!    backend, install the workload, capture the plain op stream, freeze
+//!    that capture's resolution into the binary, capture the wrapped op
+//!    stream — two loader passes. Both logs land in a shared, memoized
+//!    [`ProfileCache`], so scenarios differing only in wrap state, cache
+//!    policy, or rank points reuse one profile.
 //! 2. **Sweep** — every scenario replays its cell's op stream through the
 //!    DES at each rank point, the whole matrix's replicate rows batched
 //!    into shared plans (the simulations are independent).
@@ -35,8 +36,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use depchaos_core::{wrap, ShrinkwrapOptions};
-use depchaos_loader::LdCache;
+use depchaos_core::{freeze_load, wrap, ShrinkwrapOptions};
+use depchaos_loader::{LdCache, LoadResult};
 use depchaos_vfs::{StraceLog, Vfs};
 use depchaos_workloads::{SplitMix, Workload};
 
@@ -107,9 +108,10 @@ impl CellProfile {
 
 /// The shared, memoized profile store. Cells are keyed by
 /// (workload, backend, storage); asking twice for the same key performs
-/// one profiling run and hands back the same [`Arc`]. Sharing one cache
-/// across matrices (report sections, benches, tests) extends the
-/// memoization across them.
+/// one profiling run — two loader passes, the plain and the wrapped
+/// capture — and hands back the same [`Arc`]. Sharing one cache across
+/// matrices (report sections, benches, tests) extends the memoization
+/// across them.
 #[derive(Default)]
 pub struct ProfileCache {
     cells: Mutex<HashMap<CellKey, Arc<CellProfile>>>,
@@ -209,7 +211,16 @@ impl ProfileCache {
     }
 }
 
-/// One profiling run: world build, plain capture, wrap, wrapped capture.
+/// One profiling run, two loader passes: install the workload, capture the
+/// plain op stream, freeze that capture's resolution into the binary
+/// ([`freeze_load`]), capture the wrapped op stream.
+///
+/// Freezing the plain capture's load instead of resolving again inside
+/// [`wrap`] changes no byte: a load only reads the filesystem, both run on
+/// the same world with the same backend, environment and empty ld.so.cache,
+/// and the wrapped capture drops caches before it starts. When the plain
+/// capture fails there is no load to freeze, and the cell calls [`wrap`],
+/// so its error text is the one a plain wrap reports.
 fn profile_cell(
     key: CellKey,
     workload: &dyn Workload,
@@ -232,26 +243,30 @@ fn profile_cell(
             return CellProfile { key, plain: Err(msg.clone()), wrapped: Err(msg) };
         }
     };
-    let capture = |label: &str| -> Result<ProfileOutcome, String> {
+    let exe = installed.exe_path.as_str();
+    let capture = |label: &str| -> Result<(ProfileOutcome, LoadResult), String> {
         let loader = loader_backend.instantiate(&fs, &env, &LdCache::empty());
-        profile_load_checked(&fs, &installed.exe_path, loader.as_ref())
-            .map(|(log, r)| ProfileOutcome {
-                stat_openat: log.stat_openat(),
-                misses: log.misses(),
-                complete: r.success(),
-                unresolved: r.failures.len(),
-                log,
+        profile_load_checked(&fs, exe, loader.as_ref())
+            .map(|(log, r)| {
+                let outcome = ProfileOutcome {
+                    stat_openat: log.stat_openat(),
+                    misses: log.misses(),
+                    complete: r.success(),
+                    unresolved: r.failures.len(),
+                    log,
+                };
+                (outcome, r)
             })
             .map_err(|e| format!("{label} load failed: {e}"))
     };
 
-    let plain = capture("plain");
-    let wrapped = match wrap(
-        &fs,
-        &installed.exe_path,
-        &ShrinkwrapOptions::new().env(env.clone()).backend(loader_backend.clone()),
-    ) {
-        Ok(_) => capture("wrapped"),
+    let opts = ShrinkwrapOptions::new().env(env.clone()).backend(loader_backend.clone());
+    let (plain, frozen) = match capture("plain") {
+        Ok((outcome, load)) => (Ok(outcome), freeze_load(&fs, exe, &opts, load)),
+        Err(e) => (Err(e), wrap(&fs, exe, &opts)),
+    };
+    let wrapped = match frozen {
+        Ok(_) => capture("wrapped").map(|(outcome, _)| outcome),
         Err(e) => Err(format!("wrap failed: {e}")),
     };
     CellProfile { key, plain, wrapped }
@@ -1130,6 +1145,52 @@ mod tests {
         let report2 = small_matrix().run(&cache);
         assert_eq!(report2.cells_profiled, 0);
         assert_eq!(cache.computed(), 1);
+    }
+
+    #[test]
+    fn a_profiled_cell_runs_two_loader_passes() {
+        // The plain capture and the wrapped capture. The wrap freezes the
+        // plain capture's load; it runs none of its own.
+        use depchaos_core::{LoaderBackend, LoaderFactory};
+        use depchaos_loader::{Environment, LoadError, Loader};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        struct Counting<'fs>(Box<dyn Loader + 'fs>, Arc<AtomicUsize>);
+        impl Loader for Counting<'_> {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.load(exe)
+            }
+            fn resolves_by_soname(&self) -> bool {
+                self.0.resolves_by_soname()
+            }
+            fn honours_preload(&self) -> bool {
+                self.0.honours_preload()
+            }
+        }
+        struct CountingGlibc(Arc<AtomicUsize>);
+        impl LoaderFactory for CountingGlibc {
+            fn instantiate<'fs>(
+                &self,
+                fs: &'fs Vfs,
+                env: &Environment,
+                cache: &LdCache,
+            ) -> Box<dyn Loader + 'fs> {
+                let glibc = LoaderBackend::glibc().instantiate(fs, env, cache);
+                Box::new(Counting(glibc, Arc::clone(&self.0)))
+            }
+        }
+
+        let loads = Arc::new(AtomicUsize::new(0));
+        let factory = Arc::new(CountingGlibc(Arc::clone(&loads)));
+        let backend = MatrixBackend::Stock(LoaderBackend::new("counting-glibc", factory));
+        let cell =
+            ProfileCache::new().get_or_profile(&Pynamic::new(10), &backend, StorageModel::Nfs);
+        assert!(cell.plain.is_ok() && cell.wrapped.is_ok());
+        assert_eq!(loads.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! actual simulations in one [`crate::batch::BatchPlan`] pass — so a
 //! profile captured here is reused across every rank point, replicate,
 //! and repeat what-if that shares the cell.
+//!
+//! A cell's profiling run is two loader passes, both through
+//! [`profile_load_checked`]: the plain capture, whose [`LoadResult`] the
+//! cell then freezes into the binary ([`depchaos_core::freeze_load`])
+//! instead of resolving it again, and the wrapped capture.
 
 use depchaos_loader::{Environment, GlibcLoader, LoadError, LoadResult, Loader};
 use depchaos_vfs::{StraceLog, Vfs};
