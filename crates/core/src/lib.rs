@@ -28,9 +28,10 @@
 //!   conditions (the glibc backend by default); exact, including dedup
 //!   effects. Select other backends with
 //!   [`ShrinkwrapOptions::backend`].
-//! * [`Strategy::Native`] — re-walk the glibc search rules by hand for
-//!   binaries that can't execute here; stricter (a dependency hidden
-//!   behind the dedup cache is reported missing, not silently inherited).
+//! * [`Strategy::Native`] — walk the loader's own glibc search order
+//!   ([`depchaos_loader::glibc::glibc_order`]) with unaccounted peeks, for
+//!   binaries that can't execute here; stricter, having no dedup cache (a
+//!   dependency hidden behind it is reported missing, not inherited).
 //!
 //! A wrap is a resolution followed by a freeze-and-rewrite. [`fn@wrap`]
 //! runs both. [`freeze_load`] runs only the second, on a backend's
@@ -48,7 +49,6 @@
 
 pub mod audit;
 pub mod batch;
-pub mod intern;
 pub mod native;
 pub mod options;
 pub mod report;
@@ -56,7 +56,6 @@ pub mod wrap;
 
 pub use audit::{audit, cross_loader_check, AuditReport};
 pub use batch::{wrap_tree, TreeReport};
-pub use intern::{intern, PathId};
 pub use options::{LoaderBackend, LoaderFactory, OnMissing, ShrinkwrapOptions, Strategy};
 pub use report::{WrapError, WrapReport, WrapWarning};
 pub use wrap::{freeze_load, wrap};

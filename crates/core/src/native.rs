@@ -2,21 +2,29 @@
 //!
 //! For binaries that cannot execute on the wrapping host (cross-platform
 //! images, foreign loaders), Shrinkwrap "traverses the filesystem the way
-//! that the loader would". This module re-implements the glibc search rules
-//! against the VFS directly — independently of [`depchaos_loader`] — with
-//! the corner cases the paper calls out: wrong-architecture candidates are
-//! detected and skipped, and hwcaps subdirectories are probed first.
+//! that the loader would". This module is that traversal: the loader's own
+//! search order, [`glibc_order`], walked with unaccounted peeks (the wrap
+//! tool's traversal is not process startup; its cost is measured at the
+//! wall-clock level by the `shrinkwrap_cost` bench), so the corner cases
+//! the paper calls out come with it — wrong-architecture candidates are
+//! skipped, and hwcaps subdirectories are probed first.
 //!
-//! The semantic difference from the `Ldd` strategy: resolution is
-//! *per-object*, with no soname dedup cache, so a dependency that only
-//! works because something else loads it earlier is reported missing here
-//! rather than silently inherited.
+//! The semantic difference from the `Ldd` strategy: there is no soname
+//! dedup cache. Each needed name resolves once, by the first object that
+//! requests it, over that object's *first-requester chain* (the object
+//! that first requested it, that object's first requester, and so on up
+//! to the executable), so an RPATH propagates exactly as it does in the
+//! loader. A dependency that only works because something else loaded it
+//! earlier under a different name is reported missing here rather than
+//! silently inherited.
 
-use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 
-use depchaos_elf::{io, ElfObject, Machine};
+use depchaos_elf::{io, ElfObject};
+use depchaos_loader::glibc::glibc_order;
+use depchaos_loader::resolve::Candidate;
 use depchaos_loader::{Environment, LdCache};
-use depchaos_vfs::{path as vpath, Vfs};
+use depchaos_vfs::Vfs;
 
 /// A per-request resolution outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,147 +45,44 @@ pub fn resolve_closure(
 ) -> Result<Vec<NativeResolution>, String> {
     let exe = io::peek_object(fs, exe_path).map_err(|e| e.to_string())?;
     let want_arch = exe.machine;
-    let mut out = Vec::new();
-    // path → object for chain reconstruction; resolution_seen dedups output.
-    let mut seen: HashMap<String, ()> = HashMap::new();
-    // BFS queue of (ancestor chain as (object, path) indices, name).
-    let mut loaded: Vec<(ElfObject, String)> = vec![(exe.clone(), exe_path.to_string())];
-    let mut queue: Vec<(usize, String)> = exe.needed.iter().map(|n| (0usize, n.clone())).collect();
-    let mut qi = 0usize;
-    while qi < queue.len() {
-        let (req_idx, name) = queue[qi].clone();
-        qi += 1;
-        let key = name.clone();
-        if seen.contains_key(&key) {
-            continue;
-        }
-        seen.insert(key, ());
-        let chain = ancestor_chain(&loaded, req_idx);
-        let requester = loaded[req_idx].1.clone();
-        match resolve_one(fs, env, cache, want_arch, &chain, &name) {
-            Some((path, obj)) => {
-                out.push(NativeResolution {
-                    requester: requester.clone(),
-                    name,
-                    path: Some(path.clone()),
-                });
-                if !loaded.iter().any(|(_, p)| p == &path) {
-                    loaded.push((obj.clone(), path));
-                    let new_idx = loaded.len() - 1;
-                    for n in &obj.needed {
-                        queue.push((new_idx, n.clone()));
-                    }
-                }
-            }
-            None => out.push(NativeResolution { requester, name, path: None }),
-        }
-    }
-    Ok(out)
-}
-
-/// Reconstruct the requester-to-executable chain for RPATH walking.
-/// In this static traversal the chain is simply requester → executable,
-/// because per-object resolution does not track who loaded whom beyond the
-/// direct parent (loaded[0] is always the executable).
-fn ancestor_chain(loaded: &[(ElfObject, String)], req_idx: usize) -> Vec<(ElfObject, String)> {
-    if req_idx == 0 {
-        vec![loaded[0].clone()]
-    } else {
-        vec![loaded[req_idx].clone(), loaded[0].clone()]
-    }
-}
-
-fn resolve_one(
-    fs: &Vfs,
-    env: &Environment,
-    cache: &LdCache,
-    want_arch: Machine,
-    chain: &[(ElfObject, String)],
-    name: &str,
-) -> Option<(String, ElfObject)> {
-    if name.contains('/') {
-        return open_checked(fs, name, want_arch);
-    }
-    let requester = &chain[0].0;
-
-    // RPATH chain (suppressed by requester RUNPATH), then LD_LIBRARY_PATH,
-    // then requester RUNPATH, then cache, then defaults.
-    if requester.runpath.is_empty() {
-        for (obj, opath) in chain {
-            if !obj.runpath.is_empty() {
-                continue;
-            }
-            for entry in &obj.rpath {
-                let dir = vpath::expand_origin(entry, &vpath::parent(opath));
-                if let Some(hit) = probe(fs, &dir, name, want_arch, &env.hwcaps) {
-                    return Some(hit);
-                }
-            }
-        }
-    }
-    for dir in &env.ld_library_path {
-        if let Some(hit) = probe(fs, dir, name, want_arch, &env.hwcaps) {
-            return Some(hit);
-        }
-    }
-    let (requester, rpath_owner) = (&chain[0].0, &chain[0].1);
-    for entry in &requester.runpath {
-        let dir = vpath::expand_origin(entry, &vpath::parent(rpath_owner));
-        if let Some(hit) = probe(fs, &dir, name, want_arch, &env.hwcaps) {
-            return Some(hit);
-        }
-    }
-    if let Some(path) = cache.lookup(name, want_arch) {
-        if let Some(hit) = open_checked(fs, path, want_arch) {
-            return Some(hit);
-        }
-    }
-    for dir in &env.default_paths {
-        if let Some(hit) = probe(fs, dir, name, want_arch, &env.hwcaps) {
-            return Some(hit);
-        }
-    }
-    None
-}
-
-/// Probe one directory: hwcaps first, then plain — unaccounted (the wrap
-/// tool's own traversal is not process startup; its cost is measured by the
-/// shrinkwrap_cost bench at the wall-clock level instead).
-fn probe(
-    fs: &Vfs,
-    dir: &str,
-    name: &str,
-    want_arch: Machine,
-    hwcaps: &[String],
-) -> Option<(String, ElfObject)> {
-    for sub in hwcaps.iter().map(String::as_str).chain(std::iter::once("")) {
-        let full = if sub.is_empty() {
-            vpath::join(dir, name)
-        } else {
-            vpath::join(&vpath::join(dir, sub), name)
-        };
-        if let Some(hit) = open_checked(fs, &full, want_arch) {
-            return Some(hit);
-        }
-    }
-    None
-}
-
-fn open_checked(fs: &Vfs, path: &str, want_arch: Machine) -> Option<(String, ElfObject)> {
-    let bytes = fs.peek_file(path).ok()?;
-    let obj = ElfObject::parse(&bytes).ok()?;
     // The System V rule Shrinkwrap must replicate: silently ignore
     // wrong-architecture candidates (ubiquitous on multi-ABI systems).
-    if obj.machine != want_arch {
-        return None;
+    let peek = |path: &str| {
+        let object = io::peek_object(fs, path).ok()?;
+        (object.machine == want_arch).then(|| Candidate { path: path.to_string(), object })
+    };
+    // Every object reached, with its path and the index of its first
+    // requester (the executable has none).
+    let mut loaded: Vec<(ElfObject, String, Option<usize>)> = Vec::new();
+    let mut queue: VecDeque<(usize, String)> = exe.needed.iter().map(|n| (0, n.clone())).collect();
+    loaded.push((exe, exe_path.to_string(), None));
+    let mut seen: HashSet<String> = HashSet::new();
+    let mut out = Vec::new();
+    while let Some((req, name)) = queue.pop_front() {
+        if !seen.insert(name.clone()) {
+            continue;
+        }
+        let chain = std::iter::successors(Some(req), |&idx| loaded[idx].2)
+            .map(|idx| (&loaded[idx].0, loaded[idx].1.as_str()));
+        let found = glibc_order(chain, &name, env, cache, want_arch, peek);
+        let requester = loaded[req].1.clone();
+        let path = found.map(|(cand, _)| {
+            if !loaded.iter().any(|(_, p, _)| *p == cand.path) {
+                queue.extend(cand.object.needed.iter().map(|n| (loaded.len(), n.clone())));
+                loaded.push((cand.object, cand.path.clone(), Some(req)));
+            }
+            cand.path
+        });
+        out.push(NativeResolution { requester, name, path });
     }
-    Some((path.to_string(), obj))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use depchaos_elf::io::install;
+    use depchaos_elf::Machine;
 
     #[test]
     fn resolves_simple_closure() {

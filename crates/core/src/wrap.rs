@@ -24,7 +24,8 @@ use crate::report::{WrapError, WrapReport, WrapWarning};
 /// Under [`Strategy::Backend`] the resolution is one load of the binary
 /// through the backend, under `opts`' environment and ld.so.cache, and
 /// the rest is exactly [`freeze_load`] of that load. Under
-/// [`Strategy::Native`] it is a hand walk of the glibc search rules.
+/// [`Strategy::Native`] it is [`crate::native::resolve_closure`], the
+/// glibc search order walked without loading.
 ///
 /// With [`ShrinkwrapOptions::declare_dlopens`] the binary's `dlopen` hints
 /// are first promoted into its needed list, so the resolution sees and
@@ -365,20 +366,32 @@ mod tests {
         assert!(matches!(rep.warnings[0], WrapWarning::LeftUnresolved { .. }));
     }
 
-    #[test]
-    fn native_strategy_matches_ldd_on_clean_closures() {
-        let fs = world();
-        let ldd =
-            wrap(&fs, "/bin/app", &ShrinkwrapOptions::new().env(Environment::bare())).unwrap();
-
-        let fs2 = world();
-        let native = wrap(
-            &fs2,
-            "/bin/app",
-            &ShrinkwrapOptions::new().env(Environment::bare()).strategy(Strategy::Native),
+    /// Table I's "Propagates: Yes" through an intermediate library:
+    /// `libleaf` is reachable only through `liba`'s RPATH, which `liba`'s
+    /// child `libb` inherits.
+    fn inherited_rpath_world() -> Vfs {
+        let fs = Vfs::local();
+        install(&fs, "/bin/app", &ElfObject::exe("app").needs("liba.so").rpath("/l").build())
+            .unwrap();
+        install(
+            &fs,
+            "/l/liba.so",
+            &ElfObject::dso("liba.so").needs("libb.so").rpath("/deep").build(),
         )
         .unwrap();
-        assert_eq!(ldd.new_needed, native.new_needed);
+        install(&fs, "/l/libb.so", &ElfObject::dso("libb.so").needs("libleaf.so").build()).unwrap();
+        install(&fs, "/deep/libleaf.so", &ElfObject::dso("libleaf.so").build()).unwrap();
+        fs
+    }
+
+    #[test]
+    fn native_strategy_matches_ldd_on_clean_closures() {
+        for world in [world, inherited_rpath_world] {
+            let opts = ShrinkwrapOptions::new().env(Environment::bare());
+            let ldd = wrap(&world(), "/bin/app", &opts).unwrap();
+            let native = wrap(&world(), "/bin/app", &opts.strategy(Strategy::Native)).unwrap();
+            assert_eq!(ldd.new_needed, native.new_needed);
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! from a dedup cache when possible and from a search otherwise, while
 //! recording every decision. What differs between loaders is only
 //!
-//! * **where a request may be satisfied from** — the probe plan
-//!   ([`SearchPolicy`]): glibc's RPATH-chain → `LD_LIBRARY_PATH` → RUNPATH →
-//!   ld.so.cache → defaults, musl's env-first meld, a service delegation,
-//!   or the future loader's prepend/append/pin scheme; and
+//! * **where a bare name may be found** — the probe plan
+//!   ([`SearchPolicy`]): glibc's order ([`crate::glibc::glibc_order`]),
+//!   musl's env-first meld, a service delegation, or the future loader's
+//!   prepend/append/pin scheme (a request containing `/` is no search: the
+//!   engine opens it directly, and policies never see it); and
 //! * **when two requests are "the same library"** — the identity relation
 //!   ([`DedupPolicy`]): glibc's name+soname+path+inode cache, musl's
 //!   path+inode-only rule (the documented reason Shrinkwrap does not
@@ -19,16 +20,17 @@
 //! [`Engine::run`] owns everything the four hand-written loaders used to
 //! duplicate: the [`State`] maps, the event log, the failure list, the
 //! syscall-snapshot bracketing, the static-executable and `PT_INTERP`
-//! checks, and the `dlopen` replay loop. A concrete loader is nothing but a
-//! `(SearchPolicy, DedupPolicy, EngineConfig)` triple — see
-//! [`crate::GlibcLoader`] and friends, each now a thin instantiation.
+//! checks, direct-path opens, and the `dlopen` replay loop. A concrete
+//! loader is nothing but a `(SearchPolicy, DedupPolicy, EngineConfig)`
+//! triple — see [`crate::GlibcLoader`] and friends, each a thin
+//! instantiation.
 //!
 //! # Performance
 //!
 //! The engine's request loop is allocation-free in the steady state. Both
 //! request-string indexes ([`State::by_name`], [`State::by_path`]) key on
-//! interned [`PathId`]s rather than owned `String`s — the canonical
-//! workspace interner, re-exported as `depchaos_core::intern` — and the
+//! interned [`PathId`]s rather than owned `String`s — the workspace's one
+//! interner, [`depchaos_vfs::intern`](mod@depchaos_vfs::intern) — and the
 //! BFS frontier carries `(requester, PathId)` pairs, so a request's
 //! pre-search dedup probe ([`DedupPolicy::lookup`]) is an integer hash
 //! lookup with no re-hashing of path text. A needed entry's text is copied
@@ -46,7 +48,7 @@ use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{intern, Inode, PathId, Vfs};
 
 use crate::env::Environment;
-use crate::resolve::{Candidate, Provenance, Resolution};
+use crate::resolve::{probe_exact, Candidate, Provenance, Resolution};
 use crate::result::{Failure, LoadError, LoadEvent, LoadResult, LoadedObject};
 
 /// Mutable load-time state shared by every backend: the mapped objects in
@@ -106,6 +108,12 @@ impl State {
         idx
     }
 
+    /// `idx` and its loader-chain ancestors, nearest first: each object,
+    /// then the object whose request loaded it, up to the executable.
+    pub(crate) fn chain(&self, idx: usize) -> impl Iterator<Item = &LoadedObject> + Clone {
+        std::iter::successors(Some(&self.objects[idx]), |o| o.parent.map(|p| &self.objects[p]))
+    }
+
     /// Record that `idx` also satisfies requests for `name`.
     pub fn alias(&mut self, idx: usize, name: &str) {
         if !self.objects[idx].requested_as.iter().any(|r| r == name) {
@@ -156,9 +164,10 @@ pub trait SearchPolicy {
         None
     }
 
-    /// Probe the filesystem for `name` on behalf of `requester`. Every probe
-    /// must go through the accounted [`crate::resolve`] helpers so syscall
-    /// counts stay faithful.
+    /// Probe the filesystem for the bare name `name` on behalf of
+    /// `requester`. The engine opens a request containing `/` itself, so
+    /// `name` never contains one here. Every probe must go through the
+    /// accounted [`crate::resolve`] helpers so syscall counts stay faithful.
     fn locate(
         &self,
         cx: &Ctx,
@@ -402,9 +411,15 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
             return Resolution::Deduped { path: st.objects[idx].path.clone() };
         }
 
-        // 3. The policy's probe plan.
+        // 3. A request containing `/` is opened directly; any other goes to
+        // the policy's probe plan.
         let key_text = rewritten.as_deref().unwrap_or(name_text);
-        match self.search.locate(&cx, st, requester, key_text) {
+        let found = if key_text.contains('/') {
+            probe_exact(self.fs, key_text, cx.want_arch).map(|c| (c, Provenance::DirectPath))
+        } else {
+            self.search.locate(&cx, st, requester, key_text)
+        };
+        match found {
             Some((cand, provenance)) => {
                 // 4. Post-open identity check: the search may have found a
                 // file that is already mapped under a different name.
@@ -425,21 +440,21 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::probe_exact;
     use depchaos_elf::io::install;
 
-    /// A deliberately tiny backend: direct paths only, name-identity dedup.
+    /// A deliberately tiny backend: no search at all, so only direct paths
+    /// (which the engine opens itself) resolve; name-identity dedup.
     struct DirectOnly;
 
     impl SearchPolicy for DirectOnly {
         fn locate(
             &self,
-            cx: &Ctx,
+            _cx: &Ctx,
             _st: &State,
             _requester: usize,
-            name: &str,
+            _name: &str,
         ) -> Option<(Candidate, Provenance)> {
-            probe_exact(cx.fs, name, cx.want_arch).map(|c| (c, Provenance::DirectPath))
+            None
         }
     }
 

@@ -39,7 +39,7 @@ use depchaos_vfs::{intern, PathId, Vfs};
 use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, SearchPolicy, State};
 use crate::env::Environment;
-use crate::resolve::{expand_entry, probe_dir, probe_exact, Candidate, Provenance};
+use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
 use crate::result::{LoadError, LoadResult};
 
 /// The proposal's probe plan: pins rewrite the request; otherwise prepends
@@ -51,14 +51,12 @@ impl SearchPolicy for FutureSearch {
     fn rewrite(&self, _cx: &Ctx, st: &State, requester: usize, name: &str) -> Option<String> {
         // Pins are inheritable by default (the proposal leaves this open;
         // inheritance is the useful choice) with the nearest object winning.
-        let mut idx = Some(requester);
-        while let Some(i) = idx {
-            for p in &st.objects[i].object.pins {
+        for obj in st.chain(requester) {
+            for p in &obj.object.pins {
                 if p.soname == name {
-                    return Some(expand_entry(&p.path, &st.objects[i].path));
+                    return Some(expand_entry(&p.path, &obj.path));
                 }
             }
-            idx = st.objects[i].parent;
         }
         None
     }
@@ -70,29 +68,19 @@ impl SearchPolicy for FutureSearch {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
-        if name.contains('/') {
-            // Direct (or pinned) path: opened outright.
-            return probe_exact(cx.fs, name, cx.want_arch).map(|c| (c, Provenance::DirectPath));
-        }
-
         // Assemble the search list: prepends (own, then inherited), the
         // environment, appends (own, then inherited), defaults.
         let mut dirs: Vec<(String, Provenance)> = Vec::new();
         let collect = |pos: SearchPosition, out: &mut Vec<(String, Provenance)>| {
-            let mut idx = Some(requester);
-            let mut own = true;
-            while let Some(i) = idx {
-                let obj = &st.objects[i];
+            for (depth, obj) in st.chain(requester).enumerate() {
                 for sd in &obj.object.search_dirs {
-                    if sd.position == pos && (own || sd.inherit) {
+                    if sd.position == pos && (depth == 0 || sd.inherit) {
                         out.push((
                             expand_entry(&sd.dir, &obj.path),
                             Provenance::Rpath { owner: obj.object.name.clone() },
                         ));
                     }
                 }
-                idx = obj.parent;
-                own = false;
             }
         };
         collect(SearchPosition::Prepend, &mut dirs);

@@ -1,8 +1,8 @@
 //! The glibc `ld.so` model — an instantiation of the shared
-//! [`crate::engine`].
+//! [`crate::engine`] — and [`glibc_order`], the glibc library search order
+//! written once.
 //!
-//! Search order for a needed entry requested by object `O` (ld.so(8)),
-//! encoded by [`GlibcSearch`]:
+//! How a needed entry requested by object `O` resolves (ld.so(8)):
 //!
 //! 1. Entries containing `/` are opened directly — no search.
 //! 2. Otherwise, the dedup cache ([`GlibcDedup`]) is consulted first: any
@@ -18,22 +18,86 @@
 //! 6. The ld.so.cache.
 //! 7. The built-in default directories.
 //!
+//! Steps 1 and 3–7 are [`glibc_order`], and three resolvers walk it: this
+//! loader ([`GlibcSearch`], over the parent links of the objects it
+//! mapped, with accounted probes), libtree ([`crate::analyze_tree`], over
+//! its depth-first path, with the same probes but no dedup cache) and
+//! Shrinkwrap's native strategy (`depchaos_core::native`, with
+//! unaccounted peeks). The engine opens a `/` entry itself before it asks
+//! [`GlibcSearch`], so in the loader step 1 happens there.
+//!
 //! Loading proceeds breadth-first from the executable's needed list;
 //! `LD_PRELOAD` objects load immediately after the executable — both driven
 //! by [`crate::engine::Engine`], not re-implemented here.
 
+use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{intern, PathId, Vfs};
 
 use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
 use crate::env::Environment;
 use crate::ldcache::LdCache;
-use crate::resolve::{expand_entry, probe_dir, probe_exact, Candidate, Provenance};
+use crate::resolve::{expand_entry, probe_dir_with, probe_exact, Candidate, Provenance};
 use crate::result::{LoadError, LoadResult};
 
-/// glibc's probe plan: RPATH chain → `LD_LIBRARY_PATH` → RUNPATH →
-/// ld.so.cache → default directories, hwcaps subdirectories first inside
-/// every directory.
+/// Resolve `name` in glibc's order (ld.so(8)): a name containing `/` is
+/// opened directly; any other is searched in the RPATH of `chain`
+/// (skipped when the requester has a RUNPATH; an ancestor with a RUNPATH
+/// contributes nothing), then `LD_LIBRARY_PATH`, the requester's RUNPATH,
+/// the ld.so.cache and the default directories, with `env`'s hwcaps
+/// subdirectories first inside every directory. `$ORIGIN` expands against
+/// the path of the object whose entry it is.
+///
+/// `chain` is the requester followed by its loader-chain ancestors, each
+/// with its path. `open` probes one candidate path and returns it only if
+/// it exists, parses and matches `want_arch`. [`GlibcSearch`] and
+/// [`crate::analyze_tree`] pass the accounted [`probe_exact`]; the native
+/// strategy passes an unaccounted peek. The order calls `open` once per
+/// candidate, in order, and stops at the first hit.
+pub fn glibc_order<'a, C>(
+    chain: C,
+    name: &str,
+    env: &Environment,
+    cache: &LdCache,
+    want_arch: Machine,
+    open: impl Fn(&str) -> Option<Candidate>,
+) -> Option<(Candidate, Provenance)>
+where
+    C: IntoIterator<Item = (&'a ElfObject, &'a str)>,
+    C::IntoIter: Clone,
+{
+    if name.contains('/') {
+        return open(name).map(|c| (c, Provenance::DirectPath));
+    }
+    let probe = |dir: &str| probe_dir_with(dir, name, &env.hwcaps, &open);
+    let chain = chain.into_iter();
+    let (requester, requester_path) = chain.clone().next()?;
+
+    if requester.runpath.is_empty() {
+        for (obj, path) in chain.filter(|(obj, _)| obj.runpath.is_empty()) {
+            for entry in &obj.rpath {
+                if let Some(c) = probe(&expand_entry(entry, path)) {
+                    return Some((c, Provenance::Rpath { owner: obj.name.clone() }));
+                }
+            }
+        }
+    }
+    if let Some(c) = env.ld_library_path.iter().find_map(|dir| probe(dir)) {
+        return Some((c, Provenance::LdLibraryPath));
+    }
+    for entry in &requester.runpath {
+        if let Some(c) = probe(&expand_entry(entry, requester_path)) {
+            return Some((c, Provenance::Runpath { owner: requester.name.clone() }));
+        }
+    }
+    if let Some(c) = cache.lookup(name, want_arch).and_then(&open) {
+        return Some((c, Provenance::LdSoCache));
+    }
+    env.default_paths.iter().find_map(|dir| probe(dir)).map(|c| (c, Provenance::DefaultPath))
+}
+
+/// glibc's probe plan: [`glibc_order`] over the requester's parent links,
+/// with accounted probes.
 pub struct GlibcSearch {
     pub cache: LdCache,
 }
@@ -46,65 +110,10 @@ impl SearchPolicy for GlibcSearch {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
-        if name.contains('/') {
-            // Direct path: opened outright, no search.
-            return probe_exact(cx.fs, name, cx.want_arch).map(|c| (c, Provenance::DirectPath));
-        }
-
-        // Phase 1: RPATH chain, suppressed entirely if the requester has a
-        // RUNPATH; ancestors with their own RUNPATH contribute nothing.
-        if st.objects[requester].object.runpath.is_empty() {
-            let mut chain = Some(requester);
-            while let Some(idx) = chain {
-                let obj = &st.objects[idx];
-                if obj.object.runpath.is_empty() {
-                    for entry in &obj.object.rpath {
-                        let dir = expand_entry(entry, &obj.path);
-                        if let Some(cand) =
-                            probe_dir(cx.fs, &dir, name, cx.want_arch, &cx.env.hwcaps)
-                        {
-                            return Some((
-                                cand,
-                                Provenance::Rpath { owner: obj.object.name.clone() },
-                            ));
-                        }
-                    }
-                }
-                chain = st.objects[idx].parent;
-            }
-        }
-
-        // Phase 2: LD_LIBRARY_PATH.
-        for dir in &cx.env.ld_library_path {
-            if let Some(cand) = probe_dir(cx.fs, dir, name, cx.want_arch, &cx.env.hwcaps) {
-                return Some((cand, Provenance::LdLibraryPath));
-            }
-        }
-
-        // Phase 3: the requester's own RUNPATH (never inherited).
-        let req = &st.objects[requester];
-        for entry in &req.object.runpath {
-            let dir = expand_entry(entry, &req.path);
-            if let Some(cand) = probe_dir(cx.fs, &dir, name, cx.want_arch, &cx.env.hwcaps) {
-                return Some((cand, Provenance::Runpath { owner: req.object.name.clone() }));
-            }
-        }
-
-        // Phase 4: ld.so.cache.
-        if let Some(path) = self.cache.lookup(name, cx.want_arch) {
-            if let Some(cand) = probe_exact(cx.fs, path, cx.want_arch) {
-                return Some((cand, Provenance::LdSoCache));
-            }
-        }
-
-        // Phase 5: default directories.
-        for dir in &cx.env.default_paths {
-            if let Some(cand) = probe_dir(cx.fs, dir, name, cx.want_arch, &cx.env.hwcaps) {
-                return Some((cand, Provenance::DefaultPath));
-            }
-        }
-
-        None
+        let chain = st.chain(requester).map(|o| (&o.object, o.path.as_str()));
+        glibc_order(chain, name, cx.env, &self.cache, cx.want_arch, |path| {
+            probe_exact(cx.fs, path, cx.want_arch)
+        })
     }
 }
 

@@ -43,8 +43,9 @@
 //! paper turns on — musl answering `false` to soname resolution *is* the
 //! §IV incompatibility.
 //!
-//! [`tree`] is the odd one out by design: libtree-style per-object static
-//! resolution that deliberately ignores the dedup cache, revealing the
+//! [`tree`] is libtree-style per-object static resolution: the glibc
+//! loader's own search order ([`glibc::glibc_order`], which Shrinkwrap's
+//! native strategy walks too) without the dedup cache, revealing the
 //! `not found` entries dynamic loading papers over (Listing 1's
 //! `libsamba-debug-samba4.so`).
 //!

@@ -22,7 +22,7 @@ use depchaos_vfs::{intern, PathId, Vfs};
 use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
 use crate::env::Environment;
-use crate::resolve::{expand_entry, probe_dir, probe_exact, Candidate, Provenance};
+use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
 use crate::result::{LoadError, LoadResult};
 
 /// musl's probe plan: `LD_LIBRARY_PATH` first, then the requester chain's
@@ -38,10 +38,6 @@ impl SearchPolicy for MuslSearch {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
-        if name.contains('/') {
-            return probe_exact(cx.fs, name, cx.want_arch).map(|c| (c, Provenance::DirectPath));
-        }
-
         // musl search order: env_path FIRST...
         for dir in &cx.env.ld_library_path {
             if let Some(cand) = probe_dir(cx.fs, dir, name, cx.want_arch, &[]) {
@@ -51,16 +47,13 @@ impl SearchPolicy for MuslSearch {
 
         // ...then the requester chain's rpath (RPATH and RUNPATH melded,
         // both inherited)...
-        let mut chain = Some(requester);
-        while let Some(idx) = chain {
-            let obj = &st.objects[idx];
+        for obj in st.chain(requester) {
             for entry in obj.object.rpath.iter().chain(obj.object.runpath.iter()) {
                 let dir = expand_entry(entry, &obj.path);
                 if let Some(cand) = probe_dir(cx.fs, &dir, name, cx.want_arch, &[]) {
                     return Some((cand, Provenance::Rpath { owner: obj.object.name.clone() }));
                 }
             }
-            chain = obj.parent;
         }
 
         // ...then the system path.

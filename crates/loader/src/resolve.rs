@@ -1,4 +1,10 @@
-//! Search-path probing shared by both loader flavours.
+//! Probing shared by every resolver: the loader backends, libtree's
+//! [`crate::analyze_tree`] and Shrinkwrap's native strategy.
+//!
+//! [`probe_dir_with`] is the per-directory rule (hwcaps subdirectories
+//! first, then the plain directory) over any `open`. [`probe_exact`] is
+//! the accounted `open`, which opens and maps a candidate through the VFS
+//! cost model, and [`probe_dir`] is the rule over it.
 
 use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{path as vpath, Vfs};
@@ -91,13 +97,25 @@ pub fn probe_dir(
     want_arch: Machine,
     hwcaps: &[String],
 ) -> Option<Candidate> {
+    probe_dir_with(dir, name, hwcaps, |full| probe_exact(fs, full, want_arch))
+}
+
+/// [`probe_dir`]'s order over any `open`: try `dir/<hwcap>/name` for each
+/// hwcaps subdirectory in priority order, then `dir/name`, and return the
+/// first candidate `open` accepts.
+pub fn probe_dir_with(
+    dir: &str,
+    name: &str,
+    hwcaps: &[String],
+    open: impl Fn(&str) -> Option<Candidate>,
+) -> Option<Candidate> {
     for sub in hwcaps.iter().map(String::as_str).chain(std::iter::once("")) {
         let full = if sub.is_empty() {
             vpath::join(dir, name)
         } else {
             vpath::join(&vpath::join(dir, sub), name)
         };
-        if let Some(c) = probe_exact(fs, &full, want_arch) {
+        if let Some(c) = open(&full) {
             return Some(c);
         }
     }
@@ -120,23 +138,6 @@ pub fn probe_exact(fs: &Vfs, full: &str, want_arch: Machine) -> Option<Candidate
         fs.charge_read(full, object.virtual_size);
     }
     Some(Candidate { path: full.to_string(), object })
-}
-
-/// Probe an ordered directory list. Returns the candidate and the index of
-/// the directory that supplied it.
-pub fn probe_dirs(
-    fs: &Vfs,
-    dirs: &[String],
-    name: &str,
-    want_arch: Machine,
-    hwcaps: &[String],
-) -> Option<(usize, Candidate)> {
-    for (i, dir) in dirs.iter().enumerate() {
-        if let Some(c) = probe_dir(fs, dir, name, want_arch, hwcaps) {
-            return Some((i, c));
-        }
-    }
-    None
 }
 
 /// Expand `$ORIGIN` in a search-path entry against the directory containing
@@ -203,15 +204,6 @@ mod tests {
         // without hwcaps, the plain file wins
         let c2 = probe_dir(&fs, "/usr/lib", "libfast.so", Machine::X86_64, &[]).unwrap();
         assert_eq!(c2.path, "/usr/lib/libfast.so");
-    }
-
-    #[test]
-    fn probe_dirs_reports_winning_index() {
-        let fs = world();
-        let dirs = vec!["/empty".to_string(), "/usr/lib".to_string()];
-        let (i, c) = probe_dirs(&fs, &dirs, "liba.so", Machine::X86_64, &[]).unwrap();
-        assert_eq!(i, 1);
-        assert_eq!(c.path, "/usr/lib/liba.so");
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl<S: LoaderService + ?Sized> LoaderService for Arc<S> {
 
 /// Delegation as a [`SearchPolicy`]: symbolic requests — bare names, hash
 /// references — go to the service; explicit paths (e.g. in shrinkwrapped
-/// output) are opened directly, as a real loader service would. Either way
-/// the answer is opened and ABI-checked like any other candidate.
+/// output) never reach it, because the engine opens them directly, as a
+/// real loader service would. Either way the answer is opened and
+/// ABI-checked like any other candidate.
 pub struct ServiceSearch<S: LoaderService> {
     pub service: S,
 }
@@ -59,9 +60,6 @@ impl<S: LoaderService> SearchPolicy for ServiceSearch<S> {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
-        if name.contains('/') {
-            return probe_exact(cx.fs, name, cx.want_arch).map(|c| (c, Provenance::DirectPath));
-        }
         self.service
             .resolve(&st.objects[requester].path, name)
             .and_then(|p| probe_exact(cx.fs, &p, cx.want_arch))

@@ -6,14 +6,21 @@
 //! independently. A library that is only reachable because something else
 //! loaded it earlier shows up here as `not found` — exactly the danger
 //! `libtree /usr/bin/dbwrap_tool` exposes in the paper.
+//!
+//! Each request walks the loader's own search order,
+//! [`crate::glibc::glibc_order`], over the depth-first path from the
+//! executable to the requester, with the loader's accounted probes — so a
+//! traced analysis shows every `openat` libtree would make. Only the dedup
+//! cache is left out.
 
-use depchaos_elf::ElfObject;
+use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::Vfs;
 use std::collections::HashSet;
 
 use crate::env::Environment;
+use crate::glibc::glibc_order;
 use crate::ldcache::LdCache;
-use crate::resolve::{expand_entry, probe_dir, probe_exact, Provenance};
+use crate::resolve::{probe_exact, Provenance};
 use crate::result::LoadError;
 
 /// One node in the printed tree.
@@ -113,8 +120,9 @@ pub fn analyze_tree(
     let mut expanded: HashSet<String> = HashSet::new();
     expanded.insert(exe_path.to_string());
 
-    // The ancestor chain carries (object, its path) for RPATH walking.
-    let mut chain: Vec<(ElfObject, String)> = vec![(exe.clone(), exe_path.to_string())];
+    // The depth-first path from the executable to the requester, as
+    // (object, its path): the loader chain `glibc_order` walks, reversed.
+    let mut chain: Vec<(ElfObject, String)> = vec![(exe, exe_path.to_string())];
     let children = expand(fs, env, cache, want_arch, &mut chain, &mut expanded);
     let root = TreeNode {
         name: exe_path.to_string(),
@@ -129,18 +137,23 @@ fn expand(
     fs: &Vfs,
     env: &Environment,
     cache: &LdCache,
-    want_arch: depchaos_elf::Machine,
+    want_arch: Machine,
     chain: &mut Vec<(ElfObject, String)>,
     expanded: &mut HashSet<String>,
 ) -> Vec<TreeNode> {
     let needed = chain.last().unwrap().0.needed.clone();
     let mut out = Vec::with_capacity(needed.len());
     for name in needed {
-        match resolve_static(fs, env, cache, want_arch, chain, &name) {
-            Some((path, provenance, obj)) => {
+        let requester_first = chain.iter().rev().map(|(obj, path)| (obj, path.as_str()));
+        let found = glibc_order(requester_first, &name, env, cache, want_arch, |path| {
+            probe_exact(fs, path, want_arch)
+        });
+        match found {
+            Some((cand, provenance)) => {
+                let path = cand.path;
                 let first_time = expanded.insert(path.clone());
                 let children = if first_time {
-                    chain.push((obj, path.clone()));
+                    chain.push((cand.object, path.clone()));
                     let c = expand(fs, env, cache, want_arch, chain, expanded);
                     chain.pop();
                     c
@@ -158,74 +171,6 @@ fn expand(
         }
     }
     out
-}
-
-/// Static glibc-order resolution for one needed entry against an explicit
-/// ancestor chain (`chain.last()` is the requester).
-fn resolve_static(
-    fs: &Vfs,
-    env: &Environment,
-    cache: &LdCache,
-    want_arch: depchaos_elf::Machine,
-    chain: &[(ElfObject, String)],
-    name: &str,
-) -> Option<(String, Provenance, ElfObject)> {
-    if name.contains('/') {
-        let cand = probe_exact(fs, name, want_arch)?;
-        return Some((cand.path, Provenance::DirectPath, cand.object));
-    }
-    let (requester, _) = chain.last().unwrap();
-
-    // RPATH chain (suppressed by requester RUNPATH).
-    if requester.runpath.is_empty() {
-        for (obj, path) in chain.iter().rev() {
-            if !obj.runpath.is_empty() {
-                continue;
-            }
-            for entry in &obj.rpath {
-                let dir = expand_entry(entry, path);
-                if let Some(cand) = probe_dir(fs, &dir, name, want_arch, &env.hwcaps) {
-                    return Some((
-                        cand.path,
-                        Provenance::Rpath { owner: obj.name.clone() },
-                        cand.object,
-                    ));
-                }
-            }
-        }
-    }
-
-    for dir in &env.ld_library_path {
-        if let Some(cand) = probe_dir(fs, dir, name, want_arch, &env.hwcaps) {
-            return Some((cand.path, Provenance::LdLibraryPath, cand.object));
-        }
-    }
-
-    let (requester, req_path) = chain.last().unwrap();
-    for entry in &requester.runpath {
-        let dir = expand_entry(entry, req_path);
-        if let Some(cand) = probe_dir(fs, &dir, name, want_arch, &env.hwcaps) {
-            return Some((
-                cand.path,
-                Provenance::Runpath { owner: requester.name.clone() },
-                cand.object,
-            ));
-        }
-    }
-
-    if let Some(path) = cache.lookup(name, want_arch) {
-        if let Some(cand) = probe_exact(fs, path, want_arch) {
-            return Some((cand.path, Provenance::LdSoCache, cand.object));
-        }
-    }
-
-    for dir in &env.default_paths {
-        if let Some(cand) = probe_dir(fs, dir, name, want_arch, &env.hwcaps) {
-            return Some((cand.path, Provenance::DefaultPath, cand.object));
-        }
-    }
-
-    None
 }
 
 #[cfg(test)]

@@ -24,10 +24,9 @@
 //! * **Deterministic displays**: `Debug`/`Display` print the interned text,
 //!   so assertion failures stay readable.
 //!
-//! The canonical workspace-facing home of this module is
-//! `depchaos_core::intern`, which re-exports it; it lives here physically
-//! because `depchaos-vfs` sits below `depchaos-core` in the crate graph and
-//! [`crate::Syscall`] stores a [`PathId`].
+//! This is the workspace's one interner. It lives in `depchaos-vfs`, the
+//! bottom of the crate graph, because [`crate::Syscall`] stores a
+//! [`PathId`]; every crate above imports it from here.
 
 use std::collections::HashMap;
 use std::fmt;
