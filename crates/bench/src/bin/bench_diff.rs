@@ -3,34 +3,29 @@
 //! Usage:
 //!
 //! ```text
-//! bench-diff <baseline.json> <current.json> [--gate PREFIX=PCT]... \
-//!            [--threshold-pct N] [--prefix P] [--report FILE]
+//! bench-diff <baseline.json> <current.json> --gate PREFIX=PCT... [--report FILE]
 //! ```
 //!
 //! Compares the fresh summary against the checked-in baseline and exits
 //! non-zero when any watched case's `mean_ns_per_iter` regressed beyond its
 //! group's threshold or vanished. `--gate` is repeatable and names one
 //! watched group with its own threshold (a case is judged by the first
-//! matching gate); with no `--gate`, the legacy single-group flags apply
-//! (`--prefix`, default `des_million_ranks/`; `--threshold-pct`, default
-//! 25). Exit codes: 0 pass, 1 regression, 2 usage/parse error or mode
-//! mismatch (quick vs full summaries are never comparable).
+//! matching gate); at least one is required. Exit codes: 0 pass, 1
+//! regression, 2 usage or parse error (a missing `--gate` among them) or
+//! mode mismatch (quick vs full summaries are never comparable).
 
 use depchaos_bench::diff::{diff_gates, parse_summary, Gate};
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("bench-diff: {msg}");
     eprintln!(
-        "usage: bench-diff <baseline.json> <current.json> [--gate PREFIX=PCT]... \
-         [--threshold-pct N] [--prefix P] [--report FILE]"
+        "usage: bench-diff <baseline.json> <current.json> --gate PREFIX=PCT... [--report FILE]"
     );
     std::process::exit(2);
 }
 
 fn main() {
     let mut paths: Vec<String> = Vec::new();
-    let mut threshold_pct = 25.0f64;
-    let mut prefix = "des_million_ranks/".to_string();
     let mut gates: Vec<Gate> = Vec::new();
     let mut report_path: Option<String> = None;
 
@@ -49,12 +44,6 @@ fn main() {
                     pct.parse().unwrap_or_else(|_| fail_usage("--gate threshold must be a number"));
                 gates.push(Gate::new(p, pct));
             }
-            "--threshold-pct" => {
-                threshold_pct = value_of("--threshold-pct")
-                    .parse()
-                    .unwrap_or_else(|_| fail_usage("--threshold-pct must be a number"))
-            }
-            "--prefix" => prefix = value_of("--prefix"),
             "--report" => report_path = Some(value_of("--report")),
             flag if flag.starts_with("--") => fail_usage(&format!("unknown flag {flag}")),
             path => paths.push(path.to_string()),
@@ -64,7 +53,7 @@ fn main() {
         fail_usage("expected exactly two summary paths");
     };
     if gates.is_empty() {
-        gates.push(Gate::new(&prefix, threshold_pct));
+        fail_usage("at least one --gate PREFIX=PCT is required");
     }
 
     let read = |p: &str| {

@@ -12,7 +12,7 @@
 //!
 //! Two summaries are only comparable when they were produced in the same
 //! mode: a `--test` quick run (few iterations, noisy) measured against a
-//! full baseline would gate on noise, so [`diff`] refuses mode mismatches
+//! full baseline would gate on noise, so [`diff_gates`] refuses mode mismatches
 //! outright instead of producing a misleading report.
 //!
 //! The parser is deliberately a scanner for the one format
@@ -165,21 +165,10 @@ impl DiffReport {
     }
 }
 
-/// Compare `current` against `baseline` over every baseline case whose name
-/// starts with `prefix`. Errs (rather than reporting) when the two
-/// summaries were produced in different modes.
-pub fn diff(
-    baseline: &BenchSummary,
-    current: &BenchSummary,
-    prefix: &str,
-    threshold_pct: f64,
-) -> Result<DiffReport, String> {
-    diff_gates(baseline, current, &[Gate::new(prefix, threshold_pct)])
-}
-
-/// [`diff`] over several watched groups at once, each with its own
-/// threshold. A case is judged by the **first** gate whose prefix matches,
-/// so overlapping prefixes behave predictably.
+/// Compare `current` against `baseline` over the watched groups, each with
+/// its own threshold. A case is judged by the **first** gate whose prefix
+/// matches, so overlapping prefixes behave predictably. Errs (rather than
+/// reporting) when the two summaries were produced in different modes.
 pub fn diff_gates(
     baseline: &BenchSummary,
     current: &BenchSummary,
@@ -260,7 +249,7 @@ mod tests {
         // must flip the report to FAIL.
         let base = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
         let slow = parse_summary(&summary("full", &[("des_million_ranks/hot", 5100)])).unwrap();
-        let report = diff(&base, &slow, "des_million_ranks/", 25.0).unwrap();
+        let report = diff_gates(&base, &slow, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(!report.ok());
         assert_eq!(report.regressions().len(), 1);
         assert!((report.rows[0].delta_pct - 27.5).abs() < 0.01);
@@ -280,7 +269,7 @@ mod tests {
             &[("des_million_ranks/hot", 4900), ("des_million_ranks/cool", 10)],
         ))
         .unwrap();
-        let report = diff(&base, &cur, "des_million_ranks/", 25.0).unwrap();
+        let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(report.render().contains("PASS"));
     }
@@ -289,7 +278,7 @@ mod tests {
     fn cases_outside_the_prefix_are_not_gated() {
         let base = parse_summary(&summary("full", &[("classify/cold500", 100)])).unwrap();
         let cur = parse_summary(&summary("full", &[("classify/cold500", 900)])).unwrap();
-        let report = diff(&base, &cur, "des_million_ranks/", 25.0).unwrap();
+        let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(report.rows.is_empty() && report.ok());
     }
 
@@ -301,7 +290,7 @@ mod tests {
         ))
         .unwrap();
         let cur = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
-        let report = diff(&base, &cur, "des_million_ranks/", 25.0).unwrap();
+        let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(!report.ok());
         assert_eq!(report.missing, vec!["des_million_ranks/gone".to_string()]);
         assert!(report.render().contains("MISSING"));
@@ -311,7 +300,7 @@ mod tests {
     fn mismatched_modes_are_refused() {
         let base = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
         let quick = parse_summary(&summary("quick", &[("des_million_ranks/hot", 4000)])).unwrap();
-        let err = diff(&base, &quick, "des_million_ranks/", 25.0).unwrap_err();
+        let err = diff_gates(&base, &quick, &[Gate::new("des_million_ranks/", 25.0)]).unwrap_err();
         assert!(err.contains("mode mismatch"), "{err}");
     }
 

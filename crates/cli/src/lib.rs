@@ -1,6 +1,6 @@
 //! # depchaos-cli — command-line front ends
 //!
-//! Three binaries over the simulation:
+//! Four binaries over the simulation:
 //!
 //! * `libtree` — builds the Listing 1 world and prints the per-object
 //!   dependency tree with provenance tags, `not found` included.
@@ -8,12 +8,12 @@
 //!   needed lists and syscall counts.
 //! * `depchaos-report` — regenerates every paper table/figure as text
 //!   (`fig1 fig2 fig3 fig4 table1 table2 fig6`, or `all`).
+//! * `depchaos-serve` — answers JSONL what-if requests from a persistent
+//!   result store, simulating only the cells the store lacks.
 //!
 //! The binaries operate on built-in scenario worlds (the VFS is in-memory);
 //! they exist to make the experiments runnable and eyeballable without the
 //! bench harness.
-
-use depchaos_loader::LoadResult;
 
 /// Upper bound a `--jobs N` request may ask for. Worker threads beyond
 /// this are certainly a typo (`--jobs 100000`), and each one costs a
@@ -38,29 +38,9 @@ pub fn parse_jobs(raw: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Format a load result the way the report binaries print it.
-pub fn format_load(r: &LoadResult) -> String {
-    let mut s = String::new();
-    for o in &r.objects {
-        s.push_str(&format!("  [{}] {} ({})\n", o.idx, o.path, o.provenance.tag()));
-    }
-    s.push_str(&format!(
-        "  {} objects, {} stat/openat ({} misses), {:.3} ms simulated\n",
-        r.objects.len(),
-        r.syscalls.stat_openat(),
-        r.syscalls.misses,
-        r.time_ns as f64 / 1e6
-    ));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depchaos_elf::io::install;
-    use depchaos_elf::ElfObject;
-    use depchaos_loader::GlibcLoader;
-    use depchaos_vfs::Vfs;
 
     #[test]
     fn parse_jobs_accepts_the_sane_range_only() {
@@ -72,15 +52,5 @@ mod tests {
         assert!(parse_jobs("-3").is_err());
         assert!(parse_jobs("two").is_err());
         assert!(parse_jobs("").is_err());
-    }
-
-    #[test]
-    fn format_load_mentions_objects_and_counts() {
-        let fs = Vfs::local();
-        install(&fs, "/bin/x", &ElfObject::exe("x").build()).unwrap();
-        let r = GlibcLoader::new(&fs).load("/bin/x").unwrap();
-        let text = format_load(&r);
-        assert!(text.contains("/bin/x"));
-        assert!(text.contains("stat/openat"));
     }
 }

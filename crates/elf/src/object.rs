@@ -176,13 +176,6 @@ impl ObjectBuilder {
         self
     }
 
-    /// Remove the soname (some hand-built libraries lack one; the loader
-    /// then dedups on basename).
-    pub fn no_soname(mut self) -> Self {
-        self.obj.soname = None;
-        self
-    }
-
     pub fn needs(mut self, n: impl Into<String>) -> Self {
         self.obj.needed.push(n.into());
         self

@@ -1167,9 +1167,6 @@ mod tests {
             fn resolves_by_soname(&self) -> bool {
                 self.0.resolves_by_soname()
             }
-            fn honours_preload(&self) -> bool {
-                self.0.honours_preload()
-            }
         }
         struct CountingGlibc(Arc<AtomicUsize>);
         impl LoaderFactory for CountingGlibc {

@@ -6,6 +6,12 @@
 //! semantics, musl semantics, a loader service, or the §III-C proposal
 //! interchangeably. The trait is object-safe: `Box<dyn Loader>` /
 //! `&dyn Loader` are the currency of backend-generic code.
+//!
+//! The crate's four backends share one impl, the [`crate::Engine`]'s. It
+//! answers the name and the two capability queries from its policies'
+//! associated consts: [`crate::SearchPolicy::NAME`],
+//! [`crate::DedupPolicy::BY_SONAME`] (`false` for musl only) and
+//! [`crate::SearchPolicy::DLOPEN_REPLAY`] (`true` for glibc only).
 
 use crate::result::{LoadError, LoadResult};
 
@@ -19,9 +25,10 @@ pub trait Loader {
     /// closure of its needed entries under this backend's semantics.
     fn load(&self, exe: &str) -> Result<LoadResult, LoadError>;
 
-    /// [`Loader::load`], then replay `dlopen` hints where the backend
-    /// models them. Backends without dlopen replay fall back to a plain
-    /// load, so callers can request it unconditionally.
+    /// [`Loader::load`], then replay each loaded object's `dlopen` hints
+    /// (in load order), which search with the *caller's* paths — the Qt
+    /// plugin problem from §III-A. Backends without dlopen replay fall back
+    /// to a plain load, so callers can request it unconditionally.
     fn load_with_dlopen(&self, exe: &str) -> Result<LoadResult, LoadError> {
         self.load(exe)
     }
@@ -32,11 +39,19 @@ pub trait Loader {
     /// shrinkwrapped output incorrectly, exactly as §IV documents.
     fn resolves_by_soname(&self) -> bool;
 
-    /// Whether `LD_PRELOAD` entries are honoured.
-    fn honours_preload(&self) -> bool;
-
     /// Whether [`Loader::load_with_dlopen`] actually replays dlopen hints.
     fn supports_dlopen_replay(&self) -> bool {
         false
     }
+}
+
+/// Assert that two loads of one image are the same load: the same objects,
+/// events, syscalls and simulated time. Compare loads of two identically
+/// built filesystems — a second load of the same one runs warmer.
+#[cfg(test)]
+pub(crate) fn assert_same_load(a: &LoadResult, b: &LoadResult) {
+    assert_eq!(a.paths(), b.paths());
+    assert_eq!(format!("{:?}", a.events), format!("{:?}", b.events));
+    assert_eq!(a.syscalls, b.syscalls);
+    assert_eq!(a.time_ns, b.time_ns);
 }

@@ -17,13 +17,17 @@
 //!   path+inode-only rule (the documented reason Shrinkwrap does not
 //!   support musl), or a pure by-name table.
 //!
-//! [`Engine::run`] owns everything the four hand-written loaders used to
+//! [`Engine`] owns everything the four hand-written loaders used to
 //! duplicate: the [`State`] maps, the event log, the failure list, the
 //! syscall-snapshot bracketing, the static-executable and `PT_INTERP`
 //! checks, direct-path opens, and the `dlopen` replay loop. A concrete
 //! loader is nothing but a `(SearchPolicy, DedupPolicy, EngineConfig)`
-//! triple — see [`crate::GlibcLoader`] and friends, each a thin
-//! instantiation.
+//! triple: [`crate::GlibcLoader`] and friends are type aliases of
+//! `Engine`, and their backend modules add only a constructor and the
+//! builders of their own policy. The one [`Loader`] impl is the engine's;
+//! it reads the backend's name and capabilities from the policies'
+//! associated consts ([`SearchPolicy::NAME`],
+//! [`SearchPolicy::DLOPEN_REPLAY`], [`DedupPolicy::BY_SONAME`]).
 //!
 //! # Performance
 //!
@@ -47,6 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{intern, Inode, PathId, Vfs};
 
+use crate::api::Loader;
 use crate::env::Environment;
 use crate::resolve::{probe_exact, Candidate, Provenance, Resolution};
 use crate::result::{Failure, LoadError, LoadEvent, LoadResult, LoadedObject};
@@ -157,6 +162,13 @@ impl Ctx<'_> {
 /// plan and executes it. Implementations own whatever configuration their
 /// search consults (an [`crate::LdCache`], a delegate service, ...).
 pub trait SearchPolicy {
+    /// The backend's [`Loader::name`] (`"glibc"`, `"musl"`, ...).
+    const NAME: &'static str;
+
+    /// Whether [`Loader::load_with_dlopen`] replays `dlopen` hints; a
+    /// backend without replay answers it with a plain load.
+    const DLOPEN_REPLAY: bool = false;
+
     /// Rewrite a request before dedup and search run — the future loader's
     /// per-dependency pins turn a soname into an exact path here. Return
     /// `None` to leave the request unchanged.
@@ -182,6 +194,10 @@ pub trait SearchPolicy {
 /// requests. Implementations are responsible for recording request aliases
 /// ([`State::alias`]) exactly where their modelled loader would.
 pub trait DedupPolicy {
+    /// [`Loader::resolves_by_soname`]: whether a bare-soname request can be
+    /// satisfied by an object loaded under a different name.
+    const BY_SONAME: bool = true;
+
     /// Pre-search cache lookup for a request (bare soname or path,
     /// interned). A hit costs **zero filesystem work** — the Listing 1
     /// mechanism — and, this being the hot call of big-closure loads, the
@@ -243,30 +259,29 @@ impl EngineConfig {
 }
 
 /// The BFS driver. One engine instance is one loader bound to one
-/// filesystem; [`Engine::run`] simulates one `execve`.
+/// filesystem; each load simulates one `execve`.
 pub struct Engine<'fs, S, D> {
     fs: &'fs Vfs,
     env: Environment,
-    pub search: S,
-    pub dedup: D,
-    pub config: EngineConfig,
+    pub(crate) search: S,
+    pub(crate) dedup: D,
+    pub(crate) config: EngineConfig,
 }
 
 impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
-    pub fn new(fs: &'fs Vfs, search: S, dedup: D, config: EngineConfig) -> Self {
+    pub fn with_policies(fs: &'fs Vfs, search: S, dedup: D, config: EngineConfig) -> Self {
         Engine { fs, env: Environment::default(), search, dedup, config }
     }
 
-    pub fn fs(&self) -> &'fs Vfs {
-        self.fs
-    }
-
-    pub fn env(&self) -> &Environment {
-        &self.env
-    }
-
-    pub fn set_env(&mut self, env: Environment) {
+    pub fn with_env(mut self, env: Environment) -> Self {
         self.env = env;
+        self
+    }
+
+    /// Simulate `execve(exe_path)` without replaying `dlopen` hints — see
+    /// [`Loader::load_with_dlopen`] for that.
+    pub fn load(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
+        self.run(exe_path, false)
     }
 
     /// Simulate `execve(exe_path)`: map the executable, honour preloads per
@@ -274,7 +289,7 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
     /// With `dlopen`, additionally replay each loaded object's `dlopen`
     /// hints (in load order), which search with the *caller's* paths — the
     /// Qt plugin problem from §III-A.
-    pub fn run(&self, exe_path: &str, dlopen: bool) -> Result<LoadResult, LoadError> {
+    fn run(&self, exe_path: &str, dlopen: bool) -> Result<LoadResult, LoadError> {
         let before = self.fs.snapshot();
         let t0 = self.fs.elapsed_ns();
         let mut st = State::new();
@@ -437,6 +452,28 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
     }
 }
 
+impl<S: SearchPolicy, D: DedupPolicy> Loader for Engine<'_, S, D> {
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
+        self.run(exe, false)
+    }
+
+    fn load_with_dlopen(&self, exe: &str) -> Result<LoadResult, LoadError> {
+        self.run(exe, S::DLOPEN_REPLAY)
+    }
+
+    fn resolves_by_soname(&self) -> bool {
+        D::BY_SONAME
+    }
+
+    fn supports_dlopen_replay(&self) -> bool {
+        S::DLOPEN_REPLAY
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,6 +484,8 @@ mod tests {
     struct DirectOnly;
 
     impl SearchPolicy for DirectOnly {
+        const NAME: &'static str = "direct-only";
+
         fn locate(
             &self,
             _cx: &Ctx,
@@ -491,7 +530,7 @@ mod tests {
         )
         .unwrap();
         install(&fs, "/l/liba.so", &ElfObject::dso("liba.so").needs("/l/gone.so").build()).unwrap();
-        let engine = Engine::new(&fs, DirectOnly, ByName, EngineConfig::uncharged());
+        let engine = Engine::with_policies(&fs, DirectOnly, ByName, EngineConfig::uncharged());
         let r = engine.run("/bin/app", false).unwrap();
         assert_eq!(r.objects.len(), 2);
         assert_eq!(r.events.len(), 3, "two requests from app + one from liba");
@@ -503,7 +542,7 @@ mod tests {
     #[test]
     fn missing_exe_is_an_error_not_a_failure() {
         let fs = Vfs::local();
-        let engine = Engine::new(&fs, DirectOnly, ByName, EngineConfig::uncharged());
+        let engine = Engine::with_policies(&fs, DirectOnly, ByName, EngineConfig::uncharged());
         assert!(matches!(engine.run("/bin/ghost", false), Err(LoadError::ExeNotFound(_))));
     }
 }

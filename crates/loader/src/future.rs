@@ -36,11 +36,8 @@
 use depchaos_elf::SearchPosition;
 use depchaos_vfs::{intern, PathId, Vfs};
 
-use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, SearchPolicy, State};
-use crate::env::Environment;
 use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
-use crate::result::{LoadError, LoadResult};
 
 /// The proposal's probe plan: pins rewrite the request; otherwise prepends
 /// (own, then inherited), the environment, appends (own, then inherited),
@@ -48,6 +45,8 @@ use crate::result::{LoadError, LoadResult};
 pub struct FutureSearch;
 
 impl SearchPolicy for FutureSearch {
+    const NAME: &'static str = "future";
+
     fn rewrite(&self, _cx: &Ctx, st: &State, requester: usize, name: &str) -> Option<String> {
         // Pins are inheritable by default (the proposal leaves this open;
         // inheritance is the useful choice) with the nearest object winning.
@@ -135,49 +134,19 @@ impl DedupPolicy for FutureDedup {
 }
 
 /// The proposed loader, bound to one filesystem.
-pub struct FutureLoader<'fs> {
-    engine: Engine<'fs, FutureSearch, FutureDedup>,
-}
+pub type FutureLoader<'fs> = Engine<'fs, FutureSearch, FutureDedup>;
 
 impl<'fs> FutureLoader<'fs> {
     pub fn new(fs: &'fs Vfs) -> Self {
-        FutureLoader {
-            engine: Engine::new(fs, FutureSearch, FutureDedup, EngineConfig::uncharged()),
-        }
-    }
-
-    pub fn with_env(mut self, env: Environment) -> Self {
-        self.engine.set_env(env);
-        self
-    }
-
-    /// Simulate process startup under the proposed semantics.
-    pub fn load(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
-        self.engine.run(exe_path, false)
-    }
-}
-
-impl Loader for FutureLoader<'_> {
-    fn name(&self) -> &'static str {
-        "future"
-    }
-
-    fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
-        FutureLoader::load(self, exe)
-    }
-
-    fn resolves_by_soname(&self) -> bool {
-        true
-    }
-
-    fn honours_preload(&self) -> bool {
-        false
+        Engine::with_policies(fs, FutureSearch, FutureDedup, EngineConfig::uncharged())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{assert_same_load, Loader};
+    use crate::env::Environment;
     use depchaos_elf::io::install;
     use depchaos_elf::ElfObject;
     use depchaos_elf::SearchPosition::{Append, Prepend};
@@ -330,12 +299,24 @@ mod tests {
 
     #[test]
     fn usable_through_the_loader_trait() {
-        let fs = Vfs::local();
-        install(&fs, "/bin/app", &ElfObject::exe("app").build()).unwrap();
+        // The hinted module exists, so a replay would load it.
+        let world = || {
+            let fs = Vfs::local();
+            install(&fs, "/bin/app", &ElfObject::exe("app").dlopens("/plug/libplug.so").build())
+                .unwrap();
+            install(&fs, "/plug/libplug.so", &ElfObject::dso("libplug.so").build()).unwrap();
+            fs
+        };
+        let (fs, fs2) = (world(), world());
         let fut = FutureLoader::new(&fs).with_env(Environment::bare());
         let dyn_loader: &dyn Loader = &fut;
         assert_eq!(dyn_loader.name(), "future");
         assert!(dyn_loader.resolves_by_soname());
-        assert!(dyn_loader.load("/bin/app").unwrap().success());
+        assert!(!dyn_loader.supports_dlopen_replay());
+        let plain = dyn_loader.load("/bin/app").unwrap();
+        assert!(plain.success());
+        let fut2 = FutureLoader::new(&fs2).with_env(Environment::bare());
+        let dyn_loader: &dyn Loader = &fut2;
+        assert_same_load(&plain, &dyn_loader.load_with_dlopen("/bin/app").unwrap());
     }
 }

@@ -33,12 +33,10 @@
 use depchaos_elf::{ElfObject, Machine};
 use depchaos_vfs::{intern, PathId, Vfs};
 
-use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
 use crate::env::Environment;
 use crate::ldcache::LdCache;
 use crate::resolve::{expand_entry, probe_dir_with, probe_exact, Candidate, Provenance};
-use crate::result::{LoadError, LoadResult};
 
 /// Resolve `name` in glibc's order (ld.so(8)): a name containing `/` is
 /// opened directly; any other is searched in the RPATH of `chain`
@@ -103,6 +101,9 @@ pub struct GlibcSearch {
 }
 
 impl SearchPolicy for GlibcSearch {
+    const NAME: &'static str = "glibc";
+    const DLOPEN_REPLAY: bool = true;
+
     fn locate(
         &self,
         cx: &Ctx,
@@ -189,89 +190,38 @@ impl DedupPolicy for GlibcDedup {
 }
 
 /// A glibc-semantics loader bound to one filesystem.
-pub struct GlibcLoader<'fs> {
-    engine: Engine<'fs, GlibcSearch, GlibcDedup>,
-}
+pub type GlibcLoader<'fs> = Engine<'fs, GlibcSearch, GlibcDedup>;
 
 impl<'fs> GlibcLoader<'fs> {
     pub fn new(fs: &'fs Vfs) -> Self {
-        GlibcLoader {
-            engine: Engine::new(
-                fs,
-                GlibcSearch { cache: LdCache::empty() },
-                GlibcDedup,
-                EngineConfig::charged(PreloadMode::SkipStatic),
-            ),
-        }
+        Engine::with_policies(
+            fs,
+            GlibcSearch { cache: LdCache::empty() },
+            GlibcDedup,
+            EngineConfig::charged(PreloadMode::SkipStatic),
+        )
     }
 
     /// Verify the `PT_INTERP` interpreter exists before loading, like the
     /// kernel's `execve` does. Off by default (most fixtures don't install
     /// an ld.so); the NixOS §II-D compatibility tests turn it on.
     pub fn with_strict_interp(mut self, yes: bool) -> Self {
-        self.engine.config.strict_interp = yes;
-        self
-    }
-
-    pub fn with_env(mut self, env: Environment) -> Self {
-        self.engine.set_env(env);
+        self.config.strict_interp = yes;
         self
     }
 
     pub fn with_cache(mut self, cache: LdCache) -> Self {
-        self.engine.search.cache = cache;
+        self.search.cache = cache;
         self
-    }
-
-    pub fn env(&self) -> &Environment {
-        self.engine.env()
-    }
-
-    /// Simulate `execve(exe_path)`: map the executable, `LD_PRELOAD`s, and
-    /// the breadth-first closure of needed entries. `dlopen` hints are NOT
-    /// processed — see [`GlibcLoader::load_with_dlopen`].
-    pub fn load(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
-        self.engine.run(exe_path, false)
-    }
-
-    /// [`GlibcLoader::load`], then replay each loaded object's `dlopen`
-    /// hints (in load order), which search with the *caller's* paths — the
-    /// Qt plugin problem from §III-A.
-    pub fn load_with_dlopen(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
-        self.engine.run(exe_path, true)
-    }
-}
-
-impl Loader for GlibcLoader<'_> {
-    fn name(&self) -> &'static str {
-        "glibc"
-    }
-
-    fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
-        GlibcLoader::load(self, exe)
-    }
-
-    fn load_with_dlopen(&self, exe: &str) -> Result<LoadResult, LoadError> {
-        GlibcLoader::load_with_dlopen(self, exe)
-    }
-
-    fn resolves_by_soname(&self) -> bool {
-        true
-    }
-
-    fn honours_preload(&self) -> bool {
-        true
-    }
-
-    fn supports_dlopen_replay(&self) -> bool {
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Loader;
     use crate::resolve::Resolution;
+    use crate::result::LoadError;
     use depchaos_elf::io::install;
     use depchaos_elf::{ElfObject, Machine};
 
@@ -539,6 +489,9 @@ mod tests {
     #[test]
     fn loader_trait_object_works() {
         let fs = simple_world();
+        let plugged = ElfObject::exe("plugged").needs("liba.so").dlopens("libplug.so").build();
+        install(&fs, "/bin/plugged", &plugged).unwrap();
+        install(&fs, "/usr/lib/libplug.so", &ElfObject::dso("libplug.so").build()).unwrap();
         let glibc = GlibcLoader::new(&fs);
         let dyn_loader: &dyn Loader = &glibc;
         assert_eq!(dyn_loader.name(), "glibc");
@@ -547,5 +500,11 @@ mod tests {
         let r = dyn_loader.load("/bin/app").unwrap();
         assert!(r.success());
         assert_eq!(r.objects.len(), 3);
+        let r = dyn_loader.load_with_dlopen("/bin/plugged").unwrap();
+        assert_eq!(
+            r.paths(),
+            vec!["/bin/plugged", "/usr/lib/liba.so", "/usr/lib/libb.so", "/usr/lib/libplug.so"]
+        );
+        assert!(dyn_loader.load("/bin/plugged").unwrap().find("libplug.so").is_none());
     }
 }

@@ -14,7 +14,10 @@
 //! * a [`engine::DedupPolicy`] — *when* two requests are the same library
 //!   (the identity relation).
 //!
-//! Four backends ship, each a thin instantiation:
+//! Four backends ship. Each is a type alias of [`Engine`] over its two
+//! policies — `GlibcLoader<'fs>` is `Engine<'fs, GlibcSearch, GlibcDedup>`
+//! — and its module adds only a constructor and the builders of its own
+//! policy:
 //!
 //! * **glibc** ([`GlibcLoader`]): per-request search order `DT_RPATH` (of
 //!   the requester and its loader-chain ancestors, suppressed by a
@@ -35,13 +38,17 @@
 //!   prepend/append search dirs with per-entry propagation flags, plus
 //!   per-dependency pins.
 //!
-//! All four implement the object-safe [`Loader`] trait, so consumers
-//! (Shrinkwrap, the launch profiler, the CLIs) are backend-generic: hand
-//! them any `&dyn Loader` and compare semantics on the same filesystem
-//! image. Capability queries ([`Loader::resolves_by_soname`],
-//! [`Loader::supports_dlopen_replay`]) expose the semantic differences the
-//! paper turns on — musl answering `false` to soname resolution *is* the
-//! §IV incompatibility.
+//! All four implement the object-safe [`Loader`] trait through the
+//! engine's one impl, so consumers (Shrinkwrap, the launch profiler, the
+//! CLIs) are backend-generic: hand them any `&dyn Loader` and compare
+//! semantics on the same filesystem image. Capability queries
+//! ([`Loader::resolves_by_soname`], [`Loader::supports_dlopen_replay`])
+//! expose the semantic differences the paper turns on — musl answering
+//! `false` to soname resolution *is* the §IV incompatibility. The answers,
+//! and the backend's name, are associated consts of the policies
+//! ([`DedupPolicy::BY_SONAME`], [`SearchPolicy::DLOPEN_REPLAY`],
+//! [`SearchPolicy::NAME`]), so a backend cannot be configured into a
+//! different answer.
 //!
 //! [`tree`] is libtree-style per-object static resolution: the glibc
 //! loader's own search order ([`glibc::glibc_order`], which Shrinkwrap's

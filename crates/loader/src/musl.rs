@@ -19,11 +19,8 @@
 
 use depchaos_vfs::{intern, PathId, Vfs};
 
-use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
-use crate::env::Environment;
 use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
-use crate::result::{LoadError, LoadResult};
 
 /// musl's probe plan: `LD_LIBRARY_PATH` first, then the requester chain's
 /// melded RPATH+RUNPATH (inherited), then the system path. No hwcaps, no
@@ -31,6 +28,8 @@ use crate::result::{LoadError, LoadResult};
 pub struct MuslSearch;
 
 impl SearchPolicy for MuslSearch {
+    const NAME: &'static str = "musl";
+
     fn locate(
         &self,
         cx: &Ctx,
@@ -88,6 +87,8 @@ impl MuslDedup {
 }
 
 impl DedupPolicy for MuslDedup {
+    const BY_SONAME: bool = false;
+
     fn lookup(&self, _cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
         if name.as_str().contains('/') {
             // Direct path: open, then (dev,ino) dedup only.
@@ -126,54 +127,19 @@ impl DedupPolicy for MuslDedup {
 }
 
 /// A musl-semantics loader bound to one filesystem.
-pub struct MuslLoader<'fs> {
-    engine: Engine<'fs, MuslSearch, MuslDedup>,
-}
+pub type MuslLoader<'fs> = Engine<'fs, MuslSearch, MuslDedup>;
 
 impl<'fs> MuslLoader<'fs> {
     pub fn new(fs: &'fs Vfs) -> Self {
-        MuslLoader {
-            engine: Engine::new(
-                fs,
-                MuslSearch,
-                MuslDedup,
-                EngineConfig::charged(PreloadMode::Always),
-            ),
-        }
-    }
-
-    pub fn with_env(mut self, env: Environment) -> Self {
-        self.engine.set_env(env);
-        self
-    }
-
-    /// Simulate process startup under musl semantics.
-    pub fn load(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
-        self.engine.run(exe_path, false)
-    }
-}
-
-impl Loader for MuslLoader<'_> {
-    fn name(&self) -> &'static str {
-        "musl"
-    }
-
-    fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
-        MuslLoader::load(self, exe)
-    }
-
-    fn resolves_by_soname(&self) -> bool {
-        false
-    }
-
-    fn honours_preload(&self) -> bool {
-        true
+        Engine::with_policies(fs, MuslSearch, MuslDedup, EngineConfig::charged(PreloadMode::Always))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{assert_same_load, Loader};
+    use crate::env::Environment;
     use crate::resolve::Resolution;
     use depchaos_elf::io::install;
     use depchaos_elf::ElfObject;
@@ -296,13 +262,24 @@ mod tests {
 
     #[test]
     fn loader_trait_reports_musl_capabilities() {
-        let fs = Vfs::local();
-        install(&fs, "/bin/app", &ElfObject::exe("app").build()).unwrap();
+        // The hinted module exists, so a replay would load it.
+        let world = || {
+            let fs = Vfs::local();
+            install(&fs, "/bin/app", &ElfObject::exe("app").dlopens("/usr/lib/libplug.so").build())
+                .unwrap();
+            install(&fs, "/usr/lib/libplug.so", &ElfObject::dso("libplug.so").build()).unwrap();
+            fs
+        };
+        let (fs, fs2) = (world(), world());
         let musl = MuslLoader::new(&fs);
         let dyn_loader: &dyn Loader = &musl;
         assert_eq!(dyn_loader.name(), "musl");
         assert!(!dyn_loader.resolves_by_soname(), "the §IV incompatibility, queryable");
         assert!(!dyn_loader.supports_dlopen_replay());
-        assert!(dyn_loader.load("/bin/app").unwrap().success());
+        let plain = dyn_loader.load("/bin/app").unwrap();
+        assert!(plain.success());
+        let musl2 = MuslLoader::new(&fs2);
+        let dyn_loader: &dyn Loader = &musl2;
+        assert_same_load(&plain, &dyn_loader.load_with_dlopen("/bin/app").unwrap());
     }
 }

@@ -64,10 +64,6 @@ pub enum Resolution {
 }
 
 impl Resolution {
-    pub fn is_found(&self) -> bool {
-        !matches!(self, Resolution::NotFound)
-    }
-
     pub fn path(&self) -> Option<&str> {
         match self {
             Resolution::Loaded { path, .. } | Resolution::Deduped { path } => Some(path),

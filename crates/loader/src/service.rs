@@ -23,10 +23,8 @@ use std::sync::Arc;
 
 use depchaos_vfs::{intern, PathId, Vfs};
 
-use crate::api::Loader;
 use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, SearchPolicy, State};
 use crate::resolve::{probe_exact, Candidate, Provenance};
-use crate::result::{LoadError, LoadResult};
 
 /// A resolution policy consulted once per needed entry.
 pub trait LoaderService {
@@ -48,11 +46,13 @@ impl<S: LoaderService + ?Sized> LoaderService for Arc<S> {
 /// output) never reach it, because the engine opens them directly, as a
 /// real loader service would. Either way the answer is opened and
 /// ABI-checked like any other candidate.
-pub struct ServiceSearch<S: LoaderService> {
+pub struct ServiceSearch<S> {
     pub service: S,
 }
 
 impl<S: LoaderService> SearchPolicy for ServiceSearch<S> {
+    const NAME: &'static str = "service";
+
     fn locate(
         &self,
         cx: &Ctx,
@@ -102,47 +102,20 @@ impl DedupPolicy for ServiceDedup {
 
 /// The loader half: BFS + dedup from the shared engine, resolution fully
 /// delegated to the service.
-pub struct ServiceLoader<'fs, S: LoaderService> {
-    engine: Engine<'fs, ServiceSearch<S>, ServiceDedup>,
-}
+pub type ServiceLoader<'fs, S> = Engine<'fs, ServiceSearch<S>, ServiceDedup>;
 
 impl<'fs, S: LoaderService> ServiceLoader<'fs, S> {
     pub fn new(fs: &'fs Vfs, service: S) -> Self {
-        ServiceLoader {
-            engine: Engine::new(
-                fs,
-                ServiceSearch { service },
-                ServiceDedup,
-                EngineConfig::uncharged(),
-            ),
-        }
+        Engine::with_policies(
+            fs,
+            ServiceSearch { service },
+            ServiceDedup,
+            EngineConfig::uncharged(),
+        )
     }
 
     pub fn service(&self) -> &S {
-        &self.engine.search.service
-    }
-
-    /// Simulate process startup with service-side resolution.
-    pub fn load(&self, exe_path: &str) -> Result<LoadResult, LoadError> {
-        self.engine.run(exe_path, false)
-    }
-}
-
-impl<S: LoaderService> Loader for ServiceLoader<'_, S> {
-    fn name(&self) -> &'static str {
-        "service"
-    }
-
-    fn load(&self, exe: &str) -> Result<LoadResult, LoadError> {
-        ServiceLoader::load(self, exe)
-    }
-
-    fn resolves_by_soname(&self) -> bool {
-        true
-    }
-
-    fn honours_preload(&self) -> bool {
-        false
+        &self.search.service
     }
 }
 
@@ -250,6 +223,7 @@ impl LoaderService for HashStoreService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{assert_same_load, Loader};
     use depchaos_elf::io::install;
     use depchaos_elf::ElfObject;
 
@@ -350,13 +324,28 @@ mod tests {
 
     #[test]
     fn shared_service_through_arc_and_trait_object() {
-        let (fs, svc, exe) = world();
+        // `/bin/plugged` hints a module that exists, so a replay would load
+        // it.
+        let plugged_world = || {
+            let (fs, svc, _) = world();
+            install(&fs, "/store/cc/libplug.so", &ElfObject::dso("libplug.so").build()).unwrap();
+            let exe = ElfObject::exe("plugged").dlopens("/store/cc/libplug.so").build();
+            install(&fs, "/bin/plugged", &exe).unwrap();
+            (fs, svc)
+        };
+        let ((fs, svc), (fs2, svc2)) = (plugged_world(), plugged_world());
         let shared = Arc::new(svc);
         let loader = ServiceLoader::new(&fs, shared.clone());
         let dyn_loader: &dyn Loader = &loader;
         assert_eq!(dyn_loader.name(), "service");
-        assert!(dyn_loader.load(&exe).unwrap().success());
+        assert!(dyn_loader.resolves_by_soname());
+        assert!(!dyn_loader.supports_dlopen_replay());
+        let plain = dyn_loader.load("/bin/plugged").unwrap();
+        assert!(dyn_loader.load("/bin/app").unwrap().success());
         // The same index keeps serving other instances.
-        assert!(ServiceLoader::new(&fs, shared).load(&exe).unwrap().success());
+        assert!(ServiceLoader::new(&fs, shared).load("/bin/app").unwrap().success());
+        let loader2 = ServiceLoader::new(&fs2, Arc::new(svc2));
+        let dyn_loader: &dyn Loader = &loader2;
+        assert_same_load(&plain, &dyn_loader.load_with_dlopen("/bin/plugged").unwrap());
     }
 }

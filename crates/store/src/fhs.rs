@@ -44,10 +44,6 @@ impl FhsInstaller {
         Self::default()
     }
 
-    pub fn with_dirs(lib_dir: impl Into<String>, bin_dir: impl Into<String>) -> Self {
-        FhsInstaller { lib_dir: lib_dir.into(), bin_dir: bin_dir.into(), owners: HashMap::new() }
-    }
-
     /// Install every file of `pkg`. Returns the paths that belonged to
     /// *other* packages and were overwritten — the silent-conflict hazard.
     pub fn install(&mut self, fs: &Vfs, pkg: &PackageDef) -> Result<Vec<String>, VfsError> {
@@ -149,11 +145,6 @@ impl FhsInstaller {
     /// Who owns a path, if tracked.
     pub fn owner_of(&self, path: &str) -> Option<&str> {
         self.owners.get(path).map(String::as_str)
-    }
-
-    /// Path a binary installs to.
-    pub fn bin_path(&self, name: &str) -> String {
-        vpath::join(&self.bin_dir, name)
     }
 }
 

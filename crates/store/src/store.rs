@@ -77,11 +77,6 @@ impl StoreInstaller {
         s
     }
 
-    pub fn with_transitive_paths(mut self, yes: bool) -> Self {
-        self.transitive_paths = yes;
-        self
-    }
-
     pub fn style(&self) -> PathStyle {
         self.style
     }

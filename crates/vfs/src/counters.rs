@@ -1,35 +1,41 @@
 //! Syscall accounting.
 //!
 //! Table II of the paper reports `stat`/`openat` counts during process
-//! startup, captured with `strace`. Every [`crate::Vfs`] operation increments
-//! these counters; tests and benches take [`SyscallCounters::snapshot`]
-//! deltas around the region of interest.
+//! startup, captured with `strace`. Every accounted [`crate::Vfs`]
+//! operation records itself in a [`CounterSnapshot`] kept in the same
+//! record, under the same lock, as the simulated clock, the cost model's
+//! caches and the strace log; tests and benches take
+//! [`CounterSnapshot::since`] deltas of [`crate::Vfs::snapshot`] around
+//! the region of interest.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::strace::{Op, Outcome};
 
-/// Monotone syscall counters. Cheap to share; all methods are `&self`.
-#[derive(Debug, Default)]
-pub struct SyscallCounters {
-    stat: AtomicU64,
-    openat: AtomicU64,
-    read: AtomicU64,
-    readlink: AtomicU64,
-    /// Failed `stat`/`openat` lookups (ENOENT et al.) — the wasted work the
-    /// paper attributes to long search paths.
-    misses: AtomicU64,
-}
-
-/// A point-in-time copy of the counters, with arithmetic for deltas.
+/// Syscall counts at one point in time, with arithmetic for deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     pub stat: u64,
     pub openat: u64,
     pub read: u64,
     pub readlink: u64,
+    /// Failed calls (ENOENT et al.) — the wasted work the paper
+    /// attributes to long search paths.
     pub misses: u64,
 }
 
 impl CounterSnapshot {
+    /// Count one accounted syscall.
+    pub(crate) fn record(&mut self, op: Op, outcome: Outcome) {
+        *match op {
+            Op::Stat => &mut self.stat,
+            Op::Openat => &mut self.openat,
+            Op::Read => &mut self.read,
+            Op::Readlink => &mut self.readlink,
+        } += 1;
+        if outcome != Outcome::Ok {
+            self.misses += 1;
+        }
+    }
+
     /// Total of the syscalls the paper counts in Table II (stat + openat).
     pub fn stat_openat(&self) -> u64 {
         self.stat + self.openat
@@ -52,73 +58,24 @@ impl CounterSnapshot {
     }
 }
 
-impl SyscallCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn bump_stat(&self) {
-        self.stat.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_openat(&self) {
-        self.openat.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_read(&self) {
-        self.read.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_readlink(&self) {
-        self.readlink.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn bump_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copy out the current values.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            stat: self.stat.load(Ordering::Relaxed),
-            openat: self.openat.load(Ordering::Relaxed),
-            read: self.read.load(Ordering::Relaxed),
-            readlink: self.readlink.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Grand total of all syscalls so far.
-    pub fn total(&self) -> u64 {
-        self.snapshot().total()
-    }
-
-    /// Reset everything to zero (between experiment runs).
-    pub fn reset(&self) {
-        self.stat.store(0, Ordering::Relaxed);
-        self.openat.store(0, Ordering::Relaxed);
-        self.read.store(0, Ordering::Relaxed);
-        self.readlink.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn snapshot_delta() {
-        let c = SyscallCounters::new();
-        c.bump_stat();
-        c.bump_stat();
-        c.bump_openat();
-        c.bump_miss();
-        let s1 = c.snapshot();
+        let mut c = CounterSnapshot::default();
+        c.record(Op::Stat, Outcome::Ok);
+        c.record(Op::Stat, Outcome::Enoent);
+        c.record(Op::Openat, Outcome::Ok);
+        let s1 = c;
         assert_eq!(s1.stat, 2);
         assert_eq!(s1.stat_openat(), 3);
-        c.bump_openat();
-        let s2 = c.snapshot();
-        let d = s2.since(&s1);
+        assert_eq!(s1.misses, 1);
+        c.record(Op::Openat, Outcome::Ok);
+        let d = c.since(&s1);
         assert_eq!(d.openat, 1);
         assert_eq!(d.stat, 0);
-        c.reset();
-        assert_eq!(c.snapshot().total(), 0);
+        assert_eq!(d.misses, 0);
     }
 }

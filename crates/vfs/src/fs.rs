@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::counters::{CounterSnapshot, SyscallCounters};
+use crate::counters::CounterSnapshot;
 use crate::error::{VfsError, VfsResult};
 use crate::intern::{intern, PathId};
 use crate::latency::{Backend, CostModel};
@@ -15,8 +15,9 @@ use crate::tree::{Inode, Metadata, Tree};
 ///
 /// **Accounted** operations model syscalls the dynamic loader issues at
 /// runtime: [`Vfs::stat`], [`Vfs::try_open`], [`Vfs::open`], [`Vfs::read_file`],
-/// [`Vfs::readlink`]. They bump counters, charge simulated time, and append
-/// to the strace log when enabled.
+/// [`Vfs::readlink`]. Each charges the cost model, advances the simulated
+/// clock, counts itself and appends to the strace log when enabled, all
+/// under one lock: the accounting record's.
 ///
 /// **Unaccounted** (setup) operations build the world before the experiment
 /// starts: [`Vfs::mkdir_p`], [`Vfs::write_file`], [`Vfs::symlink`],
@@ -24,10 +25,15 @@ use crate::tree::{Inode, Metadata, Tree};
 /// is not part of process startup, so it costs nothing.
 pub struct Vfs {
     tree: RwLock<Tree>,
-    counters: SyscallCounters,
-    cost: Mutex<CostModel>,
-    clock_ns: Mutex<u64>,
-    log: Mutex<Option<StraceLog>>,
+    meter: Mutex<Meter>,
+}
+
+/// Everything an accounted operation updates, so that one lock covers it.
+struct Meter {
+    cost: CostModel,
+    clock_ns: u64,
+    counts: CounterSnapshot,
+    log: Option<StraceLog>,
 }
 
 impl Vfs {
@@ -35,10 +41,12 @@ impl Vfs {
     pub fn new(backend: Backend) -> Self {
         Vfs {
             tree: RwLock::new(Tree::new()),
-            counters: SyscallCounters::new(),
-            cost: Mutex::new(CostModel::new(backend)),
-            clock_ns: Mutex::new(0),
-            log: Mutex::new(None),
+            meter: Mutex::new(Meter {
+                cost: CostModel::new(backend),
+                clock_ns: 0,
+                counts: CounterSnapshot::default(),
+                log: None,
+            }),
         }
     }
 
@@ -72,18 +80,11 @@ impl Vfs {
         outcome: Outcome,
         bytes: u64,
     ) -> u64 {
-        let cost = self.cost.lock().op_cost(op, cache_key, outcome, bytes);
-        *self.clock_ns.lock() += cost;
-        match op {
-            Op::Stat => self.counters.bump_stat(),
-            Op::Openat => self.counters.bump_openat(),
-            Op::Read => self.counters.bump_read(),
-            Op::Readlink => self.counters.bump_readlink(),
-        }
-        if outcome != Outcome::Ok {
-            self.counters.bump_miss();
-        }
-        if let Some(log) = self.log.lock().as_mut() {
+        let mut m = self.meter.lock();
+        let cost = m.cost.op_cost(op, cache_key, outcome, bytes);
+        m.clock_ns += cost;
+        m.counts.record(op, outcome);
+        if let Some(log) = m.log.as_mut() {
             log.push(Syscall { op, path, outcome, cost_ns: cost });
         }
         cost
@@ -97,50 +98,46 @@ impl Vfs {
         }
     }
 
-    /// Access the shared counters.
-    pub fn counters(&self) -> &SyscallCounters {
-        &self.counters
-    }
-
-    /// Snapshot counters (convenience).
+    /// The syscall counts so far; take [`CounterSnapshot::since`] deltas
+    /// around a region of interest.
     pub fn snapshot(&self) -> CounterSnapshot {
-        self.counters.snapshot()
+        self.meter.lock().counts
     }
 
     /// Simulated elapsed time accumulated by accounted operations.
     pub fn elapsed_ns(&self) -> u64 {
-        *self.clock_ns.lock()
+        self.meter.lock().clock_ns
     }
 
-    /// Reset the simulated clock (counters are reset separately).
+    /// Reset the simulated clock (the counts keep running).
     pub fn reset_clock(&self) {
-        *self.clock_ns.lock() = 0;
+        self.meter.lock().clock_ns = 0;
     }
 
     /// Switch storage backend (caches are preserved; call
     /// [`Vfs::drop_caches`] for a cold start).
     pub fn set_backend(&self, backend: Backend) {
-        self.cost.lock().set_backend(backend);
+        self.meter.lock().cost.set_backend(backend);
     }
 
     /// Current storage backend.
     pub fn backend(&self) -> Backend {
-        self.cost.lock().backend()
+        self.meter.lock().cost.backend()
     }
 
     /// Make every future access cold again.
     pub fn drop_caches(&self) {
-        self.cost.lock().drop_caches();
+        self.meter.lock().cost.drop_caches();
     }
 
     /// Begin recording an strace log (replaces any active log).
     pub fn start_trace(&self) {
-        *self.log.lock() = Some(StraceLog::new());
+        self.meter.lock().log = Some(StraceLog::new());
     }
 
     /// Stop recording and return the log (empty if tracing wasn't active).
     pub fn stop_trace(&self) -> StraceLog {
-        self.log.lock().take().unwrap_or_default()
+        self.meter.lock().log.take().unwrap_or_default()
     }
 
     // ---- accounted operations (the loader's syscalls) -------------------
@@ -184,15 +181,6 @@ impl Vfs {
         let r = self.tree.read().read_file(path);
         let bytes = r.as_ref().map(|d| d.len() as u64).unwrap_or(0);
         self.charge(Op::Read, path, Self::outcome_of(&r), bytes);
-        r
-    }
-
-    /// Read by inode (after an `open` already resolved it); charged as a read
-    /// against the canonical path for cache purposes.
-    pub fn read_inode(&self, inode: Inode, path_hint: &str) -> VfsResult<Arc<Vec<u8>>> {
-        let r = self.tree.read().read_inode(inode);
-        let bytes = r.as_ref().map(|d| d.len() as u64).unwrap_or(0);
-        self.charge(Op::Read, path_hint, Self::outcome_of(&r), bytes);
         r
     }
 
@@ -296,7 +284,7 @@ impl std::fmt::Debug for Vfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Vfs")
             .field("inodes", &self.inode_count())
-            .field("counters", &self.counters.snapshot())
+            .field("counters", &self.snapshot())
             .field("elapsed_ns", &self.elapsed_ns())
             .finish()
     }

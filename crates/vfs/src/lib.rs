@@ -11,9 +11,12 @@
 //!
 //! 1. [`tree`] — the actual namespace: directories, regular files (byte blobs),
 //!    symlinks, inodes, component-wise symlink resolution.
-//! 2. [`counters`] + [`strace`] — every public operation on [`Vfs`] bumps
-//!    syscall counters and (optionally) appends to an strace-style log, so a
+//! 2. [`counters`] + [`strace`] — every accounted operation on [`Vfs`]
+//!    counts itself and (optionally) appends to an strace-style log, so a
 //!    test can assert "loading this binary performed 1823 stat/openat calls".
+//!    The counts, the log, the simulated clock and the cost model's caches
+//!    form one accounting record behind one lock: an accounted syscall
+//!    takes that lock once.
 //! 3. [`latency`] — a pluggable cost model mapping each syscall to simulated
 //!    nanoseconds: local filesystem (warm/cold dentry cache) or NFS (round
 //!    trips, client attribute cache, optional negative caching — LLNL systems
@@ -30,7 +33,7 @@
 //! fs.write_file("/usr/lib/libm.so.6", b"elf!".to_vec()).unwrap();
 //! fs.symlink("/usr/lib/libm.so", "libm.so.6").unwrap();
 //! assert_eq!(*fs.read_file("/usr/lib/libm.so").unwrap(), b"elf!".to_vec());
-//! assert!(fs.counters().total() > 0);
+//! assert!(fs.snapshot().total() > 0);
 //! ```
 
 pub mod counters;
@@ -43,7 +46,7 @@ pub mod tree;
 
 mod fs;
 
-pub use counters::{CounterSnapshot, SyscallCounters};
+pub use counters::CounterSnapshot;
 pub use error::{VfsError, VfsResult};
 pub use fs::Vfs;
 pub use intern::{intern, PathId};

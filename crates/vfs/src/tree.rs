@@ -307,14 +307,6 @@ impl Tree {
         }
     }
 
-    pub fn read_inode(&self, ino: Inode) -> VfsResult<Arc<Vec<u8>>> {
-        match self.nodes.get(ino.0 as usize).and_then(Option::as_ref) {
-            Some(Node::File { data }) => Ok(Arc::clone(data)),
-            Some(_) => Err(VfsError::IsADirectory(format!("inode {}", ino.0))),
-            None => Err(VfsError::NotFound(format!("inode {}", ino.0))),
-        }
-    }
-
     pub fn readlink(&self, p: &str) -> VfsResult<String> {
         let ino = self.resolve(p, false)?;
         match self.node(ino) {

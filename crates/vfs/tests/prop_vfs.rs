@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use depchaos_vfs::{path as vpath, Vfs};
+use depchaos_vfs::{path as vpath, Outcome, Vfs};
 use proptest::prelude::*;
 
 /// Strategy for path segments: short lowercase names.
@@ -78,15 +78,40 @@ proptest! {
         prop_assert_eq!(fs.canonicalize(&format!("/links/{prev}")).unwrap(), "/links/target".to_string());
     }
 
-    /// Counter totals equal the number of accounted calls issued.
+    /// Every accounted call counts once under its syscall and, when it
+    /// fails, once as a miss; with tracing on, the strace log holds exactly
+    /// those calls and sums to the simulated clock.
     #[test]
-    fn counters_are_exact(n_hits in 0u64..20, n_misses in 0u64..20) {
+    fn counters_are_exact(ops in prop::collection::vec((0u8..7, 0usize..4), 0..60)) {
+        // A file, a symlink to it, a directory and a missing path.
+        const PATHS: [&str; 4] = ["/lib/real", "/lib/link", "/lib", "/lib/ghost"];
         let fs = Vfs::local();
-        fs.write_file_p("/lib/real", vec![]).unwrap();
-        for _ in 0..n_hits { fs.stat("/lib/real").unwrap(); }
-        for _ in 0..n_misses { let _ = fs.stat("/lib/ghost"); }
+        fs.write_file_p("/lib/real", vec![1, 2, 3]).unwrap();
+        fs.symlink("/lib/link", "real").unwrap();
+        fs.start_trace();
+        let (mut stat, mut openat, mut read, mut readlink, mut misses) = (0, 0, 0, 0, 0);
+        for &(op, p) in &ops {
+            let path = PATHS[p];
+            let ok = match op {
+                0 => { stat += 1; fs.stat(path).is_ok() }
+                1 => { stat += 1; fs.lstat(path).is_ok() }
+                2 => { openat += 1; fs.open(path).is_ok() }
+                3 => { openat += 1; fs.try_open(path).is_some() }
+                4 => { read += 1; fs.read_file(path).is_ok() }
+                5 => { readlink += 1; fs.readlink(path).is_ok() }
+                _ => { read += 1; fs.charge_read(path, 4096); true }
+            };
+            misses += u64::from(!ok);
+        }
+        let log = fs.stop_trace();
         let s = fs.snapshot();
-        prop_assert_eq!(s.stat, n_hits + n_misses);
-        prop_assert_eq!(s.misses, n_misses);
+        prop_assert_eq!(
+            (s.stat, s.openat, s.read, s.readlink, s.misses),
+            (stat, openat, read, readlink, misses)
+        );
+        prop_assert_eq!(log.len() as u64, s.total());
+        let failed = log.entries.iter().filter(|e| e.outcome != Outcome::Ok).count();
+        prop_assert_eq!(failed as u64, s.misses);
+        prop_assert_eq!(log.total_ns(), fs.elapsed_ns());
     }
 }

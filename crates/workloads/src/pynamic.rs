@@ -58,11 +58,6 @@ pub fn install(fs: &Vfs, root: &str, n_libs: usize) -> Result<PynamicWorkload, V
     Ok(PynamicWorkload { exe_path, n_libs, lib_dirs })
 }
 
-/// Install at the paper's scale.
-pub fn install_paper(fs: &Vfs, root: &str) -> Result<PynamicWorkload, VfsError> {
-    install(fs, root, N_LIBS_PAPER)
-}
-
 /// The RPATH variant: same per-directory module layout, but the executable
 /// carries the directory list as `RPATH` rather than `RUNPATH`, and every
 /// module is *also* staged into one flat directory (`{root}/flat`) meant for
@@ -131,7 +126,7 @@ pub fn install_dlopen_variant(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depchaos_loader::{Environment, GlibcLoader};
+    use depchaos_loader::{Environment, GlibcLoader, Loader};
 
     #[test]
     fn small_instance_loads() {
