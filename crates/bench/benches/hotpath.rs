@@ -27,9 +27,11 @@
 //! * `servers/*` — the multi-server topology axis on the same contended
 //!   shape: `flatten_sweep` runs the fig6-servers fleet ladder
 //!   (S ∈ {1, 2, 4, 8, 16}, hash-routed) at 16Ki ranks back to back, and
-//!   `s8_contended` isolates one S = 8 fleet pass — the S-lane heap's
-//!   per-event cost next to the single-lane `contended_16Ki_cold500`
-//!   baseline.
+//!   `s8_contended` isolates one S = 8 fleet pass. Its uniform cold stream
+//!   is round-major, so both take the closed form per lane, next to the
+//!   single-lane `contended_16Ki_cold500` baseline. `s4_jitter_2Ki` is the
+//!   lane heap's per-event cost: 128 jittered cold nodes on 4 hash lanes,
+//!   64,000 heap events in four 32-node heaps.
 //! * `adaptive/*` — adaptive replicate control on the fig6-dist acceptance
 //!   matrix: `full_matrix` times the multi-round stopping-rule driver
 //!   end-to-end (profiling pre-warmed), and `savings_ratio` records the
@@ -347,10 +349,11 @@ fn bench(c: &mut Criterion) {
 
     // The topology rows: the contended 16Ki shape (1024 cold nodes) routed
     // across metadata fleets. `flatten_sweep` prices the whole fig6-servers
-    // ladder — five fleet sizes, the S-lane engines picking the analytic
-    // closed form where the round-major guard admits it — and
-    // `s8_contended` pins the S = 8 heap pass alone, the direct multi-lane
-    // counterpart of `contended_16Ki_cold500`.
+    // ladder — five fleet sizes, every lane taking the analytic closed form
+    // the round-major guard admits — and `s8_contended` pins the S = 8
+    // pass alone, the multi-lane counterpart of `contended_16Ki_cold500`.
+    // `s4_jitter_2Ki` is the stochastic lane heap: 2,048 ranks at 16 per
+    // node on 4 hash lanes under ±25% jitter, 128 × 500 = 64,000 events.
     let fleet_cfgs: Vec<LaunchConfig> = [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&s| LaunchConfig { topology: ServerTopology::hash(s), ..contended_cfg.clone() })
@@ -374,6 +377,23 @@ fn bench(c: &mut Criterion) {
         time_fn(
             || {
                 std::hint::black_box(simulate_classified(&fleet_stream, s8_cfg));
+            },
+            iters,
+        ),
+        iters,
+    );
+    let s4_jitter_cfg = LaunchConfig {
+        ranks: 2048,
+        service_dist: ServiceDistribution::UniformJitter { spread_milli: 250 },
+        topology: ServerTopology::hash(4),
+        ..contended_cfg.clone()
+    };
+    let s4_jitter_stream = ClassifiedStream::classify(&ops, &s4_jitter_cfg);
+    plain(
+        "servers/s4_jitter_2Ki",
+        time_fn(
+            || {
+                std::hint::black_box(simulate_classified(&s4_jitter_stream, &s4_jitter_cfg));
             },
             iters,
         ),
@@ -575,6 +595,9 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("servers");
     group.sample_size(if quick { 3 } else { 10 });
     group.bench_function("s8_contended", |b| b.iter(|| simulate_classified(&fleet_stream, s8_cfg)));
+    group.bench_function("s4_jitter_2Ki", |b| {
+        b.iter(|| simulate_classified(&s4_jitter_stream, &s4_jitter_cfg))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("serve");

@@ -19,31 +19,37 @@
 //!    four solver classes (see [`SolverClass`]) by the same rule
 //!    [`simulate_classified`](crate::simulate_classified) applies.
 //!
-//! 3. **Solve each kernel once.** [`BatchPlan::execute`] collapses rows
-//!    to unique *kernel jobs* — `(schedule, cold-node count, seed, fault,
-//!    server topology)` tuples, with the seed normalised away for rows
-//!    that take no draws, since the cold-fleet completion time is a pure
-//!    function of that tuple. Replicate 0 of every rank point, every
-//!    deterministic replicate, and every cell that only differs in
-//!    overheads or warm fleet size all collapse onto the same kernel,
-//!    which the per-call path's own kernel dispatch solves once. Being
-//!    pure, the kernels are independent work: the pipeline
+//! 3. **Solve each kernel once.** A kernel job is one *lane* of a row's
+//!    cold fleet (see `des::Lane`): an S-server hash-routed fleet is
+//!    `min(S, N)` independent single-server lanes, lane `l` holding nodes
+//!    `l, l + S, …`, and a single-server or `LeastLoaded` fleet is one
+//!    lane of all its nodes. [`BatchPlan::execute`] collapses every row's
+//!    lanes to unique `(schedule, lane, seed, fault)` tuples, with the seed
+//!    normalised away for rows that take no draws, since a lane's
+//!    completion time is a pure function of that tuple. A draw-free lane
+//!    is named by its node count alone, so a deterministic hash row is the
+//!    single-server kernel at `⌈N/S⌉` (and `⌊N/S⌋`) nodes. Replicate 0 of
+//!    every rank point, every deterministic replicate, and every cell that
+//!    only differs in overheads or warm fleet size all collapse onto the
+//!    same kernels, which the per-call path's own kernel dispatch solves
+//!    once. Being pure, the kernels are independent work: the pipeline
 //!    ([`ExperimentMatrix::run_with`](crate::ExperimentMatrix::run_with))
-//!    solves them on its `jobs` workers, largest `cold nodes × server ops`
+//!    solves them on its `jobs` workers, largest `lane nodes × server ops`
 //!    first, and `execute` is the same path on one worker. The results are
 //!    bit-identical for every `jobs`; peak memory grows with `jobs` × the
 //!    largest kernel in flight.
 //!
-//! 4. **Scatter.** Each row combines its kernel's `(cold finish, peak
-//!    queue, fault counts)` with the per-row arithmetic — warm-fleet
-//!    replay, op accounting, spawn and base overheads — through the same
-//!    function [`simulate_classified`](crate::simulate_classified) uses.
+//! 4. **Fold and scatter.** Each row folds its lanes' `(cold finish, fault
+//!    counts)` into its own — the latest finish, the counts summed — and
+//!    combines that with the per-row arithmetic — warm-fleet replay, op
+//!    accounting, peak queue, spawn and base overheads — through the same
+//!    functions [`simulate_classified`](crate::simulate_classified) uses.
 //!
 //! # The four solver classes
 //!
-//! | class | rows | cost per kernel |
+//! | class | rows | cost per kernel (one lane) |
 //! |-------|------|-----------------|
-//! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | O(1) scatter arithmetic |
+//! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | no kernel: O(1) scatter arithmetic |
 //! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | one envelope recursion, O(server_ops) |
 //! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay (seeds never collapse) |
 //! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one heap replay, under the fault's hook |
@@ -56,8 +62,8 @@
 //! # Exactness
 //!
 //! Every numeric path here is the per-call one: every kernel goes through
-//! the per-call kernel dispatch, and every row through the per-call
-//! scatter.
+//! the per-call kernel dispatch, and every row through the per-call fold
+//! and scatter.
 //! `tests/des_equivalence.rs` pins the whole plan against per-call
 //! [`simulate_classified`](crate::simulate_classified) and the
 //! `des::reference` oracle property-by-property.
@@ -65,8 +71,8 @@
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use crate::config::{LaunchConfig, LaunchResult, ServerTopology};
-use crate::des::{self, ClassifiedStream, FleetRun, SolverClass};
+use crate::config::{LaunchConfig, LaunchResult};
+use crate::des::{self, ClassifiedStream, FleetRun, Lane, SolverClass};
 use crate::fault::FaultModel;
 use crate::pool;
 
@@ -87,6 +93,14 @@ struct Row {
     schedule: usize,
     cfg: LaunchConfig,
     class: SolverClass,
+}
+
+/// A plan's unique kernels: each kernel's first row and [`Lane`], and
+/// row `r`'s kernels `of_rows[row_ends[r - 1]..row_ends[r]]`.
+struct Kernels<'p> {
+    jobs: Vec<(&'p Row, Lane)>,
+    of_rows: Vec<usize>,
+    row_ends: Vec<usize>,
 }
 
 /// A batch of pending simulations over shared segment schedules. See the
@@ -159,7 +173,7 @@ impl<'a> BatchPlan<'a> {
     }
 
     /// Solve every row on one worker: one kernel solve per unique kernel
-    /// job, then the per-row scatter. Results are in push order, each
+    /// job, then the per-row fold and scatter. Results are in push order, each
     /// bit-identical to [`simulate_classified`](crate::simulate_classified)
     /// on the row's (stream, cfg). The pipeline runs the same path on its
     /// `jobs` workers.
@@ -168,54 +182,68 @@ impl<'a> BatchPlan<'a> {
     }
 
     /// Solve every row: one kernel solve per unique kernel job, the
-    /// kernels spread over `jobs` workers, then the per-row scatter in push
-    /// order. Returns the rows' results and the workers the solve ran on.
-    /// Each kernel is pure in its job, so the results do not depend on
-    /// `jobs`.
+    /// kernels spread over `jobs` workers, then the per-row fold and
+    /// scatter in push order. Returns the rows' results and the workers the
+    /// solve ran on. Each kernel is pure in its job, so the results do not
+    /// depend on `jobs`.
     pub(crate) fn execute_on(&self, jobs: usize) -> (Vec<LaunchResult>, usize) {
-        // A kernel job is (schedule, cold-node count, seed, fault,
-        // topology), the seed normalised to 0 for rows that take no draws:
-        // the cold fleet's replay is a pure function of that tuple. Each
-        // kernel is solved under its first row.
-        let mut index: HashMap<(usize, usize, u64, FaultModel, ServerTopology), usize> =
-            HashMap::new();
-        let mut firsts: Vec<&Row> = Vec::new();
-        let kernel_of: Vec<usize> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cfg = &row.cfg;
-                let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
-                let key = (row.schedule, cfg.cold_nodes(), seed, cfg.fault, cfg.topology);
-                *index.entry(key).or_insert_with(|| {
-                    firsts.push(row);
-                    firsts.len() - 1
-                })
-            })
-            .collect();
-        // Largest kernel first (cold nodes × server ops, its event count on
+        let kernels = self.kernels();
+        // Largest kernel first (lane nodes × server ops, its event count on
         // the heap), so no worker is left with a big heap while the others
         // idle.
-        let mut order: Vec<usize> = (0..firsts.len()).collect();
+        let mut order: Vec<usize> = (0..kernels.jobs.len()).collect();
         order.sort_by_key(|&k| {
-            let row = firsts[k];
-            Reverse(row.cfg.cold_nodes() as u64 * self.stream_of(row).server_ops())
+            let (row, lane) = kernels.jobs[k];
+            Reverse(lane.count as u64 * self.stream_of(row).server_ops())
         });
         let solved = pool::map(jobs, &order, |&k| {
-            let row = firsts[k];
-            des::solve_kernel(self.stream_of(row), &row.cfg, row.class)
+            let (row, lane) = kernels.jobs[k];
+            des::solve_lane(self.stream_of(row), &row.cfg, row.class, lane)
         });
-        let mut runs = vec![FleetRun::default(); firsts.len()];
+        let mut runs = vec![FleetRun::default(); kernels.jobs.len()];
         for (k, run) in order.into_iter().zip(solved) {
             runs[k] = run;
         }
+        let mut start = 0;
         let results = self
             .rows
             .iter()
-            .zip(kernel_of)
-            .map(|(row, k)| des::scatter(self.stream_of(row), &row.cfg, runs[k]))
+            .zip(&kernels.row_ends)
+            .map(|(row, &end)| {
+                let lanes = kernels.of_rows[start..end].iter().map(|&k| runs[k]);
+                start = end;
+                let stream = self.stream_of(row);
+                des::scatter(stream, &row.cfg, des::fold_lanes(stream, lanes))
+            })
             .collect();
-        (results, pool::workers(jobs, firsts.len()))
+        (results, pool::workers(jobs, kernels.jobs.len()))
+    }
+
+    /// The plan's unique kernel jobs and the kernels each row folds. A
+    /// kernel job is (schedule, lane, seed, fault), the seed normalised to
+    /// 0 for rows that take no draws: a lane's replay is a pure function of
+    /// that tuple. Each kernel is solved under its first row's class.
+    fn kernels(&self) -> Kernels<'_> {
+        let mut index: HashMap<(usize, Lane, u64, FaultModel), usize> = HashMap::new();
+        let mut kernels = Kernels { jobs: Vec::new(), of_rows: Vec::new(), row_ends: Vec::new() };
+        for row in &self.rows {
+            // A coalesced row has no lanes: no cold node of it ever
+            // occupies a server.
+            if row.class != SolverClass::Coalesced {
+                let cfg = &row.cfg;
+                let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
+                for lane in des::lanes(cfg) {
+                    let key = (row.schedule, lane, seed, cfg.fault);
+                    let k = *index.entry(key).or_insert_with(|| {
+                        kernels.jobs.push((row, lane));
+                        kernels.jobs.len() - 1
+                    });
+                    kernels.of_rows.push(k);
+                }
+            }
+            kernels.row_ends.push(kernels.of_rows.len());
+        }
+        kernels
     }
 
     fn stream_of(&self, row: &Row) -> &'a ClassifiedStream {
@@ -226,7 +254,7 @@ impl<'a> BatchPlan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServiceDistribution;
+    use crate::config::{ServerTopology, ServiceDistribution};
     use crate::des::simulate_classified;
     use depchaos_vfs::strace::{Op, Outcome, StraceLog, Syscall};
 
@@ -429,6 +457,35 @@ mod tests {
                 assert!(counts[1] > 0, "hash fleets stay analytic: {counts:?}");
                 assert!(counts[3] > 0, "least-loaded fleets demote to the heap: {counts:?}");
             }
+            assert_rows_at_every_worker_count(&plan, &expected, &dist.name());
+        }
+    }
+
+    /// A hash fleet is its lanes. A draw-free row's lanes depend on their
+    /// node count alone, so a deterministic `hash(4)` row at 16 cold nodes
+    /// and a single-server row at its 4-node lane size share one kernel; a
+    /// jittered `hash(4)` row at 16 cold nodes draws per global node and
+    /// solves four lane kernels of its own, beside the single-server row's.
+    #[test]
+    fn hash_rows_solve_as_lane_kernels() {
+        let base = LaunchConfig { ranks_per_node: 16, ..LaunchConfig::default() };
+        let ops = log_of(&[(Op::Stat, base.rtt_ns), (Op::Openat, base.rtt_ns * 2)]);
+        for (dist, kernels) in [
+            (ServiceDistribution::Deterministic, 1),
+            (ServiceDistribution::UniformJitter { spread_milli: 250 }, 5),
+        ] {
+            let cfg = LaunchConfig { service_dist: dist, ..base.clone() };
+            let stream = ClassifiedStream::classify(&ops, &cfg);
+            let fleet = cfg.clone().with_ranks(16 * 16).with_topology(ServerTopology::hash(4));
+            let lane = cfg.clone().with_ranks(4 * 16);
+            assert_eq!((fleet.cold_nodes(), lane.cold_nodes()), (16, 4));
+            let mut plan = BatchPlan::new();
+            let id = plan.stream(&stream);
+            plan.push(id, &fleet);
+            plan.push(id, &lane);
+            assert_eq!(plan.kernels().jobs.len(), kernels, "{}", dist.name());
+            let expected =
+                [simulate_classified(&stream, &fleet), simulate_classified(&stream, &lane)];
             assert_rows_at_every_worker_count(&plan, &expected, &dist.name());
         }
     }

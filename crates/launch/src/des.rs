@@ -5,12 +5,16 @@
 //! node clients each replaying the captured op stream *sequentially* — the
 //! dynamic loader issues one syscall at a time, so a node cannot pipeline
 //! its own lookups. Contention emerges naturally: every node's cold op
-//! must pass through its server's queue. Each server keeps its own
-//! busy-until lane; requests route by the topology's
-//! [`AssignPolicy`] — `HashByNode` pins node `i` to lane `i % S`
-//! (seed-free, schedule-independent), `LeastLoaded` picks the earliest
-//! lane at service time with index tie-breaks. `S = 1` reduces every
-//! engine below to the pre-topology arithmetic bit for bit.
+//! must pass through its server's queue. Requests route by the topology's
+//! [`AssignPolicy`]. `HashByNode` pins node `i` to server `i % S`
+//! (seed-free, schedule-independent), so the fleet is `min(S, N)`
+//! independent FIFO lanes, lane `l` holding nodes `l, l + S, l + 2S, …`
+//! (a `Lane`): every engine below solves each lane as a single-server
+//! system, its draws still indexed by global node id, and the fleet
+//! finishes with its latest lane. `LeastLoaded` picks the earliest-free
+//! server at service time with index tie-breaks; that depends on the event
+//! schedule, so its S servers share one lane of every node. `S = 1` is one
+//! lane of the whole fleet, the pre-topology arithmetic bit for bit.
 //!
 //! # The hot path: classify once, then the cheapest exact regime
 //!
@@ -36,16 +40,18 @@
 //!      local compute, so one replay covers the fleet.
 //!    * **Analytic** ([`analytic_all_cold`]) — the symmetric all-cold
 //!      fleet under deterministic service: when the segment schedule is
-//!      round-major (uniform metadata streams always are), the whole
-//!      fleet collapses to a max-plus line-envelope recursion over the
+//!      round-major (uniform metadata streams always are), each lane
+//!      collapses to a max-plus line-envelope recursion over the
 //!      segments, `O(server_ops)` independent of the node count, exact
 //!      `peak_queue_depth` included. Warm and serverless nodes are always
 //!      coalesced analytically (one replay, multiplied out).
-//!    * **Heap** — cold nodes walk the segment schedule through one binary
-//!      event heap, one event per *server* op: `O(cold_nodes ×
-//!      server_ops · log cold_nodes)`. The fallback whenever the closed
-//!      form's guard declines (payload-heavy gaps can break round-major
-//!      ordering), and the engine of the stochastic and faulted classes.
+//!    * **Heap** — a lane's cold nodes walk the segment schedule through
+//!      one binary event heap, one event per *server* op: `O(lane nodes ×
+//!      server_ops · log lane nodes)` per lane, so an S-lane hash fleet
+//!      pays S small heaps and no per-event routing. The fallback whenever
+//!      the closed form's guard declines (payload-heavy gaps can break
+//!      round-major ordering), and the engine of the stochastic and
+//!      faulted classes.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
 //!      sweeps; exists so the others have an independent ground truth
@@ -127,24 +133,31 @@ use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
 /// plus the routing policy. `S = 1` degenerates to the pre-topology single
-/// `server_busy_ns` cell exactly: one lane, always picked, same max/add
-/// sequence. Shared by the event heap and the [`reference`](mod@reference)
-/// oracle so both route identically.
+/// `server_busy_ns` cell exactly: one server, always picked, same max/add
+/// sequence. The event heap holds one [`Lane`]'s servers (one FIFO server,
+/// or a least-loaded pool); only the [`reference`](mod@reference) oracle
+/// holds a whole hash-routed fleet, as its independent check of the lanes.
 pub(crate) struct ServerLanes {
-    /// Busy-until clock per server, indexed by lane.
+    /// Busy-until clock per server, indexed by server.
     pub(crate) busy_ns: Vec<u64>,
     assign: AssignPolicy,
 }
 
 impl ServerLanes {
+    /// `cfg`'s whole fleet under its routing policy.
     pub(crate) fn new(cfg: &LaunchConfig) -> Self {
         ServerLanes { busy_ns: vec![0; cfg.topology.servers.max(1)], assign: cfg.topology.assign }
     }
 
-    /// The lane serving `node`'s request popped at this instant. Both
+    /// A lane's `servers`, least-loaded: one server is plain FIFO.
+    fn pool(servers: usize) -> Self {
+        ServerLanes { busy_ns: vec![0; servers], assign: AssignPolicy::LeastLoaded }
+    }
+
+    /// The server serving `node`'s request popped at this instant. Both
     /// policies are draw-free: `HashByNode` is a pure function of the node
     /// index, `LeastLoaded` of the current busy clocks (ties to the lowest
-    /// lane index).
+    /// server index).
     pub(crate) fn pick(&self, node: usize) -> usize {
         match self.assign {
             AssignPolicy::HashByNode => node % self.busy_ns.len(),
@@ -346,7 +359,8 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
 
 /// The DES over a pre-classified stream. Exact — bit-identical to
 /// [`reference::simulate_launch_reference`] — but warm nodes cost O(1) and
-/// cold nodes cost one heap event per *server* op.
+/// cold nodes cost one heap event per *server* op, in heaps no larger than
+/// one lane.
 ///
 /// Panics if `cfg`'s latency calibration differs from the one the stream
 /// was classified under (rank count, node shape, overheads, and cache
@@ -355,13 +369,20 @@ pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Lau
     stream.check_calibration(cfg);
     let class =
         SolverClass::of(cfg, stream.server_ops(), || round_major(&stream.segments, cfg.rtt_ns / 2));
-    scatter(stream, cfg, solve_kernel(stream, cfg, class))
+    let run = match class {
+        // No cold node of a coalesced row ever occupies a server: it has
+        // no lanes.
+        SolverClass::Coalesced => fold_lanes(stream, []),
+        _ => fold_lanes(stream, lanes(cfg).map(|lane| solve_lane(stream, cfg, class, lane))),
+    };
+    scatter(stream, cfg, run)
 }
 
 /// The solver class a simulation row takes: which of the bit-identical
 /// regimes is cheapest for its (schedule, distribution, fault, cold-fleet,
 /// topology) combination. [`simulate_classified`] and
-/// [`crate::batch::BatchPlan::push`] both select it by the same rule.
+/// [`crate::batch::BatchPlan::push`] both select it by the same rule, and
+/// solve every lane of the row in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverClass {
     /// No server segments: warm or serverless rows coalesce to pure
@@ -369,8 +390,8 @@ pub enum SolverClass {
     Coalesced,
     /// Deterministic service, ≥ 2 cold nodes, round-major schedule, and
     /// a hash-routed (or single-server) fleet: the max-plus line-envelope
-    /// recursion over the busiest lane. `LeastLoaded` multi-server rows
-    /// take [`SolverClass::Heap`] — their routing depends on the event
+    /// recursion per lane. `LeastLoaded` multi-server rows take
+    /// [`SolverClass::Heap`] — their routing depends on the event
     /// schedule.
     Analytic,
     /// Jittered service distribution: an event-heap replay with the
@@ -394,14 +415,15 @@ impl SolverClass {
         server_ops: u64,
         round_major: impl FnOnce() -> bool,
     ) -> SolverClass {
-        let cold_nodes = cfg.cold_nodes();
         if server_ops == 0 {
             SolverClass::Coalesced
         } else if !cfg.fault.is_none() {
             SolverClass::Heap
         } else if !cfg.service_dist.is_deterministic() {
             SolverClass::Stochastic
-        } else if cold_nodes > 1 && closed_form_admits(cfg, round_major) {
+        } else if cfg.cold_nodes() > 1
+            && lanes(cfg).next().is_some_and(|busiest| closed_form_admits(busiest, round_major))
+        {
             SolverClass::Analytic
         } else {
             SolverClass::Heap
@@ -409,36 +431,101 @@ impl SolverClass {
     }
 }
 
-/// One cold fleet's replay: `(slowest cold finish, peak queue depth, fault
-/// accounting)` — everything a row needs from its kernel.
-pub(crate) type FleetRun = (u64, usize, FaultCounts);
+/// One kernel of a row's cold fleet: the `count` cold nodes `first,
+/// first + stride, …` (global node ids, which seed their NODE and FAULT
+/// draws) on `servers` least-loaded servers. A hash-routed fleet of S
+/// servers is `min(S, N)` FIFO lanes (`servers == 1`, stride S) that never
+/// interact; a single server is one such lane of all N nodes. A
+/// `LeastLoaded` fleet of S > 1 servers routes by the event schedule, so
+/// it is one lane of all N nodes on its S servers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Lane {
+    first: usize,
+    stride: usize,
+    pub(crate) count: usize,
+    servers: usize,
+}
 
-/// Solve `cfg`'s cold fleet over `stream` in `class`'s regime — the one
-/// kernel dispatch [`simulate_classified`] and [`crate::batch::BatchPlan`]
-/// share. An analytic row whose envelope trips the line cap falls back to
-/// the heap.
-pub(crate) fn solve_kernel(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    class: SolverClass,
-) -> FleetRun {
-    match class {
-        SolverClass::Coalesced => (stream.local_total_ns(), 0, FaultCounts::default()),
-        SolverClass::Analytic => match closed_form(stream, cfg) {
-            Some(done) => (done, cfg.cold_nodes(), FaultCounts::default()),
-            None => heap_kernel(stream, cfg),
-        },
-        SolverClass::Stochastic | SolverClass::Heap => heap_kernel(stream, cfg),
+impl Lane {
+    /// Global id of the lane's `j`-th node.
+    fn node(&self, j: usize) -> u64 {
+        (self.first + j * self.stride) as u64
     }
 }
 
+/// The lanes of `cfg`'s cold fleet, busiest first. A row that takes draws
+/// gets every lane, lane `l` holding nodes `l, l + S, …`. A draw-free lane
+/// is a function of its node count alone, and the lanes come in two sizes
+/// (the first lane holds `⌈N/S⌉` nodes, the last `⌊N/S⌋`), so a draw-free
+/// row gets its first lane and, when S does not divide N, its last, each
+/// named by the first `count` nodes: every draw-free row's lanes of one
+/// size are one kernel, the single-server fleet of that size included.
+pub(crate) fn lanes(cfg: &LaunchConfig) -> impl Iterator<Item = Lane> {
+    let n = cfg.cold_nodes();
+    let (lanes, servers) = match cfg.topology.assign {
+        AssignPolicy::LeastLoaded if cfg.topology.servers > 1 => (1, cfg.topology.servers),
+        _ => (cfg.topology.servers.clamp(1, n), 1),
+    };
+    let draws = cfg.takes_draws();
+    let solved = if draws { lanes } else { 1 + usize::from(!n.is_multiple_of(lanes)) };
+    (0..solved).map(move |k| {
+        let l = if draws || k == 0 { k } else { lanes - 1 };
+        let count = (n - l).div_ceil(lanes);
+        // Node ids matter only to draws, and a stride only to two or more
+        // nodes.
+        let (first, stride) = match (draws, count) {
+            (false, _) => (0, 1),
+            (true, 1) => (l, 1),
+            (true, _) => (l, lanes),
+        };
+        Lane { first, stride, count, servers }
+    })
+}
+
+/// One lane's replay, and a row's once its lanes are folded: `(slowest
+/// cold finish, fault accounting)`.
+pub(crate) type FleetRun = (u64, FaultCounts);
+
+/// Solve one of `cfg`'s lanes over `stream` in `class`'s regime — the one
+/// kernel dispatch [`simulate_classified`] and [`crate::batch::BatchPlan`]
+/// share. An analytic lane whose envelope trips the line cap falls back to
+/// the heap.
+pub(crate) fn solve_lane(
+    stream: &ClassifiedStream,
+    cfg: &LaunchConfig,
+    class: SolverClass,
+    lane: Lane,
+) -> FleetRun {
+    if class == SolverClass::Analytic {
+        if let Some(done) = closed_form(stream, cfg, lane.count) {
+            return (done, FaultCounts::default());
+        }
+    }
+    heap_kernel(stream, cfg, lane)
+}
+
+/// Fold a row's lane runs into the row's: the latest lane finish, and the
+/// lanes' fault counts summed with the largest backoff kept. A lane
+/// finishes no earlier than one replay of the local compute its nodes
+/// also do, which is all a coalesced row (no lanes) does.
+pub(crate) fn fold_lanes(
+    stream: &ClassifiedStream,
+    runs: impl IntoIterator<Item = FleetRun>,
+) -> FleetRun {
+    runs.into_iter().fold(
+        (stream.local_total_ns(), FaultCounts::default()),
+        |(done, fc), (lane_done, lane_fc)| (done.max(lane_done), fc.merge(lane_fc)),
+    )
+}
+
 /// The per-row arithmetic around a cold fleet's replay: the coalesced warm
-/// fleet, op accounting, and the spawn and base overheads. The one
-/// scatter [`simulate_classified`] and [`crate::batch::BatchPlan`] share.
+/// fleet, op accounting, the peak queue, and the spawn and base overheads.
+/// The one scatter [`simulate_classified`] and [`crate::batch::BatchPlan`]
+/// share.
 pub(crate) fn scatter(
     stream: &ClassifiedStream,
     cfg: &LaunchConfig,
-    (cold_done_ns, peak_queue_depth, fc): FleetRun,
+    (cold_done_ns, fc): FleetRun,
 ) -> LaunchResult {
     let nodes = cfg.nodes();
     let cold_nodes = cfg.cold_nodes();
@@ -450,6 +537,10 @@ pub(crate) fn scatter(
     let warm_done_ns = if warm_nodes > 0 { stream.warm_replay_ns() } else { 0 };
     // Per-node completion plus serialized per-rank spawn overhead.
     let spawn_ns = cfg.per_rank_overhead_ns * cfg.ranks_per_node.min(cfg.ranks) as u64;
+    // Every cold node queues its first request before the first service,
+    // and none ever has two outstanding (a lost response is re-issued only
+    // after its pop), so the queue peaks at the cold fleet.
+    let peak_queue_depth = if stream.segments.is_empty() { 0 } else { cold_nodes };
     LaunchResult {
         time_to_launch_ns: cfg.base_overhead_ns + spawn_ns + cold_done_ns.max(warm_done_ns),
         nodes,
@@ -463,29 +554,34 @@ pub(crate) fn scatter(
     }
 }
 
-/// The heap dispatch: replay `cfg`'s cold nodes through
+/// The heap dispatch: replay `lane`'s cold nodes through
 /// [`heap_schedule`] with the service draws `cfg.service_dist` asks for
 /// (none under `Deterministic` — no generator is even constructed — else
-/// one NODE-domain stream per cold node, consumed in segment order) and
-/// `cfg.fault`'s hook. Each (distribution, hook) pair is its own
+/// one NODE-domain stream per node, by global id, consumed in segment
+/// order) and `cfg.fault`'s hook. Each (distribution, hook) pair is its own
 /// monomorphised loop.
-fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig) -> FleetRun {
-    fn with_draws(stream: &ClassifiedStream, cfg: &LaunchConfig, hook: impl FaultHook) -> FleetRun {
+fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig, lane: Lane) -> FleetRun {
+    fn with_draws(
+        stream: &ClassifiedStream,
+        cfg: &LaunchConfig,
+        lane: Lane,
+        hook: impl FaultHook,
+    ) -> FleetRun {
         let dist = cfg.service_dist;
         if dist.is_deterministic() {
-            return heap_schedule(stream, cfg, hook, |_, seg| seg.service_ns);
+            return heap_schedule(stream, cfg, lane, hook, |_, seg| seg.service_ns);
         }
-        let mut rngs: Vec<SplitMix> = (0..cfg.cold_nodes())
-            .map(|i| SplitMix::split(cfg.seed, SplitMix::NODE, i as u64))
+        let mut rngs: Vec<SplitMix> = (0..lane.count)
+            .map(|j| SplitMix::split(cfg.seed, SplitMix::NODE, lane.node(j)))
             .collect();
-        heap_schedule(stream, cfg, hook, |i, seg| {
-            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[i]))
+        heap_schedule(stream, cfg, lane, hook, |j, seg| {
+            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[j]))
         })
     }
     if cfg.fault.is_none() {
-        with_draws(stream, cfg, Healthy)
+        with_draws(stream, cfg, lane, Healthy)
     } else {
-        with_draws(stream, cfg, Faulty::new(cfg))
+        with_draws(stream, cfg, lane, Faulty::new(cfg, lane))
     }
 }
 
@@ -556,10 +652,14 @@ struct Faulty {
 }
 
 impl Faulty {
-    fn new(cfg: &LaunchConfig) -> Self {
-        let (fault, cold_nodes) = (cfg.fault, cfg.cold_nodes());
+    /// The hook for `lane`'s nodes, each drawing from its global id's
+    /// stream.
+    fn new(cfg: &LaunchConfig, lane: Lane) -> Self {
+        let fault = cfg.fault;
         let mut rngs: Vec<SplitMix> = if fault.takes_draws() {
-            (0..cold_nodes).map(|i| SplitMix::split(cfg.seed, SplitMix::FAULT, i as u64)).collect()
+            (0..lane.count)
+                .map(|j| SplitMix::split(cfg.seed, SplitMix::FAULT, lane.node(j)))
+                .collect()
         } else {
             Vec::new()
         };
@@ -580,7 +680,7 @@ impl Faulty {
             rngs,
             slow,
             slow_factor,
-            attempts: vec![0; cold_nodes],
+            attempts: vec![0; lane.count],
             counts,
         }
     }
@@ -638,17 +738,21 @@ impl FaultHook for Faulty {
 }
 
 /// The event loop — the one heap every stochastic, faulted, and
-/// guard-declined row runs: one cursor per cold node over the segment
-/// schedule, one heap event per server op. `draw(node, segment)` supplies
-/// the distribution-scaled service time and `hook` the fault semantics
-/// ([`FaultHook`]). Returns the [`FleetRun`].
+/// guard-declined lane runs: one cursor per lane node over the segment
+/// schedule, one heap event per server op. `draw(j, segment)` supplies
+/// the distribution-scaled service time of the lane's `j`-th node and
+/// `hook` the fault semantics ([`FaultHook`]). Ties break on that local
+/// index, which orders the lane's nodes as their global ids do, so the
+/// lane serves its requests in the order a heap over the whole fleet
+/// would. Returns the lane's [`FleetRun`].
 fn heap_schedule(
     stream: &ClassifiedStream,
     cfg: &LaunchConfig,
+    lane: Lane,
     mut hook: impl FaultHook,
     mut draw: impl FnMut(usize, &ServerSeg) -> u64,
 ) -> FleetRun {
-    let (cold_nodes, half_rtt) = (cfg.cold_nodes(), cfg.rtt_ns / 2);
+    let half_rtt = cfg.rtt_ns / 2;
     // Per-node cursor into the segment schedule and local clock. Only
     // cold nodes exist here, and only their server ops are events.
     struct Node {
@@ -656,13 +760,13 @@ fn heap_schedule(
         clock_ns: u64,
     }
     let mut node_state: Vec<Node> =
-        (0..cold_nodes).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
+        (0..lane.count).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
 
     // Event queue of (arrival at server, node, service time, client
     // extra) — the tuple layout (and so the tie-breaking order) of the
     // reference implementation.
     let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
-        BinaryHeap::with_capacity(cold_nodes);
+        BinaryHeap::with_capacity(lane.count);
     let first = stream.segments[0];
     for (i, n) in node_state.iter_mut().enumerate() {
         n.clock_ns = first.pre_local_ns;
@@ -670,13 +774,13 @@ fn heap_schedule(
         heap.push(Reverse((n.clock_ns + half_rtt, i, svc, first.client_extra_ns)));
     }
 
-    let mut lanes = ServerLanes::new(cfg);
+    let mut servers = ServerLanes::pool(lane.servers);
     let mut done_max_ns = 0u64;
     while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
-        // FIFO after the lane's previous work, never before `arrival`.
-        let lane = lanes.pick(i);
-        let done = hook.start(lanes.busy_ns[lane].max(arrival)) + svc;
-        lanes.busy_ns[lane] = done;
+        // FIFO after the server's previous work, never before `arrival`.
+        let server = servers.pick(i);
+        let done = hook.start(servers.busy_ns[server].max(arrival)) + svc;
+        servers.busy_ns[server] = done;
         if let Some(rearrival) = hook.lost(i, arrival) {
             // The server did the work (its busy clock stands), but the
             // same request, with the same drawn service, arrives again.
@@ -701,31 +805,32 @@ fn heap_schedule(
             }
         }
     }
-    // Every cold node queued its first request before the first pop, and a
-    // node never has two outstanding (a lost response is re-pushed only
-    // after its pop), so the queue peaks at the cold fleet, as in
-    // `closed_form`.
-    (done_max_ns, cold_nodes, hook.counts())
+    (done_max_ns, hook.counts())
 }
 
 /// The analytic all-cold fast path: `simulate_classified`'s deterministic
 /// no-broadcast regime without the event heap. Returns the full
-/// [`LaunchResult`] when the closed form applies (see `closed_form` for
-/// why it is exact), `None` when the segment schedule forces a heap replay
-/// — callers and tests can tell *whether* the analytic regime engaged, and
-/// the result is bit-identical to [`simulate_classified`] whenever it does.
+/// [`LaunchResult`] when the closed form applies to every lane (see
+/// `closed_form` for why it is exact), `None` when the segment schedule
+/// forces a heap replay — callers and tests can tell *whether* the
+/// analytic regime engaged, and the result is bit-identical to
+/// [`simulate_classified`] whenever it does.
 pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
-    let half_rtt = cfg.rtt_ns / 2;
     if !cfg.service_dist.is_deterministic()
         || !cfg.fault.is_none()
         || cfg.broadcast_cache
         || stream.segments.is_empty()
-        || !closed_form_admits(cfg, || round_major(&stream.segments, half_rtt))
     {
         return None;
     }
-    let done = closed_form(stream, cfg)?;
-    Some(scatter(stream, cfg, (done, cfg.cold_nodes(), FaultCounts::default())))
+    let mut runs = Vec::new();
+    for lane in lanes(cfg) {
+        if !closed_form_admits(lane, || round_major(&stream.segments, cfg.rtt_ns / 2)) {
+            return None;
+        }
+        runs.push((closed_form(stream, cfg, lane.count)?, FaultCounts::default()));
+    }
+    Some(scatter(stream, cfg, fold_lanes(stream, runs)))
 }
 
 /// Upper bound on the line-envelope size before the closed form bails to
@@ -736,23 +841,17 @@ pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Optio
 /// degenerate toward O(server_ops²).
 const MAX_ENVELOPE_LINES: usize = 64;
 
-/// The closed form's guard on `cfg`'s deterministic cold fleet under its
-/// topology. Under an S-lane `HashByNode` fleet the lanes are fully
-/// independent single-server systems over the same schedule (node `i` only
-/// ever talks to lane `i % S`), so the closed form runs per lane and the
-/// busiest lane — `ceil(cold / S)` nodes — finishes last (adding a node to
-/// a FIFO lane never speeds it up). `LeastLoaded` routing depends on the
-/// event schedule, so it is never analytic-eligible. A lane of two or more
-/// nodes also needs the schedule to be round-major ([`round_major`],
-/// evaluated only then); a single node always is.
-fn closed_form_admits(cfg: &LaunchConfig, round_major: impl FnOnce() -> bool) -> bool {
-    (cfg.topology.servers <= 1 || cfg.topology.assign == AssignPolicy::HashByNode)
-        && (lane_last(cfg) == 0 || round_major())
+/// The closed form's guard on one deterministic [`Lane`]: a FIFO lane (a
+/// least-loaded pool routes by the event schedule, so it never is) whose
+/// nodes are alone or replay a round-major schedule ([`round_major`],
+/// evaluated only then).
+fn closed_form_admits(lane: Lane, round_major: impl FnOnce() -> bool) -> bool {
+    lane.servers == 1 && (lane.count == 1 || round_major())
 }
 
-/// Closed form for the symmetric all-cold fleet under deterministic
-/// service, for a fleet [`closed_form_admits`]: `cfg`'s identical cold
-/// nodes replay the segment schedule through the FIFO server, and the
+/// Closed form for a FIFO lane of `nodes` identical cold nodes under
+/// deterministic service, for a lane [`closed_form_admits`]: the nodes
+/// replay the segment schedule through the lane's server, and the
 /// slowest cold finish is **bit-identical** to [`heap_schedule`]'s,
 /// computed in `O(server_ops × envelope lines)` independent of the node
 /// count. `None` when the envelope outgrows [`MAX_ENVELOPE_LINES`]; the
@@ -769,9 +868,7 @@ fn closed_form_admits(cfg: &LaunchConfig, round_major: impl FnOnce() -> bool) ->
 /// service), folds the flatter ones into the server-paced chain line of
 /// slope `s_k`, and the envelope never grows beyond one line per distinct
 /// service time. The slowest finish is the envelope at `i = N-1` plus the
-/// response/tail time, and the peak queue depth is exactly the cold node
-/// count: from the first pop until the first node retires, every node
-/// keeps one outstanding request in the calendar.
+/// response/tail time.
 ///
 /// # The round-major guard
 ///
@@ -785,9 +882,9 @@ fn closed_form_admits(cfg: &LaunchConfig, round_major: impl FnOnce() -> bool) ->
 /// it (its huge gap lets node 0 lap the stragglers), and then the guard
 /// declines and the heap replays the schedule. A single cold node is
 /// always round-major.
-fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<u64> {
+fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig, nodes: usize) -> Option<u64> {
     let segs = &stream.segments;
-    let (half_rtt, last) = (cfg.rtt_ns / 2, lane_last(cfg));
+    let (half_rtt, last) = (cfg.rtt_ns / 2, nodes as u64 - 1);
     // The envelope: D(i, round) = max over lines of (c + i·slope), for
     // lane-local node index i in [0, last]. Round 0: every node arrives at
     // a₀ = pre_local₀ + rtt/2 and is served back to back — the single line
@@ -806,12 +903,6 @@ fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<u64> {
     // stream's tail compute.
     let served_last = lines.iter().map(|&(c, m)| c + last * m).max().expect("nonempty");
     Some(served_last + half_rtt + segs[segs.len() - 1].client_extra_ns + stream.tail_local_ns)
-}
-
-/// The last node index of `cfg`'s busiest lane, `ceil(cold / S) − 1`: the
-/// fleet [`closed_form`] solves for `cfg` (S = 1 is the whole cold fleet).
-fn lane_last(cfg: &LaunchConfig) -> u64 {
-    (cfg.cold_nodes().div_ceil(cfg.topology.servers.max(1)) - 1) as u64
 }
 
 /// Gap between finishing server op `j` and arriving for op `j + 1`,
@@ -1539,6 +1630,13 @@ mod tests {
         log
     }
 
+    /// `cfg`'s row with every lane replayed on the heap, whatever its
+    /// class.
+    fn heap_row(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
+        let runs = lanes(cfg).map(|lane| heap_kernel(stream, cfg, lane));
+        scatter(stream, cfg, fold_lanes(stream, runs))
+    }
+
     #[test]
     fn closed_form_matches_the_heap_bit_for_bit_whenever_it_engages() {
         // The in-module ground truth: whenever the round-major guard admits
@@ -1557,8 +1655,7 @@ mod tests {
                 }
                 if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
                     engaged += 1;
-                    let heap = scatter(&classified, &cfg, heap_kernel(&classified, &cfg));
-                    assert_eq!(analytic, heap, "seed={seed} ranks={ranks}");
+                    assert_eq!(analytic, heap_row(&classified, &cfg), "seed={seed} ranks={ranks}");
                 }
             }
         }
@@ -1723,8 +1820,8 @@ mod tests {
 
     #[test]
     fn multi_server_closed_form_matches_the_heap_bit_for_bit() {
-        // The S-lane analytic envelope (per-lane recursion, busiest lane
-        // finishes last) against the S-lane heap, wherever the guard
+        // The per-lane analytic envelope against the per-lane heap and the
+        // reference oracle's joint S-server heap, wherever the guard
         // admits — including lanes of unequal size (cold % S ≠ 0).
         let mut engaged = 0;
         for seed in 0..20u64 {
@@ -1739,8 +1836,9 @@ mod tests {
                     }
                     if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
                         engaged += 1;
-                        let heap = scatter(&classified, &cfg, heap_kernel(&classified, &cfg));
-                        assert_eq!(analytic, heap, "seed={seed} servers={servers} ranks={ranks}");
+                        let what = format!("seed={seed} servers={servers} ranks={ranks}");
+                        assert_eq!(analytic, heap_row(&classified, &cfg), "{what}");
+                        assert_eq!(analytic, simulate_launch_reference(&ops, &cfg), "{what}");
                     }
                 }
             }

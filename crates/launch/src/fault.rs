@@ -169,6 +169,17 @@ impl FaultCounts {
         self.timeouts += 1;
         self.max_backoff_ns = self.max_backoff_ns.max(backoff_ns);
     }
+
+    /// The accounting of two disjoint sets of nodes replayed together:
+    /// counts add, the longest backoff wins.
+    pub(crate) fn merge(self, other: FaultCounts) -> FaultCounts {
+        FaultCounts {
+            retries: self.retries + other.retries,
+            timeouts: self.timeouts + other.timeouts,
+            max_backoff_ns: self.max_backoff_ns.max(other.max_backoff_ns),
+            slowed_nodes: self.slowed_nodes + other.slowed_nodes,
+        }
+    }
 }
 
 #[cfg(test)]

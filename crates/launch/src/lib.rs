@@ -15,9 +15,10 @@
 //!    stream one rank issues at startup.
 //! 2. [`des`] is a discrete-event simulation: a fleet of `S` FIFO metadata
 //!    servers (a [`ServerTopology`] on the config — the default `S = 1` is
-//!    the paper's model, bit for bit), each with its own busy-until lane,
-//!    requests routed by an [`AssignPolicy`] (seed-free hash-by-node, or
-//!    least-loaded with index tie-breaks); each *node* replays the op
+//!    the paper's model, bit for bit), requests routed by an
+//!    [`AssignPolicy`] (seed-free hash-by-node, which splits the fleet into
+//!    independent single-server lanes, or least-loaded with index
+//!    tie-breaks); each *node* replays the op
 //!    stream sequentially (the
 //!    loader is serial), round-tripping every cold op. Ranks beyond the
 //!    first on a node hit the node's page cache — which is why the unit of
@@ -53,9 +54,10 @@
 //!    pure arithmetic), **analytic** (deterministic round-major fleets,
 //!    one closed-form envelope recursion each), **stochastic** (per-seed
 //!    heap replay), and **heap** (lone-cold-node, guard-violating or
-//!    faulted rows, plus envelope-cap demotions) — deduplicates rows to
-//!    unique (schedule, fleet) kernels, and solves and scatters each
-//!    through the per-call kernel dispatch and per-row arithmetic.
+//!    faulted rows, plus envelope-cap demotions) — deduplicates the rows'
+//!    lanes to unique (schedule, lane) kernels, and solves, folds and
+//!    scatters them through the per-call kernel dispatch and per-row
+//!    arithmetic.
 //!    Outputs are bit-identical to per-row
 //!    [`simulate_classified`]; every sweep layer below runs on it.
 //! 4. [`adaptive`] and [`sweep`] add the stochastic dimension. Each

@@ -116,12 +116,18 @@ pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
     unesc(&rest[..end?])
 }
 
-/// Extract the unsigned integer following `"key":`.
+/// Extract the unsigned integer following `"key":`. Its digits must end the
+/// JSON value — the next character is `,`, `}`, `]`, whitespace or the end
+/// of the line — so `8.9`, `1e3` and `3x` are not read as their leading
+/// digits.
 pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
     let at = line.find(&format!("\"{key}\":"))?;
-    let digits: String =
-        line[at + key.len() + 3..].trim_start().chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() {
+    let value = line[at + key.len() + 3..].trim_start();
+    let end = value.find(|c: char| !c.is_ascii_digit()).unwrap_or(value.len());
+    let (digits, rest) = value.split_at(end);
+    let ends_value =
+        rest.chars().next().is_none_or(|c| matches!(c, ',' | '}' | ']') || c.is_whitespace());
+    if digits.is_empty() || !ends_value {
         None
     } else {
         digits.parse().ok()

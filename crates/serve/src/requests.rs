@@ -466,6 +466,9 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","dist":"cauchy"}"#, "unknown distribution"),
             (r#"{"id":"q","base":"pynamic-20","fault":"gremlins"}"#, "unknown fault model"),
             (r#"{"id":"q","base":"pynamic-20","servers":0}"#, "\"servers\""),
+            (r#"{"id":"q","base":"pynamic-20","servers":8.9}"#, "\"servers\""),
+            (r#"{"id":"q","base":"pynamic-20","seed":1e3}"#, "\"seed\""),
+            (r#"{"id":"q","base":"pynamic-20","replicates":3.5}"#, "\"replicates\""),
             (r#"{"id":"q","base":"pynamic-20","servers_ideal":0}"#, "\"servers_ideal\""),
             (r#"{"id":"q","base":"pynamic-20","assign":"roulette"}"#, "unknown assign policy"),
             (r#"{"id":"q","base":"pynamic-20","ranks":[a]}"#, "\"ranks\""),

@@ -19,8 +19,9 @@
 //!    would drift.
 
 use depchaos::launch::{
-    reference::simulate_launch_reference, simulate_classified, simulate_launch, AssignPolicy,
-    BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ServerTopology, ServiceDistribution,
+    reference::simulate_launch_reference, replicate_seed, simulate_classified, simulate_launch,
+    AssignPolicy, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ServerTopology,
+    ServiceDistribution,
 };
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
@@ -115,7 +116,11 @@ proptest! {
     /// Contract 2: heap == reference == batch for genuine fleets, both
     /// policies, faults and stochastic service included. The batch row
     /// rides a plan that also carries a single-server row, so kernel
-    /// dedup cannot conflate topologies either.
+    /// dedup cannot conflate topologies either, and the same fleet row at
+    /// two more rank points (one with fewer cold nodes than servers, so
+    /// some hash lanes are empty), under two more replicate seeds, and a
+    /// single server loaded with the busiest hash lane, whose draw-free
+    /// kernel the fleet's lanes share.
     #[test]
     fn fleet_heap_matches_reference_and_batch(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 0..80),
@@ -140,13 +145,37 @@ proptest! {
         prop_assert_eq!(&fast, &simulate_launch_reference(&ops, &cfg));
 
         let single = LaunchConfig { topology: ServerTopology::single(), ..cfg.clone() };
+        let servers = cfg.topology.servers;
+        let busiest_lane = LaunchConfig {
+            ranks: cfg.cold_nodes().div_ceil(servers) * 16,
+            ..single.clone()
+        };
+        let more = [
+            cfg.clone().with_ranks(ranks * 2),
+            cfg.clone().with_ranks((servers - 1) * 16),
+            cfg.clone().with_seed(replicate_seed(seed, 1)),
+            cfg.clone().with_seed(replicate_seed(seed, 2)),
+            busiest_lane,
+        ];
         let mut plan = BatchPlan::new();
         let id = plan.stream(&classified);
         plan.push(id, &cfg);
         plan.push(id, &single);
+        for row in &more {
+            plan.push(id, row);
+        }
         let rows = plan.execute();
         prop_assert_eq!(&rows[0], &fast);
         prop_assert_eq!(&rows[1], &simulate_classified(&classified, &single));
+        for (got, row) in rows[2..].iter().zip(&more) {
+            prop_assert_eq!(
+                got,
+                &simulate_launch_reference(&ops, row),
+                "ranks={} seed={}",
+                row.ranks,
+                row.seed
+            );
+        }
     }
 
     /// Contract 3: `HashByNode` assigns by node id alone, so the fleet's
