@@ -14,6 +14,9 @@
 //! answers warm queries straight from the store under `--store` (created
 //! on first use), profiles only the cold cells, batch-simulates the misses
 //! in one planner pass, and appends every fresh result to the store.
+//! A request with an unknown, duplicate or nested field, or an integer
+//! that is not plain ASCII digits, answers one error line naming the field
+//! (exit code 1).
 //! `--jobs N` (default: the machine's parallelism; `0` or anything past
 //! the shared cap is the exit-2 usage error) runs the misses on N worker
 //! threads, profiling and kernel solving alike. Answers are bit-identical

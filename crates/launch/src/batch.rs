@@ -24,10 +24,10 @@
 //!    `min(S, N)` independent single-server lanes, lane `l` holding nodes
 //!    `l, l + S, …`, and a single-server or `LeastLoaded` fleet is one
 //!    lane of all its nodes. [`BatchPlan::execute`] collapses every row's
-//!    lanes to unique `(schedule, lane, seed, fault)` tuples, with the seed
-//!    normalised away for rows that take no draws, since a lane's
-//!    completion time is a pure function of that tuple. A draw-free lane
-//!    is named by its node count alone, so a deterministic hash row is the
+//!    lanes to unique `(schedule, lane, distribution, seed, fault)` tuples,
+//!    with the seed normalised away for rows that take no draws, since a
+//!    lane's completion time is a pure function of that tuple. A draw-free
+//!    lane is named by its node count alone, so a deterministic hash row is the
 //!    single-server kernel at `⌈N/S⌉` (and `⌊N/S⌋`) nodes. Replicate 0 of
 //!    every rank point, every deterministic replicate, and every cell that
 //!    only differs in overheads or warm fleet size all collapse onto the
@@ -73,7 +73,6 @@ use std::collections::HashMap;
 
 use crate::config::{LaunchConfig, LaunchResult};
 use crate::des::{self, ClassifiedStream, FleetRun, Lane, SolverClass};
-use crate::fault::FaultModel;
 use crate::pool;
 
 /// Handle to a segment schedule registered with [`BatchPlan::stream`].
@@ -220,11 +219,13 @@ impl<'a> BatchPlan<'a> {
     }
 
     /// The plan's unique kernel jobs and the kernels each row folds. A
-    /// kernel job is (schedule, lane, seed, fault), the seed normalised to
-    /// 0 for rows that take no draws: a lane's replay is a pure function of
-    /// that tuple. Each kernel is solved under its first row's class.
+    /// kernel job is (schedule, lane, distribution, seed, fault), the seed
+    /// normalised to 0 for rows that take no draws: a lane's replay is a
+    /// pure function of that tuple. One schedule can carry rows of several
+    /// distributions, since classification reads only the calibration.
+    /// Each kernel is solved under its first row's class.
     fn kernels(&self) -> Kernels<'_> {
-        let mut index: HashMap<(usize, Lane, u64, FaultModel), usize> = HashMap::new();
+        let mut index = HashMap::new();
         let mut kernels = Kernels { jobs: Vec::new(), of_rows: Vec::new(), row_ends: Vec::new() };
         for row in &self.rows {
             // A coalesced row has no lanes: no cold node of it ever
@@ -233,7 +234,7 @@ impl<'a> BatchPlan<'a> {
                 let cfg = &row.cfg;
                 let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
                 for lane in des::lanes(cfg) {
-                    let key = (row.schedule, lane, seed, cfg.fault);
+                    let key = (row.schedule, lane, cfg.service_dist, seed, cfg.fault);
                     let k = *index.entry(key).or_insert_with(|| {
                         kernels.jobs.push((row, lane));
                         kernels.jobs.len() - 1
@@ -362,6 +363,27 @@ mod tests {
         let mut other = cfg;
         other.rtt_ns += 1;
         plan.push(id, &other);
+    }
+
+    /// Classification reads only the calibration, so one stream carries
+    /// rows of every distribution. At one seed their lanes differ only in
+    /// the distribution, which the kernel key must keep apart.
+    #[test]
+    fn one_stream_serves_every_distribution() {
+        let base = LaunchConfig::default();
+        let ops = log_of(&[(Op::Stat, base.rtt_ns), (Op::Openat, base.rtt_ns * 2)]);
+        let stream = ClassifiedStream::classify(&ops, &base);
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(&stream);
+        let mut expected = Vec::new();
+        for dist in ServiceDistribution::all() {
+            for top in [ServerTopology::single(), ServerTopology::hash(4)] {
+                let c = cfg_with(dist, 2048, false).with_topology(top).with_seed(7);
+                plan.push(id, &c);
+                expected.push(simulate_classified(&stream, &c));
+            }
+        }
+        assert_rows_at_every_worker_count(&plan, &expected, "every distribution");
     }
 
     /// Fault-injected rows demote to the heap class, replay through the

@@ -61,7 +61,7 @@
 //! # Stochastic service times
 //!
 //! `cfg.service_dist` selects the server's per-op service-time model (see
-//! [`ServiceDistribution`]). Under `Deterministic` the simulation takes the
+//! [`crate::ServiceDistribution`]). Under `Deterministic` the simulation takes the
 //! exact, draw-free paths above — bit-identical to the pre-distribution DES
 //! whatever the seed. The stochastic variants scale each segment's service
 //! time by one factor drawn from the cold node's own
@@ -128,7 +128,7 @@ use std::collections::BinaryHeap;
 use depchaos_vfs::{Op, StraceLog};
 use depchaos_workloads::SplitMix;
 
-use crate::config::{AssignPolicy, LaunchConfig, LaunchResult, ServiceDistribution};
+use crate::config::{AssignPolicy, LaunchConfig, LaunchResult};
 use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
@@ -174,21 +174,16 @@ impl ServerLanes {
     }
 }
 
-/// The [`LaunchConfig`] fields classification depends on. Two configs with
-/// equal `ClassifyParams` can share one [`ClassifiedStream`] — rank count,
-/// node shape, overheads, cache policy, and *seed* all vary freely across a
+/// The [`LaunchConfig`] fields classification depends on: the latency
+/// calibration. Two configs with equal `ClassifyParams` can share one
+/// [`ClassifiedStream`] — rank count, node shape, overheads, cache policy,
+/// service distribution, fault model and *seed* all vary freely across a
 /// sweep (and across stochastic replicates) without reclassifying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClassifyParams {
     pub rtt_ns: u64,
     pub meta_service_ns: u64,
     pub warm_ns: u64,
-    /// The service distribution the stream will be simulated under. It does
-    /// not change the segment schedule itself, but keying it here keeps a
-    /// memoized [`ClassifiedStream`] honest about what it will be replayed
-    /// as — and deliberately excludes the seed, so replicates share one
-    /// classification.
-    pub dist: ServiceDistribution,
 }
 
 impl ClassifyParams {
@@ -198,7 +193,6 @@ impl ClassifyParams {
             rtt_ns: cfg.rtt_ns,
             meta_service_ns: cfg.meta_service_ns,
             warm_ns: cfg.warm_ns,
-            dist: cfg.service_dist,
         }
     }
 }
@@ -300,8 +294,8 @@ impl ClassifiedStream {
     }
 
     /// Panics unless `cfg` has the latency calibration this stream was
-    /// classified under (rank count, node shape, overheads, and cache
-    /// policy may differ freely).
+    /// classified under (rank count, node shape, overheads, cache policy,
+    /// service distribution and fault model may differ freely).
     pub(crate) fn check_calibration(&self, cfg: &LaunchConfig) {
         assert_eq!(
             self.params,
@@ -548,7 +542,7 @@ pub(crate) fn scatter(
         local_ops: warm_nodes as u64 * stream.n_ops + cold_nodes as u64 * stream.n_local,
         peak_queue_depth,
         retries_issued: fc.retries,
-        timeouts_hit: fc.timeouts,
+        timeouts_hit: fc.retries,
         max_backoff_ns: fc.max_backoff_ns,
         slowed_nodes: fc.slowed_nodes,
     }
@@ -987,7 +981,7 @@ pub mod reference {
     //! hook (stall windows, loss/retry with the same drawn service and an
     //! unadvanced cursor, straggler membership) from the same FAULT-domain
     //! streams;
-    //! under [`ServiceDistribution::Deterministic`] with
+    //! under [`crate::ServiceDistribution::Deterministic`] with
     //! [`FaultModel::None`] no generator is constructed and the walk is
     //! the original, verbatim. The server fleet is the shared
     //! `ServerLanes`: the same per-lane busy clocks and routing picker
@@ -1179,7 +1173,7 @@ pub mod reference {
             local_ops,
             peak_queue_depth,
             retries_issued: counts.retries,
-            timeouts_hit: counts.timeouts,
+            timeouts_hit: counts.retries,
             max_backoff_ns: counts.max_backoff_ns,
             slowed_nodes: counts.slowed_nodes,
         }
@@ -1190,7 +1184,7 @@ pub mod reference {
 mod tests {
     use super::reference::simulate_launch_reference;
     use super::*;
-    use crate::config::ServerTopology;
+    use crate::config::{ServerTopology, ServiceDistribution};
     use depchaos_vfs::{Outcome, Syscall};
 
     fn stream(n_cold: usize, n_warm: usize) -> StraceLog {
@@ -1433,17 +1427,6 @@ mod tests {
             assert_eq!(r, simulate_launch_reference(&ops, &cfg));
             assert!(r.time_to_launch_ns < 16 * 100 * (super::MAX_SERVICE_NS + cfg.rtt_ns));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different latency calibration")]
-    fn distribution_mismatch_is_rejected() {
-        // A stream classified for the deterministic model must not be
-        // replayed as a stochastic one without reclassifying.
-        let ops = stream(10, 0);
-        let classified = ClassifiedStream::classify(&ops, &fast_cfg());
-        let jittered = fast_cfg().with_service_dist(ServiceDistribution::uniform_jitter(0.1));
-        simulate_classified(&classified, &jittered);
     }
 
     fn fault_models() -> [FaultModel; 4] {

@@ -152,11 +152,9 @@ pub(crate) fn backoff_ns(base_ns: u64, attempt: u32) -> u64 {
 /// [`crate::LaunchResult`] carries. All-zero under [`FaultModel::None`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounts {
-    /// RPC attempts re-issued after a lost response.
+    /// RPC attempts re-issued after a lost response, each after a client
+    /// timeout fired (so a result's `timeouts_hit` is this count too).
     pub retries: u64,
-    /// Client timeouts that fired (equal to `retries` in this model; kept
-    /// separate so a future partial-timeout model needn't re-plumb).
-    pub timeouts: u64,
     /// The longest single backoff wait any client slept.
     pub max_backoff_ns: u64,
     /// Cold nodes the straggler draw slowed.
@@ -166,7 +164,6 @@ pub struct FaultCounts {
 impl FaultCounts {
     pub(crate) fn note_retry(&mut self, backoff_ns: u64) {
         self.retries += 1;
-        self.timeouts += 1;
         self.max_backoff_ns = self.max_backoff_ns.max(backoff_ns);
     }
 
@@ -175,7 +172,6 @@ impl FaultCounts {
     pub(crate) fn merge(self, other: FaultCounts) -> FaultCounts {
         FaultCounts {
             retries: self.retries + other.retries,
-            timeouts: self.timeouts + other.timeouts,
             max_backoff_ns: self.max_backoff_ns.max(other.max_backoff_ns),
             slowed_nodes: self.slowed_nodes + other.slowed_nodes,
         }

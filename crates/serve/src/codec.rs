@@ -1,11 +1,13 @@
-//! The store's on-disk codec: one JSON object per line, hand-rolled.
+//! The store's on-disk codec, and the crate's one reader of JSON lines.
 //!
 //! The workspace deliberately ships no JSON library (the vendored serde is
 //! a marker-trait stand-in), so this module follows the `crates/bench`
 //! `BENCH_des.json` idiom: the writer emits one fixed schema via
-//! `format!`, and the reader is a scanner for exactly that schema which
-//! fails loudly per record instead of guessing. Two properties the store
-//! leans on:
+//! `format!`, and one reader, `Fields`, reads flat objects of strings,
+//! unsigned integers, booleans and integer lists, for store records and
+//! what-if requests alike. It fails loudly instead of guessing: an unknown,
+//! duplicate or nested field is an error naming the field, and integers
+//! are ASCII digits only. Two properties the store leans on:
 //!
 //! * **Exact round-trips.** Every float (M/G/1 bounds, sampling slack) is
 //!   stored as its IEEE-754 bit pattern (`f64::to_bits`, an unsigned
@@ -19,6 +21,8 @@
 //! [`CellRecord`] is the unit of storage: one `(scenario, rank point)`
 //! result — the scenario-level profile summary plus, when the cell
 //! simulated, the launch result, replicate statistics, and queueing check.
+
+use std::collections::HashSet;
 
 use depchaos_launch::{LaunchResult, LaunchStats, Mg1Bounds, QueueingCheck};
 
@@ -83,7 +87,7 @@ fn unesc(s: &str) -> Option<String> {
             't' => out.push('\t'),
             'u' => {
                 let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
+                if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
                     return None;
                 }
                 out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
@@ -94,57 +98,113 @@ fn unesc(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// Extract the raw (still-escaped) JSON string following `"key":` — scans
-/// for the closing quote respecting backslash escapes.
-pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
-    let at = line.find(&format!("\"{key}\":"))?;
-    let rest = &line[at + key.len() + 3..];
-    let rest = rest.trim_start().strip_prefix('"')?;
-    let mut end = None;
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                end = Some(i);
-                break;
+/// How a getter reads one raw value: `None` when it has another shape.
+pub(crate) type Shape<T> = fn(&str) -> Option<T>;
+
+/// One JSON object line as its top-level `"key": value` pairs, each value
+/// still raw, read by a getter in one [`Shape`] ([`string`], [`uint`],
+/// [`boolean`], [`uint_list`]), the getters' read marks, and the error
+/// where the line breaks off, if it does.
+pub(crate) struct Fields<'a>(Vec<(&'a str, &'a str, bool)>, Option<String>);
+
+impl<'a> Fields<'a> {
+    /// Split `line` in one pass, up to its first structural error: a nested
+    /// object or list, a duplicate key, a trailing comma or text after a
+    /// value, each naming its field. The pairs before the error stay
+    /// readable (an error answer keeps its `id`).
+    pub(crate) fn parse(line: &'a str) -> Fields<'a> {
+        let mut f = Fields(Vec::new(), None);
+        f.1 = f.split(line).err();
+        f
+    }
+
+    fn split(&mut self, line: &'a str) -> Result<(), String> {
+        let body = line.trim_ascii().strip_prefix('{').ok_or("not a JSON object")?;
+        let (mut rest, mut seen) = (body.trim_ascii_start(), HashSet::new());
+        while rest != "}" {
+            let (key, after) = literal(rest).ok_or("expected a quoted field name")?;
+            let bad = |what: &str| format!("{what} field {key:?}");
+            let value = after.trim_ascii_start().strip_prefix(':').map(str::trim_ascii_start);
+            let value = value.ok_or_else(|| bad("no ':' after"))?;
+            let len = match value.as_bytes().first() {
+                Some(b'"') => {
+                    literal(value).ok_or_else(|| bad("unterminated string in"))?.0.len() + 2
+                }
+                Some(b'[') => match value.find(']') {
+                    Some(n) if !value[1..n].contains(['[', '{', '"']) => n + 1,
+                    Some(_) => return Err(bad("nested value in")),
+                    None => return Err(bad("unterminated list in")),
+                },
+                Some(b'{') => return Err(bad("nested value in")),
+                _ => value.find([',', '}']).unwrap_or(value.len()),
+            };
+            if !seen.insert(key) {
+                return Err(bad("duplicate"));
             }
-            _ => i += 1,
+            self.0.push((key, value[..len].trim_ascii_end(), false));
+            rest = value[len..].trim_ascii_start();
+            match rest.strip_prefix(',').map(str::trim_ascii_start) {
+                Some(next) if next.starts_with('}') => return Err(bad("trailing comma after")),
+                Some(next) => rest = next,
+                None if rest != "}" => return Err(bad("expected ',' or '}' after")),
+                None => {}
+            }
         }
+        Ok(())
     }
-    unesc(&rest[..end?])
+
+    /// The value of `key` read in `shape`: `None` when an intact line has
+    /// no `key`, the line's break when a broken one has none before it. A
+    /// value of another shape is an error naming the field.
+    pub(crate) fn get<T>(&mut self, key: &str, shape: Shape<T>) -> Result<Option<T>, String> {
+        let Some(pair) = self.0.iter_mut().find(|p| p.0 == key) else {
+            return self.1.clone().map_or(Ok(None), Err);
+        };
+        pair.2 = true;
+        shape(pair.1).map(Some).ok_or_else(|| format!("malformed field {key:?}"))
+    }
+
+    /// [`Fields::get`] for a field the line must have.
+    pub(crate) fn need<T>(&mut self, key: &str, shape: Shape<T>) -> Result<T, String> {
+        self.get(key, shape)?.ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// Names the first field no getter read, or else the line's break.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        let unread = self.0.iter().find(|p| !p.2).map(|p| format!("unknown field {:?}", p.0));
+        unread.or(self.1).map_or(Ok(()), Err)
+    }
 }
 
-/// Extract the unsigned integer following `"key":`. Its digits must end the
-/// JSON value — the next character is `,`, `}`, `]`, whitespace or the end
-/// of the line — so `8.9`, `1e3` and `3x` are not read as their leading
-/// digits.
-pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let at = line.find(&format!("\"{key}\":"))?;
-    let value = line[at + key.len() + 3..].trim_start();
-    let end = value.find(|c: char| !c.is_ascii_digit()).unwrap_or(value.len());
-    let (digits, rest) = value.split_at(end);
-    let ends_value =
-        rest.chars().next().is_none_or(|c| matches!(c, ',' | '}' | ']') || c.is_whitespace());
-    if digits.is_empty() || !ends_value {
-        None
-    } else {
-        digits.parse().ok()
-    }
+/// The escaped text of the string literal opening `s`, and the text after it.
+fn literal(s: &str) -> Option<(&str, &str)> {
+    let mut escaped = false;
+    let end = s.strip_prefix('"')?.find(|c| {
+        let end = c == '"' && !escaped;
+        escaped = c == '\\' && !escaped;
+        end
+    })?;
+    Some((&s[1..end + 1], &s[end + 2..]))
 }
 
-/// Extract the boolean following `"key":`.
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    let at = line.find(&format!("\"{key}\":"))?;
-    let rest = line[at + key.len() + 3..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
+/// A string value: exactly one literal, unescaped.
+pub(crate) fn string(raw: &str) -> Option<String> {
+    unesc(raw.strip_prefix('"')?.strip_suffix('"')?)
+}
+
+/// An unsigned integer value: ASCII digits only, within `u64`.
+pub(crate) fn uint(raw: &str) -> Option<u64> {
+    raw.bytes().all(|b| b.is_ascii_digit()).then(|| raw.parse().ok())?
+}
+
+/// A boolean value: `true` or `false`.
+pub(crate) fn boolean(raw: &str) -> Option<bool> {
+    raw.parse().ok()
+}
+
+/// A non-empty list of unsigned integers.
+pub(crate) fn uint_list(raw: &str) -> Option<Vec<u64>> {
+    raw.strip_prefix('[')?.strip_suffix(']')?.split(',').map(|n| uint(n.trim_ascii())).collect()
 }
 
 impl CellRecord {
@@ -210,78 +270,72 @@ impl CellRecord {
         s
     }
 
-    /// Decode one line. Errors name the first missing/malformed field; the
-    /// store counts them as corrupt records and moves on.
+    /// Decode one line. Errors name the first missing, malformed or
+    /// unknown field; the store counts them as corrupt records and moves
+    /// on.
     pub fn decode(line: &str) -> Result<CellRecord, String> {
-        let line = line.trim_end();
-        if !line.ends_with('}') {
-            return Err("truncated record (no closing brace)".to_string());
-        }
-        let need_u64 =
-            |key: &str| u64_field(line, key).ok_or_else(|| format!("missing field {key:?}"));
-        let need_bool =
-            |key: &str| bool_field(line, key).ok_or_else(|| format!("missing field {key:?}"));
-        let key = str_field(line, "key")
-            .and_then(|h| ScenarioKey::from_hex(&h))
-            .ok_or("missing or malformed \"key\"")?;
-        let epoch = need_u64("epoch")? as u32;
-        let label = str_field(line, "label").ok_or("missing field \"label\"")?;
-        let ranks = need_u64("ranks")? as usize;
+        let mut f = Fields::parse(line);
+        let key = f.need("key", |v| ScenarioKey::from_hex(&string(v)?))?;
+        let epoch = f.need("epoch", |v| u32::try_from(uint(v)?).ok())?;
+        let label = f.need("label", string)?;
+        let ranks = f.need("ranks", uint)? as usize;
         let profile = ProfileSummary {
-            stat_openat: need_u64("stat_openat")? as usize,
-            misses: need_u64("misses")? as usize,
-            complete: need_bool("complete")?,
-            unresolved: need_u64("unresolved")? as usize,
+            stat_openat: f.need("stat_openat", uint)? as usize,
+            misses: f.need("misses", uint)? as usize,
+            complete: f.need("complete", boolean)?,
+            unresolved: f.need("unresolved", uint)? as usize,
         };
-        let error = str_field(line, "error");
-        let outcome = if line.contains("\"launch_ns\":") {
-            Some(CellOutcome {
+        let error = f.get("error", string)?;
+        let outcome = match f.get("launch_ns", uint)? {
+            None => None,
+            Some(time_to_launch_ns) => Some(CellOutcome {
                 result: LaunchResult {
-                    time_to_launch_ns: need_u64("launch_ns")?,
-                    nodes: need_u64("nodes")? as usize,
-                    server_ops: need_u64("server_ops")?,
-                    local_ops: need_u64("local_ops")?,
-                    peak_queue_depth: need_u64("peak_queue")? as usize,
-                    retries_issued: need_u64("retries")?,
-                    timeouts_hit: need_u64("timeouts")?,
-                    max_backoff_ns: need_u64("max_backoff_ns")?,
-                    slowed_nodes: need_u64("slowed_nodes")? as usize,
+                    time_to_launch_ns,
+                    nodes: f.need("nodes", uint)? as usize,
+                    server_ops: f.need("server_ops", uint)?,
+                    local_ops: f.need("local_ops", uint)?,
+                    peak_queue_depth: f.need("peak_queue", uint)? as usize,
+                    retries_issued: f.need("retries", uint)?,
+                    timeouts_hit: f.need("timeouts", uint)?,
+                    max_backoff_ns: f.need("max_backoff_ns", uint)?,
+                    slowed_nodes: f.need("slowed_nodes", uint)? as usize,
                 },
                 stats: LaunchStats {
-                    replicates: need_u64("reps")? as usize,
-                    mean_ns: need_u64("mean_ns")?,
-                    p50_ns: need_u64("p50_ns")?,
-                    p95_ns: need_u64("p95_ns")?,
-                    p99_ns: need_u64("p99_ns")?,
+                    replicates: f.need("reps", uint)? as usize,
+                    mean_ns: f.need("mean_ns", uint)?,
+                    p50_ns: f.need("p50_ns", uint)?,
+                    p95_ns: f.need("p95_ns", uint)?,
+                    p99_ns: f.need("p99_ns", uint)?,
                 },
                 queueing: QueueingCheck {
                     bounds: Mg1Bounds {
-                        ranks: need_u64("q_ranks")? as usize,
-                        cold_nodes: need_u64("q_cold_nodes")? as usize,
-                        server_ops_per_node: need_u64("q_ops_per_node")?,
-                        servers: need_u64("q_servers")? as usize,
-                        utilisation: f64::from_bits(need_u64("q_util_bits")?),
-                        mean_wait_ns: f64::from_bits(need_u64("q_wait_bits")?),
-                        lower_ns: need_u64("q_lower_ns")?,
-                        upper_ns: need_u64("q_upper_ns")?,
-                        factor_cv2: f64::from_bits(need_u64("q_cv2_bits")?),
-                        work_sd_ns: f64::from_bits(need_u64("q_sd_bits")?),
-                        applicable: need_bool("q_applicable")?,
+                        ranks: f.need("q_ranks", uint)? as usize,
+                        cold_nodes: f.need("q_cold_nodes", uint)? as usize,
+                        server_ops_per_node: f.need("q_ops_per_node", uint)?,
+                        servers: f.need("q_servers", uint)? as usize,
+                        utilisation: f64::from_bits(f.need("q_util_bits", uint)?),
+                        mean_wait_ns: f64::from_bits(f.need("q_wait_bits", uint)?),
+                        lower_ns: f.need("q_lower_ns", uint)?,
+                        upper_ns: f.need("q_upper_ns", uint)?,
+                        factor_cv2: f64::from_bits(f.need("q_cv2_bits", uint)?),
+                        work_sd_ns: f64::from_bits(f.need("q_sd_bits", uint)?),
+                        applicable: f.need("q_applicable", boolean)?,
                     },
-                    observed_mean_ns: need_u64("q_observed_ns")?,
-                    slack_ns: f64::from_bits(need_u64("q_slack_bits")?),
-                    within: need_bool("q_within")?,
+                    observed_mean_ns: f.need("q_observed_ns", uint)?,
+                    slack_ns: f64::from_bits(f.need("q_slack_bits", uint)?),
+                    within: f.need("q_within", boolean)?,
                 },
-            })
-        } else {
-            None
+            }),
         };
+        f.finish()?;
         Ok(CellRecord { key, epoch, label, ranks, profile, error, outcome })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use crate::key::ENGINE_EPOCH;
 
@@ -365,6 +419,10 @@ mod tests {
         let back = CellRecord::decode(&line).unwrap();
         assert_eq!(back, rec);
         assert!(back.outcome.is_none());
+        // `from_str_radix` alone would read `+001` as hex.
+        let signed = line.replace("\\u0001", "\\u+001");
+        assert_ne!(signed, line);
+        assert_eq!(CellRecord::decode(&signed).unwrap_err(), "malformed field \"error\"");
     }
 
     #[test]
@@ -382,5 +440,31 @@ mod tests {
         let broken = line.replace("\"p95_ns\"", "\"p95_n*\"");
         let err = CellRecord::decode(&broken).unwrap_err();
         assert!(err.contains("p95_ns"), "{err}");
+    }
+
+    #[test]
+    fn many_distinct_keys_read_in_linear_time() {
+        let mut line = sample_record().encode();
+        line.pop();
+        for i in 0..200_000 {
+            line.push_str(&format!(",\"x{i}\":0"));
+        }
+        line.push('}');
+        let t0 = Instant::now();
+        let err = CellRecord::decode(&line).unwrap_err();
+        let elapsed = t0.elapsed();
+        assert_eq!(err, "unknown field \"x0\"");
+        // A pairwise duplicate check would take minutes here.
+        assert!(elapsed.as_secs_f64() < 5.0, "2 MB line took {elapsed:?}");
+    }
+
+    #[test]
+    fn an_epoch_beyond_u32_is_malformed_not_truncated() {
+        let line = sample_record().encode();
+        let wide = line.replace(&format!("\"epoch\":{ENGINE_EPOCH},"), "\"epoch\":4294967300,");
+        assert_ne!(wide, line);
+        assert_eq!(4_294_967_300u64 as u32, ENGINE_EPOCH, "the value truncates to the live epoch");
+        let err = CellRecord::decode(&wide).unwrap_err();
+        assert!(err.contains("\"epoch\""), "{err}");
     }
 }

@@ -48,8 +48,9 @@
 //! * **Explicit eviction**: [`ResultStore::invalidate_where`] drops
 //!   records by predicate (label, rank, …) without recomputing keys;
 //!   [`ResultStore::compact`] makes the eviction durable.
-//! * **Corruption**: a record that fails to decode (torn final append,
-//!   bit rot) is skipped and counted, never served and never fatal.
+//! * **Corruption**: a line that is not UTF-8 or fails to decode (torn
+//!   final append, bit rot) is skipped and counted, never served and
+//!   never fatal.
 //!
 //! ## Incremental execution ([`exec`])
 //!
@@ -83,9 +84,12 @@
 //! `servers` (the modeled N-server metadata fleet — the DES topology
 //! axis, with `assign` picking `hash` or `least` routing), and
 //! `servers_ideal` (the coordination-free approximation:
-//! `meta_service_ns / N`). Answers are one JSONL line per (query, rank
-//! point) carrying only simulator-deterministic integers; batch and
-//! per-query hit/miss/latency counters go to a separate stats document.
+//! `meta_service_ns / N`). Unknown, duplicate and nested fields are
+//! errors that name the field, and integers are ASCII digits only; the
+//! store's records are read by the same reader ([`codec`]). Answers are
+//! one JSONL line per (query, rank point) carrying only
+//! simulator-deterministic integers; batch and per-query
+//! hit/miss/latency counters go to a separate stats document.
 //! A cell whose profiling *panics* is isolated (`catch_unwind` per cell):
 //! the rest of the batch completes, the cell answers with an error line,
 //! it is never persisted, and the batch exits nonzero.

@@ -28,6 +28,11 @@
 //! service time divided by N, coordination-free: an optimistic lower
 //! bound the modeled fleet can approach but, contended, never beat).
 //!
+//! A request is read strictly, by the codec's one field reader: an
+//! unknown, duplicate or nested field, a trailing comma, or an integer that
+//! is not plain ASCII digits is an error naming its field. It answers one
+//! error line under the request's `id`, or `line-N` when none is readable.
+//!
 //! Each answer is one JSONL line per `(query, rank point)` carrying only
 //! simulator-deterministic integers (or the cell's error string), so a
 //! warm replay of the same batch must produce a **byte-identical** answer
@@ -45,7 +50,7 @@ use depchaos_launch::{
 use depchaos_vfs::StorageModel;
 use depchaos_workloads::{Axom, Emacs, Poison, Pynamic, PynamicRpath, Rocm, Workload};
 
-use crate::codec::{esc, str_field, u64_field};
+use crate::codec::{esc, string, uint, uint_list, Fields, Shape};
 use crate::exec::{run_matrix_incremental, ExecStats};
 use crate::store::ResultStore;
 
@@ -73,17 +78,6 @@ pub struct WhatIfRequest {
     pub replicates: usize,
     /// Experiment seed override, when given.
     pub seed: Option<u64>,
-}
-
-/// Parse a `[usize, ...]` array following `"key":`.
-fn usize_list_field(line: &str, key: &str) -> Option<Vec<usize>> {
-    let at = line.find(&format!("\"{key}\":"))?;
-    let rest = line[at + key.len() + 3..].trim_start().strip_prefix('[')?;
-    let inner = &rest[..rest.find(']')?];
-    if inner.trim().is_empty() {
-        return None;
-    }
-    inner.split(',').map(|t| t.trim().parse().ok()).collect()
 }
 
 /// Resolve a base-workload name to a workload instance.
@@ -120,100 +114,51 @@ fn resolve_workload(name: &str) -> Result<Arc<dyn Workload>, String> {
     }
 }
 
+/// The axis delta `key`, if the request has one, in the axis's own
+/// spelling; an unknown spelling is an error naming `what`.
+fn axis<T>(f: &mut Fields, key: &str, what: &str, parse: Shape<T>) -> Result<Option<T>, String> {
+    f.get(key, string)?.map(|s| parse(&s).ok_or(format!("unknown {what} {s:?}"))).transpose()
+}
+
 impl WhatIfRequest {
-    /// Parse one request line. Errors name the offending field.
+    /// Parse one request line through the codec's field reader. Errors
+    /// name the offending field.
     pub fn parse(line: &str) -> Result<WhatIfRequest, String> {
-        let line = line.trim();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("request is not a JSON object".to_string());
-        }
-        let has = |key: &str| line.contains(&format!("\"{key}\":"));
-        let id = str_field(line, "id").ok_or("missing field \"id\"")?;
-        let base = str_field(line, "base").ok_or("missing field \"base\"")?;
+        let mut f = Fields::parse(line);
+        let (id, base) = (f.need("id", string)?, f.need("base", string)?);
         resolve_workload(&base)?;
-        let axis = |key: &str| -> Result<Option<String>, String> {
-            if !has(key) {
-                return Ok(None);
-            }
-            str_field(line, key).map(Some).ok_or_else(|| format!("malformed field {key:?}"))
+        let fleet = |f: &mut Fields, key: &str| match f.get(key, uint) {
+            Ok(None) => Ok(1),
+            Ok(Some(n)) if n >= 1 => Ok(n),
+            _ => Err(format!("field {key:?} must be an integer ≥ 1")),
         };
-        let backend = match axis("backend")? {
-            Some(s) => MatrixBackend::parse(&s).ok_or(format!("unknown backend {s:?}"))?,
-            None => MatrixBackend::glibc(),
-        };
-        let storage = match axis("storage")? {
-            Some(s) => StorageModel::parse(&s).ok_or(format!("unknown storage model {s:?}"))?,
-            None => StorageModel::Nfs,
-        };
-        let wrap = match axis("wrap")? {
-            Some(s) => WrapState::parse(&s).ok_or(format!("unknown wrap state {s:?}"))?,
-            None => WrapState::Plain,
-        };
-        let cache = match axis("cache")? {
-            Some(s) => CachePolicy::parse(&s).ok_or(format!("unknown cache policy {s:?}"))?,
-            None => CachePolicy::Cold,
-        };
-        let dist = match axis("dist")? {
-            Some(s) => {
-                ServiceDistribution::parse(&s).ok_or(format!("unknown distribution {s:?}"))?
-            }
-            None => ServiceDistribution::Deterministic,
-        };
-        let fault = match axis("fault")? {
-            Some(s) => FaultModel::parse(&s).ok_or(format!("unknown fault model {s:?}"))?,
-            None => FaultModel::None,
-        };
-        let ranks = if has("ranks") {
-            usize_list_field(line, "ranks").ok_or("malformed field \"ranks\"")?
-        } else {
-            vec![512, 1024, 2048]
-        };
-        let servers = if has("servers") {
-            match u64_field(line, "servers") {
-                Some(n) if n >= 1 => n,
-                _ => return Err("field \"servers\" must be an integer ≥ 1".to_string()),
-            }
-        } else {
-            1
-        };
-        let assign = match axis("assign")? {
-            Some(s) => AssignPolicy::parse(&s).ok_or(format!("unknown assign policy {s:?}"))?,
-            None => AssignPolicy::HashByNode,
-        };
-        let servers_ideal = if has("servers_ideal") {
-            match u64_field(line, "servers_ideal") {
-                Some(n) if n >= 1 => n,
-                _ => return Err("field \"servers_ideal\" must be an integer ≥ 1".to_string()),
-            }
-        } else {
-            1
-        };
-        let replicates = if has("replicates") {
-            u64_field(line, "replicates").ok_or("malformed field \"replicates\"")? as usize
-        } else {
-            DEFAULT_REPLICATES
-        };
-        let seed = if has("seed") {
-            Some(u64_field(line, "seed").ok_or("malformed field \"seed\"")?)
-        } else {
-            None
-        };
-        Ok(WhatIfRequest {
+        let request = WhatIfRequest {
             id,
             base,
-            backend,
-            storage,
-            wrap,
-            cache,
-            dist,
-            fault,
-            ranks,
-            servers,
-            assign,
-            servers_ideal,
-            replicates,
-            seed,
-        })
+            backend: axis(&mut f, "backend", "backend", MatrixBackend::parse)?
+                .unwrap_or_else(MatrixBackend::glibc),
+            storage: axis(&mut f, "storage", "storage model", StorageModel::parse)?
+                .unwrap_or(StorageModel::Nfs),
+            wrap: axis(&mut f, "wrap", "wrap state", WrapState::parse)?.unwrap_or(WrapState::Plain),
+            cache: axis(&mut f, "cache", "cache policy", CachePolicy::parse)?
+                .unwrap_or(CachePolicy::Cold),
+            dist: axis(&mut f, "dist", "distribution", ServiceDistribution::parse)?
+                .unwrap_or(ServiceDistribution::Deterministic),
+            fault: axis(&mut f, "fault", "fault model", FaultModel::parse)?
+                .unwrap_or(FaultModel::None),
+            ranks: f.get("ranks", uint_list)?.map_or_else(
+                || vec![512, 1024, 2048],
+                |r| r.into_iter().map(|n| n as usize).collect(),
+            ),
+            servers: fleet(&mut f, "servers")?,
+            assign: axis(&mut f, "assign", "assign policy", AssignPolicy::parse)?
+                .unwrap_or(AssignPolicy::HashByNode),
+            servers_ideal: fleet(&mut f, "servers_ideal")?,
+            replicates: f.get("replicates", uint)?.map_or(DEFAULT_REPLICATES, |n| n as usize),
+            seed: f.get("seed", uint)?,
+        };
+        f.finish()?;
+        Ok(request)
     }
 
     /// The single-scenario matrix this query describes.
@@ -351,7 +296,9 @@ pub fn serve_batch(
         let (req, matrix) = match parsed {
             Ok(p) => p,
             Err(e) => {
-                let id = str_field(line, "id").unwrap_or_else(|| format!("line-{}", lineno + 1));
+                let id = Fields::parse(line)
+                    .need("id", string)
+                    .unwrap_or_else(|_| format!("line-{}", lineno + 1));
                 report.queries.push(QueryOutcome {
                     answers: vec![format!("{{\"id\":\"{}\",\"error\":\"{}\"}}", esc(&id), esc(&e))],
                     id,
@@ -417,6 +364,11 @@ pub fn serve_batch(
 mod tests {
     use super::*;
 
+    /// The `launch_ns` of a query's first answer line.
+    fn launch_ns(q: &QueryOutcome) -> u64 {
+        Fields::parse(&q.answers[0]).need("launch_ns", uint).unwrap()
+    }
+
     #[test]
     fn requests_parse_with_defaults_and_deltas() {
         let q = WhatIfRequest::parse(r#"{"id":"q1","base":"pynamic-20"}"#).unwrap();
@@ -472,6 +424,24 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","servers_ideal":0}"#, "\"servers_ideal\""),
             (r#"{"id":"q","base":"pynamic-20","assign":"roulette"}"#, "unknown assign policy"),
             (r#"{"id":"q","base":"pynamic-20","ranks":[a]}"#, "\"ranks\""),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[]}"#, "\"ranks\""),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[1,]}"#, "\"ranks\""),
+            (r#"{"id":"q","base":"pynamic-20","seed":+5}"#, "\"seed\""),
+            (r#"{"id":"q","base":"pynamic-20","seed":18446744073709551616}"#, "\"seed\""),
+            (r#"{"id":"q","base":"pynamic-20","severs":8}"#, "unknown field \"severs\""),
+            (r#"{"id":"q","base":"pynamic-20","x":{"ranks":[64]}}"#, "nested value in field \"x\""),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[[64]]}"#, "nested value in field \"ranks\""),
+            (
+                r#"{"id":"q","base":"pynamic-20","ranks":[64],"ranks":[128]}"#,
+                "duplicate field \"ranks\"",
+            ),
+            (r#"{"id":"q","base":"pynamic-20","seed":1,}"#, "trailing comma after field \"seed\""),
+            (r#"{"id":"q","base":"pynamic-20" "seed":1}"#, "after field \"base\""),
+            (r#"{"id":"q","base":"pynamic-20","seed"}"#, "after field \"seed\""),
+            (r#"{"id":"q","base":"pynamic-20","wrap":"plain}"#, "\"wrap\""),
+            (r#"{"id":7,"base":"pynamic-20"}"#, "\"id\""),
+            (r#"{"id":"q","base":"pynamic-20"}}"#, "after field \"base\""),
+            ("{}", "missing field \"id\""),
             ("not json", "not a JSON object"),
         ] {
             let err = WhatIfRequest::parse(line).unwrap_err();
@@ -517,9 +487,6 @@ mod tests {
         );
         let store = ResultStore::in_memory();
         let report = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
-        let launch_ns = |q: &QueryOutcome| {
-            u64_field(&q.answers[0], "launch_ns").expect("answer carries launch_ns")
-        };
         let slow = launch_ns(&report.queries[0]);
         assert!(launch_ns(&report.queries[1]) < slow, "8 servers beat 1");
         assert!(launch_ns(&report.queries[2]) < slow, "shrinkwrap beats plain");
@@ -543,7 +510,6 @@ mod tests {
         let store = ResultStore::in_memory();
         let report = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
         assert!(!report.had_errors());
-        let launch_ns = |q: &QueryOutcome| u64_field(&q.answers[0], "launch_ns").unwrap();
         let (modeled, ideal) = (launch_ns(&report.queries[0]), launch_ns(&report.queries[1]));
         assert!(
             ideal <= modeled + modeled / 20,
@@ -566,7 +532,6 @@ mod tests {
         let store = ResultStore::in_memory();
         let report = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
         assert!(!report.had_errors());
-        let launch_ns = |q: &QueryOutcome| u64_field(&q.answers[0], "launch_ns").unwrap();
         let (healthy, faulted) = (launch_ns(&report.queries[0]), launch_ns(&report.queries[1]));
         assert!(
             faulted > healthy && faulted >= 10_000_000_000,
@@ -603,12 +568,32 @@ mod tests {
             "\n",
             r#"{"id":"bad","base":"warp-drive"}"#,
             "\n",
+            r#"{"id":"sev","base":"pynamic-20","ranks":[256],"severs":8}"#,
+            "\n",
+            r#"{"id":"nest","base":"pynamic-20","x":{"ranks":[64]}}"#,
+            "\n",
+            r#"{"id":"dup","base":"pynamic-20","ranks":[256],"ranks":[64]}"#,
+            "\n",
+            r#"{"id":"torn","base":"pynamic-20","wrap":"plain}"#,
+            "\n",
+            r#"{"id":7,"base":"pynamic-20"}"#,
+            "\n",
         );
         let store = ResultStore::in_memory();
         let report = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
         assert!(report.had_errors());
-        assert_eq!(report.queries.len(), 2);
+        assert_eq!(report.queries.len(), 7);
         assert!(report.queries[1].answers[0].contains("unknown base workload"));
-        assert!(report.stats_json(&store).contains("\"parse_errors\":1"));
+        assert!(report.stats_json(&store).contains("\"parse_errors\":6"));
+        // The error line keeps its `id` when it is a readable string, also
+        // ahead of a break in the line; otherwise it answers under its line
+        // number.
+        let ids: Vec<&str> = report.queries.iter().map(|q| q.id.as_str()).collect();
+        assert_eq!(ids, ["ok", "bad", "sev", "nest", "dup", "torn", "line-7"]);
+        let needles = ["\"severs\"", "\"x\"", "\"ranks\"", "\"wrap\"", "\"id\""];
+        for (q, needle) in report.queries[2..].iter().zip(needles) {
+            let error = q.parse_error.as_deref().unwrap();
+            assert!(error.contains(needle), "{error}");
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! A [`ResultStore`] is an in-memory index over [`CellRecord`]s, optionally
 //! backed by an append-only `store.jsonl` under a target directory:
 //!
-//! * **Load** reads the log line by line. Records that fail to decode
-//!   (torn final write, bit rot) are skipped and counted; records written
-//!   under a different [`ENGINE_EPOCH`] are
+//! * **Load** reads the log line by line, as bytes. A line that is not
+//!   UTF-8 or fails to decode (torn final write, bit rot, or an unknown,
+//!   duplicate, nested or out-of-range field) is skipped and counted;
+//!   records written under a different [`ENGINE_EPOCH`] are
 //!   evicted and counted; duplicate keys resolve last-write-wins (the log
 //!   is append-only, so the latest append is the latest truth). Loading
 //!   never panics on store contents.
@@ -83,13 +84,13 @@ impl ResultStore {
         let mut index = HashMap::new();
         let mut stats = LoadStats::default();
         if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for line in reader.lines() {
+            for line in BufReader::new(File::open(&path)?).split(b'\n') {
                 let line = line?;
-                if line.trim().is_empty() {
+                if line.trim_ascii().is_empty() {
                     continue;
                 }
-                match CellRecord::decode(&line) {
+                let text = std::str::from_utf8(&line).map_err(|e| e.to_string());
+                match text.and_then(CellRecord::decode) {
                     Ok(rec) if rec.epoch == ENGINE_EPOCH => {
                         if index.insert(rec.key, rec).is_some() {
                             stats.duplicates += 1;
@@ -277,6 +278,28 @@ mod tests {
         assert_eq!(store.load_stats().corrupt_skipped, 1);
         assert!(store.contains(ScenarioKey(1)));
         assert!(!store.contains(ScenarioKey(2)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_skipped_and_counted() {
+        let dir = temp_dir("non-utf8");
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            store.put(rec(1, "a", 512, 1)).unwrap();
+        }
+        let path = dir.join("store.jsonl");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"\xff\xfe garbage\n");
+        bytes.extend_from_slice(rec(2, "b", 512, 2).encode().as_bytes());
+        bytes.push(b'\n');
+        std::fs::write(&path, &bytes).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(
+            store.load_stats(),
+            LoadStats { loaded: 2, corrupt_skipped: 1, ..LoadStats::default() }
+        );
+        assert!(store.contains(ScenarioKey(1)) && store.contains(ScenarioKey(2)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
