@@ -1,61 +1,64 @@
-//! Hot-path benchmarks: the allocation-free profile→simulate pipeline.
+//! The workspace's one bench: every case timed once, by one estimator,
+//! into one record, `BENCH_des.json` at the repo root.
 //!
-//! Three surfaces the PR 3 optimisations target, timed directly:
+//! ```text
+//! cargo bench -p depchaos-bench --bench hotpath [-- --test]
+//! ```
 //!
-//! * `des_million_ranks` — [`simulate_classified`] at 1Mi–4Mi ranks, the
-//!   scale the coalesced DES unlocked (warm-node coalescing + one heap
-//!   event per server op).
-//! * `vfs_resolve_deep` — slab-tree path resolution: deep component chains
-//!   and symlink hops, with lazy error-path construction keeping the
-//!   success path allocation-free.
-//! * classification itself, since sweeps amortise it across rank points.
-//! * `serve/*` — the result-store hot paths: a fully warm one-cell query
-//!   (key derivation + store probe + aggregation, the latency every
-//!   repeat what-if pays) and a cold cell through the incremental
-//!   executor (sweep + record encode + store append, profiling amortised
-//!   into a shared cache as the serve layer does).
-//! * `batch/*` — the columnar batch planner: the full fig6-backends ×
-//!   dist × replicate matrix simulated as one `BatchPlan` pass
-//!   (profiling and classification pre-warmed, exactly what a repeat
-//!   sweep pays), and raw per-row planner throughput over a
-//!   thousand-row single-schedule plan.
+//! Every case runs through [`time_fn`], the min-of-batches estimator, and
+//! becomes one row of the record (row groups below). `--test` is the quick
+//! mode: fewer iterations per case, same cases, and the record says
+//! `"quick"`. The record is JSON lines: a `{"mode": ...}` line, then one
+//! `{"name", "mean_ns_per_iter", "iters"}` line per case, which
+//! `bench-diff` reads with the serve codec's field reader. Details a row
+//! does not carry (a DES case's ranks, nodes, server ops and simulated
+//! launch time; the ablations' stat/openat table) go to the bench log.
+//!
+//! * `des_million_ranks/*` — [`simulate_classified`] at 16Ki–4Mi ranks:
+//!   broadcast, warm, contended and analytic all-cold shapes.
+//! * `vfs_resolve_deep/*` — slab-tree path resolution through 64
+//!   components and an 8-hop symlink ladder.
+//! * `classify/cold500` — stream classification, which sweeps amortise
+//!   across rank points.
 //! * `faults/*` — the faulty heap engine on the contended 16Ki shape: a
-//!   server brownout (stall-window bookkeeping per event) and a 10% RPC
-//!   loss retry storm (a FAULT draw per served op plus the retried server
-//!   work) — healthy rows never enter this engine, so these rows are its
-//!   only perf gate.
-//! * `servers/*` — the multi-server topology axis on the same contended
-//!   shape: `flatten_sweep` runs the fig6-servers fleet ladder
-//!   (S ∈ {1, 2, 4, 8, 16}, hash-routed) at 16Ki ranks back to back, and
-//!   `s8_contended` isolates one S = 8 fleet pass. Its uniform cold stream
-//!   is round-major, so both take the closed form per lane, next to the
-//!   single-lane `contended_16Ki_cold500` baseline. `s4_jitter_2Ki` is the
-//!   lane heap's per-event cost: 128 jittered cold nodes on 4 hash lanes,
-//!   64,000 heap events in four 32-node heaps.
-//! * `adaptive/*` — adaptive replicate control on the fig6-dist acceptance
-//!   matrix: `full_matrix` times the multi-round stopping-rule driver
-//!   end-to-end (profiling pre-warmed), and `savings_ratio` records the
-//!   fixed-K-sims over adaptive-sims ratio as an integer milli-x — a
-//!   deterministic constant per engine, so its bench-diff delta is zero
-//!   unless the stopping rule's meaning changes.
-//!
-//! Besides the criterion `ns/iter` lines, this bench persists a
-//! `BENCH_des.json` summary at the repo root — the first entry in the
-//! measured perf trajectory. CI runs it in `--test` quick mode (fewer
-//! samples, same coverage) and uploads the file as an artifact.
+//!   server brownout and a 10% RPC loss retry storm. Healthy rows never
+//!   enter this engine, so these rows are its only perf gate.
+//! * `servers/*` — hash-routed metadata fleets on the same shape: the
+//!   fig6-servers ladder (`flatten_sweep`), one S = 8 pass, and the
+//!   stochastic lane heap (`s4_jitter_2Ki`: 64,000 events on 4 lanes).
+//! * `serve/*` — a fully warm one-cell query and a cold cell through the
+//!   incremental executor, profiling pre-warmed.
+//! * `batch/*` — the fig6-backends × dist matrix as one `BatchPlan` pass,
+//!   and the planner's per-row throughput over a 1,024-row plan.
+//! * `adaptive/*` — the fig6-dist matrix under adaptive replicate
+//!   control, and its replicate saving as an integer milli-ratio.
+//! * `loader/*` — the loader engines on a 50-object store closure: glibc,
+//!   musl and every stock backend that resolves it, a traced load,
+//!   libtree, and an ldconfig scan.
+//! * `shrinkwrap_cost/*` — §V's cost of running Shrinkwrap itself (paper:
+//!   ~4 s warm for 900 entries with the Python tool) on Pynamic closures
+//!   of 100, 300 and 900 libraries under both strategies, and on emacs.
+//! * `ablations/*` — one glibc load of the Axom-scale stack per store
+//!   layout: Spack-like, Nix-like, a dependency view, shrinkwrapped, and
+//!   the future loader on the shrinkwrapped binary.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use depchaos_bench::banner;
+use depchaos_core::{wrap, LoaderBackend, ShrinkwrapOptions, Strategy};
+use depchaos_elf::ElfEditor;
 use depchaos_launch::{
     simulate_classified, AdaptiveControl, BatchPlan, CachePolicy, ClassifiedStream,
-    ExperimentMatrix, FaultModel, LaunchConfig, LaunchResult, MatrixBackend, ProfileCache,
-    ServerTopology, ServiceDistribution, WrapState,
+    ExperimentMatrix, FaultModel, LaunchConfig, MatrixBackend, ProfileCache, ServerTopology,
+    ServiceDistribution, WrapState,
 };
+use depchaos_loader::{analyze_tree, Environment, FutureLoader, GlibcLoader, LdCache, MuslLoader};
 use depchaos_serve::{run_matrix_incremental, ResultStore};
+use depchaos_store::{
+    build_view, views::view_lib_dir, BinDef, LibDef, PackageDef, Repo, StoreInstaller,
+};
 use depchaos_vfs::{Op, Outcome, StorageModel, StraceLog, Syscall, Vfs};
-use depchaos_workloads::{Axom, Pynamic, Rocm};
+use depchaos_workloads::{axom, emacs, pynamic, Axom, Pynamic, Rocm};
 
 fn cold_stream(n: usize) -> StraceLog {
     let mut log = StraceLog::new();
@@ -73,7 +76,7 @@ fn warm_stream(n: usize) -> StraceLog {
     log
 }
 
-/// One DES scenario in the persisted summary.
+/// One `des_million_ranks/*` case.
 struct DesPoint {
     name: &'static str,
     cfg: LaunchConfig,
@@ -124,34 +127,18 @@ fn des_points() -> Vec<DesPoint> {
     ]
 }
 
-/// Batches per point: the summary records the *fastest batch's* mean
-/// ns/iter. A plain mean over one long run absorbs every scheduler
-/// hiccup of a shared CI box into the number the regression gate compares;
-/// the min-of-batches estimator converges on the undisturbed cost, which
-/// is the thing a code change actually moves.
+/// Batches per case: a row records the *fastest batch's* mean ns/iter. A
+/// plain mean over one long run absorbs every scheduler hiccup of a shared
+/// CI box into the number the regression gate compares; the
+/// min-of-batches estimator converges on the undisturbed cost, which is
+/// the thing a code change actually moves.
 const BATCHES: u32 = 10;
 
-/// Best-batch mean ns over `iters` total runs, plus one result for the
-/// summary row.
-fn time_des(point: &DesPoint, iters: u32) -> (u128, LaunchResult) {
-    let classified = ClassifiedStream::classify(&point.ops, &point.cfg);
-    let result = simulate_classified(&classified, &point.cfg);
-    let mean_ns = time_fn(
-        || {
-            std::hint::black_box(simulate_classified(&classified, &point.cfg));
-        },
-        iters,
-    );
-    (mean_ns, result)
-}
-
-/// Iterations per point in full mode; anything less is a quick run.
+/// Iterations per case in full mode; anything less is a quick run.
 const FULL_ITERS: u32 = 200;
 
-/// Best-batch mean ns of an arbitrary closure over `iters` total runs —
-/// the same min-of-batches estimator [`time_des`] uses, for the
-/// `vfs_resolve_deep/*` and `classify/*` summary rows the CI gate now
-/// watches alongside the DES cases.
+/// Best-batch mean ns of `f` over `iters` total runs (at least one per
+/// batch).
 fn time_fn(mut f: impl FnMut(), iters: u32) -> u128 {
     let batch_iters = (iters / BATCHES).max(1);
     let mut best_ns = u128::MAX;
@@ -165,53 +152,37 @@ fn time_fn(mut f: impl FnMut(), iters: u32) -> u128 {
     best_ns
 }
 
-/// One persisted summary row: the DES cases carry their simulation
-/// outcome, the plain cases just the timing.
-enum SummaryRow<'a> {
-    Des { point: &'a DesPoint, mean_ns: u128, result: LaunchResult, iters: u32 },
-    Plain { name: String, mean_ns: u128, iters: u32 },
-}
+/// The record being built: one `(name, mean ns/iter, iters)` per case,
+/// each echoed to the bench log as it lands.
+struct Record(Vec<(String, u128, u32)>);
 
-/// Persist the summary the CI step uploads; returns the JSON it wrote.
-/// The recorded mode is derived from the iteration count the rows actually
-/// ran with — not from re-sniffing argv — so the file cannot claim "full"
-/// for a `--test` quick run (`bench-diff` refuses to compare summaries
-/// whose modes differ, which makes an honest label load-bearing).
-fn write_summary(rows: &[SummaryRow<'_>], iters: u32) -> String {
-    let mut json = String::from("{\n  \"bench\": \"des_hot_path\",\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n  \"results\": [\n",
-        if iters >= FULL_ITERS { "full" } else { "quick" }
-    ));
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        match row {
-            SummaryRow::Des { point: p, mean_ns, result: r, iters } => {
-                json.push_str(&format!(
-                    "    {{\"name\": \"des_million_ranks/{}\", \"ranks\": {}, \"nodes\": {}, \
-                     \"server_ops\": {}, \"simulated_launch_s\": {:.3}, \
-                     \"mean_ns_per_iter\": {}, \"iters\": {}}}{comma}\n",
-                    p.name,
-                    p.cfg.ranks,
-                    r.nodes,
-                    r.server_ops,
-                    r.seconds(),
-                    mean_ns,
-                    iters,
-                ));
-            }
-            SummaryRow::Plain { name, mean_ns, iters } => {
-                json.push_str(&format!(
-                    "    {{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean_ns}, \
-                     \"iters\": {iters}}}{comma}\n",
-                ));
-            }
-        }
+impl Record {
+    fn push(&mut self, name: &str, mean_ns: u128, iters: u32, note: &str) {
+        println!("{name:<48} {mean_ns:>12} ns/iter  {note}");
+        self.0.push((name.to_string(), mean_ns, iters));
     }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
-    std::fs::write(path, &json).expect("write BENCH_des.json");
-    json
+
+    /// Time `f` with [`time_fn`] and record the row.
+    fn time(&mut self, name: &str, iters: u32, f: impl FnMut()) {
+        self.push(name, time_fn(f, iters), iters, "");
+    }
+
+    /// Write `BENCH_des.json` and return its text. The mode comes from the
+    /// iteration count the rows actually ran with, not from re-reading
+    /// argv, so a quick run cannot claim "full" (`bench-diff` refuses to
+    /// compare summaries whose modes differ).
+    fn write(&self, iters: u32) -> String {
+        let mode = if iters >= FULL_ITERS { "full" } else { "quick" };
+        let mut json = format!("{{\"mode\": \"{mode}\"}}\n");
+        for (name, mean_ns, iters) in &self.0 {
+            json.push_str(&format!(
+                "{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean_ns}, \"iters\": {iters}}}\n"
+            ));
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
+        std::fs::write(path, &json).expect("BENCH_des.json at the repo root must be writable");
+        json
+    }
 }
 
 /// A 64-deep directory chain with a file at the bottom, reachable both
@@ -230,85 +201,116 @@ fn deep_world() -> (Vfs, String, String) {
     (fs, deep_file, "/links/hop7".to_string())
 }
 
-fn bench(c: &mut Criterion) {
-    banner("Hot path: coalesced DES at millions of ranks + slab VFS resolution");
+/// A 50-package chain-and-fan stack in a Spack-like store, and its binary.
+fn store_world() -> (Vfs, String) {
+    let mut repo = Repo::new();
+    for i in 0..50usize {
+        let mut pkg = PackageDef::new(format!("pkg{i}"), "1.0");
+        let mut lib = LibDef::new(format!("lib{i}.so"));
+        for d in [i * 2 + 1, i * 2 + 2] {
+            if d < 50 {
+                pkg = pkg.dep(format!("pkg{d}"));
+                lib = lib.needs(format!("lib{d}.so"));
+            }
+        }
+        pkg = pkg.lib(lib);
+        if i == 0 {
+            pkg = pkg.bin(BinDef::new("main").needs("lib0.so"));
+        }
+        repo.add(pkg);
+    }
+    let fs = Vfs::local();
+    let p = StoreInstaller::spack_like().install(&fs, &repo, "pkg0").unwrap();
+    let bin = format!("{}/main", p.bin_dir);
+    (fs, bin)
+}
+
+/// The Axom-scale stack (>200 dependencies, §I) under one store layout:
+/// Spack-like (RUNPATH, transitive lists), Nix-like (RPATH, direct lists),
+/// a dependency view (§III-D1: one search directory for the closure), or
+/// shrinkwrapped (§IV). Returns the world and its binary.
+fn axom_world(layout: &str) -> (Vfs, String) {
+    let repo = axom::repo(7);
+    let fs = Vfs::local();
+    let mut store = if layout == "nix_like" {
+        StoreInstaller::nix_like()
+    } else {
+        StoreInstaller::spack_like()
+    };
+    let app = store.install(&fs, &repo, axom::APP).unwrap();
+    let bin = format!("{}/{}", app.bin_dir, axom::APP);
+    if layout == "view" {
+        let closure: Vec<_> = std::iter::once(app.clone())
+            .chain(repo.closure(axom::APP).iter().filter_map(|n| store.get(n).cloned()))
+            .collect();
+        let refs: Vec<&_> = closure.iter().collect();
+        let links = build_view(&fs, "/views/app", &refs).unwrap();
+        println!("  (dependency view: {links} symlinks)");
+        ElfEditor::open(&fs, &bin).unwrap().set_rpath(vec![view_lib_dir("/views/app")]).unwrap();
+        for pkg in &closure {
+            for name in fs.list_dir(&pkg.lib_dir).unwrap() {
+                let lib = format!("{}/{}", pkg.lib_dir, name);
+                ElfEditor::open(&fs, lib).unwrap().remove_rpath().unwrap();
+            }
+        }
+    }
+    if layout == "shrinkwrapped" {
+        wrap(&fs, &bin, &ShrinkwrapOptions::new().env(Environment::bare())).unwrap();
+    }
+    (fs, bin)
+}
+
+fn main() {
+    println!("\n================ depchaos hot paths ================");
     let quick = std::env::args().any(|a| a == "--test");
     let iters: u32 = if quick { 10 } else { FULL_ITERS };
+    // Seconds-scale cases get fewer iterations; `time_fn` still takes the
+    // best of its ten batches.
+    let slow_iters = (iters / 50).max(2);
+    let mut record = Record(Vec::new());
 
-    // The persisted DES summary (also printed for the bench log).
-    let points = des_points();
-    let mut rows = Vec::new();
-    for p in &points {
-        let (mean_ns, r) = time_des(p, iters);
-        println!(
-            "des_million_ranks/{:<24} ranks {:>8}  nodes {:>7}  sim {:>8.1}s  {:>10} ns/iter",
-            p.name,
+    for p in des_points() {
+        let classified = ClassifiedStream::classify(&p.ops, &p.cfg);
+        let r = simulate_classified(&classified, &p.cfg);
+        let mean_ns = time_fn(
+            || {
+                black_box(simulate_classified(&classified, &p.cfg));
+            },
+            iters,
+        );
+        let note = format!(
+            "ranks {} nodes {} server_ops {} simulated {:.3}s",
             p.cfg.ranks,
             r.nodes,
-            r.seconds(),
-            mean_ns
+            r.server_ops,
+            r.seconds()
         );
-        rows.push(SummaryRow::Des { point: p, mean_ns, result: r, iters });
+        record.push(&format!("des_million_ranks/{}", p.name), mean_ns, iters, &note);
     }
 
-    // The vfs/classify rows the widened bench-diff gate watches: same
-    // estimator, more inner iterations — these are nanosecond-scale ops,
-    // so a batch must be long enough to swamp the timer read.
+    // Nanosecond-scale ops: more inner iterations, so a batch is long
+    // enough to swamp the timer read.
     let (fs, deep_file, link) = deep_world();
     let ops = cold_stream(500);
     let cfg = LaunchConfig::default();
     let fast_iters = iters.saturating_mul(500);
-    let mut plain = |name: &str, mean_ns: u128, row_iters: u32| {
-        println!("{name:<42} {mean_ns:>10} ns/iter");
-        rows.push(SummaryRow::Plain { name: name.to_string(), mean_ns, iters: row_iters });
-    };
-    plain(
-        "vfs_resolve_deep/stat_64_components",
-        time_fn(
-            || {
-                std::hint::black_box(fs.stat(&deep_file).unwrap());
-            },
-            fast_iters,
-        ),
-        fast_iters,
-    );
-    plain(
-        "vfs_resolve_deep/stat_8_symlink_hops",
-        time_fn(
-            || {
-                std::hint::black_box(fs.stat(&link).unwrap());
-            },
-            fast_iters,
-        ),
-        fast_iters,
-    );
-    plain(
-        "vfs_resolve_deep/canonicalize_symlink_ladder",
-        time_fn(
-            || {
-                std::hint::black_box(fs.canonicalize(&link).unwrap());
-            },
-            fast_iters,
-        ),
-        fast_iters,
-    );
-    plain(
-        "classify/cold500",
-        time_fn(
-            || {
-                std::hint::black_box(ClassifiedStream::classify(&ops, &cfg));
-            },
-            iters,
-        ),
-        iters,
-    );
+    record.time("vfs_resolve_deep/stat_64_components", fast_iters, || {
+        black_box(fs.stat(&deep_file).unwrap());
+    });
+    record.time("vfs_resolve_deep/stat_8_symlink_hops", fast_iters, || {
+        black_box(fs.stat(&link).unwrap());
+    });
+    record.time("vfs_resolve_deep/canonicalize_symlink_ladder", fast_iters, || {
+        black_box(fs.canonicalize(&link).unwrap());
+    });
+    record.time("classify/cold500", iters, || {
+        black_box(ClassifiedStream::classify(&ops, &cfg));
+    });
 
-    // The fault-injection rows: the contended 16Ki shape (1024 cold nodes
-    // queueing on one server) under the two expensive degraded modes. A
-    // brownout adds stall bookkeeping to every event; a 10% RPC loss adds
-    // the FAULT-domain draw per served op plus ~11% retried server work —
-    // both ride the faulty heap engine, which healthy rows never enter,
-    // so this is the only place its cost is measured (and gated).
+    // The contended 16Ki shape (1024 cold nodes on one server) under the
+    // two expensive degraded modes: a brownout adds stall bookkeeping to
+    // every event, a 10% RPC loss a FAULT draw per served op plus ~11%
+    // retried server work.
     let contended_cfg =
         LaunchConfig { ranks: 16 * 1024, ranks_per_node: 16, ..LaunchConfig::default() };
     let brownout_cfg = LaunchConfig {
@@ -326,62 +328,30 @@ fn bench(c: &mut Criterion) {
     };
     let brownout_stream = ClassifiedStream::classify(&ops, &brownout_cfg);
     let storm_stream = ClassifiedStream::classify(&ops, &storm_cfg);
-    plain(
-        "faults/brownout_16Ki",
-        time_fn(
-            || {
-                std::hint::black_box(simulate_classified(&brownout_stream, &brownout_cfg));
-            },
-            iters,
-        ),
-        iters,
-    );
-    plain(
-        "faults/retry_storm",
-        time_fn(
-            || {
-                std::hint::black_box(simulate_classified(&storm_stream, &storm_cfg));
-            },
-            iters,
-        ),
-        iters,
-    );
+    record.time("faults/brownout_16Ki", iters, || {
+        black_box(simulate_classified(&brownout_stream, &brownout_cfg));
+    });
+    record.time("faults/retry_storm", iters, || {
+        black_box(simulate_classified(&storm_stream, &storm_cfg));
+    });
 
-    // The topology rows: the contended 16Ki shape (1024 cold nodes) routed
-    // across metadata fleets. `flatten_sweep` prices the whole fig6-servers
-    // ladder — five fleet sizes, every lane taking the analytic closed form
-    // the round-major guard admits — and `s8_contended` pins the S = 8
-    // pass alone, the multi-lane counterpart of `contended_16Ki_cold500`.
-    // `s4_jitter_2Ki` is the stochastic lane heap: 2,048 ranks at 16 per
-    // node on 4 hash lanes under ±25% jitter, 128 × 500 = 64,000 events.
+    // The same shape routed across hash fleets. The uniform cold stream is
+    // round-major, so every lane of `flatten_sweep` (S ∈ {1, 2, 4, 8, 16})
+    // and `s8_contended` takes the closed form; `s4_jitter_2Ki` is the
+    // stochastic lane heap, 128 × 500 = 64,000 events under ±25% jitter.
     let fleet_cfgs: Vec<LaunchConfig> = [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&s| LaunchConfig { topology: ServerTopology::hash(s), ..contended_cfg.clone() })
         .collect();
     let fleet_stream = ClassifiedStream::classify(&ops, &fleet_cfgs[0]);
-    plain(
-        "servers/flatten_sweep",
-        time_fn(
-            || {
-                for cfg in &fleet_cfgs {
-                    std::hint::black_box(simulate_classified(&fleet_stream, cfg));
-                }
-            },
-            iters,
-        ),
-        iters,
-    );
-    let s8_cfg = &fleet_cfgs[3];
-    plain(
-        "servers/s8_contended",
-        time_fn(
-            || {
-                std::hint::black_box(simulate_classified(&fleet_stream, s8_cfg));
-            },
-            iters,
-        ),
-        iters,
-    );
+    record.time("servers/flatten_sweep", iters, || {
+        for cfg in &fleet_cfgs {
+            black_box(simulate_classified(&fleet_stream, cfg));
+        }
+    });
+    record.time("servers/s8_contended", iters, || {
+        black_box(simulate_classified(&fleet_stream, &fleet_cfgs[3]));
+    });
     let s4_jitter_cfg = LaunchConfig {
         ranks: 2048,
         service_dist: ServiceDistribution::UniformJitter { spread_milli: 250 },
@@ -389,22 +359,14 @@ fn bench(c: &mut Criterion) {
         ..contended_cfg.clone()
     };
     let s4_jitter_stream = ClassifiedStream::classify(&ops, &s4_jitter_cfg);
-    plain(
-        "servers/s4_jitter_2Ki",
-        time_fn(
-            || {
-                std::hint::black_box(simulate_classified(&s4_jitter_stream, &s4_jitter_cfg));
-            },
-            iters,
-        ),
-        iters,
-    );
+    record.time("servers/s4_jitter_2Ki", iters, || {
+        black_box(simulate_classified(&s4_jitter_stream, &s4_jitter_cfg));
+    });
 
-    // The serve-layer rows the bench-diff gate watches. One deterministic
-    // cell (effective replicates clamp to 1) keeps the cold row about the
-    // executor's own overhead plus one DES pass, not a whole sweep; the
-    // profile cache is pre-warmed once so neither row re-times profiling,
-    // which the serve layer amortises across queries exactly this way.
+    // One deterministic cell (effective replicates clamp to 1) keeps the
+    // cold row about the executor's own overhead plus one DES pass; the
+    // profile cache is pre-warmed so neither row re-times profiling, which
+    // the serve layer amortises across queries exactly this way.
     let serve_matrix = ExperimentMatrix::new()
         .workload(Pynamic::new(25))
         .wrap_states([WrapState::Plain])
@@ -413,51 +375,27 @@ fn bench(c: &mut Criterion) {
     let serve_profiles = ProfileCache::new();
     let warm_store = ResultStore::in_memory();
     run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap();
-    plain(
-        "serve/warm_query",
-        time_fn(
-            || {
-                let (report, stats) =
-                    run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap();
-                assert_eq!(stats.cold_cells, 0);
-                std::hint::black_box(report);
-            },
-            fast_iters,
-        ),
-        fast_iters,
-    );
-    plain(
-        "serve/cold_cell",
-        time_fn(
-            || {
-                let store = ResultStore::in_memory();
-                let (report, stats) =
-                    run_matrix_incremental(&serve_matrix, &store, &serve_profiles, 1).unwrap();
-                assert_eq!(stats.cold_cells, stats.cells_total);
-                std::hint::black_box(report);
-            },
-            iters,
-        ),
-        iters,
-    );
+    record.time("serve/warm_query", fast_iters, || {
+        let (report, stats) =
+            run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap();
+        assert_eq!(stats.cold_cells, 0);
+        black_box(report);
+    });
+    record.time("serve/cold_cell", iters, || {
+        let store = ResultStore::in_memory();
+        let (report, stats) =
+            run_matrix_incremental(&serve_matrix, &store, &serve_profiles, 1).unwrap();
+        assert_eq!(stats.cold_cells, stats.cells_total);
+        black_box(report);
+    });
 
-    // The batch-planner rows. `full_matrix` is the ISSUE 7 acceptance
-    // shape: the fig6-backends matrix widened by the full distribution
-    // axis at the default replicate count, simulated end to end as one
-    // BatchPlan pass — profiling and classification pre-warmed outside
-    // the timed region (a repeat sweep pays exactly this). A cold run
-    // of the same matrix is `cells_profiled` on top, which `serve/*`
-    // already prices. The wall clock splits sharply: the deterministic
-    // backbone (24 deduped analytic kernels over the musl quadratic
-    // segment storm) is tens of milliseconds, and the rest is the 528
-    // stochastic replicate sims, whose per-event heap + RNG cost is
-    // irreducible under bit-identity and already gated per event by
-    // `des_million_ranks/contended_16Ki_cold500`. Seconds per run, so
-    // this row gets a reduced iteration count (`time_fn` still takes
-    // the min over its ten batches) and stays out of the criterion
-    // group. `row_throughput` isolates the planner itself: a thousand
-    // rows over one shared cold-500 schedule, every row a distinct
-    // cold fleet (no kernel collapse), reported per row.
+    // `full_matrix`: the fig6-backends matrix widened by the full
+    // distribution axis, simulated as one BatchPlan pass with profiling
+    // and classification pre-warmed (a repeat sweep pays exactly this).
+    // Most of its seconds are the 528 stochastic replicate sims, whose
+    // per-event cost `des_million_ranks/contended_16Ki_cold500` already
+    // gates. `row_throughput` isolates the planner: 1,024 rows over one
+    // cold-500 schedule, each a distinct cold fleet, reported per row.
     let batch_matrix = ExperimentMatrix::new()
         .workload(Pynamic::new(300))
         .backends(MatrixBackend::all())
@@ -467,50 +405,31 @@ fn bench(c: &mut Criterion) {
         .distributions(ServiceDistribution::all());
     let batch_profiles = ProfileCache::new();
     batch_matrix.run(&batch_profiles);
-    let fm_iters = (iters / 50).max(2);
-    plain(
-        "batch/full_matrix",
-        time_fn(
-            || {
-                std::hint::black_box(batch_matrix.run(&batch_profiles));
-            },
-            fm_iters,
-        ),
-        fm_iters,
-    );
+    record.time("batch/full_matrix", slow_iters, || {
+        black_box(batch_matrix.run(&batch_profiles));
+    });
     const PLAN_ROWS: usize = 1024;
     let batch_cfg = LaunchConfig { ranks_per_node: 16, ..LaunchConfig::default() };
     let batch_stream = ClassifiedStream::classify(&ops, &batch_cfg);
-    let run_plan = || {
-        let mut plan = BatchPlan::new();
-        let id = plan.stream(&batch_stream);
-        for i in 0..PLAN_ROWS {
-            plan.push(id, &batch_cfg.clone().with_ranks(16 * (i + 1)));
-        }
-        plan.execute()
-    };
-    plain(
-        "batch/row_throughput",
-        time_fn(
-            || {
-                std::hint::black_box(run_plan());
-            },
-            iters,
-        ) / PLAN_ROWS as u128,
+    let plan_ns = time_fn(
+        || {
+            let mut plan = BatchPlan::new();
+            let id = plan.stream(&batch_stream);
+            for i in 0..PLAN_ROWS {
+                plan.push(id, &batch_cfg.clone().with_ranks(16 * (i + 1)));
+            }
+            black_box(plan.execute());
+        },
         iters,
     );
+    record.push("batch/row_throughput", plan_ns / PLAN_ROWS as u128, iters, "per row");
 
-    // The adaptive-control rows. `adaptive/full_matrix` times the
-    // fig6-dist acceptance matrix (three real dependency worlds × both
-    // wrap states × the full distribution axis) under adaptive replicate
-    // control — profiling and classification pre-warmed, so the row
-    // prices the multi-round driver plus the replicates the stopping
-    // rule actually spends. `adaptive/savings_ratio` records what it
-    // saved: replicate sims a fixed-K run would spend over sims the rule
-    // spent, as an integer milli-ratio (2560 = 2.56x). The adaptive run
-    // is bit-reproducible, so this row is a constant for a given engine
-    // — the bench-diff gate's delta on it is zero unless the stopping
-    // rule itself changes meaning, which is exactly when it should trip.
+    // The fig6-dist acceptance matrix under adaptive replicate control,
+    // profiling pre-warmed: the multi-round driver plus the replicates the
+    // stopping rule spends. The run is bit-reproducible, so the
+    // `savings_ratio` row (fixed-K sims over adaptive sims, in milli-x) is
+    // a constant per engine: its gate delta is zero unless the stopping
+    // rule changes meaning.
     let ctl = AdaptiveControl {
         target_rel_milli: 50,
         min_k: 3,
@@ -528,16 +447,9 @@ fn bench(c: &mut Criterion) {
         .adaptive(ctl);
     let adaptive_profiles = ProfileCache::new();
     let adaptive_report = adaptive_matrix.run(&adaptive_profiles);
-    plain(
-        "adaptive/full_matrix",
-        time_fn(
-            || {
-                std::hint::black_box(adaptive_matrix.run(&adaptive_profiles));
-            },
-            fm_iters,
-        ),
-        fm_iters,
-    );
+    record.time("adaptive/full_matrix", slow_iters, || {
+        black_box(adaptive_matrix.run(&adaptive_profiles));
+    });
     let spent: usize =
         adaptive_report.results.iter().flat_map(|r| &r.stats).map(|(_, st)| st.replicates).sum();
     let fixed_budget: usize = adaptive_report
@@ -551,73 +463,91 @@ fn bench(c: &mut Criterion) {
             per * r.stats.len()
         })
         .sum();
-    plain("adaptive/savings_ratio", (fixed_budget as u128 * 1000) / spent.max(1) as u128, fm_iters);
-    println!(
-        "  (adaptive stopping: {spent} replicate sims vs {fixed_budget} fixed — the ratio \
-         row above is milli-x, not nanoseconds)"
-    );
+    let note = format!("milli-x, not ns: {spent} replicate sims vs {fixed_budget} fixed");
+    let ratio = (fixed_budget as u128 * 1000) / spent.max(1) as u128;
+    record.push("adaptive/savings_ratio", ratio, slow_iters, &note);
 
-    let json = write_summary(&rows, iters);
-    println!("wrote BENCH_des.json ({} bytes)", json.len());
-
-    let mut group = c.benchmark_group("des_million_ranks");
-    group.sample_size(if quick { 3 } else { 10 });
-    for p in &points {
-        let classified = ClassifiedStream::classify(&p.ops, &p.cfg);
-        group.bench_function(p.name, |b| b.iter(|| simulate_classified(&classified, &p.cfg)));
+    // The loader engines on a 50-object closure. A backend that cannot
+    // resolve this RUNPATH world (the future loader) is skipped, not
+    // timed failing fast. `intern_load_50` is the profiling configuration:
+    // strace capture on, so the interned-path log is exercised too.
+    let (fs, bin) = store_world();
+    let env = Environment::bare();
+    record.time("loader/glibc_load_50", iters, || {
+        black_box(GlibcLoader::new(&fs).with_env(env.clone()).load(&bin).unwrap());
+    });
+    record.time("loader/musl_load_50", iters, || {
+        black_box(MuslLoader::new(&fs).with_env(env.clone()).load(&bin).unwrap());
+    });
+    for backend in LoaderBackend::all_stock() {
+        let load = || backend.instantiate(&fs, &env, &LdCache::empty()).load(&bin).unwrap();
+        if !load().success() {
+            println!("  (loader/backend_load_50: {} cannot resolve this world)", backend.name());
+            continue;
+        }
+        record.time(&format!("loader/backend_load_50/{}", backend.name()), iters, || {
+            black_box(load());
+        });
     }
-    group.finish();
-
-    let mut group = c.benchmark_group("vfs_resolve_deep");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("stat_64_components", |b| b.iter(|| fs.stat(&deep_file).unwrap()));
-    group.bench_function("stat_8_symlink_hops", |b| b.iter(|| fs.stat(&link).unwrap()));
-    group.bench_function("canonicalize_symlink_ladder", |b| {
-        b.iter(|| fs.canonicalize(&link).unwrap())
+    let glibc = GlibcLoader::new(&fs).with_env(env.clone());
+    record.time("loader/intern_load_50", iters, || {
+        fs.start_trace();
+        glibc.load(&bin).unwrap();
+        black_box(fs.stop_trace());
     });
-    group.finish();
-
-    let mut group = c.benchmark_group("classify");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("cold500", |b| b.iter(|| ClassifiedStream::classify(&ops, &cfg)));
-    group.finish();
-
-    let mut group = c.benchmark_group("faults");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("brownout_16Ki", |b| {
-        b.iter(|| simulate_classified(&brownout_stream, &brownout_cfg))
+    record.time("loader/libtree_analyze_50", iters, || {
+        black_box(analyze_tree(&fs, &bin, &env, &LdCache::empty()).unwrap());
     });
-    group.bench_function("retry_storm", |b| {
-        b.iter(|| simulate_classified(&storm_stream, &storm_cfg))
+    let dirs: Vec<String> =
+        fs.list_dir("/store").unwrap().into_iter().map(|d| format!("/store/{d}/lib")).collect();
+    record.time("loader/ldconfig_scan", iters, || {
+        black_box(LdCache::ldconfig(&fs, &dirs));
     });
-    group.finish();
 
-    let mut group = c.benchmark_group("servers");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("s8_contended", |b| b.iter(|| simulate_classified(&fleet_stream, s8_cfg)));
-    group.bench_function("s4_jitter_2Ki", |b| {
-        b.iter(|| simulate_classified(&s4_jitter_stream, &s4_jitter_cfg))
+    // Re-wrapping is representative of the warm case the paper times:
+    // wrap() is idempotent, so every iteration does the same work.
+    for n_libs in [100usize, 300, 900] {
+        let fs = Vfs::local();
+        let w = pynamic::install(&fs, "/apps/pynamic", n_libs).unwrap();
+        let ldd = ShrinkwrapOptions::new().env(Environment::bare());
+        let frozen = wrap(&fs, &w.exe_path, &ldd).unwrap().frozen_count();
+        println!("  (shrinkwrap_cost: pynamic-{n_libs} froze {frozen} entries)");
+        let native = ShrinkwrapOptions::new().env(Environment::bare()).strategy(Strategy::Native);
+        for (strategy, opts) in [("ldd_strategy", &ldd), ("native_strategy", &native)] {
+            record.time(&format!("shrinkwrap_cost/{strategy}/{n_libs}"), iters, || {
+                black_box(wrap(&fs, &w.exe_path, opts).unwrap());
+            });
+        }
+    }
+    let fs = Vfs::local();
+    emacs::install(&fs).unwrap();
+    let opts = ShrinkwrapOptions::new().env(Environment::bare());
+    wrap(&fs, emacs::EXE_PATH, &opts).unwrap();
+    record.time("shrinkwrap_cost/emacs_103_deps", iters, || {
+        black_box(wrap(&fs, emacs::EXE_PATH, &opts).unwrap());
     });
-    group.finish();
 
-    let mut group = c.benchmark_group("serve");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("warm_query", |b| {
-        b.iter(|| run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap())
-    });
-    group.bench_function("cold_cell", |b| {
-        b.iter(|| {
-            let store = ResultStore::in_memory();
-            run_matrix_incremental(&serve_matrix, &store, &serve_profiles, 1).unwrap()
-        })
-    });
-    group.finish();
+    println!("  ablations: store layout       stat/openat  misses");
+    for layout in ["spack_like", "nix_like", "view", "shrinkwrapped"] {
+        let (fs, bin) = axom_world(layout);
+        let r = GlibcLoader::new(&fs).with_env(Environment::bare()).load(&bin).unwrap();
+        assert!(r.success(), "{layout}: {:?}", r.failures.first());
+        println!("  ablations: {layout:<18} {:>11}  {:>6}", r.stat_openat(), r.syscalls.misses);
+        record.time(&format!("ablations/load_{layout}"), iters, || {
+            black_box(GlibcLoader::new(&fs).with_env(Environment::bare()).load(&bin).unwrap());
+        });
+        if layout == "shrinkwrapped" {
+            let future = || FutureLoader::new(&fs).with_env(Environment::bare()).load(&bin);
+            println!(
+                "  ablations: future loader on the wrapped binary: {}",
+                future().unwrap().success()
+            );
+            record.time("ablations/load_future_loader", iters, || {
+                black_box(future().unwrap());
+            });
+        }
+    }
 
-    let mut group = c.benchmark_group("batch");
-    group.sample_size(if quick { 3 } else { 10 });
-    group.bench_function("row_throughput", |b| b.iter(&run_plan));
-    group.finish();
+    let json = record.write(iters);
+    println!("wrote BENCH_des.json ({} bytes)", json.len());
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,23 +1,26 @@
-//! Comparing `BENCH_des.json` summaries: the CI perf-regression gate.
+//! Comparing `BENCH_des.json` records: the CI perf-regression gate.
 //!
-//! The `hotpath` bench persists a summary of the hot-path timings — the
-//! DES cases (`des_million_ranks/*`) plus the slab-VFS and classification
-//! probes (`vfs_resolve_deep/*`, `classify/*`). [`parse_summary`] reads
-//! that file's fixed format, [`diff_gates`] compares a fresh run against
-//! the checked-in baseline over any number of watched groups — each
-//! [`Gate`] pairs a name prefix with its own regression threshold — and
-//! the `bench-diff` binary turns the comparison into an exit code: any
-//! gated case whose `mean_ns_per_iter` regresses beyond its group's
+//! The `hotpath` bench writes the record as JSON lines: a
+//! `{"mode": "full"}` or `{"mode": "quick"}` line, then one
+//! `{"name", "mean_ns_per_iter", "iters"}` line per case.
+//! [`parse_summary`] reads every line with the serve codec's field reader
+//! ([`Fields`]), strictly: a missing, unknown, duplicate or nested field,
+//! a number that is not plain digits, or a repeated row name is an error
+//! naming the line and the field. [`diff_gates`] compares a fresh record
+//! against the checked-in baseline over any number of watched groups —
+//! each [`Gate`] pairs a name prefix with its own regression threshold —
+//! and the `bench-diff` binary turns the comparison into an exit code:
+//! any gated case whose `mean_ns_per_iter` regresses beyond its group's
 //! threshold, or that disappeared from the fresh run, fails the build.
 //!
-//! Two summaries are only comparable when they were produced in the same
-//! mode: a `--test` quick run (few iterations, noisy) measured against a
-//! full baseline would gate on noise, so [`diff_gates`] refuses mode mismatches
+//! Two records are only comparable when they were produced in the same
+//! mode: a quick run (few iterations, noisy) measured against a full
+//! baseline would gate on noise, so [`diff_gates`] refuses mode mismatches
 //! outright instead of producing a misleading report.
-//!
-//! The parser is deliberately a scanner for the one format
-//! `hotpath::write_summary` emits (the workspace has no JSON parser). It
-//! fails loudly on anything it does not recognise rather than guessing.
+
+use std::collections::HashSet;
+
+use depchaos_serve::codec::{string, uint, Fields};
 
 /// One benchmark case from a summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,48 +43,41 @@ impl BenchSummary {
     }
 }
 
-/// Extract the JSON string value following `"key":`, if present.
-fn string_field(text: &str, key: &str) -> Option<String> {
-    let at = text.find(&format!("\"{key}\""))?;
-    let rest = &text[at + key.len() + 2..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract the unsigned integer value following `"key":`, if present.
-fn u64_field(text: &str, key: &str) -> Option<u64> {
-    let at = text.find(&format!("\"{key}\""))?;
-    let rest = &text[at + key.len() + 2..];
-    let colon = rest.find(':')?;
-    let digits: String =
-        rest[colon + 1..].trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Parse a `BENCH_des.json` summary. Errors name what is missing.
+/// Parse a `BENCH_des.json` record. Errors name the line and the field.
 pub fn parse_summary(text: &str) -> Result<BenchSummary, String> {
-    let mode = string_field(text, "mode").ok_or("summary has no \"mode\" field")?;
-    let results_at = text.find("\"results\"").ok_or("summary has no \"results\" array")?;
-    let mut cases = Vec::new();
-    // One `{...}` object per line in the writer's format; scan objects so a
-    // reformatted file still parses.
-    let mut rest = &text[results_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..].find('}').ok_or("unterminated result object")? + open;
-        let obj = &rest[open..=close];
-        let name = string_field(obj, "name")
-            .ok_or_else(|| format!("result object without \"name\": {obj}"))?;
-        let mean = u64_field(obj, "mean_ns_per_iter")
-            .ok_or_else(|| format!("{name}: no \"mean_ns_per_iter\""))?;
-        cases.push(BenchCase { name, mean_ns_per_iter: mean });
-        rest = &rest[close + 1..];
+    let mut lines = (1..).zip(text.lines());
+    let (_, first) = lines.next().ok_or("line 1: missing field \"mode\"")?;
+    let mut f = Fields::parse(first);
+    let mode = f.need("mode", |v| string(v).filter(|m| m == "full" || m == "quick"));
+    let mode = mode.and_then(|m| f.finish().map(|()| m)).map_err(|e| format!("line 1: {e}"))?;
+    let (mut cases, mut names) = (Vec::new(), HashSet::new());
+    for (n, line) in lines {
+        let case = read_row(line).map_err(|e| format!("line {n}: {e}"))?;
+        if !names.insert(case.name.clone()) {
+            return Err(format!("line {n}: field \"name\" repeats {:?}", case.name));
+        }
+        cases.push(case);
     }
     if cases.is_empty() {
-        return Err("summary has no result objects".to_string());
+        return Err("line 2: no row after the \"mode\" line".to_string());
     }
     Ok(BenchSummary { mode, cases })
+}
+
+/// One row line. Unknown fields are reported before missing ones, so a
+/// misspelled field is named as it was written.
+fn read_row(line: &str) -> Result<BenchCase, String> {
+    let mut f = Fields::parse(line);
+    let name = f.get("name", string)?;
+    let mean_ns_per_iter = f.get("mean_ns_per_iter", uint)?;
+    let iters = f.get("iters", uint)?;
+    f.finish()?;
+    let missing = |key: &str| format!("missing field {key:?}");
+    iters.ok_or_else(|| missing("iters"))?;
+    Ok(BenchCase {
+        name: name.ok_or_else(|| missing("name"))?,
+        mean_ns_per_iter: mean_ns_per_iter.ok_or_else(|| missing("mean_ns_per_iter"))?,
+    })
 }
 
 /// One watched benchmark group: every baseline case whose name starts with
@@ -212,17 +208,12 @@ mod tests {
     use super::*;
 
     fn summary(mode: &str, cases: &[(&str, u64)]) -> String {
-        let mut s = format!(
-            "{{\n  \"bench\": \"des_hot_path\",\n  \"mode\": \"{mode}\",\n  \"results\": [\n"
-        );
-        for (i, (name, mean)) in cases.iter().enumerate() {
+        let mut s = format!("{{\"mode\": \"{mode}\"}}\n");
+        for (name, mean) in cases {
             s.push_str(&format!(
-                "    {{\"name\": \"{name}\", \"ranks\": 1, \"nodes\": 1, \"server_ops\": 0, \
-                 \"simulated_launch_s\": 1.000, \"mean_ns_per_iter\": {mean}, \"iters\": 200}}{}\n",
-                if i + 1 == cases.len() { "" } else { "," }
+                "{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean}, \"iters\": 200}}\n"
             ));
         }
-        s.push_str("  ]\n}\n");
         s
     }
 
@@ -237,10 +228,42 @@ mod tests {
 
     #[test]
     fn parse_errors_name_the_hole() {
-        assert!(parse_summary("{}").unwrap_err().contains("mode"));
-        assert!(parse_summary("{\"mode\": \"full\"}").unwrap_err().contains("results"));
-        let no_mean = "{\"mode\": \"full\", \"results\": [{\"name\": \"x\"}]}";
-        assert!(parse_summary(no_mean).unwrap_err().contains("mean_ns_per_iter"));
+        let row = r#"{"name": "a", "mean_ns_per_iter": 4000, "iters": 200}"#;
+        let after_mode = |rows: &str| format!("{{\"mode\": \"full\"}}\n{rows}");
+        for (text, err) in [
+            (String::new(), r#"line 1: missing field "mode""#),
+            (row.to_string(), r#"line 1: missing field "mode""#),
+            (r#"{"mode": "slow"}"#.to_string(), r#"line 1: malformed field "mode""#),
+            (r#"{"mode": "full", "iters": 200}"#.to_string(), r#"line 1: unknown field "iters""#),
+            (after_mode(""), r#"line 2: no row after the "mode" line"#),
+            (
+                after_mode(&format!("{row}\n{{\"mode\": \"quick\"}}")),
+                r#"line 3: unknown field "mode""#,
+            ),
+            (
+                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90, "itres": 200}"#),
+                r#"line 2: unknown field "itres""#,
+            ),
+            (
+                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90.5, "iters": 200}"#),
+                r#"line 2: malformed field "mean_ns_per_iter""#,
+            ),
+            (
+                after_mode(r#"{"name": "b", "name": "c", "mean_ns_per_iter": 90, "iters": 200}"#),
+                r#"line 2: duplicate field "name""#,
+            ),
+            (
+                after_mode(r#"{"name": "b", "mean_ns_per_iter": {"ns": 90}, "iters": 200}"#),
+                r#"line 2: nested value in field "mean_ns_per_iter""#,
+            ),
+            (
+                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90}"#),
+                r#"line 2: missing field "iters""#,
+            ),
+            (after_mode(&format!("{row}\n{row}")), r#"line 3: field "name" repeats "a""#),
+        ] {
+            assert_eq!(parse_summary(&text).unwrap_err(), err, "{text}");
+        }
     }
 
     #[test]
@@ -347,9 +370,13 @@ mod tests {
     #[test]
     fn the_checked_in_baseline_parses() {
         // Guards the writer and parser against drifting apart: the real
-        // repo-root baseline must always be readable.
+        // repo-root baseline must always be readable, and it must hold every
+        // group the hotpath bench times.
         let text = include_str!("../../../BENCH_des.json");
         let s = parse_summary(text).unwrap();
-        assert!(s.cases.iter().any(|c| c.name.starts_with("des_million_ranks/")));
+        assert_eq!(s.mode, "full");
+        for group in ["des_million_ranks/", "loader/", "shrinkwrap_cost/", "ablations/"] {
+            assert!(s.cases.iter().any(|c| c.name.starts_with(group)), "no {group} rows");
+        }
     }
 }

@@ -1,27 +1,17 @@
-//! # depchaos-bench — the paper's evaluation, regenerated
+//! # depchaos-bench — one measurement record and its regression gate
 //!
-//! One Criterion bench per table/figure. Each bench prints the
-//! paper-equivalent rows once (so `cargo bench` output doubles as the
-//! experiment record) and then measures the underlying computation.
+//! The crate's one bench target, `hotpath` (`benches/hotpath.rs`, a plain
+//! `main`), times every case with one min-of-batches estimator and writes
+//! the rows to `BENCH_des.json` at the repo root: a `{"mode": ...}` line,
+//! then one `{"name", "mean_ns_per_iter", "iters"}` line per case. The
+//! rows cover the DES kernels, VFS resolution, classification, faults,
+//! fleets, the serve layer, the batch planner, adaptive control, the
+//! loader engines, Shrinkwrap's own cost (§V) and the store-layout
+//! ablations.
 //!
-//! | bench | artifact |
-//! |---|---|
-//! | `fig1_debian` | Fig 1 — dependency declarations by constraint type |
-//! | `fig2_ruby` | Fig 2 — the 453-node Nix Ruby closure |
-//! | `fig3_paradox` | Fig 3 — exhaustive ordering search |
-//! | `fig4_reuse` | Fig 4 — shared-object reuse histogram |
-//! | `table2_emacs` | Table II — emacs syscalls, normal vs wrapped |
-//! | `fig6_pynamic` | Fig 6 — Pynamic time-to-launch sweep |
-//! | `shrinkwrap_cost` | §V intro — cost of running Shrinkwrap itself |
-//! | `loader_micro` | supporting microbenchmarks (glibc vs musl, probe cost) |
-//!
-//! The `hotpath` bench also persists `BENCH_des.json`; the [`diff`] module
-//! and its `bench-diff` binary compare that summary against the checked-in
-//! baseline — the CI perf-regression gate.
+//! The [`diff`] module and its `bench-diff` binary read two records with
+//! the serve codec's field reader and gate the fresh one against the
+//! checked-in baseline. The paper's tables and figures are rendered by
+//! `depchaos-report`, not here.
 
 pub mod diff;
-
-/// Print a banner once per bench so the harness output is self-describing.
-pub fn banner(title: &str) {
-    println!("\n================ {title} ================");
-}

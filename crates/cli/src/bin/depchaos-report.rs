@@ -1,13 +1,15 @@
 //! `depchaos-report` — regenerate every paper table and figure as text.
 //!
-//! Usage: `depchaos-report [SECTION] [--tsv FILE] [--store DIR] [--jobs N]`
-//! (default `all`). Fig 6 at full scale takes a few seconds in release
-//! mode; pass `fig6-small` for a reduced run, `fig6-backends` for the
-//! per-backend scenario-matrix sweep (glibc, musl, future, hash-store side
-//! by side), `fig6-dist` for the service-distribution sweep (deterministic
-//! vs jittered vs heavy-tailed metadata server, p50/p99 bands, pynamic +
-//! axom + rocm), `fig6-queueing` for the M/G/k cross-check (single-server
-//! and multi-server topologies against their Erlang-C envelopes; exits 1
+//! Usage: `depchaos-report [SECTION] [--tsv FILE] [--store DIR] [--jobs N]
+//! [--adaptive TARGET]` (default `all`); `--help` or `-h` prints the
+//! sections, the flags and the exit codes to stdout. Fig 6 at full scale
+//! takes a few seconds in release mode; pass `fig6-small` for a reduced
+//! run, `fig6-backends` for the per-backend scenario-matrix sweep (glibc,
+//! musl, future, hash-store side by side), `fig6-dist` for the
+//! service-distribution sweep (deterministic vs jittered vs heavy-tailed
+//! metadata server, p50/p99 bands, pynamic + axom + rocm),
+//! `fig6-queueing` for the M/G/k cross-check (single-server and
+//! multi-server topologies against their Erlang-C envelopes; exits 1
 //! when any cell's replicate mean escapes its queueing-theory envelope),
 //! `fig6-faults` for the degraded-mode sweep (server brownouts, lossy
 //! RPC with timeout/retry/backoff, straggler cohorts — plain vs
@@ -151,6 +153,30 @@ const SECTIONS: &[(&str, bool, SectionFn)] = &[
     ("backends", true, backends),
 ];
 
+/// The `--help` text: every section, every flag and the exit codes.
+fn print_usage() {
+    let names: Vec<&str> = SECTIONS.iter().map(|(n, _, _)| *n).collect();
+    println!(
+        "usage: depchaos-report [SECTION] [--tsv FILE] [--store DIR] [--jobs N] \
+         [--adaptive TARGET]\n\
+         \n\
+         sections: all (the default), {}\n\
+         \n\
+         flags:\n  \
+           --tsv FILE         write a sweep section's raw rows as TSV\n  \
+           --store DIR        serve sweep cells from the result store in DIR, appending misses\n  \
+           --jobs N           worker threads for profiling and kernel solving (default 1)\n  \
+           --adaptive TARGET  fig6-dist: adaptive replicates, relative precision in [0.001, 1)\n  \
+           -h, --help         print this help and exit\n\
+         \n\
+         exit codes:\n  \
+           0  the requested sections rendered\n  \
+           1  check violation: a queueing cell escaped its M/G/k envelope\n  \
+           2  usage or I/O error: bad section or flag, unwritable TSV, store failure",
+        names.join(", ")
+    );
+}
+
 fn main() {
     let mut section_arg: Option<String> = None;
     let mut opts = ReportOpts { tsv: None, store: None, jobs: 1, adaptive: None };
@@ -163,6 +189,7 @@ fn main() {
             })
         };
         match a.as_str() {
+            "--help" | "-h" => return print_usage(),
             "--tsv" => opts.tsv = Some(value("--tsv")),
             "--store" => opts.store = Some(value("--store")),
             "--jobs" => match depchaos_cli::parse_jobs(&value("--jobs")) {

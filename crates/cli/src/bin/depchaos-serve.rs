@@ -14,9 +14,10 @@
 //! answers warm queries straight from the store under `--store` (created
 //! on first use), profiles only the cold cells, batch-simulates the misses
 //! in one planner pass, and appends every fresh result to the store.
-//! A request with an unknown, duplicate or nested field, or an integer
-//! that is not plain ASCII digits, answers one error line naming the field
-//! (exit code 1).
+//! A request with an unknown, duplicate or nested field, an integer that
+//! is not plain ASCII digits, or a zero rank count or replicate count
+//! answers one error line naming the field, and a line that is not UTF-8
+//! answers one error line under `line-N` (exit code 1 either way).
 //! `--jobs N` (default: the machine's parallelism; `0` or anything past
 //! the shared cap is the exit-2 usage error) runs the misses on N worker
 //! threads, profiling and kernel solving alike. Answers are bit-identical
@@ -93,14 +94,14 @@ fn main() {
     };
 
     let input = if requests == "-" {
-        let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
+        let mut buf = Vec::new();
+        if let Err(e) = std::io::stdin().read_to_end(&mut buf) {
             eprintln!("cannot read stdin: {e}");
             std::process::exit(2);
         }
         buf
     } else {
-        match std::fs::read_to_string(&requests) {
+        match std::fs::read(&requests) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot read {requests}: {e}");

@@ -5,9 +5,9 @@
 //! that the loader would". This module is that traversal: the loader's own
 //! search order, [`glibc_order`], walked with unaccounted peeks (the wrap
 //! tool's traversal is not process startup; its cost is measured at the
-//! wall-clock level by the `shrinkwrap_cost` bench), so the corner cases
-//! the paper calls out come with it — wrong-architecture candidates are
-//! skipped, and hwcaps subdirectories are probed first.
+//! wall-clock level by the `hotpath` bench's `shrinkwrap_cost/*` rows), so
+//! the corner cases the paper calls out come with it — wrong-architecture
+//! candidates are skipped, and hwcaps subdirectories are probed first.
 //!
 //! The semantic difference from the `Ldd` strategy: there is no soname
 //! dedup cache. Each needed name resolves once, by the first object that

@@ -1,13 +1,13 @@
-//! The store's on-disk codec, and the crate's one reader of JSON lines.
+//! The store's on-disk codec, and the workspace's one JSON-line reader.
 //!
-//! The workspace deliberately ships no JSON library (the vendored serde is
-//! a marker-trait stand-in), so this module follows the `crates/bench`
-//! `BENCH_des.json` idiom: the writer emits one fixed schema via
-//! `format!`, and one reader, `Fields`, reads flat objects of strings,
-//! unsigned integers, booleans and integer lists, for store records and
-//! what-if requests alike. It fails loudly instead of guessing: an unknown,
-//! duplicate or nested field is an error naming the field, and integers
-//! are ASCII digits only. Two properties the store leans on:
+//! The workspace ships no JSON library (the vendored serde is a
+//! marker-trait stand-in). Each writer emits one fixed schema via
+//! `format!`, and one reader, [`Fields`], reads flat objects of strings,
+//! unsigned integers, booleans and integer lists: store records, what-if
+//! requests, and `crates/bench`'s `BENCH_des.json` rows alike. It fails
+//! loudly instead of guessing: an unknown, duplicate or nested field is an
+//! error naming the field, and integers are ASCII digits only. Two
+//! properties the store leans on:
 //!
 //! * **Exact round-trips.** Every float (M/G/1 bounds, sampling slack) is
 //!   stored as its IEEE-754 bit pattern (`f64::to_bits`, an unsigned
@@ -99,20 +99,20 @@ fn unesc(s: &str) -> Option<String> {
 }
 
 /// How a getter reads one raw value: `None` when it has another shape.
-pub(crate) type Shape<T> = fn(&str) -> Option<T>;
+pub type Shape<T> = fn(&str) -> Option<T>;
 
 /// One JSON object line as its top-level `"key": value` pairs, each value
-/// still raw, read by a getter in one [`Shape`] ([`string`], [`uint`],
-/// [`boolean`], [`uint_list`]), the getters' read marks, and the error
-/// where the line breaks off, if it does.
-pub(crate) struct Fields<'a>(Vec<(&'a str, &'a str, bool)>, Option<String>);
+/// still raw, read by a getter in one [`Shape`] (such as [`string`] or
+/// [`uint`]), the getters' read marks, and the error where the line breaks
+/// off, if it does.
+pub struct Fields<'a>(Vec<(&'a str, &'a str, bool)>, Option<String>);
 
 impl<'a> Fields<'a> {
     /// Split `line` in one pass, up to its first structural error: a nested
     /// object or list, a duplicate key, a trailing comma or text after a
     /// value, each naming its field. The pairs before the error stay
     /// readable (an error answer keeps its `id`).
-    pub(crate) fn parse(line: &'a str) -> Fields<'a> {
+    pub fn parse(line: &'a str) -> Fields<'a> {
         let mut f = Fields(Vec::new(), None);
         f.1 = f.split(line).err();
         f
@@ -156,7 +156,7 @@ impl<'a> Fields<'a> {
     /// The value of `key` read in `shape`: `None` when an intact line has
     /// no `key`, the line's break when a broken one has none before it. A
     /// value of another shape is an error naming the field.
-    pub(crate) fn get<T>(&mut self, key: &str, shape: Shape<T>) -> Result<Option<T>, String> {
+    pub fn get<T>(&mut self, key: &str, shape: Shape<T>) -> Result<Option<T>, String> {
         let Some(pair) = self.0.iter_mut().find(|p| p.0 == key) else {
             return self.1.clone().map_or(Ok(None), Err);
         };
@@ -165,12 +165,12 @@ impl<'a> Fields<'a> {
     }
 
     /// [`Fields::get`] for a field the line must have.
-    pub(crate) fn need<T>(&mut self, key: &str, shape: Shape<T>) -> Result<T, String> {
+    pub fn need<T>(&mut self, key: &str, shape: Shape<T>) -> Result<T, String> {
         self.get(key, shape)?.ok_or_else(|| format!("missing field {key:?}"))
     }
 
     /// Names the first field no getter read, or else the line's break.
-    pub(crate) fn finish(self) -> Result<(), String> {
+    pub fn finish(self) -> Result<(), String> {
         let unread = self.0.iter().find(|p| !p.2).map(|p| format!("unknown field {:?}", p.0));
         unread.or(self.1).map_or(Ok(()), Err)
     }
@@ -188,12 +188,12 @@ fn literal(s: &str) -> Option<(&str, &str)> {
 }
 
 /// A string value: exactly one literal, unescaped.
-pub(crate) fn string(raw: &str) -> Option<String> {
+pub fn string(raw: &str) -> Option<String> {
     unesc(raw.strip_prefix('"')?.strip_suffix('"')?)
 }
 
 /// An unsigned integer value: ASCII digits only, within `u64`.
-pub(crate) fn uint(raw: &str) -> Option<u64> {
+pub fn uint(raw: &str) -> Option<u64> {
     raw.bytes().all(|b| b.is_ascii_digit()).then(|| raw.parse().ok())?
 }
 

@@ -85,8 +85,10 @@
 //! axis, with `assign` picking `hash` or `least` routing), and
 //! `servers_ideal` (the coordination-free approximation:
 //! `meta_service_ns / N`). Unknown, duplicate and nested fields are
-//! errors that name the field, and integers are ASCII digits only; the
-//! store's records are read by the same reader ([`codec`]). Answers are
+//! errors that name the field, integers are ASCII digits only, and
+//! `ranks`, `replicates`, `servers` and `servers_ideal` take values ≥ 1;
+//! the store's records are read by the same reader ([`codec`]). A line
+//! that is not UTF-8 answers one error line under `line-N`. Answers are
 //! one JSONL line per (query, rank point) carrying only
 //! simulator-deterministic integers; batch and per-query
 //! hit/miss/latency counters go to a separate stats document.

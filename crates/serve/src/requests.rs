@@ -29,9 +29,12 @@
 //! bound the modeled fleet can approach but, contended, never beat).
 //!
 //! A request is read strictly, by the codec's one field reader: an
-//! unknown, duplicate or nested field, a trailing comma, or an integer that
-//! is not plain ASCII digits is an error naming its field. It answers one
-//! error line under the request's `id`, or `line-N` when none is readable.
+//! unknown, duplicate or nested field, a trailing comma, an integer that
+//! is not plain ASCII digits, or a 0 in `ranks`, `replicates`, `servers`
+//! or `servers_ideal` (each takes values ≥ 1) is an error naming its
+//! field. It answers one error line under the request's `id`, or `line-N`
+//! when none is readable. The batch is split on `\n`, and a line that is
+//! not UTF-8 answers one error line under `line-N`.
 //!
 //! Each answer is one JSONL line per `(query, rank point)` carrying only
 //! simulator-deterministic integers (or the cell's error string), so a
@@ -127,10 +130,10 @@ impl WhatIfRequest {
         let mut f = Fields::parse(line);
         let (id, base) = (f.need("id", string)?, f.need("base", string)?);
         resolve_workload(&base)?;
-        let fleet = |f: &mut Fields, key: &str| match f.get(key, uint) {
-            Ok(None) => Ok(1),
-            Ok(Some(n)) if n >= 1 => Ok(n),
-            _ => Err(format!("field {key:?} must be an integer ≥ 1")),
+        let positive = |f: &mut Fields, key: &str, default: u64| match f.get(key, uint)? {
+            None => Ok(default),
+            Some(0) => Err(format!("field {key:?} must be an integer ≥ 1")),
+            Some(n) => Ok(n),
         };
         let request = WhatIfRequest {
             id,
@@ -146,15 +149,16 @@ impl WhatIfRequest {
                 .unwrap_or(ServiceDistribution::Deterministic),
             fault: axis(&mut f, "fault", "fault model", FaultModel::parse)?
                 .unwrap_or(FaultModel::None),
-            ranks: f.get("ranks", uint_list)?.map_or_else(
-                || vec![512, 1024, 2048],
-                |r| r.into_iter().map(|n| n as usize).collect(),
-            ),
-            servers: fleet(&mut f, "servers")?,
+            ranks: match f.get("ranks", uint_list)? {
+                None => vec![512, 1024, 2048],
+                Some(r) if !r.contains(&0) => r.into_iter().map(|n| n as usize).collect(),
+                Some(_) => return Err("field \"ranks\" must hold integers ≥ 1".to_string()),
+            },
+            servers: positive(&mut f, "servers", 1)?,
             assign: axis(&mut f, "assign", "assign policy", AssignPolicy::parse)?
                 .unwrap_or(AssignPolicy::HashByNode),
-            servers_ideal: fleet(&mut f, "servers_ideal")?,
-            replicates: f.get("replicates", uint)?.map_or(DEFAULT_REPLICATES, |n| n as usize),
+            servers_ideal: positive(&mut f, "servers_ideal", 1)?,
+            replicates: positive(&mut f, "replicates", DEFAULT_REPLICATES as u64)? as usize,
             seed: f.get("seed", uint)?,
         };
         f.finish()?;
@@ -273,32 +277,38 @@ impl BatchReport {
     }
 }
 
-/// Serve one batch of JSONL requests against a store. Queries run in batch
-/// order; each one profiles its cold cells and batch-simulates its misses
-/// in one planner pass, both on `jobs` workers, with answers bit-identical
-/// for every `jobs` and peak memory growing with `jobs` × the largest
-/// kernel in flight. A request that fails to parse becomes an error
-/// answer and marks the batch (exit code 1 at the CLI), without stopping
-/// later queries. I/O errors from the store are real errors.
+/// Serve one batch of JSONL requests, split on `\n`, against a store.
+/// Queries run in batch order; each one profiles its cold cells and
+/// batch-simulates its misses in one planner pass, both on `jobs` workers,
+/// with answers bit-identical for every `jobs` and peak memory growing
+/// with `jobs` × the largest kernel in flight. A request that fails to
+/// parse, a line that is not UTF-8 among them, becomes an error answer and
+/// marks the batch (exit code 1 at the CLI), without stopping later
+/// queries. I/O errors from the store are real errors.
 pub fn serve_batch(
-    input: &str,
+    input: impl AsRef<[u8]>,
     store: &ResultStore,
     profiles: &ProfileCache,
     jobs: usize,
 ) -> std::io::Result<BatchReport> {
     let mut report = BatchReport::default();
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
+    for (lineno, bytes) in input.as_ref().split(|&b| b == b'\n').enumerate() {
+        let line = std::str::from_utf8(bytes);
+        if line.is_ok_and(|l| l.trim().is_empty()) {
             continue;
         }
         let started = Instant::now();
-        let parsed = WhatIfRequest::parse(line).and_then(|r| r.matrix().map(|m| (r, m)));
+        let parsed = line
+            .map_err(|_| "line is not UTF-8".to_string())
+            .and_then(WhatIfRequest::parse)
+            .and_then(|r| r.matrix().map(|m| (r, m)));
         let (req, matrix) = match parsed {
             Ok(p) => p,
             Err(e) => {
-                let id = Fields::parse(line)
-                    .need("id", string)
-                    .unwrap_or_else(|_| format!("line-{}", lineno + 1));
+                let id = line
+                    .ok()
+                    .and_then(|l| Fields::parse(l).need("id", string).ok())
+                    .unwrap_or_else(|| format!("line-{}", lineno + 1));
                 report.queries.push(QueryOutcome {
                     answers: vec![format!("{{\"id\":\"{}\",\"error\":\"{}\"}}", esc(&id), esc(&e))],
                     id,
@@ -426,6 +436,8 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","ranks":[a]}"#, "\"ranks\""),
             (r#"{"id":"q","base":"pynamic-20","ranks":[]}"#, "\"ranks\""),
             (r#"{"id":"q","base":"pynamic-20","ranks":[1,]}"#, "\"ranks\""),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[512,0]}"#, "\"ranks\" must hold"),
+            (r#"{"id":"q","base":"pynamic-20","replicates":0}"#, "\"replicates\" must be"),
             (r#"{"id":"q","base":"pynamic-20","seed":+5}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","seed":18446744073709551616}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","severs":8}"#, "unknown field \"severs\""),
@@ -559,6 +571,22 @@ mod tests {
         assert_eq!(report.queries[1].stats.panics, 1);
         assert!(report.stats_json(&store).contains("\"panics\":1"));
         assert_eq!(store.len(), 1, "the poisoned cell is never persisted");
+    }
+
+    #[test]
+    fn a_non_utf8_line_answers_one_error_and_spares_its_neighbours() {
+        let mut batch = br#"{"id":"a","base":"pynamic-20","ranks":[256]}"#.to_vec();
+        batch.extend_from_slice(b"\n\xff\n");
+        batch.extend_from_slice(br#"{"id":"b","base":"pynamic-20","ranks":[256]}"#);
+        let store = ResultStore::in_memory();
+        let report = serve_batch(&batch, &store, &ProfileCache::new(), 1).unwrap();
+        assert!(report.had_errors());
+        let ids: Vec<&str> = report.queries.iter().map(|q| q.id.as_str()).collect();
+        assert_eq!(ids, ["a", "line-2", "b"]);
+        assert_eq!(report.queries[1].parse_error.as_deref(), Some("line is not UTF-8"));
+        assert!(report.queries[0].answers[0].contains("launch_ns"));
+        assert!(report.queries[2].answers[0].contains("launch_ns"));
+        assert!(report.stats_json(&store).contains("\"parse_errors\":1"));
     }
 
     #[test]
