@@ -6,9 +6,11 @@
 //! ```
 //!
 //! Every case runs through [`time_fn`], the min-of-batches estimator, and
-//! becomes one row of the record (row groups below). `--test` is the quick
-//! mode: fewer iterations per case, same cases, and the record says
-//! `"quick"`. The record is JSON lines: a `{"mode": ...}` line, then one
+//! becomes one row of the record (row groups below). A batch is doubled
+//! until it lasts at least [`MIN_BATCH_NS`], so the clock reads around it
+//! are noise, and a row's `iters` is the calls actually timed. `--test` is
+//! the quick mode: fewer iterations per case, same cases, and the record
+//! says `"quick"`. The record is JSON lines: a `{"mode": ...}` line, then one
 //! `{"name", "mean_ns_per_iter", "iters"}` line per case, which
 //! `bench-diff` reads with the serve codec's field reader. Details a row
 //! does not carry (a DES case's ranks, nodes, server ops and simulated
@@ -41,6 +43,10 @@
 //! * `ablations/*` — one glibc load of the Axom-scale stack per store
 //!   layout: Spack-like, Nix-like, a dependency view, shrinkwrapped, and
 //!   the future loader on the shrinkwrapped binary.
+//! * `profile/*` — the profile layer: one plain glibc capture of
+//!   Pynamic-900 on NFS in ns per captured op (404,550 of its 407,253 ops
+//!   are RUNPATH misses), and one `ProfileCache` fill of axom-7 × glibc ×
+//!   NFS (install, the plain and the wrapped capture, and the freeze).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -48,9 +54,9 @@ use std::time::Instant;
 use depchaos_core::{wrap, LoaderBackend, ShrinkwrapOptions, Strategy};
 use depchaos_elf::ElfEditor;
 use depchaos_launch::{
-    simulate_classified, AdaptiveControl, BatchPlan, CachePolicy, ClassifiedStream,
-    ExperimentMatrix, FaultModel, LaunchConfig, MatrixBackend, ProfileCache, ServerTopology,
-    ServiceDistribution, WrapState,
+    profile_load_checked, simulate_classified, AdaptiveControl, BatchPlan, CachePolicy,
+    ClassifiedStream, ExperimentMatrix, FaultModel, LaunchConfig, MatrixBackend, ProfileCache,
+    ServerTopology, ServiceDistribution, WrapState,
 };
 use depchaos_loader::{analyze_tree, Environment, FutureLoader, GlibcLoader, LdCache, MuslLoader};
 use depchaos_serve::{run_matrix_incremental, ResultStore};
@@ -58,7 +64,7 @@ use depchaos_store::{
     build_view, views::view_lib_dir, BinDef, LibDef, PackageDef, Repo, StoreInstaller,
 };
 use depchaos_vfs::{Op, Outcome, StorageModel, StraceLog, Syscall, Vfs};
-use depchaos_workloads::{axom, emacs, pynamic, Axom, Pynamic, Rocm};
+use depchaos_workloads::{axom, emacs, pynamic, Axom, Pynamic, Rocm, Workload};
 
 fn cold_stream(n: usize) -> StraceLog {
     let mut log = StraceLog::new();
@@ -137,19 +143,27 @@ const BATCHES: u32 = 10;
 /// Iterations per case in full mode; anything less is a quick run.
 const FULL_ITERS: u32 = 200;
 
-/// Best-batch mean ns of `f` over `iters` total runs (at least one per
-/// batch).
-fn time_fn(mut f: impl FnMut(), iters: u32) -> u128 {
-    let batch_iters = (iters / BATCHES).max(1);
-    let mut best_ns = u128::MAX;
-    for _ in 0..BATCHES {
+/// The shortest batch [`time_fn`] times: long enough that the two clock
+/// reads around it are a negligible share of it.
+const MIN_BATCH_NS: u128 = 20_000;
+
+/// Best-batch mean ns of `f`, and the number of calls timed. A batch starts
+/// at `iters / BATCHES` calls (at least one) and doubles until one batch
+/// lasts [`MIN_BATCH_NS`]; then [`BATCHES`] batches of that size are timed.
+fn time_fn(mut f: impl FnMut(), iters: u32) -> (u128, u32) {
+    let mut batch = |calls: u32| {
         let t0 = Instant::now();
-        for _ in 0..batch_iters {
+        for _ in 0..calls {
             f();
         }
-        best_ns = best_ns.min(t0.elapsed().as_nanos() / batch_iters as u128);
+        t0.elapsed().as_nanos()
+    };
+    let mut calls = (iters / BATCHES).max(1);
+    while batch(calls) < MIN_BATCH_NS {
+        calls = calls.saturating_mul(2);
     }
-    best_ns
+    let best_ns = (0..BATCHES).map(|_| batch(calls) / calls as u128).min().unwrap();
+    (best_ns, calls * BATCHES)
 }
 
 /// The record being built: one `(name, mean ns/iter, iters)` per case,
@@ -164,7 +178,8 @@ impl Record {
 
     /// Time `f` with [`time_fn`] and record the row.
     fn time(&mut self, name: &str, iters: u32, f: impl FnMut()) {
-        self.push(name, time_fn(f, iters), iters, "");
+        let (mean_ns, timed) = time_fn(f, iters);
+        self.push(name, mean_ns, timed, "");
     }
 
     /// Write `BENCH_des.json` and return its text. The mode comes from the
@@ -272,7 +287,7 @@ fn main() {
     for p in des_points() {
         let classified = ClassifiedStream::classify(&p.ops, &p.cfg);
         let r = simulate_classified(&classified, &p.cfg);
-        let mean_ns = time_fn(
+        let (mean_ns, timed) = time_fn(
             || {
                 black_box(simulate_classified(&classified, &p.cfg));
             },
@@ -285,7 +300,7 @@ fn main() {
             r.server_ops,
             r.seconds()
         );
-        record.push(&format!("des_million_ranks/{}", p.name), mean_ns, iters, &note);
+        record.push(&format!("des_million_ranks/{}", p.name), mean_ns, timed, &note);
     }
 
     // Nanosecond-scale ops: more inner iterations, so a batch is long
@@ -411,7 +426,7 @@ fn main() {
     const PLAN_ROWS: usize = 1024;
     let batch_cfg = LaunchConfig { ranks_per_node: 16, ..LaunchConfig::default() };
     let batch_stream = ClassifiedStream::classify(&ops, &batch_cfg);
-    let plan_ns = time_fn(
+    let (plan_ns, timed) = time_fn(
         || {
             let mut plan = BatchPlan::new();
             let id = plan.stream(&batch_stream);
@@ -422,7 +437,7 @@ fn main() {
         },
         iters,
     );
-    record.push("batch/row_throughput", plan_ns / PLAN_ROWS as u128, iters, "per row");
+    record.push("batch/row_throughput", plan_ns / PLAN_ROWS as u128, timed, "per row");
 
     // The fig6-dist acceptance matrix under adaptive replicate control,
     // profiling pre-warmed: the multi-round driver plus the replicates the
@@ -547,6 +562,33 @@ fn main() {
             });
         }
     }
+
+    // The profile layer. A plain Pynamic-900 capture is the Fig 6 storm:
+    // library k probed in the k−1 RUNPATH directories ahead of its own. The
+    // row is ns per captured op, so it reads the cost of one probe.
+    let fs = Vfs::new(StorageModel::Nfs.backend());
+    let pynamic900 = Pynamic::paper();
+    let exe = pynamic900.install(&fs).unwrap().exe_path;
+    let env = pynamic900.environment();
+    let capture = || {
+        let loader = GlibcLoader::new(&fs).with_env(env.clone());
+        profile_load_checked(&fs, &exe, &loader).unwrap().0
+    };
+    let ops = capture().len() as u128;
+    let (capture_ns, timed) = time_fn(
+        || {
+            black_box(capture());
+        },
+        slow_iters,
+    );
+    let note = format!("per op: {ops} ops per capture, {capture_ns} ns per capture");
+    record.push("profile/pynamic900_plain", capture_ns / ops, timed, &note);
+    let axom7 = Axom::new(7);
+    record.time("profile/axom7_cell", slow_iters, || {
+        let cell =
+            ProfileCache::new().get_or_profile(&axom7, &MatrixBackend::glibc(), StorageModel::Nfs);
+        black_box(cell);
+    });
 
     let json = record.write(iters);
     println!("wrote BENCH_des.json ({} bytes)", json.len());

@@ -3,9 +3,10 @@
 //! For binaries that cannot execute on the wrapping host (cross-platform
 //! images, foreign loaders), Shrinkwrap "traverses the filesystem the way
 //! that the loader would". This module is that traversal: the loader's own
-//! search order, [`glibc_order`], walked with unaccounted peeks (the wrap
-//! tool's traversal is not process startup; its cost is measured at the
-//! wall-clock level by the `hotpath` bench's `shrinkwrap_cost/*` rows), so
+//! search order, [`glibc_order`], walked with unaccounted peeks through the
+//! same directory handles the loader probes (the wrap tool's traversal is
+//! not process startup; its cost is measured at the wall-clock level by the
+//! `hotpath` bench's `shrinkwrap_cost/*` rows), so
 //! the corner cases the paper calls out come with it — wrong-architecture
 //! candidates are skipped, and hwcaps subdirectories are probed first.
 //!
@@ -22,8 +23,7 @@ use std::collections::{HashSet, VecDeque};
 
 use depchaos_elf::{io, ElfObject};
 use depchaos_loader::glibc::glibc_order;
-use depchaos_loader::resolve::Candidate;
-use depchaos_loader::{Environment, LdCache};
+use depchaos_loader::{Environment, LdCache, Prober};
 use depchaos_vfs::Vfs;
 
 /// A per-request resolution outcome.
@@ -44,13 +44,11 @@ pub fn resolve_closure(
     cache: &LdCache,
 ) -> Result<Vec<NativeResolution>, String> {
     let exe = io::peek_object(fs, exe_path).map_err(|e| e.to_string())?;
-    let want_arch = exe.machine;
     // The System V rule Shrinkwrap must replicate: silently ignore
-    // wrong-architecture candidates (ubiquitous on multi-ABI systems).
-    let peek = |path: &str| {
-        let object = io::peek_object(fs, path).ok()?;
-        (object.machine == want_arch).then(|| Candidate { path: path.to_string(), object })
-    };
+    // wrong-architecture candidates (ubiquitous on multi-ABI systems). The
+    // peeking prober skips them as the loader does, and resolves each
+    // search directory once for the whole closure.
+    let probe = Prober::peeking(fs, env, exe.machine);
     // Every object reached, with its path and the index of its first
     // requester (the executable has none).
     let mut loaded: Vec<(ElfObject, String, Option<usize>)> = Vec::new();
@@ -64,7 +62,7 @@ pub fn resolve_closure(
         }
         let chain = std::iter::successors(Some(req), |&idx| loaded[idx].2)
             .map(|idx| (&loaded[idx].0, loaded[idx].1.as_str()));
-        let found = glibc_order(chain, &name, env, cache, want_arch, peek);
+        let found = glibc_order(chain, &name, cache, &probe);
         let requester = loaded[req].1.clone();
         let path = found.map(|(cand, _)| {
             if !loaded.iter().any(|(_, p, _)| *p == cand.path) {

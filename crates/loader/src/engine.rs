@@ -37,14 +37,22 @@
 //! interner, [`depchaos_vfs::intern`](mod@depchaos_vfs::intern) — and the
 //! BFS frontier carries `(requester, PathId)` pairs, so a request's
 //! pre-search dedup probe ([`DedupPolicy::lookup`]) is an integer hash
-//! lookup with no re-hashing of path text. A needed entry's text is copied
-//! into the interner at most once per *process*, no matter how many
-//! objects request it or how many loads replay it (the Fig 6 profiling
-//! loop replays thousands); recovering the text costs one shared-lock
-//! index read per request. Only the cold side — indexing a freshly loaded
-//! object, and result recording ([`LoadEvent`], [`LoadedObject`]) — still
-//! touches strings, because it happens once per object, not once per
-//! request, and results outlive the engine as public API.
+//! lookup with no re-hashing of path text.
+//!
+//! The search is where a big closure spends its ops (Pynamic-900: 404,550
+//! misses, library k probed in the k−1 directories ahead of its own). One
+//! [`Prober`] per load resolves each distinct search directory once —
+//! every RPATH/RUNPATH entry, `LD_LIBRARY_PATH` entry, default directory
+//! and hwcaps subdirectory, shared between objects by its text — and a
+//! probe is one lookup of the interned name in the directory's entries,
+//! charged under the (directory, name) key: a miss builds no string and
+//! interns nothing. A hit's path is joined once, and its file identity
+//! (canonical path and inode, [`identity`]) is computed once per candidate
+//! and passed to the dedup policy's post-open check and to the new
+//! object. Only the cold side — indexing a freshly loaded object, and
+//! result recording ([`LoadEvent`], [`LoadedObject`]) — still touches
+//! strings, because it happens once per object, not once per request, and
+//! results outlive the engine as public API.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -53,7 +61,7 @@ use depchaos_vfs::{intern, Inode, PathId, Vfs};
 
 use crate::api::Loader;
 use crate::env::Environment;
-use crate::resolve::{probe_exact, Candidate, Provenance, Resolution};
+use crate::resolve::{Candidate, Prober, Provenance, Resolution};
 use crate::result::{Failure, LoadError, LoadEvent, LoadResult, LoadedObject};
 
 /// Mutable load-time state shared by every backend: the mapped objects in
@@ -86,25 +94,23 @@ impl State {
         }
     }
 
-    /// Append a freshly mapped object (computing its canonical path and
-    /// inode) without touching any dedup index — indexing is the
-    /// [`DedupPolicy`]'s decision.
+    /// Append a freshly mapped object with its [`identity`], without
+    /// touching any dedup index — indexing is the [`DedupPolicy`]'s
+    /// decision.
     pub fn push_object(
         &mut self,
-        fs: &Vfs,
         requested: &str,
         cand: Candidate,
+        identity: Identity,
         parent: Option<usize>,
         provenance: Provenance,
     ) -> usize {
         let idx = self.objects.len();
-        let (canonical, inode) = identity(fs, &cand.path);
-        let inode = inode.unwrap_or(Inode(0));
         self.objects.push(LoadedObject {
             idx,
             path: cand.path,
-            canonical,
-            inode,
+            canonical: identity.canonical,
+            inode: identity.inode.unwrap_or(Inode(0)),
             object: cand.object,
             parent,
             requested_as: vec![requested.to_string()],
@@ -133,29 +139,44 @@ impl Default for State {
     }
 }
 
-/// Resolve a path to its canonical form (falling back to the path itself)
-/// and its file identity, the `(dev,ino)` every loader compares after
-/// `open`. Unaccounted, like the loaders' own post-open identity checks.
-pub fn identity(fs: &Vfs, path: &str) -> (String, Option<Inode>) {
-    let canonical = fs.canonicalize(path).unwrap_or_else(|_| path.to_string());
-    let inode = fs.peek(&canonical).ok().map(|m| m.inode);
-    (canonical, inode)
+/// A path's canonical form and file identity, the `(dev,ino)` every loader
+/// compares after `open`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Identity {
+    /// The path with every symlink resolved (the path itself when that
+    /// fails).
+    pub canonical: String,
+    pub inode: Option<Inode>,
 }
 
-/// Read-only probing context handed to policies alongside the state.
+#[cfg(test)]
+thread_local! {
+    /// How many times [`identity`] ran on this thread (tests count it).
+    pub(crate) static IDENTITIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Resolve `path`'s [`Identity`]. Unaccounted, like the loaders' own
+/// post-open identity checks. The engine computes it once per request that
+/// opens a candidate and hands it to every step that compares it.
+pub fn identity(fs: &Vfs, path: &str) -> Identity {
+    #[cfg(test)]
+    IDENTITIES.with(|n| n.set(n.get() + 1));
+    let canonical = fs.canonicalize(path).unwrap_or_else(|_| path.to_string());
+    let inode = fs.peek(&canonical).ok().map(|m| m.inode);
+    Identity { canonical, inode }
+}
+
+/// The probing context handed to policies alongside the state, one per
+/// load.
 pub struct Ctx<'a> {
     pub fs: &'a Vfs,
     pub env: &'a Environment,
     /// Architecture of the root executable; wrong-ABI candidates are
     /// silently skipped per the System V rule.
     pub want_arch: Machine,
-}
-
-impl Ctx<'_> {
-    /// [`identity`] for the inode alone — the common dedup-policy question.
-    pub fn inode_of(&self, path: &str) -> Option<Inode> {
-        identity(self.fs, path).1
-    }
+    /// The load's accounted prober: search directories resolved once per
+    /// load, probes charged like opens of the joined paths.
+    pub probe: Prober<'a>,
 }
 
 /// Maps one `(requester, needed-name)` request to an ordered candidate probe
@@ -164,6 +185,10 @@ impl Ctx<'_> {
 pub trait SearchPolicy {
     /// The backend's [`Loader::name`] (`"glibc"`, `"musl"`, ...).
     const NAME: &'static str;
+
+    /// Whether the backend probes the environment's hwcaps subdirectories
+    /// inside every search directory (glibc does; musl has none).
+    const HWCAPS: bool = true;
 
     /// Whether [`Loader::load_with_dlopen`] replays `dlopen` hints; a
     /// backend without replay answers it with a plain load.
@@ -179,7 +204,8 @@ pub trait SearchPolicy {
     /// Probe the filesystem for the bare name `name` on behalf of
     /// `requester`. The engine opens a request containing `/` itself, so
     /// `name` never contains one here. Every probe must go through the
-    /// accounted [`crate::resolve`] helpers so syscall counts stay faithful.
+    /// load's accounted prober ([`Ctx::probe`]) so syscall counts stay
+    /// faithful.
     fn locate(
         &self,
         cx: &Ctx,
@@ -201,18 +227,27 @@ pub trait DedupPolicy {
     /// Pre-search cache lookup for a request (bare soname or path,
     /// interned). A hit costs **zero filesystem work** — the Listing 1
     /// mechanism — and, this being the hot call of big-closure loads, the
-    /// probe is an integer hash on the id.
-    fn lookup(&self, cx: &Ctx, st: &mut State, name: PathId) -> Option<usize>;
+    /// probe is an integer hash on the id. A policy that needs a path
+    /// request's [`Identity`] computes it into `identity`; the engine hands
+    /// it on to the post-open steps when the path opens.
+    fn lookup(
+        &self,
+        cx: &Ctx,
+        st: &mut State,
+        name: PathId,
+        identity: &mut Option<Identity>,
+    ) -> Option<usize>;
 
     /// Post-open identity check on a candidate the search found — the
     /// `(dev,ino)` comparison loaders do after `open` catches aliased files
-    /// the request-string cache cannot.
+    /// the request-string cache cannot. `identity` is the candidate's.
     fn absorb(
         &self,
         cx: &Ctx,
         st: &mut State,
         name: &str,
         cand: &Candidate,
+        identity: &Identity,
         provenance: &Provenance,
     ) -> Option<usize>;
 
@@ -317,17 +352,17 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
         if self.config.charge_exe_read && exe.virtual_size > 0 {
             self.fs.charge_read(exe_path, exe.virtual_size);
         }
-        {
-            let cx = Ctx { fs: self.fs, env: &self.env, want_arch: exe.machine };
-            let idx = st.push_object(
-                self.fs,
-                exe_path,
-                Candidate { path: exe_path.to_string(), object: exe },
-                None,
-                Provenance::Executable,
-            );
-            self.dedup.index(&cx, &mut st, idx, exe_path);
-        }
+        let probe = Prober::accounted(self.fs, &self.env, exe.machine);
+        let cx = Ctx {
+            fs: self.fs,
+            env: &self.env,
+            want_arch: exe.machine,
+            probe: if S::HWCAPS { probe } else { probe.without_hwcaps() },
+        };
+        let exe_id = identity(self.fs, exe_path);
+        let candidate = Candidate { path: exe_path.to_string(), object: exe };
+        let idx = st.push_object(exe_path, candidate, exe_id, None, Provenance::Executable);
+        self.dedup.index(&cx, &mut st, idx, exe_path);
 
         // LD_PRELOAD entries load immediately after the executable and are
         // searched like bare names (or opened directly when they are paths).
@@ -342,7 +377,7 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
         };
         if preloads_active {
             for entry in &self.env.ld_preload {
-                self.request(&mut st, 0, intern(entry));
+                self.request(&cx, &mut st, 0, intern(entry));
             }
         }
 
@@ -356,7 +391,7 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
         let mut next_obj = st.objects.len();
         loop {
             while let Some((req, name)) = queue.pop_front() {
-                self.request(&mut st, req, name);
+                self.request(&cx, &mut st, req, name);
                 // Enqueue needed entries of anything newly loaded, in order.
                 while next_obj < st.objects.len() {
                     for n in &st.objects[next_obj].object.needed {
@@ -398,8 +433,8 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
     }
 
     /// Resolve one request and record the outcome.
-    fn request(&self, st: &mut State, requester: usize, name: PathId) {
-        let resolution = self.resolve(st, requester, name);
+    fn request(&self, cx: &Ctx, st: &mut State, requester: usize, name: PathId) {
+        let resolution = self.resolve(cx, st, requester, name);
         if let Resolution::NotFound = resolution {
             st.failures.push(Failure {
                 requester: st.objects[requester].object.name.clone(),
@@ -409,42 +444,50 @@ impl<'fs, S: SearchPolicy, D: DedupPolicy> Engine<'fs, S, D> {
         st.events.push(LoadEvent { requester, name: name.as_str().to_string(), resolution });
     }
 
-    fn resolve(&self, st: &mut State, requester: usize, name: PathId) -> Resolution {
-        let cx = Ctx { fs: self.fs, env: &self.env, want_arch: st.objects[0].object.machine };
+    fn resolve(&self, cx: &Ctx, st: &mut State, requester: usize, name: PathId) -> Resolution {
         let name_text = name.as_str();
 
         // 1. Request rewriting (pins).
-        let rewritten = self.search.rewrite(&cx, st, requester, name_text);
+        let rewritten = self.search.rewrite(cx, st, requester, name_text);
         let key = match &rewritten {
             Some(s) => intern(s),
             None => name,
         };
 
         // 2. Dedup cache — a hit does zero filesystem work, and the probe
-        // is an integer hash on the interned id.
-        if let Some(idx) = self.dedup.lookup(&cx, st, key) {
+        // is an integer hash on the interned id. A path request's identity,
+        // if the policy computed it, is the identity of the path opened
+        // below.
+        let mut known = None;
+        if let Some(idx) = self.dedup.lookup(cx, st, key, &mut known) {
             return Resolution::Deduped { path: st.objects[idx].path.clone() };
         }
 
         // 3. A request containing `/` is opened directly; any other goes to
         // the policy's probe plan.
         let key_text = rewritten.as_deref().unwrap_or(name_text);
-        let found = if key_text.contains('/') {
-            probe_exact(self.fs, key_text, cx.want_arch).map(|c| (c, Provenance::DirectPath))
+        let direct = key_text.contains('/');
+        let found = if direct {
+            cx.probe.exact(key_text).map(|c| (c, Provenance::DirectPath))
         } else {
-            self.search.locate(&cx, st, requester, key_text)
+            self.search.locate(cx, st, requester, key_text)
         };
         match found {
             Some((cand, provenance)) => {
                 // 4. Post-open identity check: the search may have found a
-                // file that is already mapped under a different name.
-                if let Some(idx) = self.dedup.absorb(&cx, st, name_text, &cand, &provenance) {
+                // file that is already mapped under a different name. The
+                // candidate's identity is computed once, here or by the
+                // lookup of the same path.
+                let id = match known {
+                    Some(id) if direct => id,
+                    _ => identity(self.fs, &cand.path),
+                };
+                if let Some(idx) = self.dedup.absorb(cx, st, name_text, &cand, &id, &provenance) {
                     return Resolution::Deduped { path: st.objects[idx].path.clone() };
                 }
                 let path = cand.path.clone();
-                let idx =
-                    st.push_object(self.fs, name_text, cand, Some(requester), provenance.clone());
-                self.dedup.index(&cx, st, idx, name_text);
+                let idx = st.push_object(name_text, cand, id, Some(requester), provenance.clone());
+                self.dedup.index(cx, st, idx, name_text);
                 Resolution::Loaded { path, provenance }
             }
             None => Resolution::NotFound,
@@ -500,7 +543,13 @@ mod tests {
     struct ByName;
 
     impl DedupPolicy for ByName {
-        fn lookup(&self, _cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
+        fn lookup(
+            &self,
+            _cx: &Ctx,
+            st: &mut State,
+            name: PathId,
+            _identity: &mut Option<Identity>,
+        ) -> Option<usize> {
             st.by_name.get(&name).copied()
         }
 
@@ -510,6 +559,7 @@ mod tests {
             _st: &mut State,
             _name: &str,
             _cand: &Candidate,
+            _identity: &Identity,
             _provenance: &Provenance,
         ) -> Option<usize> {
             None

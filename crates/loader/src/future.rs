@@ -34,10 +34,10 @@
 //! and Fig 3 (per-dependency pins).
 
 use depchaos_elf::SearchPosition;
-use depchaos_vfs::{intern, PathId, Vfs};
+use depchaos_vfs::{intern, Name, PathId, Vfs};
 
-use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, SearchPolicy, State};
-use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
+use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, Identity, SearchPolicy, State};
+use crate::resolve::{expand_entry, Candidate, Entries, Provenance};
 
 /// The proposal's probe plan: pins rewrite the request; otherwise prepends
 /// (own, then inherited), the environment, appends (own, then inherited),
@@ -67,36 +67,29 @@ impl SearchPolicy for FutureSearch {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
-        // Assemble the search list: prepends (own, then inherited), the
-        // environment, appends (own, then inherited), defaults.
-        let mut dirs: Vec<(String, Provenance)> = Vec::new();
-        let collect = |pos: SearchPosition, out: &mut Vec<(String, Provenance)>| {
-            for (depth, obj) in st.chain(requester).enumerate() {
-                for sd in &obj.object.search_dirs {
-                    if sd.position == pos && (depth == 0 || sd.inherit) {
-                        out.push((
-                            expand_entry(&sd.dir, &obj.path),
-                            Provenance::Rpath { owner: obj.object.name.clone() },
-                        ));
-                    }
-                }
-            }
+        // The search list: prepends (own, then inherited), the environment,
+        // appends (own, then inherited), defaults.
+        let probe = &cx.probe;
+        let name = Name::new(name);
+        let chain_dirs = |pos: SearchPosition| {
+            st.chain(requester).enumerate().find_map(|(depth, obj)| {
+                let dirs = probe.object(&obj.object, &obj.path, Entries::SearchDirs);
+                let cand = obj
+                    .object
+                    .search_dirs
+                    .iter()
+                    .zip(dirs.iter())
+                    .filter(|(sd, _)| sd.position == pos && (depth == 0 || sd.inherit))
+                    .find_map(|(_, dir)| probe.probe(dir, name))?;
+                Some((cand, Provenance::Rpath { owner: obj.object.name.clone() }))
+            })
         };
-        collect(SearchPosition::Prepend, &mut dirs);
-        for d in &cx.env.ld_library_path {
-            dirs.push((d.clone(), Provenance::LdLibraryPath));
-        }
-        collect(SearchPosition::Append, &mut dirs);
-        for d in &cx.env.default_paths {
-            dirs.push((d.clone(), Provenance::DefaultPath));
-        }
-
-        for (dir, prov) in dirs {
-            if let Some(cand) = probe_dir(cx.fs, &dir, name, cx.want_arch, &cx.env.hwcaps) {
-                return Some((cand, prov));
-            }
-        }
-        None
+        chain_dirs(SearchPosition::Prepend)
+            .or_else(|| {
+                probe.first(&probe.ld_library_path(), name).map(|c| (c, Provenance::LdLibraryPath))
+            })
+            .or_else(|| chain_dirs(SearchPosition::Append))
+            .or_else(|| probe.first(&probe.defaults(), name).map(|c| (c, Provenance::DefaultPath)))
     }
 }
 
@@ -106,20 +99,26 @@ impl SearchPolicy for FutureSearch {
 pub struct FutureDedup;
 
 impl DedupPolicy for FutureDedup {
-    fn lookup(&self, _cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
+    fn lookup(
+        &self,
+        _cx: &Ctx,
+        st: &mut State,
+        name: PathId,
+        _identity: &mut Option<Identity>,
+    ) -> Option<usize> {
         st.by_name.get(&name).copied()
     }
 
     fn absorb(
         &self,
-        cx: &Ctx,
+        _cx: &Ctx,
         st: &mut State,
         _name: &str,
-        cand: &Candidate,
+        _cand: &Candidate,
+        id: &Identity,
         _provenance: &Provenance,
     ) -> Option<usize> {
-        let inode = cx.inode_of(&cand.path)?;
-        st.by_inode.get(&inode).copied()
+        st.by_inode.get(&id.inode?).copied()
     }
 
     fn index(&self, _cx: &Ctx, st: &mut State, idx: usize, requested: &str) {

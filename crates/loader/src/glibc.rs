@@ -23,75 +23,73 @@
 //! mapped, with accounted probes), libtree ([`crate::analyze_tree`], over
 //! its depth-first path, with the same probes but no dedup cache) and
 //! Shrinkwrap's native strategy (`depchaos_core::native`, with
-//! unaccounted peeks). The engine opens a `/` entry itself before it asks
-//! [`GlibcSearch`], so in the loader step 1 happens there.
+//! unaccounted peeks). All three walk it through one load's [`Prober`],
+//! which resolves each search directory once. The engine opens a `/`
+//! entry itself before it asks [`GlibcSearch`], so in the loader step 1
+//! happens there.
 //!
 //! Loading proceeds breadth-first from the executable's needed list;
 //! `LD_PRELOAD` objects load immediately after the executable — both driven
 //! by [`crate::engine::Engine`], not re-implemented here.
 
-use depchaos_elf::{ElfObject, Machine};
-use depchaos_vfs::{intern, PathId, Vfs};
+use depchaos_elf::ElfObject;
+use depchaos_vfs::{intern, Name, PathId, Vfs};
 
-use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
-use crate::env::Environment;
+use crate::engine::{
+    identity, Ctx, DedupPolicy, Engine, EngineConfig, Identity, PreloadMode, SearchPolicy, State,
+};
 use crate::ldcache::LdCache;
-use crate::resolve::{expand_entry, probe_dir_with, probe_exact, Candidate, Provenance};
+use crate::resolve::{Candidate, Entries, Prober, Provenance};
 
 /// Resolve `name` in glibc's order (ld.so(8)): a name containing `/` is
 /// opened directly; any other is searched in the RPATH of `chain`
 /// (skipped when the requester has a RUNPATH; an ancestor with a RUNPATH
 /// contributes nothing), then `LD_LIBRARY_PATH`, the requester's RUNPATH,
-/// the ld.so.cache and the default directories, with `env`'s hwcaps
-/// subdirectories first inside every directory. `$ORIGIN` expands against
-/// the path of the object whose entry it is.
+/// the ld.so.cache and the default directories, with the environment's
+/// hwcaps subdirectories first inside every directory. `$ORIGIN` expands
+/// against the path of the object whose entry it is.
 ///
 /// `chain` is the requester followed by its loader-chain ancestors, each
-/// with its path. `open` probes one candidate path and returns it only if
-/// it exists, parses and matches `want_arch`. [`GlibcSearch`] and
-/// [`crate::analyze_tree`] pass the accounted [`probe_exact`]; the native
-/// strategy passes an unaccounted peek. The order calls `open` once per
-/// candidate, in order, and stops at the first hit.
+/// with its path. `probe` is the load's prober, over the load's
+/// environment: it opens each candidate, in order, and the order stops at
+/// the first that exists, parses and matches the architecture.
+/// [`GlibcSearch`] and [`crate::analyze_tree`] pass an accounted prober,
+/// the native strategy a peeking one.
 pub fn glibc_order<'a, C>(
     chain: C,
     name: &str,
-    env: &Environment,
     cache: &LdCache,
-    want_arch: Machine,
-    open: impl Fn(&str) -> Option<Candidate>,
+    probe: &Prober,
 ) -> Option<(Candidate, Provenance)>
 where
     C: IntoIterator<Item = (&'a ElfObject, &'a str)>,
     C::IntoIter: Clone,
 {
     if name.contains('/') {
-        return open(name).map(|c| (c, Provenance::DirectPath));
+        return probe.exact(name).map(|c| (c, Provenance::DirectPath));
     }
-    let probe = |dir: &str| probe_dir_with(dir, name, &env.hwcaps, &open);
     let chain = chain.into_iter();
     let (requester, requester_path) = chain.clone().next()?;
+    let name = Name::new(name);
 
     if requester.runpath.is_empty() {
         for (obj, path) in chain.filter(|(obj, _)| obj.runpath.is_empty()) {
-            for entry in &obj.rpath {
-                if let Some(c) = probe(&expand_entry(entry, path)) {
-                    return Some((c, Provenance::Rpath { owner: obj.name.clone() }));
-                }
+            if let Some(c) = probe.first(&probe.object(obj, path, Entries::Rpath), name) {
+                return Some((c, Provenance::Rpath { owner: obj.name.clone() }));
             }
         }
     }
-    if let Some(c) = env.ld_library_path.iter().find_map(|dir| probe(dir)) {
+    if let Some(c) = probe.first(&probe.ld_library_path(), name) {
         return Some((c, Provenance::LdLibraryPath));
     }
-    for entry in &requester.runpath {
-        if let Some(c) = probe(&expand_entry(entry, requester_path)) {
-            return Some((c, Provenance::Runpath { owner: requester.name.clone() }));
-        }
+    let runpath = probe.object(requester, requester_path, Entries::Runpath);
+    if let Some(c) = probe.first(&runpath, name) {
+        return Some((c, Provenance::Runpath { owner: requester.name.clone() }));
     }
-    if let Some(c) = cache.lookup(name, want_arch).and_then(&open) {
+    if let Some(c) = cache.lookup(name.as_str(), probe.want_arch()).and_then(|p| probe.exact(p)) {
         return Some((c, Provenance::LdSoCache));
     }
-    env.default_paths.iter().find_map(|dir| probe(dir)).map(|c| (c, Provenance::DefaultPath))
+    probe.first(&probe.defaults(), name).map(|c| (c, Provenance::DefaultPath))
 }
 
 /// glibc's probe plan: [`glibc_order`] over the requester's parent links,
@@ -112,9 +110,7 @@ impl SearchPolicy for GlibcSearch {
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
         let chain = st.chain(requester).map(|o| (&o.object, o.path.as_str()));
-        glibc_order(chain, name, cx.env, &self.cache, cx.want_arch, |path| {
-            probe_exact(cx.fs, path, cx.want_arch)
-        })
+        glibc_order(chain, name, &self.cache, &cx.probe)
     }
 }
 
@@ -130,32 +126,41 @@ impl GlibcDedup {
         st.by_name.entry(name).or_insert(idx);
     }
 
-    /// Path-identity check: probed path, canonical path, then inode
-    /// (symlinked stores make all three distinct). `path` is the interned
-    /// form of `text`.
-    fn dedup_path(&self, fs: &Vfs, st: &mut State, path: PathId, text: &str) -> Option<usize> {
-        if let Some(&idx) = st.by_path.get(&path) {
-            self.alias(st, idx, path);
-            return Some(idx);
-        }
-        let (canonical, inode) = crate::engine::identity(fs, text);
-        if let Some(&idx) = st.by_path.get(&intern(&canonical)) {
-            self.alias(st, idx, path);
-            return Some(idx);
-        }
-        if let Some(idx) = inode.and_then(|i| st.by_inode.get(&i).copied()) {
-            self.alias(st, idx, path);
-            return Some(idx);
-        }
-        None
+    /// Path-identity check, first half: the probed path.
+    fn by_path(&self, st: &mut State, path: PathId) -> Option<usize> {
+        let idx = *st.by_path.get(&path)?;
+        self.alias(st, idx, path);
+        Some(idx)
+    }
+
+    /// Path-identity check, second half: the canonical path, then the
+    /// inode (symlinked stores make all three distinct). `path` is the
+    /// probed path whose identity `id` is.
+    fn by_identity(&self, st: &mut State, path: PathId, id: &Identity) -> Option<usize> {
+        let idx = st
+            .by_path
+            .get(&intern(&id.canonical))
+            .copied()
+            .or_else(|| id.inode.and_then(|i| st.by_inode.get(&i).copied()))?;
+        self.alias(st, idx, path);
+        Some(idx)
     }
 }
 
 impl DedupPolicy for GlibcDedup {
-    fn lookup(&self, cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
+    fn lookup(
+        &self,
+        cx: &Ctx,
+        st: &mut State,
+        name: PathId,
+        known: &mut Option<Identity>,
+    ) -> Option<usize> {
         let text = name.as_str();
         if text.contains('/') {
-            self.dedup_path(cx.fs, st, name, text)
+            self.by_path(st, name).or_else(|| {
+                let id = known.get_or_insert_with(|| identity(cx.fs, text));
+                self.by_identity(st, name, id)
+            })
         } else {
             let idx = *st.by_name.get(&name)?;
             self.alias(st, idx, name);
@@ -165,15 +170,17 @@ impl DedupPolicy for GlibcDedup {
 
     fn absorb(
         &self,
-        cx: &Ctx,
+        _cx: &Ctx,
         st: &mut State,
         _name: &str,
         cand: &Candidate,
+        id: &Identity,
         _provenance: &Provenance,
     ) -> Option<usize> {
         // The search may have found a file that is already mapped under a
         // different name (hard identity): glibc checks dev/ino after open.
-        self.dedup_path(cx.fs, st, intern(&cand.path), &cand.path)
+        let path = intern(&cand.path);
+        self.by_path(st, path).or_else(|| self.by_identity(st, path, id))
     }
 
     fn index(&self, _cx: &Ctx, st: &mut State, idx: usize, requested: &str) {
@@ -220,6 +227,7 @@ impl<'fs> GlibcLoader<'fs> {
 mod tests {
     use super::*;
     use crate::api::Loader;
+    use crate::env::Environment;
     use crate::resolve::Resolution;
     use crate::result::LoadError;
     use depchaos_elf::io::install;
@@ -474,6 +482,37 @@ mod tests {
         // without dlopen replay it is not loaded
         let r2 = GlibcLoader::new(&fs).load("/bin/app").unwrap();
         assert!(r2.find("libplugin.so").is_none());
+    }
+
+    #[test]
+    fn a_candidate_has_its_identity_computed_once() {
+        use crate::engine::IDENTITIES;
+        let fs = Vfs::local();
+        install(
+            &fs,
+            "/bin/app",
+            &ElfObject::exe("app")
+                .needs("liba.so")
+                .needs("/l/libb.so")
+                .needs("/l/link.so")
+                .needs("/l/gone.so")
+                .runpath("/l")
+                .build(),
+        )
+        .unwrap();
+        install(&fs, "/l/liba.so", &ElfObject::dso("liba.so").needs("libb.so").build()).unwrap();
+        install(&fs, "/l/libb.so", &ElfObject::dso("libb.so").build()).unwrap();
+        fs.symlink("/l/link.so", "libb.so").unwrap();
+        IDENTITIES.with(|n| n.set(0));
+        let r = GlibcLoader::new(&fs).with_env(Environment::bare()).load("/bin/app").unwrap();
+        assert_eq!(r.objects.len(), 3);
+        assert!(matches!(r.events[2].resolution, Resolution::Deduped { .. }), "alias of libb");
+        assert_eq!(r.failures.len(), 1);
+        // One per opened candidate (the executable, liba, libb: the direct
+        // path's pre-search check computes the identity its open reuses),
+        // plus the pre-search checks of the alias and the missing path.
+        // liba's bare `libb.so` is answered by soname, with no identity.
+        assert_eq!(IDENTITIES.with(|n| n.get()), 5);
     }
 
     #[test]

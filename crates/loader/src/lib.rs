@@ -58,7 +58,10 @@
 //!
 //! The loaders charge every probe to the VFS cost model, so Table II
 //! (syscall counts) and Fig 6 (NFS launch storms) fall out of the same code
-//! path that answers the correctness questions.
+//! path that answers the correctness questions. Every resolver probes
+//! through one [`Prober`] per load ([`resolve`]), which resolves each
+//! search directory once and looks a name up in it without building a
+//! path.
 
 pub mod api;
 pub mod engine;
@@ -73,13 +76,15 @@ pub mod service;
 pub mod tree;
 
 pub use api::Loader;
-pub use engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
+pub use engine::{
+    Ctx, DedupPolicy, Engine, EngineConfig, Identity, PreloadMode, SearchPolicy, State,
+};
 pub use env::Environment;
 pub use future::FutureLoader;
 pub use glibc::GlibcLoader;
 pub use ldcache::LdCache;
 pub use musl::MuslLoader;
-pub use resolve::{Provenance, Resolution};
+pub use resolve::{Prober, Provenance, Resolution};
 pub use result::{LoadError, LoadResult, LoadedObject};
 pub use service::{HashStoreService, LoaderService, ServiceLoader};
 pub use tree::{analyze_tree, DepTree, TreeNode};

@@ -17,10 +17,12 @@
 //!   number of problems with RUNPATH, but ... is non-standard".
 //! * No hwcaps subdirectories, no ld.so.cache.
 
-use depchaos_vfs::{intern, PathId, Vfs};
+use depchaos_vfs::{intern, Name, PathId, Vfs};
 
-use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, PreloadMode, SearchPolicy, State};
-use crate::resolve::{expand_entry, probe_dir, Candidate, Provenance};
+use crate::engine::{
+    Ctx, DedupPolicy, Engine, EngineConfig, Identity, PreloadMode, SearchPolicy, State,
+};
+use crate::resolve::{Candidate, Entries, Provenance};
 
 /// musl's probe plan: `LD_LIBRARY_PATH` first, then the requester chain's
 /// melded RPATH+RUNPATH (inherited), then the system path. No hwcaps, no
@@ -29,6 +31,7 @@ pub struct MuslSearch;
 
 impl SearchPolicy for MuslSearch {
     const NAME: &'static str = "musl";
+    const HWCAPS: bool = false;
 
     fn locate(
         &self,
@@ -37,32 +40,26 @@ impl SearchPolicy for MuslSearch {
         requester: usize,
         name: &str,
     ) -> Option<(Candidate, Provenance)> {
+        let probe = &cx.probe;
+        let name = Name::new(name);
         // musl search order: env_path FIRST...
-        for dir in &cx.env.ld_library_path {
-            if let Some(cand) = probe_dir(cx.fs, dir, name, cx.want_arch, &[]) {
-                return Some((cand, Provenance::LdLibraryPath));
-            }
+        if let Some(cand) = probe.first(&probe.ld_library_path(), name) {
+            return Some((cand, Provenance::LdLibraryPath));
         }
 
         // ...then the requester chain's rpath (RPATH and RUNPATH melded,
         // both inherited)...
         for obj in st.chain(requester) {
-            for entry in obj.object.rpath.iter().chain(obj.object.runpath.iter()) {
-                let dir = expand_entry(entry, &obj.path);
-                if let Some(cand) = probe_dir(cx.fs, &dir, name, cx.want_arch, &[]) {
+            for entries in [Entries::Rpath, Entries::Runpath] {
+                let dirs = probe.object(&obj.object, &obj.path, entries);
+                if let Some(cand) = probe.first(&dirs, name) {
                     return Some((cand, Provenance::Rpath { owner: obj.object.name.clone() }));
                 }
             }
         }
 
         // ...then the system path.
-        for dir in &cx.env.default_paths {
-            if let Some(cand) = probe_dir(cx.fs, dir, name, cx.want_arch, &[]) {
-                return Some((cand, Provenance::DefaultPath));
-            }
-        }
-
-        None
+        probe.first(&probe.defaults(), name).map(|cand| (cand, Provenance::DefaultPath))
     }
 }
 
@@ -89,7 +86,13 @@ impl MuslDedup {
 impl DedupPolicy for MuslDedup {
     const BY_SONAME: bool = false;
 
-    fn lookup(&self, _cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
+    fn lookup(
+        &self,
+        _cx: &Ctx,
+        st: &mut State,
+        name: PathId,
+        _identity: &mut Option<Identity>,
+    ) -> Option<usize> {
         if name.as_str().contains('/') {
             // Direct path: open, then (dev,ino) dedup only.
             return None;
@@ -102,14 +105,15 @@ impl DedupPolicy for MuslDedup {
 
     fn absorb(
         &self,
-        cx: &Ctx,
+        _cx: &Ctx,
         st: &mut State,
         name: &str,
-        cand: &Candidate,
+        _cand: &Candidate,
+        id: &Identity,
         provenance: &Provenance,
     ) -> Option<usize> {
         // (dev,ino) dedup after open — musl's only cross-name dedup.
-        let inode = cx.inode_of(&cand.path)?;
+        let inode = id.inode?;
         let idx = *st.by_inode.get(&inode)?;
         if Self::by_search(provenance) {
             st.by_name.entry(intern(name)).or_insert(idx);

@@ -1,14 +1,30 @@
 //! Probing shared by every resolver: the loader backends, libtree's
 //! [`crate::analyze_tree`] and Shrinkwrap's native strategy.
 //!
-//! [`probe_dir_with`] is the per-directory rule (hwcaps subdirectories
-//! first, then the plain directory) over any `open`. [`probe_exact`] is
-//! the accounted `open`, which opens and maps a candidate through the VFS
-//! cost model, and [`probe_dir`] is the rule over it.
+//! A search-path probe is one name looked up in one directory, so the
+//! directory is resolved once per load, not once per probe — as glibc's
+//! `elf/dl-load.c` decomposes a link map's search path into
+//! `r_search_path` once. A [`Prober`] is one load's probing context. It
+//! resolves each distinct search directory the first time any object
+//! names it ([`depchaos_vfs::Vfs::dir`]), sharing the handle between
+//! objects by the directory's text (an entry with a `$` token by its
+//! expansion, made once per object), together with the handles of its
+//! hwcaps subdirectories. [`Prober::probe`] then looks a [`Name`] up in
+//! those handles, hwcaps subdirectories first, through the accounted
+//! [`depchaos_vfs::Vfs::probe`] — or, for the native strategy, the
+//! unaccounted [`depchaos_vfs::Vfs::peek_in`]. A miss builds no string;
+//! the candidate's path is joined only for a hit. [`Prober::exact`] opens
+//! one exact path (a direct request, an ld.so.cache hit, a service
+//! answer).
 
-use depchaos_elf::{ElfObject, Machine};
-use depchaos_vfs::{path as vpath, Vfs};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
+use depchaos_elf::{io, ElfObject, Machine};
+use depchaos_vfs::{path as vpath, DirHandle, Name, Vfs};
+
+use crate::env::Environment;
 /// Where a resolved library came from — the `[runpath]` / `[default path]`
 /// annotations in `libtree` output (Listing 1), plus the cases the dynamic
 /// loader distinguishes internally.
@@ -80,49 +96,12 @@ pub struct Candidate {
     pub object: ElfObject,
 }
 
-/// Probe `dir` for `name`, glibc-style: hwcaps subdirectories first, then
-/// the plain directory. Every probe is an accounted `openat`; a hit is
-/// followed by an accounted read to inspect the ELF header. Candidates whose
-/// machine differs from `want_arch` are **silently skipped** per the System V
-/// ABI ("libraries that do not match the architecture of the loading binary
+/// The accounted read after a successful open. Candidates whose machine
+/// differs from `want_arch` are **silently skipped** per the System V ABI
+/// ("libraries that do not match the architecture of the loading binary
 /// should be silently ignored").
-pub fn probe_dir(
-    fs: &Vfs,
-    dir: &str,
-    name: &str,
-    want_arch: Machine,
-    hwcaps: &[String],
-) -> Option<Candidate> {
-    probe_dir_with(dir, name, hwcaps, |full| probe_exact(fs, full, want_arch))
-}
-
-/// [`probe_dir`]'s order over any `open`: try `dir/<hwcap>/name` for each
-/// hwcaps subdirectory in priority order, then `dir/name`, and return the
-/// first candidate `open` accepts.
-pub fn probe_dir_with(
-    dir: &str,
-    name: &str,
-    hwcaps: &[String],
-    open: impl Fn(&str) -> Option<Candidate>,
-) -> Option<Candidate> {
-    for sub in hwcaps.iter().map(String::as_str).chain(std::iter::once("")) {
-        let full = if sub.is_empty() {
-            vpath::join(dir, name)
-        } else {
-            vpath::join(&vpath::join(dir, sub), name)
-        };
-        if let Some(c) = open(&full) {
-            return Some(c);
-        }
-    }
-    None
-}
-
-/// Probe one exact path (a `/`-containing needed entry, or a cache hit).
-/// Returns `None` on ENOENT, unparseable content, or architecture mismatch.
-pub fn probe_exact(fs: &Vfs, full: &str, want_arch: Machine) -> Option<Candidate> {
-    fs.try_open(full)?;
-    let bytes = fs.read_file(full).ok()?;
+fn mapped(fs: &Vfs, path: String, want_arch: Machine) -> Option<Candidate> {
+    let bytes = fs.read_file(&path).ok()?;
     let object = ElfObject::parse(&bytes).ok()?;
     if object.machine != want_arch {
         // Wrong ABI: skipped without any diagnostic, exactly like ld.so.
@@ -131,15 +110,216 @@ pub fn probe_exact(fs: &Vfs, full: &str, want_arch: Machine) -> Option<Candidate
     if object.virtual_size > 0 {
         // Mapping the object faults in its declared size, not the size of
         // our compact serialisation.
-        fs.charge_read(full, object.virtual_size);
+        fs.charge_read(&path, object.virtual_size);
     }
-    Some(Candidate { path: full.to_string(), object })
+    Some(Candidate { path, object })
 }
 
-/// Expand `$ORIGIN` in a search-path entry against the directory containing
-/// the object that owns the entry.
+/// Expand `$ORIGIN` (and the other dynamic-string tokens) in a search-path
+/// entry against the directory containing the object that owns the entry.
 pub fn expand_entry(entry: &str, owner_path: &str) -> String {
     vpath::expand_origin(entry, &vpath::parent(owner_path))
+}
+
+/// Which of an object's search-path lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entries {
+    /// `DT_RPATH`.
+    Rpath,
+    /// `DT_RUNPATH`.
+    Runpath,
+    /// The future loader's per-object search directories, in order.
+    SearchDirs,
+}
+
+/// One search directory as a load resolved it: a token for
+/// [`Prober::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SearchDir(usize);
+
+/// A search path — an object's entries or an environment list — resolved
+/// by one load's [`Prober`], in order.
+#[derive(Debug, Clone)]
+pub struct SearchPath(Rc<[SearchDir]>);
+
+impl SearchPath {
+    pub fn iter(&self) -> impl Iterator<Item = SearchDir> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+/// A directory's handle and its hwcaps subdirectories' handles, in
+/// priority order.
+struct Resolved {
+    hwcaps: Vec<DirHandle>,
+    plain: DirHandle,
+}
+
+/// What one load has resolved so far.
+#[derive(Default)]
+struct Dirs {
+    resolved: Vec<Resolved>,
+    /// `resolved` index by directory text.
+    by_text: HashMap<String, usize>,
+    /// Each object's lists, by the object's path and [`Entries`].
+    objects: HashMap<String, [Option<SearchPath>; 3]>,
+    ld_library_path: Option<SearchPath>,
+    defaults: Option<SearchPath>,
+}
+
+/// One load's probing context: how candidates are opened (accounted, or
+/// peeked for the native strategy) and every search directory resolved so
+/// far. Each distinct directory text is resolved at most once per load.
+pub struct Prober<'a> {
+    fs: &'a Vfs,
+    env: &'a Environment,
+    want_arch: Machine,
+    accounted: bool,
+    /// hwcaps subdirectories probed first inside every directory.
+    hwcaps: &'a [String],
+    dirs: RefCell<Dirs>,
+}
+
+impl<'a> Prober<'a> {
+    /// The loaders' and libtree's prober: every probe is an accounted
+    /// `openat`, a hit is followed by an accounted read of the ELF header,
+    /// and `env`'s hwcaps subdirectories are probed first.
+    pub fn accounted(fs: &'a Vfs, env: &'a Environment, want_arch: Machine) -> Self {
+        Prober {
+            fs,
+            env,
+            want_arch,
+            accounted: true,
+            hwcaps: &env.hwcaps,
+            dirs: RefCell::default(),
+        }
+    }
+
+    /// Shrinkwrap's native prober: the same order, unaccounted peeks.
+    pub fn peeking(fs: &'a Vfs, env: &'a Environment, want_arch: Machine) -> Self {
+        Prober { accounted: false, ..Prober::accounted(fs, env, want_arch) }
+    }
+
+    /// Probe no hwcaps subdirectories (musl has none).
+    pub fn without_hwcaps(self) -> Self {
+        Prober { hwcaps: &[], ..self }
+    }
+
+    /// The architecture candidates must match.
+    pub fn want_arch(&self) -> Machine {
+        self.want_arch
+    }
+
+    /// Open one exact path (a `/`-containing request, an ld.so.cache hit,
+    /// a service answer). `None` on ENOENT, unparseable content, or an
+    /// architecture mismatch.
+    pub fn exact(&self, path: &str) -> Option<Candidate> {
+        if self.accounted {
+            self.fs.try_open(path)?;
+            mapped(self.fs, path.to_string(), self.want_arch)
+        } else {
+            self.peek(path.to_string())
+        }
+    }
+
+    /// Probe `name` in `dir`: its hwcaps subdirectories in priority order,
+    /// then the directory itself, returning the first candidate that
+    /// exists, parses and matches the architecture.
+    pub fn probe(&self, dir: SearchDir, name: Name) -> Option<Candidate> {
+        let dirs = self.dirs.borrow();
+        let d = &dirs.resolved[dir.0];
+        d.hwcaps.iter().chain(std::iter::once(&d.plain)).find_map(|h| self.open_in(h, name))
+    }
+
+    /// [`Prober::probe`] over `path`, in order: the first candidate.
+    pub fn first(&self, path: &SearchPath, name: Name) -> Option<Candidate> {
+        path.iter().find_map(|dir| self.probe(dir, name))
+    }
+
+    /// `obj`'s `entries`, expanded against `obj_path` and resolved once per
+    /// load (keyed by the object's path).
+    pub fn object(&self, obj: &ElfObject, obj_path: &str, entries: Entries) -> SearchPath {
+        let slot = entries as usize;
+        let mut dirs = self.dirs.borrow_mut();
+        if let Some(path) = dirs.objects.get(obj_path).and_then(|lists| lists[slot].clone()) {
+            return path;
+        }
+        let texts: Vec<&str> = match entries {
+            Entries::Rpath => obj.rpath.iter().map(String::as_str).collect(),
+            Entries::Runpath => obj.runpath.iter().map(String::as_str).collect(),
+            Entries::SearchDirs => obj.search_dirs.iter().map(|sd| sd.dir.as_str()).collect(),
+        };
+        let path = SearchPath(
+            texts
+                .into_iter()
+                .map(|entry| {
+                    if entry.contains('$') {
+                        self.resolve(&mut dirs, &expand_entry(entry, obj_path))
+                    } else {
+                        self.resolve(&mut dirs, entry)
+                    }
+                })
+                .collect(),
+        );
+        dirs.objects.entry(obj_path.to_string()).or_default()[slot] = Some(path.clone());
+        path
+    }
+
+    /// `LD_LIBRARY_PATH`, resolved once per load.
+    pub fn ld_library_path(&self) -> SearchPath {
+        self.env_list(|d| &mut d.ld_library_path, &self.env.ld_library_path)
+    }
+
+    /// The default directories, resolved once per load.
+    pub fn defaults(&self) -> SearchPath {
+        self.env_list(|d| &mut d.defaults, &self.env.default_paths)
+    }
+
+    fn env_list(
+        &self,
+        slot: impl Fn(&mut Dirs) -> &mut Option<SearchPath>,
+        texts: &[String],
+    ) -> SearchPath {
+        let mut dirs = self.dirs.borrow_mut();
+        if let Some(path) = slot(&mut dirs) {
+            return path.clone();
+        }
+        let path = SearchPath(texts.iter().map(|t| self.resolve(&mut dirs, t)).collect());
+        *slot(&mut dirs) = Some(path.clone());
+        path
+    }
+
+    /// The directory `text`, resolved on its first use in this load.
+    fn resolve(&self, dirs: &mut Dirs, text: &str) -> SearchDir {
+        if let Some(&i) = dirs.by_text.get(text) {
+            return SearchDir(i);
+        }
+        let i = dirs.resolved.len();
+        dirs.resolved.push(Resolved {
+            hwcaps: self.hwcaps.iter().map(|sub| self.fs.dir(&vpath::join(text, sub))).collect(),
+            plain: self.fs.dir(text),
+        });
+        dirs.by_text.insert(text.to_string(), i);
+        SearchDir(i)
+    }
+
+    /// One probe; the candidate's path is built only for a hit.
+    fn open_in(&self, dir: &DirHandle, name: Name) -> Option<Candidate> {
+        if self.accounted {
+            self.fs.probe(dir, name)?;
+            mapped(self.fs, dir.join(name.as_str()), self.want_arch)
+        } else {
+            self.fs.peek_in(dir, name.as_str())?;
+            self.peek(dir.join(name.as_str()))
+        }
+    }
+
+    /// The native strategy's open: parse without accounting, skip a wrong
+    /// architecture like the loader.
+    fn peek(&self, path: String) -> Option<Candidate> {
+        let object = io::peek_object(self.fs, &path).ok()?;
+        (object.machine == self.want_arch).then_some(Candidate { path, object })
+    }
 }
 
 #[cfg(test)]
@@ -166,10 +346,17 @@ mod tests {
         fs
     }
 
+    /// Probe `name` in `/usr/lib` (as the one `LD_LIBRARY_PATH` entry).
+    fn probe_usr_lib(fs: &Vfs, name: &str, arch: Machine, hwcaps: &[&str]) -> Option<Candidate> {
+        let env = Environment::bare().with_ld_library_path("/usr/lib").with_hwcaps(hwcaps.to_vec());
+        let prober = Prober::accounted(fs, &env, arch);
+        prober.first(&prober.ld_library_path(), Name::new(name))
+    }
+
     #[test]
     fn plain_probe_finds() {
         let fs = world();
-        let c = probe_dir(&fs, "/usr/lib", "liba.so", Machine::X86_64, &[]).unwrap();
+        let c = probe_usr_lib(&fs, "liba.so", Machine::X86_64, &[]).unwrap();
         assert_eq!(c.path, "/usr/lib/liba.so");
     }
 
@@ -177,7 +364,7 @@ mod tests {
     fn missing_costs_one_openat() {
         let fs = world();
         let before = fs.snapshot();
-        assert!(probe_dir(&fs, "/usr/lib", "libnope.so", Machine::X86_64, &[]).is_none());
+        assert!(probe_usr_lib(&fs, "libnope.so", Machine::X86_64, &[]).is_none());
         let d = fs.snapshot().since(&before);
         assert_eq!(d.openat, 1);
         assert_eq!(d.misses, 1);
@@ -186,19 +373,19 @@ mod tests {
     #[test]
     fn wrong_arch_silently_skipped() {
         let fs = world();
-        assert!(probe_dir(&fs, "/usr/lib", "lib32.so", Machine::X86_64, &[]).is_none());
+        assert!(probe_usr_lib(&fs, "lib32.so", Machine::X86_64, &[]).is_none());
         // but visible to a 32-bit requester
-        assert!(probe_dir(&fs, "/usr/lib", "lib32.so", Machine::X86, &[]).is_some());
+        assert!(probe_usr_lib(&fs, "lib32.so", Machine::X86, &[]).is_some());
     }
 
     #[test]
     fn hwcaps_take_priority() {
         let fs = world();
-        let caps = vec!["glibc-hwcaps/x86-64-v3".to_string()];
-        let c = probe_dir(&fs, "/usr/lib", "libfast.so", Machine::X86_64, &caps).unwrap();
+        let caps = ["glibc-hwcaps/x86-64-v3"];
+        let c = probe_usr_lib(&fs, "libfast.so", Machine::X86_64, &caps).unwrap();
         assert_eq!(c.path, "/usr/lib/glibc-hwcaps/x86-64-v3/libfast.so");
         // without hwcaps, the plain file wins
-        let c2 = probe_dir(&fs, "/usr/lib", "libfast.so", Machine::X86_64, &[]).unwrap();
+        let c2 = probe_usr_lib(&fs, "libfast.so", Machine::X86_64, &[]).unwrap();
         assert_eq!(c2.path, "/usr/lib/libfast.so");
     }
 
@@ -206,7 +393,42 @@ mod tests {
     fn garbage_file_skipped() {
         let fs = world();
         fs.write_file_p("/usr/lib/libjunk.so", b"ASCII text".to_vec()).unwrap();
-        assert!(probe_dir(&fs, "/usr/lib", "libjunk.so", Machine::X86_64, &[]).is_none());
+        assert!(probe_usr_lib(&fs, "libjunk.so", Machine::X86_64, &[]).is_none());
+    }
+
+    #[test]
+    fn peeking_prober_finds_the_same_and_charges_nothing() {
+        let fs = world();
+        let env = Environment::bare()
+            .with_ld_library_path("/usr/lib")
+            .with_hwcaps(["glibc-hwcaps/x86-64-v3"]);
+        let prober = Prober::peeking(&fs, &env, Machine::X86_64);
+        let llp = prober.ld_library_path();
+        let c = prober.first(&llp, Name::new("libfast.so")).unwrap();
+        assert_eq!(c.path, "/usr/lib/glibc-hwcaps/x86-64-v3/libfast.so");
+        assert!(prober.first(&llp, Name::new("lib32.so")).is_none());
+        assert!(prober.first(&llp, Name::new("libnope.so")).is_none());
+        assert!(prober.exact("/usr/lib/liba.so").is_some());
+        assert_eq!(fs.snapshot().total(), 0);
+    }
+
+    #[test]
+    fn a_directory_is_resolved_once_per_load_and_shared_by_text() {
+        let fs = world();
+        let env = Environment::default();
+        let prober = Prober::accounted(&fs, &env, Machine::X86_64);
+        let a = ElfObject::dso("a").runpath("/usr/lib").runpath("$ORIGIN").build();
+        let b = ElfObject::dso("b").runpath("$ORIGIN").runpath("/opt").runpath("/usr/lib").build();
+        let pa = prober.object(&a, "/usr/lib/liba.so", Entries::Runpath);
+        let pb = prober.object(&b, "/usr/lib/libb.so", Entries::Runpath);
+        let again = prober.object(&a, "/usr/lib/liba.so", Entries::Runpath);
+        assert_eq!(pa.iter().collect::<Vec<_>>(), again.iter().collect::<Vec<_>>());
+        // `$ORIGIN` of both expands to /usr/lib, the text a names literally.
+        assert_eq!(pa.iter().collect::<Vec<_>>(), vec![SearchDir(0), SearchDir(0)]);
+        assert_eq!(pb.iter().collect::<Vec<_>>(), vec![SearchDir(0), SearchDir(1), SearchDir(0)]);
+        prober.defaults();
+        // /usr/lib, /opt, then the defaults other than /usr/lib.
+        assert_eq!(prober.dirs.borrow().resolved.len(), 5);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use depchaos_vfs::{intern, PathId, Vfs};
 
-use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, SearchPolicy, State};
-use crate::resolve::{probe_exact, Candidate, Provenance};
+use crate::engine::{Ctx, DedupPolicy, Engine, EngineConfig, Identity, SearchPolicy, State};
+use crate::resolve::{Candidate, Provenance};
 
 /// A resolution policy consulted once per needed entry.
 pub trait LoaderService {
@@ -62,7 +62,7 @@ impl<S: LoaderService> SearchPolicy for ServiceSearch<S> {
     ) -> Option<(Candidate, Provenance)> {
         self.service
             .resolve(&st.objects[requester].path, name)
-            .and_then(|p| probe_exact(cx.fs, &p, cx.want_arch))
+            .and_then(|p| cx.probe.exact(&p))
             .map(|c| (c, Provenance::LdSoCache))
     }
 }
@@ -73,19 +73,26 @@ impl<S: LoaderService> SearchPolicy for ServiceSearch<S> {
 pub struct ServiceDedup;
 
 impl DedupPolicy for ServiceDedup {
-    fn lookup(&self, _cx: &Ctx, st: &mut State, name: PathId) -> Option<usize> {
+    fn lookup(
+        &self,
+        _cx: &Ctx,
+        st: &mut State,
+        name: PathId,
+        _identity: &mut Option<Identity>,
+    ) -> Option<usize> {
         st.by_name.get(&name).copied()
     }
 
     fn absorb(
         &self,
-        cx: &Ctx,
+        _cx: &Ctx,
         st: &mut State,
         name: &str,
-        cand: &Candidate,
+        _cand: &Candidate,
+        id: &Identity,
         _provenance: &Provenance,
     ) -> Option<usize> {
-        let inode = cx.inode_of(&cand.path)?;
+        let inode = id.inode?;
         let idx = *st.by_inode.get(&inode)?;
         st.by_name.insert(intern(name), idx);
         Some(idx)

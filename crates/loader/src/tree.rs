@@ -11,16 +11,17 @@
 //! [`crate::glibc::glibc_order`], over the depth-first path from the
 //! executable to the requester, with the loader's accounted probes — so a
 //! traced analysis shows every `openat` libtree would make. Only the dedup
-//! cache is left out.
+//! cache is left out. One analysis is one load to the [`Prober`]: each
+//! search directory is resolved once for the whole tree.
 
-use depchaos_elf::{ElfObject, Machine};
+use depchaos_elf::ElfObject;
 use depchaos_vfs::Vfs;
 use std::collections::HashSet;
 
 use crate::env::Environment;
 use crate::glibc::glibc_order;
 use crate::ldcache::LdCache;
-use crate::resolve::{probe_exact, Provenance};
+use crate::resolve::{Prober, Provenance};
 use crate::result::LoadError;
 
 /// One node in the printed tree.
@@ -116,14 +117,14 @@ pub fn analyze_tree(
     let bytes = fs.peek_file(exe_path).map_err(|_| LoadError::ExeNotFound(exe_path.to_string()))?;
     let exe =
         ElfObject::parse(&bytes).map_err(|_| LoadError::ExeUnparseable(exe_path.to_string()))?;
-    let want_arch = exe.machine;
+    let probe = Prober::accounted(fs, env, exe.machine);
     let mut expanded: HashSet<String> = HashSet::new();
     expanded.insert(exe_path.to_string());
 
     // The depth-first path from the executable to the requester, as
     // (object, its path): the loader chain `glibc_order` walks, reversed.
     let mut chain: Vec<(ElfObject, String)> = vec![(exe, exe_path.to_string())];
-    let children = expand(fs, env, cache, want_arch, &mut chain, &mut expanded);
+    let children = expand(cache, &probe, &mut chain, &mut expanded);
     let root = TreeNode {
         name: exe_path.to_string(),
         path: Some(exe_path.to_string()),
@@ -134,10 +135,8 @@ pub fn analyze_tree(
 }
 
 fn expand(
-    fs: &Vfs,
-    env: &Environment,
     cache: &LdCache,
-    want_arch: Machine,
+    probe: &Prober,
     chain: &mut Vec<(ElfObject, String)>,
     expanded: &mut HashSet<String>,
 ) -> Vec<TreeNode> {
@@ -145,16 +144,14 @@ fn expand(
     let mut out = Vec::with_capacity(needed.len());
     for name in needed {
         let requester_first = chain.iter().rev().map(|(obj, path)| (obj, path.as_str()));
-        let found = glibc_order(requester_first, &name, env, cache, want_arch, |path| {
-            probe_exact(fs, path, want_arch)
-        });
+        let found = glibc_order(requester_first, &name, cache, probe);
         match found {
             Some((cand, provenance)) => {
                 let path = cand.path;
                 let first_time = expanded.insert(path.clone());
                 let children = if first_time {
                     chain.push((cand.object, path.clone()));
-                    let c = expand(fs, env, cache, want_arch, chain, expanded);
+                    let c = expand(cache, probe, chain, expanded);
                     chain.pop();
                     c
                 } else {

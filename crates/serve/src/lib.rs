@@ -122,5 +122,5 @@ pub mod store;
 pub use codec::{CellOutcome, CellRecord, ProfileSummary};
 pub use exec::{default_jobs, run_matrix_incremental, ExecStats};
 pub use key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
-pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest};
+pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_SERVERS};
 pub use store::{LoadStats, ResultStore};

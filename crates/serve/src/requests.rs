@@ -30,11 +30,12 @@
 //!
 //! A request is read strictly, by the codec's one field reader: an
 //! unknown, duplicate or nested field, a trailing comma, an integer that
-//! is not plain ASCII digits, or a 0 in `ranks`, `replicates`, `servers`
-//! or `servers_ideal` (each takes values ≥ 1) is an error naming its
-//! field. It answers one error line under the request's `id`, or `line-N`
-//! when none is readable. The batch is split on `\n`, and a line that is
-//! not UTF-8 answers one error line under `line-N`.
+//! is not plain ASCII digits, a 0 in `ranks`, `replicates`, `servers` or
+//! `servers_ideal` (each takes values ≥ 1), or a `servers` or
+//! `servers_ideal` above [`MAX_SERVERS`] is an error naming its field. It
+//! answers one error line under the request's `id`, or `line-N` when none
+//! is readable. The batch is split on `\n`, and a line that is not UTF-8
+//! answers one error line under `line-N`.
 //!
 //! Each answer is one JSONL line per `(query, rank point)` carrying only
 //! simulator-deterministic integers (or the cell's error string), so a
@@ -56,6 +57,13 @@ use depchaos_workloads::{Axom, Emacs, Poison, Pynamic, PynamicRpath, Rocm, Workl
 use crate::codec::{esc, string, uint, uint_list, Fields, Shape};
 use crate::exec::{run_matrix_incremental, ExecStats};
 use crate::store::ResultStore;
+
+/// The largest `servers` and `servers_ideal` a request may ask for. A
+/// least-loaded fleet keeps one busy clock per server and the M/G/k check
+/// sums over the servers, so an unbounded count could abort the whole batch
+/// on one allocation; every report section and benchmark fleet is at most
+/// 16 servers.
+pub const MAX_SERVERS: u64 = 65_536;
 
 /// One parsed what-if query: a named base scenario plus axis deltas.
 #[derive(Debug, Clone)]
@@ -135,6 +143,10 @@ impl WhatIfRequest {
             Some(0) => Err(format!("field {key:?} must be an integer ≥ 1")),
             Some(n) => Ok(n),
         };
+        let fleet = |f: &mut Fields, key: &str| match positive(f, key, 1)? {
+            n if n > MAX_SERVERS => Err(format!("field {key:?} must be at most {MAX_SERVERS}")),
+            n => Ok(n),
+        };
         let request = WhatIfRequest {
             id,
             base,
@@ -154,10 +166,10 @@ impl WhatIfRequest {
                 Some(r) if !r.contains(&0) => r.into_iter().map(|n| n as usize).collect(),
                 Some(_) => return Err("field \"ranks\" must hold integers ≥ 1".to_string()),
             },
-            servers: positive(&mut f, "servers", 1)?,
+            servers: fleet(&mut f, "servers")?,
             assign: axis(&mut f, "assign", "assign policy", AssignPolicy::parse)?
                 .unwrap_or(AssignPolicy::HashByNode),
-            servers_ideal: positive(&mut f, "servers_ideal", 1)?,
+            servers_ideal: fleet(&mut f, "servers_ideal")?,
             replicates: positive(&mut f, "replicates", DEFAULT_REPLICATES as u64)? as usize,
             seed: f.get("seed", uint)?,
         };
@@ -432,6 +444,15 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","seed":1e3}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","replicates":3.5}"#, "\"replicates\""),
             (r#"{"id":"q","base":"pynamic-20","servers_ideal":0}"#, "\"servers_ideal\""),
+            (r#"{"id":"q","base":"pynamic-20","servers":65537}"#, "\"servers\" must be at most"),
+            (
+                r#"{"id":"q","base":"pynamic-20","servers":1000000000000,"assign":"least"}"#,
+                "\"servers\" must be at most 65536",
+            ),
+            (
+                r#"{"id":"q","base":"pynamic-20","servers_ideal":65537}"#,
+                "\"servers_ideal\" must be at most",
+            ),
             (r#"{"id":"q","base":"pynamic-20","assign":"roulette"}"#, "unknown assign policy"),
             (r#"{"id":"q","base":"pynamic-20","ranks":[a]}"#, "\"ranks\""),
             (r#"{"id":"q","base":"pynamic-20","ranks":[]}"#, "\"ranks\""),
@@ -459,6 +480,9 @@ mod tests {
             let err = WhatIfRequest::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line} -> {err}");
         }
+        let largest = r#"{"id":"q","base":"pynamic-20","servers":65536,"servers_ideal":65536}"#;
+        let q = WhatIfRequest::parse(largest).unwrap();
+        assert_eq!((q.servers, q.servers_ideal), (MAX_SERVERS, MAX_SERVERS));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use depchaos_launch::{
     Mg1Bounds, ProfileSummary, QueueingCheck, ServiceDistribution, WrapState,
 };
 use depchaos_serve::{
-    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH,
+    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH, MAX_SERVERS,
 };
 use depchaos_vfs::StorageModel;
 use proptest::prelude::*;
@@ -130,8 +130,8 @@ fn request() -> impl Strategy<Value = Request> {
             ranks: rng.bool().then(|| {
                 (0..rng.usize_between(1, 5)).map(|_| rng.below(0, 1 << 40) as usize).collect()
             }),
-            servers: rng.bool().then(|| rng.below(1, u64::MAX)),
-            servers_ideal: rng.bool().then(|| rng.below(1, 1 << 20)),
+            servers: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
+            servers_ideal: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
             replicates: rng.bool().then(|| rng.below(0, 1 << 20) as usize),
             seed: rng.bool().then(|| rng.next_u64()),
             line: String::new(),

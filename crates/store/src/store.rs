@@ -12,7 +12,7 @@
 //! difference between Spack's default and what the ROCm case study (§V-B.1)
 //! trips over.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use depchaos_elf::{io, ElfObject};
 use depchaos_vfs::{path as vpath, Vfs, VfsError};
@@ -49,6 +49,9 @@ pub struct StoreInstaller {
     /// direct deps (sufficient when every object carries its own paths).
     transitive_paths: bool,
     installed: HashMap<String, InstalledPackage>,
+    /// The name of the installed package owning each lib dir, kept in step
+    /// with `installed`.
+    by_lib_dir: HashMap<String, String>,
     /// Every generation ever materialised (old ones survive upgrades until
     /// garbage collection) — the GC's reachability universe.
     history: Vec<InstalledPackage>,
@@ -61,6 +64,7 @@ impl StoreInstaller {
             style,
             transitive_paths: true,
             installed: HashMap::new(),
+            by_lib_dir: HashMap::new(),
             history: Vec::new(),
         }
     }
@@ -121,23 +125,48 @@ impl StoreInstaller {
 
     /// Install `name` (and, recursively, its closure) from `repo`.
     /// Idempotent: an unchanged package reuses its existing prefix.
+    ///
+    /// Dependencies install first, depth-first, like a real build, and each
+    /// package of the closure is resolved at most once per call: a call
+    /// sees one snapshot of `repo`, so a package's hash, and so its prefix,
+    /// cannot change between two visits of the same call. A changed recipe
+    /// anywhere below still moves every package above it to a new prefix
+    /// (the domino effect), because a hash covers its dependencies' hashes.
     pub fn install(
         &mut self,
         fs: &Vfs,
         repo: &Repo,
         name: &str,
     ) -> Result<InstalledPackage, StoreError> {
+        self.install_once(fs, repo, name, &mut HashMap::new())
+    }
+
+    /// [`StoreInstaller::install`] of one package, answered from `done`
+    /// when this call has resolved it already.
+    fn install_once(
+        &mut self,
+        fs: &Vfs,
+        repo: &Repo,
+        name: &str,
+        done: &mut HashMap<String, InstalledPackage>,
+    ) -> Result<InstalledPackage, StoreError> {
+        if let Some(rec) = done.get(name) {
+            return Ok(rec.clone());
+        }
+        #[cfg(test)]
+        INSTALL_BODIES.with(|n| n.set(n.get() + 1));
         let pkg =
             repo.get(name).ok_or_else(|| StoreError::UnknownPackage(name.to_string()))?.clone();
         // Depth-first: deps first, like a real build.
         let mut dep_installed = Vec::with_capacity(pkg.deps.len());
         for d in &pkg.deps {
-            dep_installed.push(self.install(fs, repo, d)?);
+            dep_installed.push(self.install_once(fs, repo, d, done)?);
         }
         let dep_hashes: Vec<&str> = dep_installed.iter().map(|d| d.hash.as_str()).collect();
         let hash = self.hash_of(&pkg, &dep_hashes);
         if let Some(existing) = self.installed.get(name) {
             if existing.hash == hash {
+                done.insert(name.to_string(), existing.clone());
                 return Ok(existing.clone());
             }
         }
@@ -147,26 +176,29 @@ impl StoreInstaller {
         fs.mkdir_p(&lib_dir)?;
         fs.mkdir_p(&bin_dir)?;
 
-        // The search-path list every object in this package carries.
+        // The search-path list every object in this package carries: its
+        // own lib dir, then its dependencies' (transitively, depth-first
+        // from the last direct dependency, each once).
         let mut search: Vec<String> = vec![lib_dir.clone()];
         if self.transitive_paths {
             let mut stack: Vec<&InstalledPackage> = dep_installed.iter().collect();
-            let mut seen = Vec::new();
+            let mut seen: Vec<&str> = Vec::new();
+            let mut seen_set: HashSet<&str> = HashSet::new();
             while let Some(d) = stack.pop() {
-                if !seen.contains(&d.lib_dir) {
-                    seen.push(d.lib_dir.clone());
+                if seen_set.insert(&d.lib_dir) {
+                    seen.push(&d.lib_dir);
                     for dd in &d.dep_lib_dirs {
-                        if let Some(p) = self.installed.values().find(|p| &p.lib_dir == dd) {
+                        if let Some(p) = self.by_lib_dir.get(dd).and_then(|n| self.installed.get(n))
+                        {
                             stack.push(p);
                         }
                     }
                 }
             }
-            search.extend(seen);
+            search.extend(seen.into_iter().map(String::from));
         } else {
             search.extend(dep_installed.iter().map(|d| d.lib_dir.clone()));
         }
-
         for lib in &pkg.libs {
             let mut b = ElfObject::dso(&lib.soname);
             for n in &lib.needed {
@@ -207,8 +239,12 @@ impl StoreInstaller {
             bin_dir,
             dep_lib_dirs: dep_installed.iter().map(|d| d.lib_dir.clone()).collect(),
         };
-        self.installed.insert(pkg.name.clone(), rec.clone());
+        if let Some(old) = self.installed.insert(pkg.name.clone(), rec.clone()) {
+            self.by_lib_dir.remove(&old.lib_dir);
+        }
+        self.by_lib_dir.insert(rec.lib_dir.clone(), rec.name.clone());
         self.history.push(rec.clone());
+        done.insert(name.to_string(), rec.clone());
         Ok(rec)
     }
 
@@ -226,6 +262,13 @@ impl StoreInstaller {
     pub fn prefixes(&self, fs: &Vfs) -> Vec<String> {
         fs.list_dir(&self.root).unwrap_or_default()
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many package bodies [`StoreInstaller::install`] ran on this
+    /// thread (tests count them).
+    static INSTALL_BODIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Store-installer errors.
@@ -343,6 +386,54 @@ mod tests {
             .load(&format!("{}/app", app.bin_dir))
             .unwrap();
         assert!(r.success(), "each object carries paths for its own deps: {:?}", r.failures);
+    }
+
+    #[test]
+    fn each_package_resolves_once_per_install_call() {
+        // Six base packages under four mid packages that each need all six,
+        // under one app: the recursion visits base packages 24 times, and
+        // each of the 11 must resolve once per call.
+        let mut r = Repo::new();
+        let base: Vec<String> = (0..6).map(|i| format!("base{i}")).collect();
+        for b in &base {
+            r.add(PackageDef::new(b.clone(), "1").lib(LibDef::new(format!("lib{b}.so"))));
+        }
+        let mut app = PackageDef::new("app", "1");
+        let mut app_bin = BinDef::new("app");
+        for m in 0..4 {
+            let name = format!("mid{m}");
+            let mut pkg = PackageDef::new(name.clone(), "1");
+            let mut lib = LibDef::new(format!("lib{name}.so"));
+            for b in &base {
+                pkg = pkg.dep(b.clone());
+                lib = lib.needs(format!("lib{b}.so"));
+            }
+            r.add(pkg.lib(lib));
+            app = app.dep(name.clone());
+            app_bin = app_bin.needs(format!("lib{name}.so"));
+        }
+        r.add(app.bin(app_bin));
+        let fs = Vfs::local();
+        let mut st = StoreInstaller::spack_like();
+        let bodies = |st: &mut StoreInstaller| {
+            INSTALL_BODIES.with(|n| n.set(0));
+            let rec = st.install(&fs, &r, "app").unwrap();
+            (rec, INSTALL_BODIES.with(|n| n.get()))
+        };
+        let (first, n) = bodies(&mut st);
+        assert_eq!(n, 11);
+        let (again, n) = bodies(&mut st);
+        assert_eq!((again, n), (first.clone(), 11));
+        assert_eq!(st.history().len(), 11, "each package materialised once");
+        // Own lib dir, the last mid package, its base packages depth-first
+        // from the last, then the other mid packages.
+        let obj = depchaos_elf::io::peek_object(&fs, &format!("{}/app", first.bin_dir)).unwrap();
+        let short = |dir: &str| dir.split('-').nth(1).unwrap().to_string();
+        let order: Vec<String> = obj.runpath.iter().map(|d| short(d)).collect();
+        let mut want = vec!["app".to_string(), "mid3".into()];
+        want.extend((0..6).rev().map(|i| format!("base{i}")));
+        want.extend(["mid2", "mid1", "mid0"].map(String::from));
+        assert_eq!(order, want);
     }
 
     #[test]

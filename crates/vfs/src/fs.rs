@@ -6,10 +6,11 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::counters::CounterSnapshot;
 use crate::error::{VfsError, VfsResult};
-use crate::intern::{intern, PathId};
+use crate::intern::{intern, Name, PathId, PathKey};
 use crate::latency::{Backend, CostModel};
+use crate::path as vpath;
 use crate::strace::{Op, Outcome, StraceLog, Syscall};
-use crate::tree::{Inode, Metadata, Tree};
+use crate::tree::{FileKind, Inode, Metadata, Tree};
 
 /// A thread-safe simulated filesystem.
 ///
@@ -23,9 +24,53 @@ use crate::tree::{Inode, Metadata, Tree};
 /// starts: [`Vfs::mkdir_p`], [`Vfs::write_file`], [`Vfs::symlink`],
 /// [`Vfs::remove`], [`Vfs::list_dir`], [`Vfs::exists`]. Installing a package
 /// is not part of process startup, so it costs nothing.
+///
+/// **Probes** are the loader's search-path opens, one name in one
+/// directory: [`Vfs::dir`] resolves a directory once (unaccounted), and
+/// [`Vfs::probe`] charges exactly what [`Vfs::try_open`] of the joined path
+/// charges, with one lookup in the directory's entries and no path built.
 pub struct Vfs {
     tree: RwLock<Tree>,
     meter: Mutex<Meter>,
+}
+
+/// A directory resolved once by [`Vfs::dir`], for probing many names in it
+/// with [`Vfs::probe`].
+///
+/// It records the directory's inode, or the outcome every path under it
+/// meets (`ENOENT` for a missing or dangling component, or a file in the
+/// way, whose `ENOTDIR` the loader counts as a miss; an error for a symlink
+/// loop), and the tree generation it was taken at. Its text is interned
+/// normalized, as `""` for the root, so that (text, name) is the key of the
+/// joined path.
+#[derive(Debug, Clone)]
+pub struct DirHandle {
+    text: PathId,
+    at: At,
+    generation: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum At {
+    Dir(Inode),
+    Fails(Outcome),
+    /// Not absolute: [`vpath::join`] does not put the name under it, so
+    /// every probe opens the joined text.
+    Relative,
+}
+
+impl DirHandle {
+    /// The path a probe of `name` opens: [`vpath::join`] of the directory
+    /// text as given and `name`.
+    pub fn join(&self, name: &str) -> String {
+        vpath::join(self.text.as_str(), name)
+    }
+}
+
+/// True for a name that is one component: looking it up in a directory's
+/// entries is what opening the joined path does.
+fn one_component(name: &str) -> bool {
+    !matches!(name, "" | "." | "..") && !name.contains('/')
 }
 
 /// Everything an accounted operation updates, so that one lock covers it.
@@ -63,9 +108,9 @@ impl Vfs {
     // ---- accounting plumbing -------------------------------------------
 
     fn charge(&self, op: Op, path: &str, outcome: Outcome, bytes: u64) -> u64 {
-        // One interner lookup per accounted op; the id then serves the cost
-        // model's caches and the strace log without further allocation.
-        let key = intern(path);
+        // The key then serves the cost model's caches and the strace log
+        // without further allocation.
+        let key = PathKey::of(path);
         self.charge_keyed(op, key, key, outcome, bytes)
     }
 
@@ -75,8 +120,8 @@ impl Vfs {
     fn charge_keyed(
         &self,
         op: Op,
-        path: PathId,
-        cache_key: PathId,
+        path: PathKey,
+        cache_key: PathKey,
         outcome: Outcome,
         bytes: u64,
     ) -> u64 {
@@ -160,7 +205,7 @@ impl Vfs {
     /// inode. Fails on directories.
     pub fn open(&self, path: &str) -> VfsResult<Metadata> {
         let r = self.tree.read().metadata(path, true).and_then(|m| {
-            if m.kind == crate::tree::FileKind::Dir {
+            if m.kind == FileKind::Dir {
                 Err(VfsError::IsADirectory(path.to_string()))
             } else {
                 Ok(m)
@@ -195,11 +240,91 @@ impl Vfs {
         // probe misses — so this stays off the per-op hot path.)
         self.charge_keyed(
             Op::Read,
-            intern(path),
-            intern(&format!("{path}#map")),
+            PathKey::of(path),
+            PathKey::of(&format!("{path}#map")),
             Outcome::Ok,
             bytes,
         );
+    }
+
+    // ---- probes (one name in one resolved directory) ---------------------
+
+    /// Resolve the directory `path` once, following symlinks, for probing.
+    /// Not accounted: the loader pays per probe, not per directory.
+    pub fn dir(&self, path: &str) -> DirHandle {
+        let Some(normal) = vpath::normalize(path) else {
+            let generation = self.tree.read().generation();
+            return DirHandle { text: intern(path), at: At::Relative, generation };
+        };
+        let (at, generation) = {
+            let tree = self.tree.read();
+            let r = tree.metadata(&normal, true);
+            let at = match &r {
+                Ok(m) if m.kind == FileKind::Dir => At::Dir(m.inode),
+                // Walking on from a file is ENOTDIR, a miss to the loader.
+                Ok(_) => At::Fails(Outcome::Enoent),
+                Err(_) => At::Fails(Self::outcome_of(&r)),
+            };
+            (at, tree.generation())
+        };
+        let text = intern(if normal == "/" { "" } else { &normal });
+        DirHandle { text, at, generation }
+    }
+
+    /// What opening `dir`'s `name` meets, when one lookup in the handle's
+    /// entries can stand in for walking the joined path: `None` when it
+    /// cannot (the name is not one component, the directory text is not
+    /// absolute, the tree changed since the handle was taken, or the entry
+    /// is a symlink to follow).
+    fn look_in(&self, dir: &DirHandle, name: &str) -> Option<Result<Metadata, Outcome>> {
+        if !one_component(name) {
+            return None;
+        }
+        let tree = self.tree.read();
+        if tree.generation() != dir.generation {
+            return None;
+        }
+        match dir.at {
+            At::Relative => None,
+            At::Fails(outcome) => Some(Err(outcome)),
+            At::Dir(ino) => match tree.lookup(ino, name) {
+                None => Some(Err(Outcome::Enoent)),
+                Some(m) => match m.kind {
+                    FileKind::File => Some(Ok(m)),
+                    // `open` refuses a directory.
+                    FileKind::Dir => Some(Err(Outcome::Error)),
+                    FileKind::Symlink => None,
+                },
+            },
+        }
+    }
+
+    /// The loader's probe of a search-path candidate: the accounted
+    /// `openat` of `name` in `dir`. It charges, counts and logs exactly
+    /// what `try_open(&dir.join(name))` does, under the same key, but looks
+    /// the name up in the directory's entries instead of building and
+    /// walking the path; only where the handle cannot stand in for the
+    /// path does it open the joined text.
+    pub fn probe(&self, dir: &DirHandle, name: Name) -> Option<Metadata> {
+        match self.look_in(dir, name.as_str()) {
+            Some(r) => {
+                let outcome = r.as_ref().err().copied().unwrap_or(Outcome::Ok);
+                let key = PathKey::join(dir.text, name.id());
+                self.charge_keyed(Op::Openat, key, key, outcome, 0);
+                r.ok()
+            }
+            None => self.try_open(&dir.join(name.as_str())),
+        }
+    }
+
+    /// [`Vfs::probe`] without accounting: the metadata `try_open` would
+    /// return for `dir`'s `name`, charging nothing (tooling that walks the
+    /// loader's order).
+    pub fn peek_in(&self, dir: &DirHandle, name: &str) -> Option<Metadata> {
+        match self.look_in(dir, name) {
+            Some(r) => r.ok(),
+            None => self.peek(&dir.join(name)).ok().filter(|m| m.kind != FileKind::Dir),
+        }
     }
 
     /// `readlink(2)`.
@@ -223,7 +348,7 @@ impl Vfs {
 
     /// Create parents then write. Not accounted.
     pub fn write_file_p(&self, path: &str, data: Vec<u8>) -> VfsResult<Inode> {
-        self.tree.write().mkdir_p(&crate::path::parent(path))?;
+        self.tree.write().mkdir_p(&vpath::parent(path))?;
         self.tree.write().write_file(path, data)
     }
 

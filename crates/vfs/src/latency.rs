@@ -14,11 +14,16 @@
 //! Costs are deterministic simulated nanoseconds so experiments are exactly
 //! reproducible. Absolute values are calibrated to commodity hardware; only
 //! ratios matter for the reproduction.
+//!
+//! The caches key on [`PathKey`], the interned (directory, name) pair, so a
+//! search-path probe and an open of the joined path text warm and hit the
+//! same entry, and a miss records its pair without building the path.
 
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::intern::PathId;
+use crate::intern::PathKey;
 use crate::strace::{Op, Outcome};
 
 /// Parameters for the local-filesystem cost model.
@@ -142,23 +147,55 @@ impl fmt::Display for StorageModel {
     }
 }
 
+/// Hashes the caches' keys with one multiply per word (the Fx hash), not
+/// SipHash. The keys are interned ids this program hands out, never text
+/// from outside it, and a search-path miss inserts a new one: with SipHash
+/// the insert cost more than the rest of the probe.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type KeySet = HashSet<PathKey, BuildHasherDefault<IdHasher>>;
+
 /// Tracks which (path, outcome) pairs are cached, i.e. warm.
 ///
-/// Keyed by interned [`PathId`] — recording a cache entry stores a 4-byte
-/// id, not a cloned `String`, so the per-op cost of the model is a couple of
-/// integer hash probes and zero allocation.
+/// Keyed by interned [`PathKey`] — recording a cache entry stores an 8-byte
+/// (directory, name) pair, not a cloned `String`, so the per-op cost of the
+/// model is a couple of integer hash probes and zero allocation, and a
+/// search-path probe warms the same entry as an open of its joined path.
 ///
 /// A positive entry means attributes are cached, a negative entry means the
 /// *absence* is cached (only honoured when the backend enables negative
 /// caching).
 #[derive(Debug, Default)]
 pub struct AttrCache {
-    positive: HashSet<PathId>,
-    negative: HashSet<PathId>,
+    positive: KeySet,
+    negative: KeySet,
     /// File *contents* cached (page cache) — separate from attributes: an
     /// `openat` warms the dentry/attr path but the first `read` still moves
     /// the bytes.
-    data: HashSet<PathId>,
+    data: KeySet,
 }
 
 impl AttrCache {
@@ -174,15 +211,15 @@ impl AttrCache {
         self.data.clear();
     }
 
-    pub fn data_is_warm(&self, path: PathId) -> bool {
+    pub fn data_is_warm(&self, path: PathKey) -> bool {
         self.data.contains(&path)
     }
 
-    pub fn record_data(&mut self, path: PathId) {
+    pub fn record_data(&mut self, path: PathKey) {
         self.data.insert(path);
     }
 
-    pub fn is_warm(&self, path: PathId, ok: bool, negative_caching: bool) -> bool {
+    pub fn is_warm(&self, path: PathKey, ok: bool, negative_caching: bool) -> bool {
         if ok {
             self.positive.contains(&path)
         } else {
@@ -190,7 +227,7 @@ impl AttrCache {
         }
     }
 
-    pub fn record(&mut self, path: PathId, ok: bool) {
+    pub fn record(&mut self, path: PathKey, ok: bool) {
         if ok {
             self.positive.insert(path);
             self.negative.remove(&path);
@@ -239,7 +276,7 @@ impl CostModel {
 
     /// Cost of one metadata syscall (`stat`/`openat`/`readlink`) against
     /// `path` with the given outcome; updates the cache.
-    pub fn metadata_cost(&mut self, path: PathId, outcome: Outcome) -> u64 {
+    pub fn metadata_cost(&mut self, path: PathKey, outcome: Outcome) -> u64 {
         let ok = outcome == Outcome::Ok;
         let (warm_ns, cold_ns, negative_caching) = match self.backend {
             Backend::Local(p) => (p.warm_ns, p.cold_ns, true),
@@ -255,7 +292,7 @@ impl CostModel {
     }
 
     /// Cost of reading `bytes` of file data from `path`.
-    pub fn read_cost(&mut self, path: PathId, bytes: u64) -> u64 {
+    pub fn read_cost(&mut self, path: PathKey, bytes: u64) -> u64 {
         let (per_kib, base) = match self.backend {
             Backend::Local(p) => (p.read_ns_per_kib, p.warm_ns),
             Backend::Nfs(p) => (p.read_ns_per_kib, p.warm_ns),
@@ -272,7 +309,7 @@ impl CostModel {
     }
 
     /// Cost of one op, dispatching on kind.
-    pub fn op_cost(&mut self, op: Op, path: PathId, outcome: Outcome, bytes: u64) -> u64 {
+    pub fn op_cost(&mut self, op: Op, path: PathKey, outcome: Outcome, bytes: u64) -> u64 {
         match op {
             Op::Read => self.read_cost(path, bytes),
             _ => self.metadata_cost(path, outcome),
@@ -283,7 +320,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::intern;
 
     #[test]
     fn storage_models_name_their_backends() {
@@ -300,16 +336,16 @@ mod tests {
     #[test]
     fn local_warm_after_first_touch() {
         let mut m = CostModel::new(Backend::local());
-        let c1 = m.metadata_cost(intern("/lib/x"), Outcome::Ok);
-        let c2 = m.metadata_cost(intern("/lib/x"), Outcome::Ok);
+        let c1 = m.metadata_cost(PathKey::of("/lib/x"), Outcome::Ok);
+        let c2 = m.metadata_cost(PathKey::of("/lib/x"), Outcome::Ok);
         assert!(c1 > c2, "first access cold ({c1}) then warm ({c2})");
     }
 
     #[test]
     fn nfs_negative_caching_off_pays_rtt_every_time() {
         let mut m = CostModel::new(Backend::nfs());
-        let c1 = m.metadata_cost(intern("/lib/missing"), Outcome::Enoent);
-        let c2 = m.metadata_cost(intern("/lib/missing"), Outcome::Enoent);
+        let c1 = m.metadata_cost(PathKey::of("/lib/missing"), Outcome::Enoent);
+        let c2 = m.metadata_cost(PathKey::of("/lib/missing"), Outcome::Enoent);
         assert_eq!(c1, c2, "misses never warm without negative caching");
         assert_eq!(c1, NfsParams::default().rtt_ns);
     }
@@ -317,38 +353,38 @@ mod tests {
     #[test]
     fn nfs_negative_caching_on_warms_misses() {
         let mut m = CostModel::new(Backend::nfs_with_negative_caching());
-        let c1 = m.metadata_cost(intern("/lib/missing"), Outcome::Enoent);
-        let c2 = m.metadata_cost(intern("/lib/missing"), Outcome::Enoent);
+        let c1 = m.metadata_cost(PathKey::of("/lib/missing"), Outcome::Enoent);
+        let c2 = m.metadata_cost(PathKey::of("/lib/missing"), Outcome::Enoent);
         assert!(c2 < c1);
     }
 
     #[test]
     fn drop_caches_makes_cold_again() {
         let mut m = CostModel::new(Backend::local());
-        m.metadata_cost(intern("/lib/x"), Outcome::Ok);
+        m.metadata_cost(PathKey::of("/lib/x"), Outcome::Ok);
         m.drop_caches();
-        let c = m.metadata_cost(intern("/lib/x"), Outcome::Ok);
+        let c = m.metadata_cost(PathKey::of("/lib/x"), Outcome::Ok);
         assert_eq!(c, LocalParams::default().cold_ns);
     }
 
     #[test]
     fn reads_scale_with_size() {
         let mut m = CostModel::new(Backend::nfs());
-        let small = m.read_cost(intern("/lib/a"), 1024);
+        let small = m.read_cost(PathKey::of("/lib/a"), 1024);
         m.drop_caches();
-        let big = m.read_cost(intern("/lib/b"), 1024 * 1024);
+        let big = m.read_cost(PathKey::of("/lib/b"), 1024 * 1024);
         assert!(big > small * 100);
     }
 
     #[test]
     fn success_then_failure_not_confused() {
         let mut m = CostModel::new(Backend::nfs_with_negative_caching());
-        m.metadata_cost(intern("/p"), Outcome::Enoent);
+        m.metadata_cost(PathKey::of("/p"), Outcome::Enoent);
         // Now the file "appears": positive lookup must not be treated warm.
-        let c = m.metadata_cost(intern("/p"), Outcome::Ok);
+        let c = m.metadata_cost(PathKey::of("/p"), Outcome::Ok);
         assert_eq!(c, NfsParams::default().rtt_ns);
         // and the positive result overwrites the negative entry
-        let c2 = m.metadata_cost(intern("/p"), Outcome::Ok);
+        let c2 = m.metadata_cost(PathKey::of("/p"), Outcome::Ok);
         assert!(c2 < c);
     }
 }

@@ -5,14 +5,16 @@
 //! outcome, and simulated cost. Logging is off by default (big simulations
 //! would otherwise accumulate millions of entries) and enabled per-scope.
 //!
-//! Paths are stored as interned [`PathId`]s, not owned `String`s: appending
-//! an entry allocates nothing beyond the log's own vector growth, so tracing
-//! a million-op load does a handful of interner inserts (one per *distinct*
-//! path) instead of a million string clones.
+//! Paths are stored as interned [`PathKey`]s — a (directory, name) pair —
+//! not owned `String`s: appending an entry allocates nothing beyond the
+//! log's own vector growth, and a search-path miss logs the pair its probe
+//! already holds, so tracing a million-op load interns only its distinct
+//! directories and names. The path text is built only when an entry is
+//! rendered ([`Syscall::path_str`], [`fmt::Display`]).
 
 use std::fmt;
 
-use crate::intern::{intern, PathId};
+use crate::intern::PathKey;
 
 /// Which syscall an entry models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,11 +47,12 @@ pub enum Outcome {
 }
 
 /// One logged syscall. `path` is interned — compare with `==` against other
-/// ids, or resolve the text with [`PathId::as_str`].
+/// keys (equal iff the texts are), or render the text with
+/// [`Syscall::path_str`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Syscall {
     pub op: Op,
-    pub path: PathId,
+    pub path: PathKey,
     pub outcome: Outcome,
     /// Simulated cost in nanoseconds under the active backend.
     pub cost_ns: u64,
@@ -58,12 +61,12 @@ pub struct Syscall {
 impl Syscall {
     /// Build an entry from path text (interning it).
     pub fn new(op: Op, path: &str, outcome: Outcome, cost_ns: u64) -> Self {
-        Syscall { op, path: intern(path), outcome, cost_ns }
+        Syscall { op, path: PathKey::of(path), outcome, cost_ns }
     }
 
-    /// The path text of this entry.
-    pub fn path_str(&self) -> &'static str {
-        self.path.as_str()
+    /// The path text of this entry, rendered from its key.
+    pub fn path_str(&self) -> String {
+        self.path.to_string()
     }
 }
 

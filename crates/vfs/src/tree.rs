@@ -67,11 +67,15 @@ impl Node {
 /// of a `BTreeMap` descent. Removal leaves a `None` tombstone (cheap; the
 /// slab is bounded by the number of inodes ever created, which experiment
 /// worlds keep in the tens of thousands).
+///
+/// Every mutation bumps [`Tree::generation`], so a resolution taken at one
+/// generation (a [`crate::DirHandle`]) knows whether it still stands.
 #[derive(Debug)]
 pub(crate) struct Tree {
     nodes: Vec<Option<Node>>,
     root: Inode,
     live: usize,
+    generation: u64,
 }
 
 impl Tree {
@@ -79,7 +83,22 @@ impl Tree {
         // Slot 0 is reserved so inode numbers start at 1, like real
         // filesystems; the root directory is inode 1.
         let nodes = vec![None, Some(Node::Dir { entries: BTreeMap::new() })];
-        Tree { nodes, root: Inode(1), live: 1 }
+        Tree { nodes, root: Inode(1), live: 1, generation: 0 }
+    }
+
+    /// How many mutations the tree has seen.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Look `name` up in the directory `dir`, one layer, following nothing:
+    /// the entry's metadata, or `None` when `dir` has no such entry (or is
+    /// not a directory).
+    pub fn lookup(&self, dir: Inode, name: &str) -> Option<Metadata> {
+        let Node::Dir { entries } = self.node(dir) else { return None };
+        let ino = *entries.get(name)?;
+        let n = self.node(ino);
+        Some(Metadata { inode: ino, kind: n.kind(), size: n.size() })
     }
 
     fn alloc(&mut self, node: Node) -> Inode {
@@ -192,6 +211,7 @@ impl Tree {
     }
 
     pub fn mkdir_p(&mut self, p: &str) -> VfsResult<()> {
+        self.generation += 1;
         let comps: Vec<String> = path::components(p)
             .ok_or_else(|| VfsError::InvalidPath(p.to_string()))?
             .into_iter()
@@ -235,6 +255,7 @@ impl Tree {
 
     /// Create or overwrite a regular file. Parent directories must exist.
     pub fn write_file(&mut self, p: &str, data: Vec<u8>) -> VfsResult<Inode> {
+        self.generation += 1;
         let dir = path::parent(p);
         let name = path::basename(p).to_string();
         if name.is_empty() {
@@ -273,6 +294,7 @@ impl Tree {
 
     /// Create a symlink at `p` pointing to `target` (not resolved now).
     pub fn symlink(&mut self, p: &str, target: &str) -> VfsResult<()> {
+        self.generation += 1;
         let dir = path::parent(p);
         let name = path::basename(p).to_string();
         if name.is_empty() {
@@ -324,6 +346,7 @@ impl Tree {
     }
 
     pub fn remove(&mut self, p: &str) -> VfsResult<()> {
+        self.generation += 1;
         let dir = path::parent(p);
         let name = path::basename(p).to_string();
         let dir_ino = self.resolve(&dir, true)?;
@@ -352,6 +375,7 @@ impl Tree {
     /// destination — the primitive behind atomic symlink switches (profile
     /// repointing). Fails if the destination is a non-empty directory.
     pub fn rename(&mut self, from: &str, to: &str) -> VfsResult<()> {
+        self.generation += 1;
         let from_dir = self.resolve(&path::parent(from), true)?;
         let from_name = path::basename(from).to_string();
         let moved = match self.node(from_dir) {
@@ -393,6 +417,7 @@ impl Tree {
 
     /// Recursively remove a subtree (used for package uninstall simulation).
     pub fn remove_all(&mut self, p: &str) -> VfsResult<()> {
+        self.generation += 1;
         let ino = self.resolve(p, false)?;
         let mut stack = vec![ino];
         let mut to_delete = vec![ino];
