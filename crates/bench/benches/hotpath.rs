@@ -29,7 +29,8 @@
 //!   fig6-servers ladder (`flatten_sweep`), one S = 8 pass, and the
 //!   stochastic lane heap (`s4_jitter_2Ki`: 64,000 events on 4 lanes).
 //! * `serve/*` — a fully warm one-cell query and a cold cell through the
-//!   incremental executor, profiling pre-warmed.
+//!   incremental executor, profiling pre-warmed, and one warm what-if line
+//!   of three rank points through `serve_batch`: parse, lookup and render.
 //! * `batch/*` — the fig6-backends × dist matrix as one `BatchPlan` pass,
 //!   and the planner's per-row throughput over a 1,024-row plan.
 //! * `adaptive/*` — the fig6-dist matrix under adaptive replicate
@@ -59,7 +60,7 @@ use depchaos_launch::{
     ServerTopology, ServiceDistribution, WrapState,
 };
 use depchaos_loader::{analyze_tree, Environment, FutureLoader, GlibcLoader, LdCache, MuslLoader};
-use depchaos_serve::{run_matrix_incremental, ResultStore};
+use depchaos_serve::{default_jobs, run_matrix_incremental, serve_batch, ResultStore};
 use depchaos_store::{
     build_view, views::view_lib_dir, BinDef, LibDef, PackageDef, Repo, StoreInstaller,
 };
@@ -401,6 +402,15 @@ fn main() {
         let (report, stats) =
             run_matrix_incremental(&serve_matrix, &store, &serve_profiles, 1).unwrap();
         assert_eq!(stats.cold_cells, stats.cells_total);
+        black_box(report);
+    });
+    // A store hit as a library caller serves it, asking `default_jobs` per
+    // request; an in-memory store, since a hit never touches the disk.
+    let warm_line = r#"{"id":"warm","base":"pynamic-25","ranks":[512,1024,2048]}"#;
+    serve_batch(warm_line, &warm_store, &serve_profiles, default_jobs()).unwrap();
+    record.time("serve/warm_line", fast_iters, || {
+        let report = serve_batch(warm_line, &warm_store, &serve_profiles, default_jobs()).unwrap();
+        assert_eq!(report.queries[0].stats.cold_cells, 0);
         black_box(report);
     });
 

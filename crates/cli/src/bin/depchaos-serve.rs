@@ -15,9 +15,11 @@
 //! on first use), profiles only the cold cells, batch-simulates the misses
 //! in one planner pass, and appends every fresh result to the store.
 //! A request with an unknown, duplicate or nested field, an integer that
-//! is not plain ASCII digits, or a zero rank count or replicate count
-//! answers one error line naming the field, and a line that is not UTF-8
-//! answers one error line under `line-N` (exit code 1 either way).
+//! is not plain ASCII digits, a zero rank count or replicate count, or a
+//! rank count or fleet above its bound answers one error line naming the
+//! field, and a line that is not UTF-8 answers one error line under
+//! `line-N` (exit code 1 either way). `--help` or `-h` prints the flags
+//! and the exit codes to stdout.
 //! `--jobs N` (default: the machine's parallelism; `0` or anything past
 //! the shared cap is the exit-2 usage error) runs the misses on N worker
 //! threads, profiling and kernel solving alike. Answers are bit-identical
@@ -42,12 +44,36 @@ use std::path::Path;
 use depchaos_launch::ProfileCache;
 use depchaos_serve::{default_jobs, serve_batch, ResultStore};
 
+const USAGE: &str = "usage: depchaos-serve --store DIR --requests FILE \
+                     [--out FILE] [--stats FILE] [--jobs N] [--compact]";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: depchaos-serve --store DIR --requests FILE \
-         [--out FILE] [--stats FILE] [--jobs N] [--compact]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// The `--help` text: the flags and the exit codes.
+fn print_usage() {
+    println!(
+        "{USAGE}\n\
+         \n\
+         Answers one what-if request per JSONL line, warm cells from the store.\n\
+         \n\
+         flags:\n  \
+           --store DIR      the result store's directory, created on first use\n  \
+           --requests FILE  the JSONL requests (`-` for stdin)\n  \
+           --out FILE       write the answers here (default: stdout)\n  \
+           --stats FILE     write the hit/miss/latency accounting here (default: stderr)\n  \
+           --jobs N         worker threads for profiling and kernel solving \
+                            (default: the machine's parallelism)\n  \
+           --compact        rewrite the store log afterwards, shedding dead bytes\n  \
+           -h, --help       print this help and exit\n\
+         \n\
+         exit codes:\n  \
+           0  every request parsed and was answered (error cells are answers)\n  \
+           1  partial failure: a request failed to parse, or a cell's profiling panicked\n  \
+           2  usage or I/O error: bad flags, unreadable input, store failure"
+    );
 }
 
 fn main() {
@@ -66,6 +92,7 @@ fn main() {
             })
         };
         match a.as_str() {
+            "--help" | "-h" => return print_usage(),
             "--store" => store_dir = Some(value("--store")),
             "--requests" => requests = Some(value("--requests")),
             "--out" => out = Some(value("--out")),

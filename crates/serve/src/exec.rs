@@ -24,6 +24,8 @@
 //! pass, whose kernels the same pool solves. See
 //! [`ExperimentMatrix::run_with`] for the phases.
 
+use std::sync::OnceLock;
+
 use depchaos_launch::{
     CellAnswer, CellMemo, ExperimentMatrix, ProfileCache, ScenarioSpec, SweepReport,
 };
@@ -34,9 +36,15 @@ use crate::store::ResultStore;
 
 pub use depchaos_launch::ExecStats;
 
-/// A sensible worker count when the caller has no opinion.
+/// A sensible worker count when the caller has no opinion: the machine's
+/// available parallelism, read once per process and remembered. std reads
+/// the CPU affinity mask and the cgroup quota files on every
+/// `available_parallelism` call, tens of µs that would otherwise land in
+/// every warm answer of a caller that asks per request. An affinity or
+/// cgroup-quota change made after the first call is therefore not seen.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Run `matrix` against `store`: serve warm cells, profile cold cells and
@@ -361,5 +369,32 @@ mod tests {
         assert_eq!(warm_profiles.computed(), 0, "error cells answer without re-profiling");
         let wrapped = warm.find(|s| s.wrap == WrapState::Wrapped).pop().unwrap();
         assert!(wrapped.error.is_some());
+    }
+
+    /// `default_jobs` asks the system once per process: after a first call,
+    /// a hundred more make no `read` syscall on the calling thread, where
+    /// std's `available_parallelism` reads the cgroup files on every call.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn default_jobs_reads_the_system_once() {
+        /// This thread's count of `read` syscalls so far.
+        fn reads() -> u64 {
+            let io = std::fs::read_to_string("/proc/thread-self/io").expect("per-thread I/O stats");
+            let syscr = io.lines().find_map(|l| l.strip_prefix("syscr: "));
+            syscr.and_then(|n| n.parse().ok()).expect("a syscr line")
+        }
+        assert!(default_jobs() >= 1);
+        // Reading the counter costs reads of its own: take that cost from
+        // two reads with nothing between them.
+        let (before, after_nothing) = (reads(), reads());
+        for _ in 0..100 {
+            std::hint::black_box(default_jobs());
+        }
+        let after_calls = reads();
+        assert_eq!(
+            after_calls - after_nothing,
+            after_nothing - before,
+            "100 default_jobs calls after the first made read syscalls"
+        );
     }
 }

@@ -50,7 +50,8 @@
 //!   [`ResultStore::compact`] makes the eviction durable.
 //! * **Corruption**: a line that is not UTF-8 or fails to decode (torn
 //!   final append, bit rot) is skipped and counted, never served and
-//!   never fatal.
+//!   never fatal; the first append after a torn final line starts a fresh
+//!   line, so the tear costs only its own record.
 //!
 //! ## Incremental execution ([`exec`])
 //!
@@ -86,7 +87,8 @@
 //! `servers_ideal` (the coordination-free approximation:
 //! `meta_service_ns / N`). Unknown, duplicate and nested fields are
 //! errors that name the field, integers are ASCII digits only, and
-//! `ranks`, `replicates`, `servers` and `servers_ideal` take values ≥ 1;
+//! `ranks`, `replicates`, `servers` and `servers_ideal` take values ≥ 1,
+//! a rank count at most [`MAX_RANKS`] and a fleet at most [`MAX_SERVERS`];
 //! the store's records are read by the same reader ([`codec`]). A line
 //! that is not UTF-8 answers one error line under `line-N`. Answers are
 //! one JSONL line per (query, rank point) carrying only
@@ -122,5 +124,5 @@ pub mod store;
 pub use codec::{CellOutcome, CellRecord, ProfileSummary};
 pub use exec::{default_jobs, run_matrix_incremental, ExecStats};
 pub use key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
-pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_SERVERS};
+pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_RANKS, MAX_SERVERS};
 pub use store::{LoadStats, ResultStore};

@@ -31,8 +31,9 @@
 //! A request is read strictly, by the codec's one field reader: an
 //! unknown, duplicate or nested field, a trailing comma, an integer that
 //! is not plain ASCII digits, a 0 in `ranks`, `replicates`, `servers` or
-//! `servers_ideal` (each takes values ≥ 1), or a `servers` or
-//! `servers_ideal` above [`MAX_SERVERS`] is an error naming its field. It
+//! `servers_ideal` (each takes values ≥ 1), a `servers` or
+//! `servers_ideal` above [`MAX_SERVERS`], or a rank count above
+//! [`MAX_RANKS`] is an error naming its field. It
 //! answers one error line under the request's `id`, or `line-N` when none
 //! is readable. The batch is split on `\n`, and a line that is not UTF-8
 //! answers one error line under `line-N`.
@@ -64,6 +65,12 @@ use crate::store::ResultStore;
 /// on one allocation; every report section and benchmark fleet is at most
 /// 16 servers.
 pub const MAX_SERVERS: u64 = 65_536;
+
+/// The largest rank count a request may ask for: 2²² = 4,194,304, the
+/// largest launch a `des_million_ranks/*` bench row simulates. A heap
+/// kernel keeps state per node, so an unbounded count could abort the whole
+/// batch on one allocation.
+pub const MAX_RANKS: u64 = 1 << 22;
 
 /// One parsed what-if query: a named base scenario plus axis deltas.
 #[derive(Debug, Clone)]
@@ -163,8 +170,12 @@ impl WhatIfRequest {
                 .unwrap_or(FaultModel::None),
             ranks: match f.get("ranks", uint_list)? {
                 None => vec![512, 1024, 2048],
-                Some(r) if !r.contains(&0) => r.into_iter().map(|n| n as usize).collect(),
-                Some(_) => return Err("field \"ranks\" must hold integers ≥ 1".to_string()),
+                Some(r) if r.iter().all(|n| (1..=MAX_RANKS).contains(n)) => {
+                    r.into_iter().map(|n| n as usize).collect()
+                }
+                Some(_) => {
+                    return Err(format!("field \"ranks\" must hold integers from 1 to {MAX_RANKS}"))
+                }
             },
             servers: fleet(&mut f, "servers")?,
             assign: axis(&mut f, "assign", "assign policy", AssignPolicy::parse)?
@@ -332,14 +343,13 @@ pub fn serve_batch(
             }
         };
         let (sweep, stats) = run_matrix_incremental(&matrix, store, profiles, jobs)?;
+        let id = esc(&req.id);
         let mut answers = Vec::new();
         for r in &sweep.results {
-            let label = r.spec.label();
+            let label = esc(&r.spec.label());
             if let Some(e) = &r.error {
                 answers.push(format!(
-                    "{{\"id\":\"{}\",\"label\":\"{}\",\"error\":\"{}\"}}",
-                    esc(&req.id),
-                    esc(&label),
+                    "{{\"id\":\"{id}\",\"label\":\"{label}\",\"error\":\"{}\"}}",
                     esc(e)
                 ));
                 continue;
@@ -351,12 +361,10 @@ pub fn serve_batch(
                     continue;
                 };
                 answers.push(format!(
-                    "{{\"id\":\"{}\",\"label\":\"{}\",\"ranks\":{ranks},\"launch_ns\":{},\
+                    "{{\"id\":\"{id}\",\"label\":\"{label}\",\"ranks\":{ranks},\"launch_ns\":{},\
                      \"nodes\":{},\"server_ops\":{},\"local_ops\":{},\"peak_queue\":{},\
                      \"replicates\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\
                      \"p99_ns\":{},\"q_within\":{}}}",
-                    esc(&req.id),
-                    esc(&label),
                     l.time_to_launch_ns,
                     l.nodes,
                     l.server_ops,
@@ -458,6 +466,11 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","ranks":[]}"#, "\"ranks\""),
             (r#"{"id":"q","base":"pynamic-20","ranks":[1,]}"#, "\"ranks\""),
             (r#"{"id":"q","base":"pynamic-20","ranks":[512,0]}"#, "\"ranks\" must hold"),
+            (
+                r#"{"id":"big","base":"pynamic-20","ranks":[18446744073709551615]}"#,
+                "\"ranks\" must hold integers from 1 to 4194304",
+            ),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[512,4194305]}"#, "\"ranks\" must hold"),
             (r#"{"id":"q","base":"pynamic-20","replicates":0}"#, "\"replicates\" must be"),
             (r#"{"id":"q","base":"pynamic-20","seed":+5}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","seed":18446744073709551616}"#, "\"seed\""),
@@ -483,6 +496,61 @@ mod tests {
         let largest = r#"{"id":"q","base":"pynamic-20","servers":65536,"servers_ideal":65536}"#;
         let q = WhatIfRequest::parse(largest).unwrap();
         assert_eq!((q.servers, q.servers_ideal), (MAX_SERVERS, MAX_SERVERS));
+        let q = WhatIfRequest::parse(r#"{"id":"q","base":"pynamic-20","ranks":[1,4194304]}"#);
+        assert_eq!(q.unwrap().ranks, [1, MAX_RANKS as usize]);
+    }
+
+    /// The exact bytes of a deterministic, a `lognormal-500`, an error-cell
+    /// and an escaped-id request, cold and warm: rendering may not move a
+    /// byte of an answer.
+    #[test]
+    fn answer_lines_are_pinned_byte_for_byte() {
+        let batch = concat!(
+            r#"{"id":"det","base":"pynamic-20","ranks":[256,512]}"#,
+            "\n",
+            r#"{"id":"logn","base":"pynamic-20","dist":"lognormal-500","ranks":[256,512]}"#,
+            "\n",
+            r#"{"id":"fut","base":"pynamic-20","backend":"future","wrap":"wrapped","ranks":[256]}"#,
+            "\n",
+            r#"{"id":"q\"\\x","base":"pynamic-20","ranks":[64]}"#,
+            "\n",
+        );
+        let expected = concat!(
+            r#"{"id":"det","label":"pynamic-20/glibc/nfs/plain/cold/deterministic","ranks":256,"#,
+            r#""launch_ns":27406175375,"nodes":2,"server_ops":506,"local_ops":0,"peak_queue":2,"#,
+            r#""replicates":1,"mean_ns":27406175375,"p50_ns":27406175375,"#,
+            r#""p95_ns":27406175375,"p99_ns":27406175375,"q_within":true}"#,
+            "\n",
+            r#"{"id":"det","label":"pynamic-20/glibc/nfs/plain/cold/deterministic","ranks":512,"#,
+            r#""launch_ns":27624287625,"nodes":4,"server_ops":1012,"local_ops":0,"peak_queue":4,"#,
+            r#""replicates":1,"mean_ns":27624287625,"p50_ns":27624287625,"#,
+            r#""p95_ns":27624287625,"p99_ns":27624287625,"q_within":true}"#,
+            "\n",
+            r#"{"id":"logn","label":"pynamic-20/glibc/nfs/plain/cold/lognormal-500","ranks":256,"#,
+            r#""launch_ns":27460148366,"nodes":2,"server_ops":506,"local_ops":0,"peak_queue":2,"#,
+            r#""replicates":11,"mean_ns":27460298227,"p50_ns":27460148366,"#,
+            r#""p95_ns":27611230089,"p99_ns":27611230089,"q_within":true}"#,
+            "\n",
+            r#"{"id":"logn","label":"pynamic-20/glibc/nfs/plain/cold/lognormal-500","ranks":512,"#,
+            r#""launch_ns":27649179252,"nodes":4,"server_ops":1012,"local_ops":0,"peak_queue":4,"#,
+            r#""replicates":11,"mean_ns":27665681416,"p50_ns":27662183822,"#,
+            r#""p95_ns":27897560366,"p99_ns":27897560366,"q_within":true}"#,
+            "\n",
+            r#"{"id":"fut","label":"pynamic-20/future/nfs/wrapped/cold/deterministic","#,
+            r#""error":"wrap failed: cannot resolve libpymodule000.so (needed by pynamic-bigexe)"}"#,
+            "\n",
+            r#"{"id":"q\"\\x","label":"pynamic-20/glibc/nfs/plain/cold/deterministic","ranks":64,"#,
+            r#""launch_ns":26656589000,"nodes":1,"server_ops":253,"local_ops":0,"peak_queue":1,"#,
+            r#""replicates":1,"mean_ns":26656589000,"p50_ns":26656589000,"#,
+            r#""p95_ns":26656589000,"p99_ns":26656589000,"q_within":true}"#,
+            "\n",
+        );
+        let store = ResultStore::in_memory();
+        let cold = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
+        assert_eq!(cold.answers_jsonl(), expected);
+        let warm = serve_batch(batch, &store, &ProfileCache::new(), 1).unwrap();
+        assert!(warm.queries.iter().all(|q| q.stats.cold_cells == 0));
+        assert_eq!(warm.answers_jsonl(), expected);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   evicted and counted; duplicate keys resolve last-write-wins (the log
 //!   is append-only, so the latest append is the latest truth). Loading
 //!   never panics on store contents.
-//! * **Append** writes one line per record and flushes — a crash tears at
-//!   most the final line, which the next load skips.
+//! * **Append** writes one line per record in one `write_all` and flushes
+//!   — a crash tears at most the final line, which the next load skips. A
+//!   log that ends mid-line gets a `\n` before the first append, so the
+//!   torn line never swallows a new record.
 //! * **Compact** rewrites the log from the live index (dropping duplicate,
 //!   corrupt, and wrong-epoch bytes) into a temporary file, fsyncs it, and
 //!   atomically renames it over the old log, sorted by (label, ranks) so
@@ -52,6 +54,9 @@ struct Inner {
     index: HashMap<ScenarioKey, CellRecord>,
     /// Open append handle, lazily created on first write.
     writer: Option<File>,
+    /// The log may end mid-line (a torn append found at load, or an append
+    /// that failed part-way): the next append starts a fresh line first.
+    torn_tail: bool,
 }
 
 /// The content-addressed result store. Cheap to share by reference across
@@ -70,7 +75,7 @@ impl ResultStore {
     pub fn in_memory() -> ResultStore {
         ResultStore {
             path: None,
-            inner: Mutex::new(Inner { index: HashMap::new(), writer: None }),
+            inner: Mutex::new(Inner { index: HashMap::new(), writer: None, torn_tail: false }),
             load_stats: LoadStats::default(),
         }
     }
@@ -83,13 +88,21 @@ impl ResultStore {
         let path = dir.join("store.jsonl");
         let mut index = HashMap::new();
         let mut stats = LoadStats::default();
+        let mut torn_tail = false;
         if path.exists() {
-            for line in BufReader::new(File::open(&path)?).split(b'\n') {
-                let line = line?;
+            let mut reader = BufReader::new(File::open(&path)?);
+            let mut line = Vec::new();
+            loop {
+                line.clear();
+                if reader.read_until(b'\n', &mut line)? == 0 {
+                    break;
+                }
+                torn_tail = line.last() != Some(&b'\n');
+                let line = line.strip_suffix(b"\n").unwrap_or(&line);
                 if line.trim_ascii().is_empty() {
                     continue;
                 }
-                let text = std::str::from_utf8(&line).map_err(|e| e.to_string());
+                let text = std::str::from_utf8(line).map_err(|e| e.to_string());
                 match text.and_then(CellRecord::decode) {
                     Ok(rec) if rec.epoch == ENGINE_EPOCH => {
                         if index.insert(rec.key, rec).is_some() {
@@ -104,7 +117,7 @@ impl ResultStore {
         stats.loaded = index.len();
         Ok(ResultStore {
             path: Some(path),
-            inner: Mutex::new(Inner { index, writer: None }),
+            inner: Mutex::new(Inner { index, writer: None, torn_tail }),
             load_stats: stats,
         })
     }
@@ -133,18 +146,23 @@ impl ResultStore {
     }
 
     /// Insert a record: index immediately, append to the log (when disk-
-    /// backed) and flush. A re-inserted key overwrites — last write wins in
-    /// memory exactly as it does on reload.
+    /// backed) as one line in one write, and flush. A re-inserted key
+    /// overwrites — last write wins in memory exactly as it does on reload.
     pub fn put(&self, rec: CellRecord) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         if let Some(path) = &self.path {
             if inner.writer.is_none() {
                 inner.writer = Some(OpenOptions::new().create(true).append(true).open(path)?);
             }
+            let mut line = rec.encode();
+            line.push('\n');
+            if inner.torn_tail {
+                line.insert(0, '\n');
+            }
             let w = inner.writer.as_mut().expect("writer just ensured");
-            w.write_all(rec.encode().as_bytes())?;
-            w.write_all(b"\n")?;
-            w.flush()?;
+            let written = w.write_all(line.as_bytes()).and_then(|()| w.flush());
+            inner.torn_tail = written.is_err();
+            written?;
         }
         inner.index.insert(rec.key, rec);
         Ok(())
@@ -190,6 +208,7 @@ impl ResultStore {
         // at — later appends must reopen the compacted log.
         inner.writer = None;
         std::fs::rename(&tmp, path)?;
+        inner.torn_tail = false;
         Ok(written)
     }
 }
@@ -278,6 +297,16 @@ mod tests {
         assert_eq!(store.load_stats().corrupt_skipped, 1);
         assert!(store.contains(ScenarioKey(1)));
         assert!(!store.contains(ScenarioKey(2)));
+        // The next append starts on a fresh line: the torn line stays the
+        // only corrupt one, and the new record loads.
+        store.put(rec(3, "c", 512, 3)).unwrap();
+        drop(store);
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(
+            store.load_stats(),
+            LoadStats { loaded: 2, corrupt_skipped: 1, ..LoadStats::default() }
+        );
+        assert!(store.contains(ScenarioKey(1)) && store.contains(ScenarioKey(3)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

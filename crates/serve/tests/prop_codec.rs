@@ -11,7 +11,8 @@ use depchaos_launch::{
     Mg1Bounds, ProfileSummary, QueueingCheck, ServiceDistribution, WrapState,
 };
 use depchaos_serve::{
-    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH, MAX_SERVERS,
+    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH, MAX_RANKS,
+    MAX_SERVERS,
 };
 use depchaos_vfs::StorageModel;
 use proptest::prelude::*;
@@ -128,7 +129,7 @@ fn request() -> impl Strategy<Value = Request> {
                 .bool()
                 .then(|| pick(rng, &[AssignPolicy::HashByNode, AssignPolicy::LeastLoaded])),
             ranks: rng.bool().then(|| {
-                (0..rng.usize_between(1, 5)).map(|_| rng.below(0, 1 << 40) as usize).collect()
+                (0..rng.usize_between(1, 5)).map(|_| rng.below(1, MAX_RANKS + 1) as usize).collect()
             }),
             servers: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
             servers_ideal: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
