@@ -28,6 +28,9 @@
 //! * `servers/*` — hash-routed metadata fleets on the same shape: the
 //!   fig6-servers ladder (`flatten_sweep`), one S = 8 pass, and the
 //!   stochastic lane heap (`s4_jitter_2Ki`: 64,000 events on 4 lanes).
+//! * `heap/*` — the event loop on the fig6-queueing profile (Pynamic-150,
+//!   16Ki ranks), in ns per event: one server under lognormal service,
+//!   and a least-loaded pool of 4 under jitter.
 //! * `serve/*` — a fully warm one-cell query and a cold cell through the
 //!   incremental executor, profiling pre-warmed, and one warm what-if line
 //!   of three rank points through `serve_batch`: parse, lookup and render.
@@ -378,6 +381,47 @@ fn main() {
     record.time("servers/s4_jitter_2Ki", iters, || {
         black_box(simulate_classified(&s4_jitter_stream, &s4_jitter_cfg));
     });
+
+    // The event loop on the fig6-queueing profile: Pynamic-150's plain
+    // glibc capture on NFS, 16Ki ranks (128 cold nodes × 11,628 server
+    // ops), one kernel per row. Each row is ns per event, so it reads the
+    // cost of one pop and push: a single server under lognormal-500
+    // service, and a least-loaded pool of 4 under jitter-250, the regime
+    // whose inserts land deepest in the event queue.
+    let queueing_profiles = ProfileCache::new();
+    let p150 = queueing_profiles.get_or_profile(
+        &Pynamic::new(150),
+        &MatrixBackend::glibc(),
+        StorageModel::Nfs,
+    );
+    let p150_log = &p150.plain.as_ref().expect("Pynamic-150 profiles on glibc").log;
+    for (name, dist, topology) in [
+        (
+            "pynamic150_lognormal_16Ki",
+            ServiceDistribution::log_normal(0.5),
+            ServerTopology::single(),
+        ),
+        (
+            "pynamic150_jitter_16Ki_least4",
+            ServiceDistribution::uniform_jitter(0.25),
+            ServerTopology::least_loaded(4),
+        ),
+    ] {
+        let cfg = LaunchConfig::default()
+            .with_ranks(16 * 1024)
+            .with_service_dist(dist)
+            .with_topology(topology);
+        let stream = ClassifiedStream::classify(p150_log, &cfg);
+        let events = simulate_classified(&stream, &cfg).server_ops as u128;
+        let (kernel_ns, timed) = time_fn(
+            || {
+                black_box(simulate_classified(&stream, &cfg));
+            },
+            slow_iters,
+        );
+        let note = format!("per event: {events} events per kernel, {kernel_ns} ns per kernel");
+        record.push(&format!("heap/{name}"), kernel_ns / events, timed, &note);
+    }
 
     // One deterministic cell (effective replicates clamp to 1) keeps the
     // cold row about the executor's own overhead plus one DES pass; the

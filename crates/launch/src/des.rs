@@ -45,13 +45,18 @@
 //!      segments, `O(server_ops)` independent of the node count, exact
 //!      `peak_queue_depth` included. Warm and serverless nodes are always
 //!      coalesced analytically (one replay, multiplied out).
-//!    * **Heap** — a lane's cold nodes walk the segment schedule through
-//!      one binary event heap, one event per *server* op: `O(lane nodes ×
-//!      server_ops · log lane nodes)` per lane, so an S-lane hash fleet
-//!      pays S small heaps and no per-event routing. The fallback whenever
-//!      the closed form's guard declines (payload-heavy gaps can break
-//!      round-major ordering), and the engine of the stochastic and
-//!      faulted classes.
+//!    * **Heap** — a lane's cold nodes walk the segment schedule, one
+//!      event per *server* op, through one event queue: a ring kept sorted
+//!      by inserting from its rear, where a lane's next arrival mostly
+//!      lands, and a binary heap for the inserts that belong more than 8
+//!      places deep and for re-issued requests, which are due a client
+//!      timeout later. An event that lands at the back costs O(1) and none
+//!      costs more than O(8 + log lane nodes), so a lane pays `O(lane
+//!      nodes × server_ops)` events at no more than a heap's cost each,
+//!      and an S-lane hash fleet pays S small queues and no per-event
+//!      routing. The fallback whenever the closed form's guard declines
+//!      (payload-heavy gaps can break round-major ordering), and the
+//!      engine of the stochastic and faulted classes.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
 //!      sweeps; exists so the others have an independent ground truth
@@ -134,7 +139,7 @@ use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
 /// plus the routing policy. `S = 1` degenerates to the pre-topology single
 /// `server_busy_ns` cell exactly: one server, always picked, same max/add
-/// sequence. The event heap holds one [`Lane`]'s servers (one FIFO server,
+/// sequence. The event loop holds one [`Lane`]'s servers (one FIFO server,
 /// or a least-loaded pool); only the [`reference`](mod@reference) oracle
 /// holds a whole hash-routed fleet, as its independent check of the lanes.
 pub(crate) struct ServerLanes {
@@ -197,12 +202,13 @@ impl ClassifyParams {
     }
 }
 
-/// Hard ceiling on one drawn service time: ~18 minutes. Far beyond any
-/// physical metadata op, but low enough that even a pathological stream
-/// (millions of server ops all drawn at the cap) sums well inside `u64`
-/// nanoseconds — the event loop's clock arithmetic stays overflow-free
-/// without saturating every addition.
-const MAX_SERVICE_NS: u64 = 1 << 40;
+/// Hard ceiling on one drawn service time: 2⁴⁰ ns, ~18 minutes. Far
+/// beyond any physical metadata op, but low enough that even a
+/// pathological stream (millions of server ops all drawn at the cap) sums
+/// well inside `u64` nanoseconds — the event loop's clock arithmetic stays
+/// overflow-free without saturating every addition. `depchaos-serve`
+/// bounds a requested fault model's times by it too.
+pub const MAX_SERVICE_NS: u64 = 1 << 40;
 
 /// Apply a drawn factor to a base service time. Rounds toward zero and
 /// clamps to `1..=MAX_SERVICE_NS`: a pathological tail draw can neither
@@ -353,8 +359,8 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
 
 /// The DES over a pre-classified stream. Exact — bit-identical to
 /// [`reference::simulate_launch_reference`] — but warm nodes cost O(1) and
-/// cold nodes cost one heap event per *server* op, in heaps no larger than
-/// one lane.
+/// cold nodes cost one event per *server* op, in event queues no larger
+/// than one lane.
 ///
 /// Panics if `cfg`'s latency calibration differs from the one the stream
 /// was classified under (rank count, node shape, overheads, and cache
@@ -731,14 +737,120 @@ impl FaultHook for Faulty {
     }
 }
 
-/// The event loop — the one heap every stochastic, faulted, and
-/// guard-declined lane runs: one cursor per lane node over the segment
-/// schedule, one heap event per server op. `draw(j, segment)` supplies
-/// the distribution-scaled service time of the lane's `j`-th node and
-/// `hook` the fault semantics ([`FaultHook`]). Ties break on that local
-/// index, which orders the lane's nodes as their global ids do, so the
-/// lane serves its requests in the order a heap over the whole fleet
-/// would. Returns the lane's [`FleetRun`].
+/// How many places from the rear [`EventQueue::push`] may place an event
+/// in its sorted ring; an event that belongs deeper goes to the overflow
+/// heap instead.
+const REAR_SCAN: usize = 8;
+
+/// Whether the pending event `(a, n)` pops after the event `(arrival,
+/// node)`: it arrives later, or at the same instant from a higher node.
+#[inline]
+fn pops_after((a, n): (u64, usize), arrival: u64, node: usize) -> bool {
+    a > arrival || (a == arrival && n > node)
+}
+
+/// The pending events of one lane, popped in `(arrival, node)` order.
+///
+/// Most events are kept in a ring sorted by that order, filled from the
+/// rear: on a FIFO lane a node's next arrival mostly lands at, or a few
+/// places before, the back of the pending order (server completions are
+/// monotone and a schedule has few distinct inter-op gaps). An event that
+/// belongs more than [`REAR_SCAN`] places from the rear goes to a binary
+/// heap instead, as does a re-issued request ([`EventQueue::park`]), so an
+/// insert costs at most `REAR_SCAN` moves or one heap push, and a pop
+/// takes the smaller of the ring's front and the heap's top. Each node has
+/// at most one pending event, so the `(arrival, node)` pairs are distinct
+/// and the queue pops exactly the sequence one binary heap of all the
+/// events would.
+struct EventQueue {
+    /// A power-of-two ring of at least one slot per lane node; the `len`
+    /// pending events from `head` on are sorted.
+    ring: Vec<(u64, usize)>,
+    head: usize,
+    len: usize,
+    /// The events that belonged deeper than [`REAR_SCAN`] places, and the
+    /// parked ones.
+    deep: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl EventQueue {
+    /// An empty queue for a lane of `nodes` nodes: a lane never has more
+    /// pending events than nodes, so the ring never grows.
+    fn new(nodes: usize) -> Self {
+        EventQueue {
+            ring: vec![(0, 0); nodes.next_power_of_two()],
+            head: 0,
+            len: 0,
+            deep: BinaryHeap::new(),
+        }
+    }
+
+    /// The ring index of the `k`-th pending event.
+    #[inline]
+    fn slot(&self, k: usize) -> usize {
+        (self.head + k) & (self.ring.len() - 1)
+    }
+
+    #[inline]
+    fn push(&mut self, arrival: u64, node: usize) {
+        // The ring is sorted, so one comparison tells whether the event
+        // belongs more than REAR_SCAN places from its rear.
+        if self.len > REAR_SCAN
+            && pops_after(self.ring[self.slot(self.len - 1 - REAR_SCAN)], arrival, node)
+        {
+            self.deep.push(Reverse((arrival, node)));
+            return;
+        }
+        let mut k = self.len;
+        while k > 0 {
+            let prev = self.ring[self.slot(k - 1)];
+            if !pops_after(prev, arrival, node) {
+                break;
+            }
+            let to = self.slot(k);
+            self.ring[to] = prev;
+            k -= 1;
+        }
+        let to = self.slot(k);
+        self.ring[to] = (arrival, node);
+        self.len += 1;
+    }
+
+    /// Queue an event due far behind the lane's flow (a re-issued request,
+    /// a client timeout later) in the heap: at the ring's rear it would
+    /// stand in front of every arrival due before it, and send those to
+    /// the heap instead.
+    #[inline]
+    fn park(&mut self, arrival: u64, node: usize) {
+        self.deep.push(Reverse((arrival, node)));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        if self.len == 0 {
+            return self.deep.pop().map(|Reverse(e)| e);
+        }
+        let front = self.ring[self.head];
+        if let Some(&Reverse(deep)) = self.deep.peek() {
+            if deep < front {
+                self.deep.pop();
+                return Some(deep);
+            }
+        }
+        self.head = self.slot(1);
+        self.len -= 1;
+        Some(front)
+    }
+}
+
+/// The event loop every stochastic, faulted, and guard-declined lane
+/// runs: one cursor per lane node over the segment schedule, one event
+/// per server op, queued in an [`EventQueue`]. `draw(j, segment)`
+/// supplies the distribution-scaled service time of the lane's `j`-th
+/// node and `hook` the fault semantics ([`FaultHook`]). Ties break on
+/// that local index, which orders the lane's nodes as their global ids
+/// do, so the lane serves its requests in the order a heap over the whole
+/// fleet would. Returns the lane's [`FleetRun`].
 fn heap_schedule(
     stream: &ClassifiedStream,
     cfg: &LaunchConfig,
@@ -747,56 +859,50 @@ fn heap_schedule(
     mut draw: impl FnMut(usize, &ServerSeg) -> u64,
 ) -> FleetRun {
     let half_rtt = cfg.rtt_ns / 2;
-    // Per-node cursor into the segment schedule and local clock. Only
-    // cold nodes exist here, and only their server ops are events.
+    // Per-node cursor into the segment schedule, and the drawn service
+    // time and client extra of the node's pending request. Only cold
+    // nodes exist here, and only their server ops are events.
     struct Node {
         next_seg: usize,
-        clock_ns: u64,
+        svc_ns: u64,
+        extra_ns: u64,
     }
-    let mut node_state: Vec<Node> =
-        (0..lane.count).map(|_| Node { next_seg: 0, clock_ns: 0 }).collect();
-
-    // Event queue of (arrival at server, node, service time, client
-    // extra) — the tuple layout (and so the tie-breaking order) of the
-    // reference implementation.
-    let mut heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>> =
-        BinaryHeap::with_capacity(lane.count);
     let first = stream.segments[0];
-    for (i, n) in node_state.iter_mut().enumerate() {
-        n.clock_ns = first.pre_local_ns;
-        let svc = hook.service(i, draw(i, &first));
-        heap.push(Reverse((n.clock_ns + half_rtt, i, svc, first.client_extra_ns)));
-    }
+    let mut events = EventQueue::new(lane.count);
+    let mut node_state: Vec<Node> = (0..lane.count)
+        .map(|i| {
+            events.push(first.pre_local_ns + half_rtt, i);
+            let svc_ns = hook.service(i, draw(i, &first));
+            Node { next_seg: 0, svc_ns, extra_ns: first.client_extra_ns }
+        })
+        .collect();
 
     let mut servers = ServerLanes::pool(lane.servers);
     let mut done_max_ns = 0u64;
-    while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
+    while let Some((arrival, i)) = events.pop() {
         // FIFO after the server's previous work, never before `arrival`.
         let server = servers.pick(i);
-        let done = hook.start(servers.busy_ns[server].max(arrival)) + svc;
+        let n = &mut node_state[i];
+        let done = hook.start(servers.busy_ns[server].max(arrival)) + n.svc_ns;
         servers.busy_ns[server] = done;
         if let Some(rearrival) = hook.lost(i, arrival) {
             // The server did the work (its busy clock stands), but the
             // same request, with the same drawn service, arrives again.
-            heap.push(Reverse((rearrival, i, svc, extra)));
+            events.park(rearrival, i);
             continue;
         }
         // Client resumes after the response returns and it has consumed
         // the payload (reads stream for `extra` after the server moves
         // on), then computes locally until its next request.
-        let n = &mut node_state[i];
-        n.clock_ns = done + half_rtt + extra;
+        let resume_ns = done + half_rtt + n.extra_ns;
         n.next_seg += 1;
         match stream.segments.get(n.next_seg) {
             Some(seg) => {
-                n.clock_ns += seg.pre_local_ns;
-                let svc = hook.service(i, draw(i, seg));
-                heap.push(Reverse((n.clock_ns + half_rtt, i, svc, seg.client_extra_ns)));
+                n.svc_ns = hook.service(i, draw(i, seg));
+                n.extra_ns = seg.client_extra_ns;
+                events.push(resume_ns + seg.pre_local_ns + half_rtt, i);
             }
-            None => {
-                n.clock_ns += stream.tail_local_ns;
-                done_max_ns = done_max_ns.max(n.clock_ns);
-            }
+            None => done_max_ns = done_max_ns.max(resume_ns + stream.tail_local_ns),
         }
     }
     (done_max_ns, hook.counts())
@@ -1593,6 +1699,94 @@ mod tests {
             (other.slowed_nodes, other.time_to_launch_ns),
             "membership is drawn from the seed"
         );
+    }
+
+    /// Push `(arrival, node)` into the event queue and the binary heap.
+    fn push_both(
+        q: &mut EventQueue,
+        heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+        arrival: u64,
+        node: usize,
+    ) {
+        q.push(arrival, node);
+        heap.push(Reverse((arrival, node)));
+    }
+
+    /// Pop both; they must agree.
+    fn pop_both(
+        q: &mut EventQueue,
+        heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    ) -> Option<(u64, usize)> {
+        let want = heap.pop().map(|Reverse(e)| e);
+        assert_eq!(q.pop(), want);
+        want
+    }
+
+    #[test]
+    fn event_queue_pops_exactly_what_a_binary_heap_pops() {
+        // The scan bound: of REAR_SCAN + 1 pending events at 10, 20, 30,
+        // …, one that belongs exactly REAR_SCAN places from the rear is
+        // placed in the ring, one that belongs a place deeper goes to the
+        // heap, and both pop in order.
+        let n = REAR_SCAN + 1;
+        let mut q = EventQueue::new(n + 2);
+        let mut heap = BinaryHeap::new();
+        for node in 0..n {
+            push_both(&mut q, &mut heap, 10 * (node as u64 + 1), node);
+        }
+        push_both(&mut q, &mut heap, 15, n);
+        assert!(q.deep.is_empty(), "an insert REAR_SCAN places deep stays in the ring");
+        push_both(&mut q, &mut heap, 12, n + 1);
+        assert_eq!((q.len, q.deep.len()), (n + 1, 1), "one place deeper goes to the heap");
+        let popped: Vec<u64> = std::iter::from_fn(|| pop_both(&mut q, &mut heap))
+            .map(|(arrival, _)| arrival)
+            .collect();
+        assert_eq!((popped.len(), &popped[..4]), (n + 2, &[10, 12, 15, 20][..]));
+
+        // Random interleavings of pops and inserts, one pending event per
+        // node at most, as in the engine. A spread of 1 or 3 makes most
+        // pending arrivals equal, so the order is the node tie-break; an
+        // insert at the instant just popped lands at the front, deeper
+        // than the scan bound whenever more than REAR_SCAN are pending;
+        // one insert in 16 is parked; and every so often the queue drains
+        // and refills.
+        let (mut ties, mut deep_inserts) = (0, 0);
+        for seed in 0..120u64 {
+            let mut rng = SplitMix::new(seed);
+            let nodes = [1usize, 2, 9, 64, 300][seed as usize % 5];
+            let spread = [1u64, 3, 50, 1 << 20][(seed as usize / 5) % 4];
+            let mut q = EventQueue::new(nodes);
+            let mut heap = BinaryHeap::new();
+            let mut now = 0u64;
+            let mut idle: Vec<usize> = (0..nodes).collect();
+            for _ in 0..3_000 {
+                if rng.below(300) == 0 {
+                    while let Some((_, node)) = pop_both(&mut q, &mut heap) {
+                        idle.push(node);
+                    }
+                }
+                while !idle.is_empty() && rng.below(4) != 0 {
+                    let node = idle.swap_remove(rng.below(idle.len() as u64) as usize);
+                    let arrival = if rng.below(8) == 0 { now } else { now + rng.below(spread) };
+                    if rng.below(16) == 0 {
+                        q.park(arrival, node);
+                        heap.push(Reverse((arrival, node)));
+                    } else {
+                        let deep_before = q.deep.len();
+                        push_both(&mut q, &mut heap, arrival, node);
+                        deep_inserts += q.deep.len() - deep_before;
+                    }
+                }
+                if let Some((arrival, node)) = pop_both(&mut q, &mut heap) {
+                    ties += usize::from(heap.peek().is_some_and(|Reverse(e)| e.0 == arrival));
+                    now = arrival;
+                    idle.push(node);
+                }
+            }
+            while pop_both(&mut q, &mut heap).is_some() {}
+        }
+        assert!(ties > 10_000, "only {ties} pops tied with the next pending arrival");
+        assert!(deep_inserts > 1_000, "only {deep_inserts} inserts went past the scan bound");
     }
 
     /// Random op streams for the analytic-vs-heap comparison: kinds and

@@ -40,8 +40,11 @@
 //!    replays it through the cheapest exact regime, its [`SolverClass`] —
 //!    the [`analytic_all_cold`] closed form when the symmetric all-cold
 //!    fleet is round-major (`O(server_ops)`, node-count independent, exact
-//!    peak queue depth), otherwise the one per-server-op event heap, whose
-//!    fault model plugs in as a hook (the healthy hook is zero-sized) —
+//!    peak queue depth), otherwise the one per-server-op event loop, whose
+//!    event queue is a ring kept sorted by inserting from its rear with a
+//!    binary heap for the rare deep insert (O(1) per event at the back,
+//!    never more than a heap's O(log nodes)), and whose fault model plugs
+//!    in as a hook (the healthy hook is zero-sized) —
 //!    coalescing the symmetric warm/serverless nodes analytically in every
 //!    regime. That takes a 4M-rank point (broadcast *or* all-cold) to
 //!    microseconds while staying bit-identical to the retained
@@ -162,7 +165,7 @@ pub use batch::{BatchPlan, StreamId};
 pub use config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 pub use des::{
     analytic_all_cold, reference, simulate_classified, simulate_launch, ClassifiedStream,
-    ClassifyParams, SolverClass,
+    ClassifyParams, SolverClass, MAX_SERVICE_NS,
 };
 pub use experiment::{
     scenario_seed, CellAnswer, CellMemo, CellOutcome, CellProfile, ExecStats, ProfileCache,

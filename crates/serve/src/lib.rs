@@ -88,7 +88,10 @@
 //! `meta_service_ns / N`). Unknown, duplicate and nested fields are
 //! errors that name the field, integers are ASCII digits only, and
 //! `ranks`, `replicates`, `servers` and `servers_ideal` take values ≥ 1,
-//! a rank count at most [`MAX_RANKS`] and a fleet at most [`MAX_SERVERS`];
+//! a rank count at most [`MAX_RANKS`], replicates at most
+//! [`MAX_REPLICATES`], a fleet at most [`MAX_SERVERS`], and a fault's
+//! times and retries at most [`depchaos_launch::MAX_SERVICE_NS`] and
+//! [`MAX_FAULT_RETRIES`];
 //! the store's records are read by the same reader ([`codec`]). A line
 //! that is not UTF-8 answers one error line under `line-N`. Answers are
 //! one JSONL line per (query, rank point) carrying only
@@ -124,5 +127,8 @@ pub mod store;
 pub use codec::{CellOutcome, CellRecord, ProfileSummary};
 pub use exec::{default_jobs, run_matrix_incremental, ExecStats};
 pub use key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
-pub use requests::{serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_RANKS, MAX_SERVERS};
+pub use requests::{
+    serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_FAULT_RETRIES, MAX_RANKS,
+    MAX_REPLICATES, MAX_SERVERS,
+};
 pub use store::{LoadStats, ResultStore};

@@ -32,8 +32,11 @@
 //! unknown, duplicate or nested field, a trailing comma, an integer that
 //! is not plain ASCII digits, a 0 in `ranks`, `replicates`, `servers` or
 //! `servers_ideal` (each takes values ≥ 1), a `servers` or
-//! `servers_ideal` above [`MAX_SERVERS`], or a rank count above
-//! [`MAX_RANKS`] is an error naming its field. It
+//! `servers_ideal` above [`MAX_SERVERS`], a rank count above
+//! [`MAX_RANKS`], a `replicates` above [`MAX_REPLICATES`], or a fault
+//! time above [`MAX_SERVICE_NS`] or retry count above
+//! [`MAX_FAULT_RETRIES`] is an error naming its field. These checks run
+//! before the store is consulted. It
 //! answers one error line under the request's `id`, or `line-N` when none
 //! is readable. The batch is split on `\n`, and a line that is not UTF-8
 //! answers one error line under `line-N`.
@@ -51,6 +54,7 @@ use std::time::Instant;
 use depchaos_launch::{
     AssignPolicy, CachePolicy, ExperimentMatrix, FaultModel, LaunchConfig, MatrixBackend,
     ProfileCache, ServerTopology, ServiceDistribution, WrapState, DEFAULT_REPLICATES,
+    MAX_SERVICE_NS,
 };
 use depchaos_vfs::StorageModel;
 use depchaos_workloads::{Axom, Emacs, Poison, Pynamic, PynamicRpath, Rocm, Workload};
@@ -71,6 +75,17 @@ pub const MAX_SERVERS: u64 = 65_536;
 /// kernel keeps state per node, so an unbounded count could abort the whole
 /// batch on one allocation.
 pub const MAX_RANKS: u64 = 1 << 22;
+
+/// The largest `replicates` a request may ask for. The replicate runner
+/// keeps a result per replicate, so an unbounded count could abort the
+/// whole batch on one allocation; every report section, bench row and
+/// benchmark workload runs at most [`DEFAULT_REPLICATES`].
+pub const MAX_REPLICATES: u64 = 1024;
+
+/// The largest `RETRIES` of a requested `loss-…` fault. With it and the
+/// time bound ([`MAX_SERVICE_NS`], which also bounds the timeout and the
+/// backoff base), one lost op's re-issues add less than 2⁶⁰ ns.
+pub const MAX_FAULT_RETRIES: u32 = 16;
 
 /// One parsed what-if query: a named base scenario plus axis deltas.
 #[derive(Debug, Clone)]
@@ -132,6 +147,26 @@ fn resolve_workload(name: &str) -> Result<Arc<dyn Workload>, String> {
     }
 }
 
+/// `fault` when its times are at most [`MAX_SERVICE_NS`] and its retries at
+/// most [`MAX_FAULT_RETRIES`]: past these the engine's clock sums could
+/// wrap, and a wrapped time would be answered and stored as a launch time.
+fn bounded_fault(fault: FaultModel) -> Result<FaultModel, String> {
+    let (times, retries) = match fault {
+        FaultModel::ServerStall { at_ns, duration_ns } => ([at_ns, duration_ns], 0),
+        FaultModel::RpcLoss { timeout_ns, backoff_base_ns, max_retries, .. } => {
+            ([timeout_ns, backoff_base_ns], max_retries)
+        }
+        FaultModel::None | FaultModel::Stragglers { .. } => ([0, 0], 0),
+    };
+    if times.iter().all(|&t| t <= MAX_SERVICE_NS) && retries <= MAX_FAULT_RETRIES {
+        return Ok(fault);
+    }
+    Err(format!(
+        "field \"fault\" takes times of at most {MAX_SERVICE_NS} ns and at most \
+         {MAX_FAULT_RETRIES} retries"
+    ))
+}
+
 /// The axis delta `key`, if the request has one, in the axis's own
 /// spelling; an unknown spelling is an error naming `what`.
 fn axis<T>(f: &mut Fields, key: &str, what: &str, parse: Shape<T>) -> Result<Option<T>, String> {
@@ -145,14 +180,11 @@ impl WhatIfRequest {
         let mut f = Fields::parse(line);
         let (id, base) = (f.need("id", string)?, f.need("base", string)?);
         resolve_workload(&base)?;
-        let positive = |f: &mut Fields, key: &str, default: u64| match f.get(key, uint)? {
+        let bounded = |f: &mut Fields, key: &str, default: u64, max: u64| match f.get(key, uint)? {
             None => Ok(default),
             Some(0) => Err(format!("field {key:?} must be an integer ≥ 1")),
+            Some(n) if n > max => Err(format!("field {key:?} must be at most {max}")),
             Some(n) => Ok(n),
-        };
-        let fleet = |f: &mut Fields, key: &str| match positive(f, key, 1)? {
-            n if n > MAX_SERVERS => Err(format!("field {key:?} must be at most {MAX_SERVERS}")),
-            n => Ok(n),
         };
         let request = WhatIfRequest {
             id,
@@ -167,6 +199,8 @@ impl WhatIfRequest {
             dist: axis(&mut f, "dist", "distribution", ServiceDistribution::parse)?
                 .unwrap_or(ServiceDistribution::Deterministic),
             fault: axis(&mut f, "fault", "fault model", FaultModel::parse)?
+                .map(bounded_fault)
+                .transpose()?
                 .unwrap_or(FaultModel::None),
             ranks: match f.get("ranks", uint_list)? {
                 None => vec![512, 1024, 2048],
@@ -177,11 +211,12 @@ impl WhatIfRequest {
                     return Err(format!("field \"ranks\" must hold integers from 1 to {MAX_RANKS}"))
                 }
             },
-            servers: fleet(&mut f, "servers")?,
+            servers: bounded(&mut f, "servers", 1, MAX_SERVERS)?,
             assign: axis(&mut f, "assign", "assign policy", AssignPolicy::parse)?
                 .unwrap_or(AssignPolicy::HashByNode),
-            servers_ideal: fleet(&mut f, "servers_ideal")?,
-            replicates: positive(&mut f, "replicates", DEFAULT_REPLICATES as u64)? as usize,
+            servers_ideal: bounded(&mut f, "servers_ideal", 1, MAX_SERVERS)?,
+            replicates: bounded(&mut f, "replicates", DEFAULT_REPLICATES as u64, MAX_REPLICATES)?
+                as usize,
             seed: f.get("seed", uint)?,
         };
         f.finish()?;
@@ -472,6 +507,30 @@ mod tests {
             ),
             (r#"{"id":"q","base":"pynamic-20","ranks":[512,4194305]}"#, "\"ranks\" must hold"),
             (r#"{"id":"q","base":"pynamic-20","replicates":0}"#, "\"replicates\" must be"),
+            (
+                concat!(
+                    r#"{"id":"reps","base":"pynamic-20","dist":"lognormal-500","ranks":[64],"#,
+                    r#""replicates":18446744073709551615}"#
+                ),
+                "\"replicates\" must be at most 1024",
+            ),
+            (
+                r#"{"id":"q","base":"pynamic-20","replicates":1025}"#,
+                "\"replicates\" must be at most",
+            ),
+            (
+                r#"{"id":"q","base":"pynamic-20","fault":"stall-0-18446744073709551615"}"#,
+                "\"fault\" takes times of at most 1099511627776 ns and at most 16 retries",
+            ),
+            (
+                r#"{"id":"q","base":"pynamic-20","fault":"loss-999-18446744073709551615-1-3"}"#,
+                "\"fault\" takes times of at most 1099511627776 ns",
+            ),
+            (r#"{"id":"q","base":"pynamic-20","fault":"stall-1099511627777-1"}"#, "\"fault\""),
+            (r#"{"id":"q","base":"pynamic-20","fault":"stall-0-1099511627777"}"#, "\"fault\""),
+            (r#"{"id":"q","base":"pynamic-20","fault":"loss-50-1099511627777-1-3"}"#, "\"fault\""),
+            (r#"{"id":"q","base":"pynamic-20","fault":"loss-50-1-1099511627777-3"}"#, "\"fault\""),
+            (r#"{"id":"q","base":"pynamic-20","fault":"loss-50-1-1-17"}"#, "at most 16 retries"),
             (r#"{"id":"q","base":"pynamic-20","seed":+5}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","seed":18446744073709551616}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","severs":8}"#, "unknown field \"severs\""),
@@ -498,6 +557,26 @@ mod tests {
         assert_eq!((q.servers, q.servers_ideal), (MAX_SERVERS, MAX_SERVERS));
         let q = WhatIfRequest::parse(r#"{"id":"q","base":"pynamic-20","ranks":[1,4194304]}"#);
         assert_eq!(q.unwrap().ranks, [1, MAX_RANKS as usize]);
+        let q = WhatIfRequest::parse(r#"{"id":"q","base":"pynamic-20","replicates":1024}"#);
+        assert_eq!(q.unwrap().replicates, MAX_REPLICATES as usize);
+        for (fault, want) in [
+            (
+                "stall-1099511627776-1099511627776",
+                FaultModel::ServerStall { at_ns: MAX_SERVICE_NS, duration_ns: MAX_SERVICE_NS },
+            ),
+            (
+                "loss-1000-1099511627776-1099511627776-16",
+                FaultModel::RpcLoss {
+                    loss_milli: 1000,
+                    timeout_ns: MAX_SERVICE_NS,
+                    backoff_base_ns: MAX_SERVICE_NS,
+                    max_retries: MAX_FAULT_RETRIES,
+                },
+            ),
+        ] {
+            let line = format!(r#"{{"id":"q","base":"pynamic-20","fault":"{fault}"}}"#);
+            assert_eq!(WhatIfRequest::parse(&line).unwrap().fault, want);
+        }
     }
 
     /// The exact bytes of a deterministic, a `lognormal-500`, an error-cell

@@ -8,11 +8,11 @@
 
 use depchaos_launch::{
     AssignPolicy, CachePolicy, CellOutcome, FaultModel, LaunchResult, LaunchStats, MatrixBackend,
-    Mg1Bounds, ProfileSummary, QueueingCheck, ServiceDistribution, WrapState,
+    Mg1Bounds, ProfileSummary, QueueingCheck, ServiceDistribution, WrapState, MAX_SERVICE_NS,
 };
 use depchaos_serve::{
-    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH, MAX_RANKS,
-    MAX_SERVERS,
+    CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH,
+    MAX_FAULT_RETRIES, MAX_RANKS, MAX_REPLICATES, MAX_SERVERS,
 };
 use depchaos_vfs::StorageModel;
 use proptest::prelude::*;
@@ -59,12 +59,15 @@ fn ws(rng: &mut TestRng) -> &'static str {
 fn fault(rng: &mut TestRng) -> FaultModel {
     match rng.below(0, 4) {
         0 => FaultModel::None,
-        1 => FaultModel::ServerStall { at_ns: rng.next_u64(), duration_ns: rng.next_u64() },
+        1 => FaultModel::ServerStall {
+            at_ns: rng.below(0, MAX_SERVICE_NS + 1),
+            duration_ns: rng.below(0, MAX_SERVICE_NS + 1),
+        },
         2 => FaultModel::RpcLoss {
             loss_milli: rng.below(0, 1001) as u32,
-            timeout_ns: rng.next_u64(),
-            backoff_base_ns: rng.next_u64(),
-            max_retries: rng.below(0, 64) as u32,
+            timeout_ns: rng.below(0, MAX_SERVICE_NS + 1),
+            backoff_base_ns: rng.below(0, MAX_SERVICE_NS + 1),
+            max_retries: rng.below(0, MAX_FAULT_RETRIES as u64 + 1) as u32,
         },
         _ => FaultModel::Stragglers {
             frac_milli: rng.below(0, 1001) as u32,
@@ -133,7 +136,7 @@ fn request() -> impl Strategy<Value = Request> {
             }),
             servers: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
             servers_ideal: rng.bool().then(|| rng.below(1, MAX_SERVERS + 1)),
-            replicates: rng.bool().then(|| rng.below(0, 1 << 20) as usize),
+            replicates: rng.bool().then(|| rng.below(1, MAX_REPLICATES + 1) as usize),
             seed: rng.bool().then(|| rng.next_u64()),
             line: String::new(),
         };
