@@ -519,19 +519,7 @@ fn main() {
     record.time("adaptive/full_matrix", slow_iters, || {
         black_box(adaptive_matrix.run(&adaptive_profiles));
     });
-    let spent: usize =
-        adaptive_report.results.iter().flat_map(|r| &r.stats).map(|(_, st)| st.replicates).sum();
-    let fixed_budget: usize = adaptive_report
-        .results
-        .iter()
-        .map(|r| {
-            let per = LaunchConfig::default()
-                .with_service_dist(r.spec.dist)
-                .with_fault(r.spec.fault)
-                .effective_replicates(depchaos_launch::DEFAULT_REPLICATES);
-            per * r.stats.len()
-        })
-        .sum();
+    let (spent, fixed_budget) = adaptive_report.replicate_budget();
     let note = format!("milli-x, not ns: {spent} replicate sims vs {fixed_budget} fixed");
     let ratio = (fixed_budget as u128 * 1000) / spent.max(1) as u128;
     record.push("adaptive/savings_ratio", ratio, slow_iters, &note);

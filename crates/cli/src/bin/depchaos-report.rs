@@ -547,19 +547,7 @@ fn fig6_dist(opts: &ReportOpts) {
         // The stopping summary: what the rule actually spent against the
         // fixed budget it replaced. Per-cell Ks are in the TSV's
         // `stopping` column.
-        let spent: usize =
-            report.results.iter().flat_map(|r| &r.stats).map(|(_, st)| st.replicates).sum();
-        let fixed: usize = report
-            .results
-            .iter()
-            .map(|r| {
-                let per = LaunchConfig::default()
-                    .with_service_dist(r.spec.dist)
-                    .with_fault(r.spec.fault)
-                    .effective_replicates(depchaos_launch::DEFAULT_REPLICATES);
-                per * r.stats.len()
-            })
-            .sum();
+        let (spent, fixed) = report.replicate_budget();
         println!(
             "(adaptive stopping spent {spent} replicate simulations where fixed K would \
              spend {fixed} — {:.2}x fewer, bit-reproducibly)",

@@ -50,10 +50,11 @@ pub fn resolve_closure(
     // search directory once for the whole closure.
     let probe = Prober::peeking(fs, env, exe.machine);
     // Every object reached, with its path and the index of its first
-    // requester (the executable has none).
+    // requester (the executable has none), and the paths reached.
     let mut loaded: Vec<(ElfObject, String, Option<usize>)> = Vec::new();
     let mut queue: VecDeque<(usize, String)> = exe.needed.iter().map(|n| (0, n.clone())).collect();
     loaded.push((exe, exe_path.to_string(), None));
+    let mut reached: HashSet<String> = HashSet::from([exe_path.to_string()]);
     let mut seen: HashSet<String> = HashSet::new();
     let mut out = Vec::new();
     while let Some((req, name)) = queue.pop_front() {
@@ -65,7 +66,7 @@ pub fn resolve_closure(
         let found = glibc_order(chain, &name, cache, &probe);
         let requester = loaded[req].1.clone();
         let path = found.map(|(cand, _)| {
-            if !loaded.iter().any(|(_, p, _)| *p == cand.path) {
+            if reached.insert(cand.path.clone()) {
                 queue.extend(cand.object.needed.iter().map(|n| (loaded.len(), n.clone())));
                 loaded.push((cand.object, cand.path.clone(), Some(req)));
             }

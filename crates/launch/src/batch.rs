@@ -11,13 +11,14 @@
 //!
 //! 1. **Gather.** Callers register each distinct [`ClassifiedStream`]
 //!    once ([`BatchPlan::stream`]) and then push one *row* per pending
-//!    simulation ([`BatchPlan::push`]): the schedule id, the row's
-//!    [`LaunchConfig`], and its solver class. Each registered schedule's
-//!    round-major guard is evaluated once.
+//!    simulation ([`BatchPlan::push`]): the stream id and the row's
+//!    [`LaunchConfig`]. Step 2 assigns its solver class.
 //!
 //! 2. **Partition.** At push time every row is classified into one of
-//!    four solver classes (see [`SolverClass`]) by the same rule
-//!    [`simulate_classified`](crate::simulate_classified) applies.
+//!    four solver classes by [`SolverClass::of`], the one rule
+//!    [`simulate_classified`](crate::simulate_classified) calls too. It
+//!    reads the schedule's round-major verdict, which classification
+//!    computed once per stream.
 //!
 //! 3. **Solve each kernel once.** A kernel job is one *lane* of a row's
 //!    cold fleet (see `des::Lane`): an S-server hash-routed fleet is
@@ -52,7 +53,7 @@
 //! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | no kernel: O(1) scatter arithmetic |
 //! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | one envelope recursion, O(server_ops) |
 //! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay (seeds never collapse) |
-//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or guard-violating, or any fault-injected row | one heap replay, under the fault's hook |
+//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or not round-major, or any fault-injected row | one heap replay, under the fault's hook |
 //!
 //! A row pushed as `Analytic` can still *demote* to the heap: the
 //! envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
@@ -79,17 +80,9 @@ use crate::pool;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamId(usize);
 
-/// One registered segment schedule and its round-major guard verdict,
-/// which holds for any fleet of ≥ 2 cold nodes or for none (the guard is
-/// node-count independent).
-struct Schedule<'a> {
-    stream: &'a ClassifiedStream,
-    round_major: bool,
-}
-
 /// One pending simulation.
 struct Row {
-    schedule: usize,
+    stream: usize,
     cfg: LaunchConfig,
     class: SolverClass,
 }
@@ -112,7 +105,7 @@ struct Kernels<'p> {
 /// [`simulate_classified`](crate::simulate_classified) per row.
 #[derive(Default)]
 pub struct BatchPlan<'a> {
-    schedules: Vec<Schedule<'a>>,
+    streams: Vec<&'a ClassifiedStream>,
     rows: Vec<Row>,
 }
 
@@ -121,17 +114,15 @@ impl<'a> BatchPlan<'a> {
         Self::default()
     }
 
-    /// Register a classified stream and evaluate its round-major guard.
-    /// Registering the same `&ClassifiedStream` again (by address) is
-    /// deduplicated and returns the original id.
+    /// Register a classified stream. Registering the same
+    /// `&ClassifiedStream` again (by address) is deduplicated and returns
+    /// the original id.
     pub fn stream(&mut self, stream: &'a ClassifiedStream) -> StreamId {
-        if let Some(i) = self.schedules.iter().position(|s| std::ptr::eq(s.stream, stream)) {
+        if let Some(i) = self.streams.iter().position(|&s| std::ptr::eq(s, stream)) {
             return StreamId(i);
         }
-        let segs = stream.server_segments();
-        let round_major = !segs.is_empty() && des::round_major(segs, stream.params().rtt_ns / 2);
-        self.schedules.push(Schedule { stream, round_major });
-        StreamId(self.schedules.len() - 1)
+        self.streams.push(stream);
+        StreamId(self.streams.len() - 1)
     }
 
     /// Push one pending simulation of `stream` under `cfg`, partitioning
@@ -144,10 +135,8 @@ impl<'a> BatchPlan<'a> {
     ///
     /// [`execute`]: BatchPlan::execute
     pub fn push(&mut self, stream: StreamId, cfg: &LaunchConfig) -> usize {
-        let sched = &self.schedules[stream.0];
-        sched.stream.check_calibration(cfg);
-        let class = SolverClass::of(cfg, sched.stream.server_ops(), || sched.round_major);
-        self.rows.push(Row { schedule: stream.0, cfg: cfg.clone(), class });
+        let class = SolverClass::of(cfg, self.streams[stream.0]);
+        self.rows.push(Row { stream: stream.0, cfg: cfg.clone(), class });
         self.rows.len() - 1
     }
 
@@ -234,7 +223,7 @@ impl<'a> BatchPlan<'a> {
                 let cfg = &row.cfg;
                 let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
                 for lane in des::lanes(cfg) {
-                    let key = (row.schedule, lane, cfg.service_dist, seed, cfg.fault);
+                    let key = (row.stream, lane, cfg.service_dist, seed, cfg.fault);
                     let k = *index.entry(key).or_insert_with(|| {
                         kernels.jobs.push((row, lane));
                         kernels.jobs.len() - 1
@@ -248,7 +237,7 @@ impl<'a> BatchPlan<'a> {
     }
 
     fn stream_of(&self, row: &Row) -> &'a ClassifiedStream {
-        self.schedules[row.schedule].stream
+        self.streams[row.stream]
     }
 }
 

@@ -24,22 +24,23 @@
 //! 1. [`ClassifiedStream::classify`] turns the raw [`StraceLog`] into a
 //!    compact schedule: one segment per server round trip (its preceding
 //!    local-compute time folded into a single number) plus aggregate
-//!    counts. This is the only pass that touches the op stream, and its
+//!    counts, the local-compute total and the schedule's round-major
+//!    verdict. This is the only pass that touches the op stream, and its
 //!    output is immutable — the experiment engine shares one
 //!    `ClassifiedStream` across every rank point and replicate of a cell
 //!    instead of re-deriving (and re-allocating) it per point.
-//! 2. [`simulate_classified`] picks the row's [`SolverClass`] — the
-//!    cheapest of the regimes below, all of which produce **bit-identical
-//!    results** — solves the cold fleet in it, and adds the per-row
-//!    arithmetic (warm fleet, op accounting, overheads). The class
-//!    selection, the heap dispatch and that per-row arithmetic are single
-//!    crate-internal functions shared with [`crate::batch::BatchPlan`],
-//!    which is what keeps a batched row and a per-call result equal:
+//! 2. [`simulate_classified`] takes the row's [`SolverClass`] from
+//!    [`SolverClass::of`] — the cheapest of the regimes below, all of
+//!    which produce **bit-identical results** — solves the cold fleet in
+//!    it, and adds the per-row arithmetic (warm fleet, op accounting,
+//!    overheads). That one rule, the heap dispatch and the per-row
+//!    arithmetic are shared with [`crate::batch::BatchPlan`], which is
+//!    what keeps a batched row and a per-call result equal:
 //!
 //!    * **Coalesced** — no server segments: every node replays the same
 //!      local compute, so one replay covers the fleet.
-//!    * **Analytic** ([`analytic_all_cold`]) — the symmetric all-cold
-//!      fleet under deterministic service: when the segment schedule is
+//!    * **Analytic** — the symmetric all-cold fleet of two or more cold
+//!      nodes under deterministic service: when the segment schedule is
 //!      round-major (uniform metadata streams always are), each lane
 //!      collapses to a max-plus line-envelope recursion over the
 //!      segments, `O(server_ops)` independent of the node count, exact
@@ -54,9 +55,9 @@
 //!      costs more than O(8 + log lane nodes), so a lane pays `O(lane
 //!      nodes × server_ops)` events at no more than a heap's cost each,
 //!      and an S-lane hash fleet pays S small queues and no per-event
-//!      routing. The fallback whenever the closed form's guard declines
-//!      (payload-heavy gaps can break round-major ordering), and the
-//!      engine of the stochastic and faulted classes.
+//!      routing. The engine of lone cold nodes, of schedules that are not
+//!      round-major (payload-heavy gaps can break the ordering) or outgrow
+//!      the envelope's cap, and of the stochastic and faulted classes.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
 //!      sweeps; exists so the others have an independent ground truth
@@ -248,18 +249,22 @@ pub struct ClassifiedStream {
     n_ops: u64,
     /// Ops classified client-local (for a cold node).
     n_local: u64,
+    /// A cold node's total client-local compute.
+    local_total_ns: u64,
+    /// The schedule's verdict under [`round_major`].
+    round_major: bool,
 }
 
 impl ClassifiedStream {
     /// Classify the profiled ops under `cfg`'s latency calibration.
     /// Anything the VFS charged at least an RTT for was a server round
     /// trip; reads ship their (size-derived) cost as the service time; the
-    /// rest is client-local.
+    /// rest is client-local. The local-compute total and the round-major
+    /// verdict every row reads are computed here, once.
     pub fn classify(ops: &StraceLog, cfg: &LaunchConfig) -> Self {
         let params = ClassifyParams::of(cfg);
         let mut segments = Vec::new();
-        let mut pre_local_ns = 0u64;
-        let mut n_local = 0u64;
+        let (mut pre_local_ns, mut local_total_ns, mut n_local) = (0u64, 0u64, 0u64);
         for e in &ops.entries {
             if e.op == Op::Read {
                 // Data reads are bandwidth-bound, not IOPS-bound: the server
@@ -281,16 +286,20 @@ impl ClassifiedStream {
                 });
                 pre_local_ns = 0;
             } else {
-                pre_local_ns += e.cost_ns.max(params.warm_ns);
+                let cost = e.cost_ns.max(params.warm_ns);
+                pre_local_ns += cost;
+                local_total_ns += cost;
                 n_local += 1;
             }
         }
         ClassifiedStream {
             params,
+            round_major: round_major(&segments, params.rtt_ns / 2),
             segments,
             tail_local_ns: pre_local_ns,
             n_ops: ops.entries.len() as u64,
             n_local,
+            local_total_ns,
         }
     }
 
@@ -326,7 +335,7 @@ impl ClassifiedStream {
 
     /// A cold node's total client-local compute (excludes server waits).
     pub fn local_total_ns(&self) -> u64 {
-        self.segments.iter().map(|s| s.pre_local_ns).sum::<u64>() + self.tail_local_ns
+        self.local_total_ns
     }
 
     /// Wall time of one fully warm replay: every op, server-class or not,
@@ -366,9 +375,7 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
 /// was classified under (rank count, node shape, overheads, and cache
 /// policy may differ freely).
 pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
-    stream.check_calibration(cfg);
-    let class =
-        SolverClass::of(cfg, stream.server_ops(), || round_major(&stream.segments, cfg.rtt_ns / 2));
+    let class = SolverClass::of(cfg, stream);
     let run = match class {
         // No cold node of a coalesced row ever occupies a server: it has
         // no lanes.
@@ -380,9 +387,9 @@ pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Lau
 
 /// The solver class a simulation row takes: which of the bit-identical
 /// regimes is cheapest for its (schedule, distribution, fault, cold-fleet,
-/// topology) combination. [`simulate_classified`] and
-/// [`crate::batch::BatchPlan::push`] both select it by the same rule, and
-/// solve every lane of the row in it.
+/// topology) combination. [`SolverClass::of`] is the one rule;
+/// [`simulate_classified`] and [`crate::batch::BatchPlan::push`] both call
+/// it, and solve every lane of the row in its class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverClass {
     /// No server segments: warm or serverless rows coalesce to pure
@@ -406,23 +413,22 @@ pub enum SolverClass {
 }
 
 impl SolverClass {
-    /// The class of a row simulating `cfg` over a schedule of `server_ops`
-    /// segments. `round_major` is the schedule's guard verdict
-    /// ([`round_major`]); it is only evaluated when the class hinges on
-    /// it.
-    pub(crate) fn of(
-        cfg: &LaunchConfig,
-        server_ops: u64,
-        round_major: impl FnOnce() -> bool,
-    ) -> SolverClass {
-        if server_ops == 0 {
+    /// The class of a row simulating `cfg` over `stream`. The busiest lane
+    /// decides whether a row is analytic: a lone node is always
+    /// round-major, and the stream's verdict holds for any larger lane.
+    /// Panics if `cfg`'s latency calibration differs from the stream's.
+    pub fn of(cfg: &LaunchConfig, stream: &ClassifiedStream) -> SolverClass {
+        stream.check_calibration(cfg);
+        if stream.segments.is_empty() {
             SolverClass::Coalesced
         } else if !cfg.fault.is_none() {
             SolverClass::Heap
         } else if !cfg.service_dist.is_deterministic() {
             SolverClass::Stochastic
         } else if cfg.cold_nodes() > 1
-            && lanes(cfg).next().is_some_and(|busiest| closed_form_admits(busiest, round_major))
+            && lanes(cfg).next().is_some_and(|busiest| {
+                busiest.servers == 1 && (busiest.count == 1 || stream.round_major)
+            })
         {
             SolverClass::Analytic
         } else {
@@ -908,31 +914,6 @@ fn heap_schedule(
     (done_max_ns, hook.counts())
 }
 
-/// The analytic all-cold fast path: `simulate_classified`'s deterministic
-/// no-broadcast regime without the event heap. Returns the full
-/// [`LaunchResult`] when the closed form applies to every lane (see
-/// `closed_form` for why it is exact), `None` when the segment schedule
-/// forces a heap replay — callers and tests can tell *whether* the
-/// analytic regime engaged, and the result is bit-identical to
-/// [`simulate_classified`] whenever it does.
-pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
-    if !cfg.service_dist.is_deterministic()
-        || !cfg.fault.is_none()
-        || cfg.broadcast_cache
-        || stream.segments.is_empty()
-    {
-        return None;
-    }
-    let mut runs = Vec::new();
-    for lane in lanes(cfg) {
-        if !closed_form_admits(lane, || round_major(&stream.segments, cfg.rtt_ns / 2)) {
-            return None;
-        }
-        runs.push((closed_form(stream, cfg, lane.count)?, FaultCounts::default()));
-    }
-    Some(scatter(stream, cfg, fold_lanes(stream, runs)))
-}
-
 /// Upper bound on the line-envelope size before the closed form bails to
 /// the heap. The envelope holds at most one line per *distinct* service
 /// time still live, so real op streams (metadata ops share
@@ -941,21 +922,14 @@ pub fn analytic_all_cold(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Optio
 /// degenerate toward O(server_ops²).
 const MAX_ENVELOPE_LINES: usize = 64;
 
-/// The closed form's guard on one deterministic [`Lane`]: a FIFO lane (a
-/// least-loaded pool routes by the event schedule, so it never is) whose
-/// nodes are alone or replay a round-major schedule ([`round_major`],
-/// evaluated only then).
-fn closed_form_admits(lane: Lane, round_major: impl FnOnce() -> bool) -> bool {
-    lane.servers == 1 && (lane.count == 1 || round_major())
-}
-
 /// Closed form for a FIFO lane of `nodes` identical cold nodes under
-/// deterministic service, for a lane [`closed_form_admits`]: the nodes
-/// replay the segment schedule through the lane's server, and the
-/// slowest cold finish is **bit-identical** to [`heap_schedule`]'s,
-/// computed in `O(server_ops × envelope lines)` independent of the node
-/// count. `None` when the envelope outgrows [`MAX_ENVELOPE_LINES`]; the
-/// caller falls back to the heap.
+/// deterministic service, for a lane of an analytic row
+/// ([`SolverClass::of`]; a least-loaded pool routes by the event schedule,
+/// so it never is one): the nodes replay the segment schedule through the
+/// lane's server, and the slowest cold finish is **bit-identical** to
+/// [`heap_schedule`]'s, computed in `O(server_ops × envelope lines)`
+/// independent of the node count. `None` when the envelope outgrows
+/// [`MAX_ENVELOPE_LINES`]; the caller falls back to the heap.
 ///
 /// # Why this is exact
 ///
@@ -979,9 +953,9 @@ fn closed_form_admits(lane: Lane, round_major: impl FnOnce() -> bool) -> bool {
 /// per consecutive segment pair guarantees it for any node count (gap =
 /// rtt + client extra + next pre-local). Uniform metadata streams satisfy
 /// it trivially; a payload-heavy read followed by a bare stat can violate
-/// it (its huge gap lets node 0 lap the stragglers), and then the guard
-/// declines and the heap replays the schedule. A single cold node is
-/// always round-major.
+/// it (its huge gap lets node 0 lap the stragglers), and then the
+/// stream's verdict is false and [`SolverClass::of`] sends the row to the
+/// heap. A single cold node is always round-major.
 fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig, nodes: usize) -> Option<u64> {
     let segs = &stream.segments;
     let (half_rtt, last) = (cfg.rtt_ns / 2, nodes as u64 - 1);
@@ -994,7 +968,7 @@ fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig, nodes: usize) -> O
     let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(8);
     lines.push((segs[0].pre_local_ns + half_rtt + segs[0].service_ns, segs[0].service_ns));
     for j in 1..segs.len() {
-        let (s, g_prev) = (segs[j].service_ns, seg_gap(segs, half_rtt, j - 1));
+        let (s, g_prev) = (segs[j].service_ns, seg_gap(&segs[j - 1], &segs[j], half_rtt));
         if !envelope_round(&mut lines, &mut scratch, s, g_prev, last) {
             return None;
         }
@@ -1005,26 +979,28 @@ fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig, nodes: usize) -> O
     Some(served_last + half_rtt + segs[segs.len() - 1].client_extra_ns + stream.tail_local_ns)
 }
 
-/// Gap between finishing server op `j` and arriving for op `j + 1`,
+/// Gap between finishing server op `seg` and arriving for op `next`,
 /// exactly as the heap accumulates it (half_rtt twice, not rtt once:
 /// integer halving must round the same way).
-fn seg_gap(segs: &[ServerSeg], half_rtt: u64, j: usize) -> u64 {
-    2 * half_rtt + segs[j].client_extra_ns + segs[j + 1].pre_local_ns
+fn seg_gap(seg: &ServerSeg, next: &ServerSeg, half_rtt: u64) -> u64 {
+    2 * half_rtt + seg.client_extra_ns + next.pre_local_ns
 }
 
 /// The round-major guard of `closed_form`, node-count independent for any
-/// fleet of two or more cold nodes: every consecutive segment pair must
-/// satisfy `s_k + gap_k > gap_{k-1}`.
-pub(crate) fn round_major(segs: &[ServerSeg], half_rtt: u64) -> bool {
-    let mut prev_gap = 0u64;
-    for (j, seg) in segs[..segs.len() - 1].iter().enumerate() {
-        let g = seg_gap(segs, half_rtt, j);
-        if seg.service_ns + g <= prev_gap {
+/// fleet of two or more cold nodes: the schedule is not empty, and every
+/// consecutive segment pair satisfies `s_k + gap_k > gap_{k-1}`, the gap
+/// before segment 0 taken as 0. [`ClassifiedStream::classify`] evaluates
+/// it once per stream, stopping at the first pair that fails it.
+fn round_major(segs: &[ServerSeg], half_rtt: u64) -> bool {
+    let mut prev_gap = 0;
+    for w in segs.windows(2) {
+        let gap = seg_gap(&w[0], &w[1], half_rtt);
+        if w[0].service_ns + gap <= prev_gap {
             return false;
         }
-        prev_gap = g;
+        prev_gap = gap;
     }
-    true
+    !segs.is_empty()
 }
 
 /// One round of the max-plus envelope recursion: advance `lines` (the
@@ -1814,51 +1790,68 @@ mod tests {
         scatter(stream, cfg, fold_lanes(stream, runs))
     }
 
+    /// `cfg`'s row with every lane solved by the closed form, whatever its
+    /// class: the envelope's own answer, `None` when it outgrows its cap.
+    fn envelope_row(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
+        let runs = lanes(cfg)
+            .map(|lane| Some((closed_form(stream, cfg, lane.count)?, FaultCounts::default())))
+            .collect::<Option<Vec<FleetRun>>>()?;
+        Some(scatter(stream, cfg, fold_lanes(stream, runs)))
+    }
+
     #[test]
     fn closed_form_matches_the_heap_bit_for_bit_whenever_it_engages() {
-        // The in-module ground truth: whenever the round-major guard admits
-        // a stream, the envelope recursion must reproduce the heap's
+        // The in-module ground truth: whenever the rule calls a row
+        // analytic, the envelope recursion must reproduce the heap's
         // (slowest finish, peak queue depth) exactly — same tie-breaks,
-        // same integer halving. Random streams exercise both guard
-        // verdicts; the uniform metadata stream must always engage.
+        // same integer halving. A lone cold node is a heap row, but the
+        // envelope must answer it exactly too. Random streams exercise both
+        // round-major verdicts; the uniform metadata stream must always
+        // engage.
         let mut engaged = 0;
         for seed in 0..40u64 {
             let ops = random_stream(seed, (seed % 60) as usize + 1);
             for ranks in [1usize, 128, 2048, 8192] {
                 let cfg = fast_cfg().with_ranks(ranks);
                 let classified = ClassifiedStream::classify(&ops, &cfg);
-                if classified.segments.is_empty() {
+                let class = SolverClass::of(&cfg, &classified);
+                let lone = class == SolverClass::Heap && cfg.cold_nodes() == 1;
+                if class != SolverClass::Analytic && !lone {
                     continue;
                 }
-                if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
+                if let Some(analytic) = envelope_row(&classified, &cfg) {
                     engaged += 1;
                     assert_eq!(analytic, heap_row(&classified, &cfg), "seed={seed} ranks={ranks}");
                 }
             }
         }
-        assert!(engaged > 20, "the guard admitted only {engaged} cases — generator too hostile");
-        for ranks in [1usize, 512, 16 * 1024] {
+        assert!(engaged > 20, "the rule admitted only {engaged} cases — generator too hostile");
+        for ranks in [512usize, 16 * 1024] {
             let cfg = fast_cfg().with_ranks(ranks);
             let classified = ClassifiedStream::classify(&stream(200, 50), &cfg);
-            assert!(
-                analytic_all_cold(&classified, &cfg).is_some(),
+            assert_eq!(
+                SolverClass::of(&cfg, &classified),
+                SolverClass::Analytic,
                 "uniform cold metadata streams are always round-major"
             );
         }
     }
 
     #[test]
-    fn analytic_all_cold_is_simulate_classified_when_it_engages() {
+    fn uniform_streams_are_analytic_from_two_cold_nodes_and_exact() {
+        // One cold node is a heap row, where the envelope would also be
+        // exact: a lone node is always round-major.
         for (nc, nw) in [(1usize, 0usize), (100, 0), (37, 63), (1, 499), (200, 50)] {
             let ops = stream(nc, nw);
             for ranks in [1usize, 128, 2048] {
                 let cfg = fast_cfg().with_ranks(ranks);
                 let classified = ClassifiedStream::classify(&ops, &cfg);
-                let analytic = analytic_all_cold(&classified, &cfg)
-                    .expect("uniform streams engage the closed form");
-                assert_eq!(analytic, simulate_classified(&classified, &cfg));
-                assert_eq!(analytic, simulate_launch_reference(&ops, &cfg));
-                assert_eq!(analytic.peak_queue_depth, cfg.nodes(), "every cold node queues");
+                let want = if cfg.nodes() > 1 { SolverClass::Analytic } else { SolverClass::Heap };
+                assert_eq!(SolverClass::of(&cfg, &classified), want, "ranks={ranks}");
+                let r = simulate_classified(&classified, &cfg);
+                assert_eq!(r, simulate_launch_reference(&ops, &cfg));
+                assert_eq!(Some(r), envelope_row(&classified, &cfg));
+                assert_eq!(r.peak_queue_depth, cfg.nodes(), "every cold node queues");
             }
         }
     }
@@ -1867,8 +1860,8 @@ mod tests {
     fn analytic_declines_what_it_cannot_prove() {
         // A payload-heavy read's huge client gap followed by a bare stat
         // breaks round-major ordering for a multi-node fleet: node 0 laps
-        // the stragglers. The closed form must decline (and the heap keep
-        // the result exact) — yet a single cold node is always admitted.
+        // the stragglers. The rule must send the row to the heap, and the
+        // heap keep the result exact.
         let mut ops = StraceLog::new();
         ops.push(Syscall::new(Op::Read, "/data/big", Outcome::Ok, 4_000_000));
         for i in 0..10 {
@@ -1876,25 +1869,47 @@ mod tests {
         }
         let multi = fast_cfg().with_ranks(2048);
         let classified = ClassifiedStream::classify(&ops, &multi);
-        assert!(analytic_all_cold(&classified, &multi).is_none());
+        assert!(!classified.round_major);
+        assert_eq!(SolverClass::of(&multi, &classified), SolverClass::Heap);
         assert_eq!(
             simulate_classified(&classified, &multi),
             simulate_launch_reference(&ops, &multi),
-            "the heap fallback stays exact where the closed form declines"
+            "the heap stays exact where the closed form cannot be proven"
         );
+        // A lone cold node is a heap row too, though the envelope answers
+        // it exactly: one node is always round-major.
         let single = fast_cfg().with_ranks(64); // one node
         let classified = ClassifiedStream::classify(&ops, &single);
-        assert!(analytic_all_cold(&classified, &single).is_some());
+        assert_eq!(SolverClass::of(&single, &classified), SolverClass::Heap);
+        assert_eq!(envelope_row(&classified, &single), Some(heap_row(&classified, &single)));
 
         // Stochastic and broadcast regimes are out of the analytic scope by
         // construction.
         let jitter = fast_cfg()
             .with_ranks(2048)
             .with_service_dist(ServiceDistribution::uniform_jitter(0.25));
-        assert!(analytic_all_cold(&ClassifiedStream::classify(&ops, &jitter), &jitter).is_none());
+        let classified = ClassifiedStream::classify(&ops, &jitter);
+        assert_eq!(SolverClass::of(&jitter, &classified), SolverClass::Stochastic);
         let mut bcast = fast_cfg().with_ranks(2048);
         bcast.broadcast_cache = true;
-        assert!(analytic_all_cold(&ClassifiedStream::classify(&ops, &bcast), &bcast).is_none());
+        let classified = ClassifiedStream::classify(&ops, &bcast);
+        assert_eq!(SolverClass::of(&bcast, &classified), SolverClass::Heap);
+    }
+
+    #[test]
+    fn classify_computes_the_row_facts_once() {
+        // The local total is what summing the schedule gives, and an empty
+        // schedule is not round-major.
+        for seed in 0..8u64 {
+            let classified = ClassifiedStream::classify(&random_stream(seed, 50), &fast_cfg());
+            let summed = classified.segments.iter().map(|s| s.pre_local_ns).sum::<u64>()
+                + classified.tail_local_ns;
+            assert_eq!(classified.local_total_ns(), summed, "seed={seed}");
+        }
+        for (nc, nw) in [(0usize, 0usize), (0, 40), (1, 0), (37, 63)] {
+            let classified = ClassifiedStream::classify(&stream(nc, nw), &fast_cfg());
+            assert_eq!(classified.round_major, nc > 0, "{nc} cold, {nw} warm");
+        }
     }
 
     #[test]
@@ -1909,7 +1924,8 @@ mod tests {
         let classified = ClassifiedStream::classify(&ops, &cfg);
         let r = simulate_classified(&classified, &cfg);
         assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
-        assert_eq!(r, analytic_all_cold(&classified, &cfg).expect("uniform stream engages"));
+        assert_eq!(SolverClass::of(&cfg, &classified), SolverClass::Analytic);
+        assert_eq!(Some(r), envelope_row(&classified, &cfg), "the envelope stays under its cap");
         assert_eq!(r.nodes, 262_144);
         assert_eq!(r.peak_queue_depth, 262_144, "the whole fleet queues at once");
         // Sanity: the launch cannot beat the server's serial capacity.
@@ -1998,8 +2014,8 @@ mod tests {
     #[test]
     fn multi_server_closed_form_matches_the_heap_bit_for_bit() {
         // The per-lane analytic envelope against the per-lane heap and the
-        // reference oracle's joint S-server heap, wherever the guard
-        // admits — including lanes of unequal size (cold % S ≠ 0).
+        // reference oracle's joint S-server heap, wherever the rule calls
+        // the row analytic — including lanes of unequal size (cold % S ≠ 0).
         let mut engaged = 0;
         for seed in 0..20u64 {
             let ops = random_stream(seed, (seed % 40) as usize + 1);
@@ -2008,10 +2024,10 @@ mod tests {
                     let cfg =
                         fast_cfg().with_ranks(ranks).with_topology(ServerTopology::hash(servers));
                     let classified = ClassifiedStream::classify(&ops, &cfg);
-                    if classified.segments.is_empty() {
+                    if SolverClass::of(&cfg, &classified) != SolverClass::Analytic {
                         continue;
                     }
-                    if let Some(analytic) = analytic_all_cold(&classified, &cfg) {
+                    if let Some(analytic) = envelope_row(&classified, &cfg) {
                         engaged += 1;
                         let what = format!("seed={seed} servers={servers} ranks={ranks}");
                         assert_eq!(analytic, heap_row(&classified, &cfg), "{what}");
@@ -2020,7 +2036,7 @@ mod tests {
                 }
             }
         }
-        assert!(engaged > 40, "the guard admitted only {engaged} cases — generator too hostile");
+        assert!(engaged > 40, "the rule admitted only {engaged} cases — generator too hostile");
     }
 
     #[test]
@@ -2028,8 +2044,9 @@ mod tests {
         let ops = stream(120, 0);
         let cfg = fast_cfg().with_ranks(2048).with_topology(ServerTopology::least_loaded(4));
         let classified = ClassifiedStream::classify(&ops, &cfg);
-        assert!(
-            analytic_all_cold(&classified, &cfg).is_none(),
+        assert_eq!(
+            SolverClass::of(&cfg, &classified),
+            SolverClass::Heap,
             "schedule-dependent routing must decline the closed form"
         );
         assert_eq!(simulate_classified(&classified, &cfg), simulate_launch_reference(&ops, &cfg));
@@ -2070,7 +2087,8 @@ mod tests {
         let classified = ClassifiedStream::classify(&ops, &cfg);
         let r = simulate_classified(&classified, &cfg);
         assert!(t0.elapsed().as_secs_f64() < 1.0, "took {:?}", t0.elapsed());
-        assert_eq!(r, analytic_all_cold(&classified, &cfg).expect("uniform stream engages"));
+        assert_eq!(SolverClass::of(&cfg, &classified), SolverClass::Analytic);
+        assert_eq!(Some(r), envelope_row(&classified, &cfg), "the envelope stays under its cap");
         assert_eq!(r.peak_queue_depth, 262_144, "the whole fleet still queues at once");
         // Each lane serializes its own 32,768 nodes' ops...
         assert!(r.time_to_launch_ns >= (262_144 / 8) * 500 * cfg.meta_service_ns);

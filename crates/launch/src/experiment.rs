@@ -47,6 +47,7 @@ use crate::des::{ClassifiedStream, ClassifyParams};
 use crate::fault::FaultModel;
 use crate::matrix::{
     CachePolicy, CellKey, ExperimentMatrix, MatrixBackend, Scenario, ScenarioSpec, WrapState,
+    DEFAULT_REPLICATES,
 };
 use crate::pool;
 use crate::profile::profile_load_checked;
@@ -350,6 +351,26 @@ impl SweepReport {
             return None;
         }
         Some(first)
+    }
+
+    /// The replicate simulations this sweep spent, and what a fixed-K
+    /// sweep of [`DEFAULT_REPLICATES`] would spend on the same points (one
+    /// per point of a cell that takes no draws): adaptive stopping's
+    /// saving.
+    pub fn replicate_budget(&self) -> (usize, usize) {
+        let spent = self.results.iter().flat_map(|r| &r.stats).map(|(_, st)| st.replicates).sum();
+        let fixed = self
+            .results
+            .iter()
+            .map(|r| {
+                let per = LaunchConfig::default()
+                    .with_service_dist(r.spec.dist)
+                    .with_fault(r.spec.fault)
+                    .effective_replicates(DEFAULT_REPLICATES);
+                per * r.stats.len()
+            })
+            .sum();
+        (spent, fixed)
     }
 
     /// One table per slice of `axis` — the results equal up to that axis,

@@ -36,11 +36,13 @@
 //!    [`FaultModel::None`] stays bit-identical to the healthy engine.
 //!    Simulation is two-phase:
 //!    [`ClassifiedStream::classify`] compacts the op stream into a
-//!    per-server-op schedule exactly once, and [`simulate_classified`]
-//!    replays it through the cheapest exact regime, its [`SolverClass`] —
-//!    the [`analytic_all_cold`] closed form when the symmetric all-cold
-//!    fleet is round-major (`O(server_ops)`, node-count independent, exact
-//!    peak queue depth), otherwise the one per-server-op event loop, whose
+//!    per-server-op schedule exactly once (with its local-compute total
+//!    and round-major verdict), and [`simulate_classified`] replays it
+//!    through the cheapest exact regime, the [`SolverClass`] that
+//!    [`SolverClass::of`] picks from the row's config and stream — the
+//!    closed form when a symmetric all-cold fleet of two or more nodes is
+//!    round-major (`O(server_ops)`, node-count independent, exact peak
+//!    queue depth), otherwise the one per-server-op event loop, whose
 //!    event queue is a ring kept sorted by inserting from its rear with a
 //!    binary heap for the rare deep insert (O(1) per event at the back,
 //!    never more than a heap's O(log nodes)), and whose fault model plugs
@@ -53,11 +55,11 @@
 //! 3. [`batch`] is the batched execution layer over the DES: a
 //!    [`BatchPlan`] gathers every pending (cell, rank point, replicate)
 //!    as rows over shared segment schedules, classifies each row with the
-//!    per-call [`SolverClass`] rule — **coalesced** (no server segments —
-//!    pure arithmetic), **analytic** (deterministic round-major fleets,
-//!    one closed-form envelope recursion each), **stochastic** (per-seed
-//!    heap replay), and **heap** (lone-cold-node, guard-violating or
-//!    faulted rows, plus envelope-cap demotions) — deduplicates the rows'
+//!    per-call rule, [`SolverClass::of`] — **coalesced** (no server
+//!    segments — pure arithmetic), **analytic** (deterministic round-major
+//!    fleets, one closed-form envelope recursion each), **stochastic**
+//!    (per-seed heap replay), and **heap** (lone-cold-node, not round-major
+//!    or faulted rows, plus envelope-cap demotions) — deduplicates the rows'
 //!    lanes to unique (schedule, lane) kernels, and solves, folds and
 //!    scatters them through the per-call kernel dispatch and per-row
 //!    arithmetic.
@@ -164,8 +166,8 @@ pub use adaptive::{
 pub use batch::{BatchPlan, StreamId};
 pub use config::{AssignPolicy, LaunchConfig, LaunchResult, ServerTopology, ServiceDistribution};
 pub use des::{
-    analytic_all_cold, reference, simulate_classified, simulate_launch, ClassifiedStream,
-    ClassifyParams, SolverClass, MAX_SERVICE_NS,
+    reference, simulate_classified, simulate_launch, ClassifiedStream, ClassifyParams, SolverClass,
+    MAX_SERVICE_NS,
 };
 pub use experiment::{
     scenario_seed, CellAnswer, CellMemo, CellOutcome, CellProfile, ExecStats, ProfileCache,

@@ -222,18 +222,11 @@ impl Scenario {
     }
 }
 
+/// The scenario's label: every axis, the fault and topology included when
+/// they are off their defaults.
 impl std::fmt::Debug for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Scenario({} × {} × {} × {} × {} × {})",
-            self.workload.name(),
-            self.backend.name(),
-            self.storage.name(),
-            self.wrap.name(),
-            self.cache.name(),
-            self.dist.name()
-        )
+        write!(f, "Scenario({})", self.spec().label())
     }
 }
 
@@ -633,6 +626,31 @@ mod tests {
         assert!(labels.contains("pynamic-10/glibc/nfs/plain/cold/deterministic"));
         assert!(labels.contains("pynamic-10/glibc/nfs/plain/cold/deterministic/servers-4-hash"));
         assert_eq!(ServerTopology::parse("servers-4-hash"), Some(ServerTopology::hash(4)));
+    }
+
+    #[test]
+    fn debug_names_every_axis() {
+        let m = ExperimentMatrix::new()
+            .workload(Pynamic::new(10))
+            .faults([
+                FaultModel::None,
+                FaultModel::ServerStall { at_ns: 2_000_000_000, duration_ns: 10_000_000_000 },
+                FaultModel::Stragglers { frac_milli: 250, slow_milli: 4000 },
+            ])
+            .topologies([
+                ServerTopology::single(),
+                ServerTopology::hash(4),
+                ServerTopology::least_loaded(4),
+            ]);
+        let scenarios = m.expand();
+        assert_eq!(scenarios.len(), 2 * 3 * 3);
+        let debug: std::collections::HashSet<String> =
+            scenarios.iter().map(|s| format!("{s:?}")).collect();
+        assert_eq!(debug.len(), scenarios.len(), "{debug:?}");
+        assert!(debug.contains(
+            "Scenario(pynamic-10/glibc/nfs/wrapped/cold/deterministic/\
+             stall-2000000000-10000000000/servers-4-least)"
+        ));
     }
 
     #[test]

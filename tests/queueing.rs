@@ -1,14 +1,14 @@
 //! The M/G/1 validation layer, cross-crate: queueing-theory bounds must
 //! hold for the DES across random streams, every service distribution, and
-//! arbitrary seeds — and the analytic all-cold fast path must agree with
-//! the heap at the 4Mi-rank scale the sweeps actually run.
+//! arbitrary seeds — and the rows the regime rule calls analytic must
+//! agree with the heap at the 4Mi-rank scale the sweeps actually run.
 
 use std::time::Instant;
 
 use depchaos::launch::{
-    analytic_all_cold, mg1_bounds, reference::simulate_launch_reference, run_adaptive_units,
-    simulate_classified, validate_against_mg1, AdaptiveControl, AdaptiveUnit, ClassifiedStream,
-    ExperimentMatrix, LaunchConfig, LaunchStats, MatrixBackend, ProfileCache, ServiceDistribution,
+    mg1_bounds, reference::simulate_launch_reference, run_adaptive_units, simulate_classified,
+    validate_against_mg1, AdaptiveControl, AdaptiveUnit, ClassifiedStream, ExperimentMatrix,
+    LaunchConfig, LaunchStats, MatrixBackend, ProfileCache, ServiceDistribution, SolverClass,
     WrapState,
 };
 use depchaos::vfs::{Op, Outcome, StorageModel, StraceLog, Syscall};
@@ -93,18 +93,18 @@ proptest! {
         );
     }
 
-    /// Whenever the analytic all-cold path engages, it is bit-identical to
-    /// the reference oracle's full result.
+    /// Every row the regime rule calls analytic is bit-identical to the
+    /// reference oracle's full result.
     #[test]
-    fn analytic_all_cold_matches_the_oracle_whenever_it_engages(
+    fn analytic_rows_match_the_oracle(
         spec in prop::collection::vec((0u8..4, 0u64..2_000_000), 1..80),
         ranks in 1usize..8_000,
     ) {
         let ops = stream_of(&spec);
         let cfg = LaunchConfig::default().with_ranks(ranks);
         let stream = ClassifiedStream::classify(&ops, &cfg);
-        if let Some(analytic) = analytic_all_cold(&stream, &cfg) {
-            prop_assert_eq!(analytic, simulate_launch_reference(&ops, &cfg));
+        if SolverClass::of(&cfg, &stream) == SolverClass::Analytic {
+            prop_assert_eq!(simulate_classified(&stream, &cfg), simulate_launch_reference(&ops, &cfg));
         }
     }
 }
@@ -117,8 +117,8 @@ fn four_million_rank_all_cold_analytic_matches_the_heap_exactly() {
     let ops = cold_stream(8);
     let cfg = LaunchConfig { ranks: 4_194_304, ranks_per_node: 16, ..LaunchConfig::default() };
     let stream = ClassifiedStream::classify(&ops, &cfg);
-    let analytic = analytic_all_cold(&stream, &cfg).expect("uniform cold stream engages");
-    assert_eq!(analytic, simulate_classified(&stream, &cfg));
+    assert_eq!(SolverClass::of(&cfg, &stream), SolverClass::Analytic, "uniform cold stream");
+    let analytic = simulate_classified(&stream, &cfg);
     assert_eq!(analytic, simulate_launch_reference(&ops, &cfg));
     assert_eq!(analytic.nodes, 262_144);
     assert_eq!(analytic.peak_queue_depth, 262_144);
@@ -134,7 +134,7 @@ fn four_million_rank_all_cold_simulates_subsecond() {
     let t0 = Instant::now();
     let r = simulate_classified(&stream, &cfg);
     let elapsed = t0.elapsed();
-    assert_eq!(Some(r), analytic_all_cold(&stream, &cfg));
+    assert_eq!(SolverClass::of(&cfg, &stream), SolverClass::Analytic);
     assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     assert_eq!(r.server_ops, 262_144 * 500);
     // The envelope brackets even this point: capacity below, total
