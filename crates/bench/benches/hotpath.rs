@@ -2,19 +2,17 @@
 //! into one record, `BENCH_des.json` at the repo root.
 //!
 //! ```text
-//! cargo bench -p depchaos-bench --bench hotpath [-- --test]
+//! cargo bench -p depchaos-bench --bench hotpath
 //! ```
 //!
 //! Every case runs through [`time_fn`], the min-of-batches estimator, and
-//! becomes one row of the record (row groups below). A batch is doubled
-//! until it lasts at least [`MIN_BATCH_NS`], so the clock reads around it
-//! are noise, and a row's `iters` is the calls actually timed. `--test` is
-//! the quick mode: fewer iterations per case, same cases, and the record
-//! says `"quick"`. The record is JSON lines: a `{"mode": ...}` line, then one
-//! `{"name", "mean_ns_per_iter", "iters"}` line per case, which
-//! `bench-diff` reads with the serve codec's field reader. Details a row
-//! does not carry (a DES case's ranks, nodes, server ops and simulated
-//! launch time; the ablations' stat/openat table) go to the bench log.
+//! becomes one row of the record (row groups below). The estimator sizes
+//! a case by time, not by a call count, so there is one mode and no case
+//! names an iteration count. The record is JSON lines, one
+//! `{"name", "mean_ns_per_iter"}` line per case, which `bench-diff` reads
+//! with the serve codec's field reader. Details a row does not carry (a
+//! DES case's ranks, nodes, server ops and simulated launch time; the
+//! ablations' stat/openat table) go to the bench log.
 //!
 //! * `des_million_ranks/*` — [`simulate_classified`] at 16Ki–4Mi ranks:
 //!   broadcast, warm, contended and analytic all-cold shapes.
@@ -38,8 +36,8 @@
 //!   and the planner's per-row throughput over a 1,024-row plan.
 //! * `adaptive/*` — the fig6-dist matrix under adaptive replicate
 //!   control, and its replicate saving as an integer milli-ratio.
-//! * `loader/*` — the loader engines on a 50-object store closure: glibc,
-//!   musl and every stock backend that resolves it, a traced load,
+//! * `loader/*` — the loader engines on a 50-object store closure: every
+//!   stock backend that resolves it (glibc and musl), a traced load,
 //!   libtree, and an ldconfig scan.
 //! * `shrinkwrap_cost/*` — §V's cost of running Shrinkwrap itself (paper:
 //!   ~4 s warm for 900 entries with the Python tool) on Pynamic closures
@@ -62,7 +60,7 @@ use depchaos_launch::{
     ClassifiedStream, ExperimentMatrix, FaultModel, LaunchConfig, MatrixBackend, ProfileCache,
     ServerTopology, ServiceDistribution, WrapState,
 };
-use depchaos_loader::{analyze_tree, Environment, FutureLoader, GlibcLoader, LdCache, MuslLoader};
+use depchaos_loader::{analyze_tree, Environment, FutureLoader, GlibcLoader, LdCache};
 use depchaos_serve::{default_jobs, run_matrix_incremental, serve_batch, ResultStore};
 use depchaos_store::{
     build_view, views::view_lib_dir, BinDef, LibDef, PackageDef, Repo, StoreInstaller,
@@ -96,6 +94,8 @@ struct DesPoint {
 fn des_points() -> Vec<DesPoint> {
     let mi = 1024 * 1024;
     vec![
+        // A broadcast launch has one cold node at any rank count, so this
+        // one row times the broadcast kernel for every scale.
         DesPoint {
             name: "broadcast_4Mi_cold500",
             cfg: LaunchConfig {
@@ -110,16 +110,6 @@ fn des_points() -> Vec<DesPoint> {
             name: "warm_4Mi_local500",
             cfg: LaunchConfig { ranks: 4 * mi, ranks_per_node: 16, ..LaunchConfig::default() },
             ops: warm_stream(500),
-        },
-        DesPoint {
-            name: "broadcast_1Mi_cold500",
-            cfg: LaunchConfig {
-                ranks: mi,
-                ranks_per_node: 16,
-                broadcast_cache: true,
-                ..LaunchConfig::default()
-            },
-            ops: cold_stream(500),
         },
         DesPoint {
             name: "contended_16Ki_cold500",
@@ -137,66 +127,68 @@ fn des_points() -> Vec<DesPoint> {
     ]
 }
 
-/// Batches per case: a row records the *fastest batch's* mean ns/iter. A
-/// plain mean over one long run absorbs every scheduler hiccup of a shared
-/// CI box into the number the regression gate compares; the
-/// min-of-batches estimator converges on the undisturbed cost, which is
-/// the thing a code change actually moves.
-const BATCHES: u32 = 10;
-
-/// Iterations per case in full mode; anything less is a quick run.
-const FULL_ITERS: u32 = 200;
-
 /// The shortest batch [`time_fn`] times: long enough that the two clock
-/// reads around it are a negligible share of it.
-const MIN_BATCH_NS: u128 = 20_000;
+/// reads around it, and a scheduler tick inside it, are a small share of it.
+const MIN_BATCH_NS: u128 = 1_000_000;
 
-/// Best-batch mean ns of `f`, and the number of calls timed. A batch starts
-/// at `iters / BATCHES` calls (at least one) and doubles until one batch
-/// lasts [`MIN_BATCH_NS`]; then [`BATCHES`] batches of that size are timed.
-fn time_fn(mut f: impl FnMut(), iters: u32) -> (u128, u32) {
-    let mut batch = |calls: u32| {
+/// The time [`time_fn`] spends on one case's timed batches, which number
+/// at least [`MIN_BATCHES`] however long they take. Every case gets the
+/// same budget, so a fast row is the best of hundreds of batches and a
+/// seconds-scale row of ten.
+const CASE_BUDGET_NS: u128 = 250_000_000;
+
+/// The fewest batches a row is the best of.
+const MIN_BATCHES: u32 = 10;
+
+/// Best-batch mean ns of `f`. The batch starts at one call and doubles
+/// until one batch lasts [`MIN_BATCH_NS`]; then batches of that size are
+/// timed until they have taken [`CASE_BUDGET_NS`] and numbered at least
+/// [`MIN_BATCHES`]. A row records the *fastest batch's* mean: a plain mean
+/// absorbs every scheduler hiccup of a shared CI box into the number the
+/// regression gate compares, while the fastest batch converges on the
+/// undisturbed cost, which is what a code change moves.
+fn time_fn(mut f: impl FnMut()) -> u128 {
+    let mut batch = |calls: u128| {
         let t0 = Instant::now();
         for _ in 0..calls {
             f();
         }
         t0.elapsed().as_nanos()
     };
-    let mut calls = (iters / BATCHES).max(1);
+    let mut calls = 1;
     while batch(calls) < MIN_BATCH_NS {
-        calls = calls.saturating_mul(2);
+        calls *= 2;
     }
-    let best_ns = (0..BATCHES).map(|_| batch(calls) / calls as u128).min().unwrap();
-    (best_ns, calls * BATCHES)
+    let (mut best_ns, mut spent_ns, mut batches) = (u128::MAX, 0, 0);
+    while batches < MIN_BATCHES || spent_ns < CASE_BUDGET_NS {
+        let ns = batch(calls);
+        best_ns = best_ns.min(ns / calls);
+        spent_ns += ns;
+        batches += 1;
+    }
+    best_ns
 }
 
-/// The record being built: one `(name, mean ns/iter, iters)` per case,
-/// each echoed to the bench log as it lands.
-struct Record(Vec<(String, u128, u32)>);
+/// The record being built: one `(name, mean ns/iter)` per case, each echoed
+/// to the bench log as it lands.
+struct Record(Vec<(String, u128)>);
 
 impl Record {
-    fn push(&mut self, name: &str, mean_ns: u128, iters: u32, note: &str) {
+    fn push(&mut self, name: &str, mean_ns: u128, note: &str) {
         println!("{name:<48} {mean_ns:>12} ns/iter  {note}");
-        self.0.push((name.to_string(), mean_ns, iters));
+        self.0.push((name.to_string(), mean_ns));
     }
 
     /// Time `f` with [`time_fn`] and record the row.
-    fn time(&mut self, name: &str, iters: u32, f: impl FnMut()) {
-        let (mean_ns, timed) = time_fn(f, iters);
-        self.push(name, mean_ns, timed, "");
+    fn time(&mut self, name: &str, f: impl FnMut()) {
+        self.push(name, time_fn(f), "");
     }
 
-    /// Write `BENCH_des.json` and return its text. The mode comes from the
-    /// iteration count the rows actually ran with, not from re-reading
-    /// argv, so a quick run cannot claim "full" (`bench-diff` refuses to
-    /// compare summaries whose modes differ).
-    fn write(&self, iters: u32) -> String {
-        let mode = if iters >= FULL_ITERS { "full" } else { "quick" };
-        let mut json = format!("{{\"mode\": \"{mode}\"}}\n");
-        for (name, mean_ns, iters) in &self.0 {
-            json.push_str(&format!(
-                "{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean_ns}, \"iters\": {iters}}}\n"
-            ));
+    /// Write `BENCH_des.json` and return its text.
+    fn write(&self) -> String {
+        let mut json = String::new();
+        for (name, mean_ns) in &self.0 {
+            json.push_str(&format!("{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean_ns}}}\n"));
         }
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
         std::fs::write(path, &json).expect("BENCH_des.json at the repo root must be writable");
@@ -281,22 +273,14 @@ fn axom_world(layout: &str) -> (Vfs, String) {
 
 fn main() {
     println!("\n================ depchaos hot paths ================");
-    let quick = std::env::args().any(|a| a == "--test");
-    let iters: u32 = if quick { 10 } else { FULL_ITERS };
-    // Seconds-scale cases get fewer iterations; `time_fn` still takes the
-    // best of its ten batches.
-    let slow_iters = (iters / 50).max(2);
     let mut record = Record(Vec::new());
 
     for p in des_points() {
         let classified = ClassifiedStream::classify(&p.ops, &p.cfg);
         let r = simulate_classified(&classified, &p.cfg);
-        let (mean_ns, timed) = time_fn(
-            || {
-                black_box(simulate_classified(&classified, &p.cfg));
-            },
-            iters,
-        );
+        let mean_ns = time_fn(|| {
+            black_box(simulate_classified(&classified, &p.cfg));
+        });
         let note = format!(
             "ranks {} nodes {} server_ops {} simulated {:.3}s",
             p.cfg.ranks,
@@ -304,25 +288,22 @@ fn main() {
             r.server_ops,
             r.seconds()
         );
-        record.push(&format!("des_million_ranks/{}", p.name), mean_ns, timed, &note);
+        record.push(&format!("des_million_ranks/{}", p.name), mean_ns, &note);
     }
 
-    // Nanosecond-scale ops: more inner iterations, so a batch is long
-    // enough to swamp the timer read.
     let (fs, deep_file, link) = deep_world();
     let ops = cold_stream(500);
     let cfg = LaunchConfig::default();
-    let fast_iters = iters.saturating_mul(500);
-    record.time("vfs_resolve_deep/stat_64_components", fast_iters, || {
+    record.time("vfs_resolve_deep/stat_64_components", || {
         black_box(fs.stat(&deep_file).unwrap());
     });
-    record.time("vfs_resolve_deep/stat_8_symlink_hops", fast_iters, || {
+    record.time("vfs_resolve_deep/stat_8_symlink_hops", || {
         black_box(fs.stat(&link).unwrap());
     });
-    record.time("vfs_resolve_deep/canonicalize_symlink_ladder", fast_iters, || {
+    record.time("vfs_resolve_deep/canonicalize_symlink_ladder", || {
         black_box(fs.canonicalize(&link).unwrap());
     });
-    record.time("classify/cold500", iters, || {
+    record.time("classify/cold500", || {
         black_box(ClassifiedStream::classify(&ops, &cfg));
     });
 
@@ -347,10 +328,10 @@ fn main() {
     };
     let brownout_stream = ClassifiedStream::classify(&ops, &brownout_cfg);
     let storm_stream = ClassifiedStream::classify(&ops, &storm_cfg);
-    record.time("faults/brownout_16Ki", iters, || {
+    record.time("faults/brownout_16Ki", || {
         black_box(simulate_classified(&brownout_stream, &brownout_cfg));
     });
-    record.time("faults/retry_storm", iters, || {
+    record.time("faults/retry_storm", || {
         black_box(simulate_classified(&storm_stream, &storm_cfg));
     });
 
@@ -363,12 +344,12 @@ fn main() {
         .map(|&s| LaunchConfig { topology: ServerTopology::hash(s), ..contended_cfg.clone() })
         .collect();
     let fleet_stream = ClassifiedStream::classify(&ops, &fleet_cfgs[0]);
-    record.time("servers/flatten_sweep", iters, || {
+    record.time("servers/flatten_sweep", || {
         for cfg in &fleet_cfgs {
             black_box(simulate_classified(&fleet_stream, cfg));
         }
     });
-    record.time("servers/s8_contended", iters, || {
+    record.time("servers/s8_contended", || {
         black_box(simulate_classified(&fleet_stream, &fleet_cfgs[3]));
     });
     let s4_jitter_cfg = LaunchConfig {
@@ -378,7 +359,7 @@ fn main() {
         ..contended_cfg.clone()
     };
     let s4_jitter_stream = ClassifiedStream::classify(&ops, &s4_jitter_cfg);
-    record.time("servers/s4_jitter_2Ki", iters, || {
+    record.time("servers/s4_jitter_2Ki", || {
         black_box(simulate_classified(&s4_jitter_stream, &s4_jitter_cfg));
     });
 
@@ -413,14 +394,11 @@ fn main() {
             .with_topology(topology);
         let stream = ClassifiedStream::classify(p150_log, &cfg);
         let events = simulate_classified(&stream, &cfg).server_ops as u128;
-        let (kernel_ns, timed) = time_fn(
-            || {
-                black_box(simulate_classified(&stream, &cfg));
-            },
-            slow_iters,
-        );
+        let kernel_ns = time_fn(|| {
+            black_box(simulate_classified(&stream, &cfg));
+        });
         let note = format!("per event: {events} events per kernel, {kernel_ns} ns per kernel");
-        record.push(&format!("heap/{name}"), kernel_ns / events, timed, &note);
+        record.push(&format!("heap/{name}"), kernel_ns / events, &note);
     }
 
     // One deterministic cell (effective replicates clamp to 1) keeps the
@@ -435,13 +413,13 @@ fn main() {
     let serve_profiles = ProfileCache::new();
     let warm_store = ResultStore::in_memory();
     run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap();
-    record.time("serve/warm_query", fast_iters, || {
+    record.time("serve/warm_query", || {
         let (report, stats) =
             run_matrix_incremental(&serve_matrix, &warm_store, &serve_profiles, 1).unwrap();
         assert_eq!(stats.cold_cells, 0);
         black_box(report);
     });
-    record.time("serve/cold_cell", iters, || {
+    record.time("serve/cold_cell", || {
         let store = ResultStore::in_memory();
         let (report, stats) =
             run_matrix_incremental(&serve_matrix, &store, &serve_profiles, 1).unwrap();
@@ -452,7 +430,7 @@ fn main() {
     // request; an in-memory store, since a hit never touches the disk.
     let warm_line = r#"{"id":"warm","base":"pynamic-25","ranks":[512,1024,2048]}"#;
     serve_batch(warm_line, &warm_store, &serve_profiles, default_jobs()).unwrap();
-    record.time("serve/warm_line", fast_iters, || {
+    record.time("serve/warm_line", || {
         let report = serve_batch(warm_line, &warm_store, &serve_profiles, default_jobs()).unwrap();
         assert_eq!(report.queries[0].stats.cold_cells, 0);
         black_box(report);
@@ -474,24 +452,21 @@ fn main() {
         .distributions(ServiceDistribution::all());
     let batch_profiles = ProfileCache::new();
     batch_matrix.run(&batch_profiles);
-    record.time("batch/full_matrix", slow_iters, || {
+    record.time("batch/full_matrix", || {
         black_box(batch_matrix.run(&batch_profiles));
     });
     const PLAN_ROWS: usize = 1024;
     let batch_cfg = LaunchConfig { ranks_per_node: 16, ..LaunchConfig::default() };
     let batch_stream = ClassifiedStream::classify(&ops, &batch_cfg);
-    let (plan_ns, timed) = time_fn(
-        || {
-            let mut plan = BatchPlan::new();
-            let id = plan.stream(&batch_stream);
-            for i in 0..PLAN_ROWS {
-                plan.push(id, &batch_cfg.clone().with_ranks(16 * (i + 1)));
-            }
-            black_box(plan.execute());
-        },
-        iters,
-    );
-    record.push("batch/row_throughput", plan_ns / PLAN_ROWS as u128, timed, "per row");
+    let plan_ns = time_fn(|| {
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(&batch_stream);
+        for i in 0..PLAN_ROWS {
+            plan.push(id, &batch_cfg.clone().with_ranks(16 * (i + 1)));
+        }
+        black_box(plan.execute());
+    });
+    record.push("batch/row_throughput", plan_ns / PLAN_ROWS as u128, "per row");
 
     // The fig6-dist acceptance matrix under adaptive replicate control,
     // profiling pre-warmed: the multi-round driver plus the replicates the
@@ -516,13 +491,13 @@ fn main() {
         .adaptive(ctl);
     let adaptive_profiles = ProfileCache::new();
     let adaptive_report = adaptive_matrix.run(&adaptive_profiles);
-    record.time("adaptive/full_matrix", slow_iters, || {
+    record.time("adaptive/full_matrix", || {
         black_box(adaptive_matrix.run(&adaptive_profiles));
     });
     let (spent, fixed_budget) = adaptive_report.replicate_budget();
     let note = format!("milli-x, not ns: {spent} replicate sims vs {fixed_budget} fixed");
     let ratio = (fixed_budget as u128 * 1000) / spent.max(1) as u128;
-    record.push("adaptive/savings_ratio", ratio, slow_iters, &note);
+    record.push("adaptive/savings_ratio", ratio, &note);
 
     // The loader engines on a 50-object closure. A backend that cannot
     // resolve this RUNPATH world (the future loader) is skipped, not
@@ -530,34 +505,28 @@ fn main() {
     // strace capture on, so the interned-path log is exercised too.
     let (fs, bin) = store_world();
     let env = Environment::bare();
-    record.time("loader/glibc_load_50", iters, || {
-        black_box(GlibcLoader::new(&fs).with_env(env.clone()).load(&bin).unwrap());
-    });
-    record.time("loader/musl_load_50", iters, || {
-        black_box(MuslLoader::new(&fs).with_env(env.clone()).load(&bin).unwrap());
-    });
     for backend in LoaderBackend::all_stock() {
         let load = || backend.instantiate(&fs, &env, &LdCache::empty()).load(&bin).unwrap();
         if !load().success() {
             println!("  (loader/backend_load_50: {} cannot resolve this world)", backend.name());
             continue;
         }
-        record.time(&format!("loader/backend_load_50/{}", backend.name()), iters, || {
+        record.time(&format!("loader/backend_load_50/{}", backend.name()), || {
             black_box(load());
         });
     }
     let glibc = GlibcLoader::new(&fs).with_env(env.clone());
-    record.time("loader/intern_load_50", iters, || {
+    record.time("loader/intern_load_50", || {
         fs.start_trace();
         glibc.load(&bin).unwrap();
         black_box(fs.stop_trace());
     });
-    record.time("loader/libtree_analyze_50", iters, || {
+    record.time("loader/libtree_analyze_50", || {
         black_box(analyze_tree(&fs, &bin, &env, &LdCache::empty()).unwrap());
     });
     let dirs: Vec<String> =
         fs.list_dir("/store").unwrap().into_iter().map(|d| format!("/store/{d}/lib")).collect();
-    record.time("loader/ldconfig_scan", iters, || {
+    record.time("loader/ldconfig_scan", || {
         black_box(LdCache::ldconfig(&fs, &dirs));
     });
 
@@ -571,7 +540,7 @@ fn main() {
         println!("  (shrinkwrap_cost: pynamic-{n_libs} froze {frozen} entries)");
         let native = ShrinkwrapOptions::new().env(Environment::bare()).strategy(Strategy::Native);
         for (strategy, opts) in [("ldd_strategy", &ldd), ("native_strategy", &native)] {
-            record.time(&format!("shrinkwrap_cost/{strategy}/{n_libs}"), iters, || {
+            record.time(&format!("shrinkwrap_cost/{strategy}/{n_libs}"), || {
                 black_box(wrap(&fs, &w.exe_path, opts).unwrap());
             });
         }
@@ -580,7 +549,7 @@ fn main() {
     emacs::install(&fs).unwrap();
     let opts = ShrinkwrapOptions::new().env(Environment::bare());
     wrap(&fs, emacs::EXE_PATH, &opts).unwrap();
-    record.time("shrinkwrap_cost/emacs_103_deps", iters, || {
+    record.time("shrinkwrap_cost/emacs_103_deps", || {
         black_box(wrap(&fs, emacs::EXE_PATH, &opts).unwrap());
     });
 
@@ -590,7 +559,7 @@ fn main() {
         let r = GlibcLoader::new(&fs).with_env(Environment::bare()).load(&bin).unwrap();
         assert!(r.success(), "{layout}: {:?}", r.failures.first());
         println!("  ablations: {layout:<18} {:>11}  {:>6}", r.stat_openat(), r.syscalls.misses);
-        record.time(&format!("ablations/load_{layout}"), iters, || {
+        record.time(&format!("ablations/load_{layout}"), || {
             black_box(GlibcLoader::new(&fs).with_env(Environment::bare()).load(&bin).unwrap());
         });
         if layout == "shrinkwrapped" {
@@ -599,7 +568,7 @@ fn main() {
                 "  ablations: future loader on the wrapped binary: {}",
                 future().unwrap().success()
             );
-            record.time("ablations/load_future_loader", iters, || {
+            record.time("ablations/load_future_loader", || {
                 black_box(future().unwrap());
             });
         }
@@ -617,21 +586,18 @@ fn main() {
         profile_load_checked(&fs, &exe, &loader).unwrap().0
     };
     let ops = capture().len() as u128;
-    let (capture_ns, timed) = time_fn(
-        || {
-            black_box(capture());
-        },
-        slow_iters,
-    );
+    let capture_ns = time_fn(|| {
+        black_box(capture());
+    });
     let note = format!("per op: {ops} ops per capture, {capture_ns} ns per capture");
-    record.push("profile/pynamic900_plain", capture_ns / ops, timed, &note);
+    record.push("profile/pynamic900_plain", capture_ns / ops, &note);
     let axom7 = Axom::new(7);
-    record.time("profile/axom7_cell", slow_iters, || {
+    record.time("profile/axom7_cell", || {
         let cell =
             ProfileCache::new().get_or_profile(&axom7, &MatrixBackend::glibc(), StorageModel::Nfs);
         black_box(cell);
     });
 
-    let json = record.write(iters);
+    let json = record.write();
     println!("wrote BENCH_des.json ({} bytes)", json.len());
 }

@@ -10,9 +10,9 @@
 //! non-zero when any watched case's `mean_ns_per_iter` regressed beyond its
 //! group's threshold or vanished. `--gate` is repeatable and names one
 //! watched group with its own threshold (a case is judged by the first
-//! matching gate); at least one is required. Exit codes: 0 pass, 1
-//! regression, 2 usage or parse error (a missing `--gate` among them) or
-//! mode mismatch (quick vs full summaries are never comparable).
+//! matching gate); at least one is required, and every row of both
+//! summaries must match one. Exit codes: 0 pass, 1 regression, 2 usage or
+//! parse error (a missing `--gate` among them) or a row no gate names.
 
 use depchaos_bench::diff::{diff_gates, parse_summary, Gate};
 

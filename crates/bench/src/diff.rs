@@ -1,22 +1,18 @@
 //! Comparing `BENCH_des.json` records: the CI perf-regression gate.
 //!
-//! The `hotpath` bench writes the record as JSON lines: a
-//! `{"mode": "full"}` or `{"mode": "quick"}` line, then one
-//! `{"name", "mean_ns_per_iter", "iters"}` line per case.
-//! [`parse_summary`] reads every line with the serve codec's field reader
-//! ([`Fields`]), strictly: a missing, unknown, duplicate or nested field,
-//! a number that is not plain digits, or a repeated row name is an error
-//! naming the line and the field. [`diff_gates`] compares a fresh record
-//! against the checked-in baseline over any number of watched groups —
-//! each [`Gate`] pairs a name prefix with its own regression threshold —
-//! and the `bench-diff` binary turns the comparison into an exit code:
-//! any gated case whose `mean_ns_per_iter` regresses beyond its group's
-//! threshold, or that disappeared from the fresh run, fails the build.
-//!
-//! Two records are only comparable when they were produced in the same
-//! mode: a quick run (few iterations, noisy) measured against a full
-//! baseline would gate on noise, so [`diff_gates`] refuses mode mismatches
-//! outright instead of producing a misleading report.
+//! The `hotpath` bench writes the record as JSON lines, one
+//! `{"name", "mean_ns_per_iter"}` line per case. [`parse_summary`] reads
+//! every line with the serve codec's field reader ([`Fields`]), strictly:
+//! a missing, unknown, duplicate or nested field, a number that is not
+//! plain digits, or a repeated row name is an error naming the line and
+//! the field. [`diff_gates`] compares a fresh record against the
+//! checked-in baseline over any number of watched groups — each [`Gate`]
+//! pairs a name prefix with its own regression threshold — and the
+//! `bench-diff` binary turns the comparison into an exit code: any gated
+//! case whose `mean_ns_per_iter` regresses beyond its group's threshold,
+//! or that disappeared from the fresh run, fails the build. A row that no
+//! gate names would pass unjudged whatever it reads, so [`diff_gates`]
+//! refuses it instead of leaving it out of the report.
 
 use std::collections::HashSet;
 
@@ -32,8 +28,6 @@ pub struct BenchCase {
 /// A parsed `BENCH_des.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchSummary {
-    /// `"full"` or `"quick"` — how many iterations backed each mean.
-    pub mode: String,
     pub cases: Vec<BenchCase>,
 }
 
@@ -45,13 +39,8 @@ impl BenchSummary {
 
 /// Parse a `BENCH_des.json` record. Errors name the line and the field.
 pub fn parse_summary(text: &str) -> Result<BenchSummary, String> {
-    let mut lines = (1..).zip(text.lines());
-    let (_, first) = lines.next().ok_or("line 1: missing field \"mode\"")?;
-    let mut f = Fields::parse(first);
-    let mode = f.need("mode", |v| string(v).filter(|m| m == "full" || m == "quick"));
-    let mode = mode.and_then(|m| f.finish().map(|()| m)).map_err(|e| format!("line 1: {e}"))?;
     let (mut cases, mut names) = (Vec::new(), HashSet::new());
-    for (n, line) in lines {
+    for (n, line) in (1..).zip(text.lines()) {
         let case = read_row(line).map_err(|e| format!("line {n}: {e}"))?;
         if !names.insert(case.name.clone()) {
             return Err(format!("line {n}: field \"name\" repeats {:?}", case.name));
@@ -59,9 +48,9 @@ pub fn parse_summary(text: &str) -> Result<BenchSummary, String> {
         cases.push(case);
     }
     if cases.is_empty() {
-        return Err("line 2: no row after the \"mode\" line".to_string());
+        return Err("line 1: no row".to_string());
     }
-    Ok(BenchSummary { mode, cases })
+    Ok(BenchSummary { cases })
 }
 
 /// One row line. Unknown fields are reported before missing ones, so a
@@ -70,10 +59,8 @@ fn read_row(line: &str) -> Result<BenchCase, String> {
     let mut f = Fields::parse(line);
     let name = f.get("name", string)?;
     let mean_ns_per_iter = f.get("mean_ns_per_iter", uint)?;
-    let iters = f.get("iters", uint)?;
     f.finish()?;
     let missing = |key: &str| format!("missing field {key:?}");
-    iters.ok_or_else(|| missing("iters"))?;
     Ok(BenchCase {
         name: name.ok_or_else(|| missing("name"))?,
         mean_ns_per_iter: mean_ns_per_iter.ok_or_else(|| missing("mean_ns_per_iter"))?,
@@ -163,26 +150,24 @@ impl DiffReport {
 
 /// Compare `current` against `baseline` over the watched groups, each with
 /// its own threshold. A case is judged by the **first** gate whose prefix
-/// matches, so overlapping prefixes behave predictably. Errs (rather than
-/// reporting) when the two summaries were produced in different modes.
+/// matches, so overlapping prefixes behave predictably. Errs, naming the
+/// row, when a row of either record matches no gate.
 pub fn diff_gates(
     baseline: &BenchSummary,
     current: &BenchSummary,
     gates: &[Gate],
 ) -> Result<DiffReport, String> {
-    if baseline.mode != current.mode {
-        return Err(format!(
-            "mode mismatch: baseline is \"{}\" but current is \"{}\" — quick-mode means are \
-             too noisy to gate against a full baseline; rerun both in one mode",
-            baseline.mode, current.mode
-        ));
+    let gate_of = |name: &str| {
+        let gate = gates.iter().find(|g| name.starts_with(&g.prefix));
+        gate.ok_or_else(|| format!("row {name:?} matches no gate"))
+    };
+    for c in &current.cases {
+        gate_of(&c.name)?;
     }
     let mut rows = Vec::new();
     let mut missing = Vec::new();
     for b in &baseline.cases {
-        let Some(gate) = gates.iter().find(|g| b.name.starts_with(&g.prefix)) else {
-            continue;
-        };
+        let gate = gate_of(&b.name)?;
         match current.get(&b.name) {
             Some(c) => {
                 let delta_pct = (c.mean_ns_per_iter as f64 - b.mean_ns_per_iter as f64)
@@ -207,60 +192,46 @@ pub fn diff_gates(
 mod tests {
     use super::*;
 
-    fn summary(mode: &str, cases: &[(&str, u64)]) -> String {
-        let mut s = format!("{{\"mode\": \"{mode}\"}}\n");
+    fn summary(cases: &[(&str, u64)]) -> BenchSummary {
+        let mut s = String::new();
         for (name, mean) in cases {
-            s.push_str(&format!(
-                "{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean}, \"iters\": 200}}\n"
-            ));
+            s.push_str(&format!("{{\"name\": \"{name}\", \"mean_ns_per_iter\": {mean}}}\n"));
         }
-        s
+        parse_summary(&s).unwrap()
     }
 
     #[test]
     fn parses_the_writer_format() {
-        let text = summary("full", &[("des_million_ranks/a", 4000), ("classify/b", 90)]);
-        let s = parse_summary(&text).unwrap();
-        assert_eq!(s.mode, "full");
+        let s = summary(&[("des_million_ranks/a", 4000), ("classify/b", 90)]);
         assert_eq!(s.cases.len(), 2);
         assert_eq!(s.get("des_million_ranks/a").unwrap().mean_ns_per_iter, 4000);
     }
 
     #[test]
     fn parse_errors_name_the_hole() {
-        let row = r#"{"name": "a", "mean_ns_per_iter": 4000, "iters": 200}"#;
-        let after_mode = |rows: &str| format!("{{\"mode\": \"full\"}}\n{rows}");
+        let row = r#"{"name": "a", "mean_ns_per_iter": 4000}"#;
+        let after_row = |bad: &str| format!("{row}\n{bad}");
         for (text, err) in [
-            (String::new(), r#"line 1: missing field "mode""#),
-            (row.to_string(), r#"line 1: missing field "mode""#),
-            (r#"{"mode": "slow"}"#.to_string(), r#"line 1: malformed field "mode""#),
-            (r#"{"mode": "full", "iters": 200}"#.to_string(), r#"line 1: unknown field "iters""#),
-            (after_mode(""), r#"line 2: no row after the "mode" line"#),
+            (String::new(), "line 1: no row"),
             (
-                after_mode(&format!("{row}\n{{\"mode\": \"quick\"}}")),
-                r#"line 3: unknown field "mode""#,
+                after_row(r#"{"name": "b", "mean_ns_per_iter": 90, "iters": 200}"#),
+                r#"line 2: unknown field "iters""#,
             ),
+            (after_row(r#"{"name": "b", "mean_ns": 90}"#), r#"line 2: unknown field "mean_ns""#),
             (
-                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90, "itres": 200}"#),
-                r#"line 2: unknown field "itres""#,
-            ),
-            (
-                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90.5, "iters": 200}"#),
+                after_row(r#"{"name": "b", "mean_ns_per_iter": 90.5}"#),
                 r#"line 2: malformed field "mean_ns_per_iter""#,
             ),
             (
-                after_mode(r#"{"name": "b", "name": "c", "mean_ns_per_iter": 90, "iters": 200}"#),
+                after_row(r#"{"name": "b", "name": "c", "mean_ns_per_iter": 90}"#),
                 r#"line 2: duplicate field "name""#,
             ),
             (
-                after_mode(r#"{"name": "b", "mean_ns_per_iter": {"ns": 90}, "iters": 200}"#),
+                after_row(r#"{"name": "b", "mean_ns_per_iter": {"ns": 90}}"#),
                 r#"line 2: nested value in field "mean_ns_per_iter""#,
             ),
-            (
-                after_mode(r#"{"name": "b", "mean_ns_per_iter": 90}"#),
-                r#"line 2: missing field "iters""#,
-            ),
-            (after_mode(&format!("{row}\n{row}")), r#"line 3: field "name" repeats "a""#),
+            (after_row(r#"{"name": "b"}"#), r#"line 2: missing field "mean_ns_per_iter""#),
+            (after_row(row), r#"line 2: field "name" repeats "a""#),
         ] {
             assert_eq!(parse_summary(&text).unwrap_err(), err, "{text}");
         }
@@ -270,8 +241,8 @@ mod tests {
     fn synthetic_regression_over_threshold_fails_the_gate() {
         // The acceptance demonstration: a >25% des_million_ranks regression
         // must flip the report to FAIL.
-        let base = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
-        let slow = parse_summary(&summary("full", &[("des_million_ranks/hot", 5100)])).unwrap();
+        let base = summary(&[("des_million_ranks/hot", 4000)]);
+        let slow = summary(&[("des_million_ranks/hot", 5100)]);
         let report = diff_gates(&base, &slow, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(!report.ok());
         assert_eq!(report.regressions().len(), 1);
@@ -282,37 +253,31 @@ mod tests {
 
     #[test]
     fn regressions_within_threshold_and_speedups_pass() {
-        let base = parse_summary(&summary(
-            "full",
-            &[("des_million_ranks/hot", 4000), ("des_million_ranks/cool", 100)],
-        ))
-        .unwrap();
-        let cur = parse_summary(&summary(
-            "full",
-            &[("des_million_ranks/hot", 4900), ("des_million_ranks/cool", 10)],
-        ))
-        .unwrap();
+        let base = summary(&[("des_million_ranks/hot", 4000), ("des_million_ranks/cool", 100)]);
+        let cur = summary(&[("des_million_ranks/hot", 4900), ("des_million_ranks/cool", 10)]);
         let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(report.ok(), "{}", report.render());
         assert!(report.render().contains("PASS"));
     }
 
     #[test]
-    fn cases_outside_the_prefix_are_not_gated() {
-        let base = parse_summary(&summary("full", &[("classify/cold500", 100)])).unwrap();
-        let cur = parse_summary(&summary("full", &[("classify/cold500", 900)])).unwrap();
-        let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
-        assert!(report.rows.is_empty() && report.ok());
+    fn an_ungated_row_is_an_error() {
+        // A 10x slower row that no gate names must not pass as a clean report.
+        let gates = [Gate::new("classify/", 40.0)];
+        let base = summary(&[("classify/cold500", 100), ("newgroup/x", 100)]);
+        let cur = summary(&[("classify/cold500", 100), ("newgroup/x", 1000)]);
+        let err = diff_gates(&base, &cur, &gates).unwrap_err();
+        assert_eq!(err, r#"row "newgroup/x" matches no gate"#);
+        // A row new in the current record needs a gate too.
+        let base = summary(&[("classify/cold500", 100)]);
+        let err = diff_gates(&base, &cur, &gates).unwrap_err();
+        assert_eq!(err, r#"row "newgroup/x" matches no gate"#);
     }
 
     #[test]
     fn a_vanished_case_fails_the_gate() {
-        let base = parse_summary(&summary(
-            "full",
-            &[("des_million_ranks/hot", 4000), ("des_million_ranks/gone", 10)],
-        ))
-        .unwrap();
-        let cur = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
+        let base = summary(&[("des_million_ranks/hot", 4000), ("des_million_ranks/gone", 10)]);
+        let cur = summary(&[("des_million_ranks/hot", 4000)]);
         let report = diff_gates(&base, &cur, &[Gate::new("des_million_ranks/", 25.0)]).unwrap();
         assert!(!report.ok());
         assert_eq!(report.missing, vec!["des_million_ranks/gone".to_string()]);
@@ -320,27 +285,11 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_modes_are_refused() {
-        let base = parse_summary(&summary("full", &[("des_million_ranks/hot", 4000)])).unwrap();
-        let quick = parse_summary(&summary("quick", &[("des_million_ranks/hot", 4000)])).unwrap();
-        let err = diff_gates(&base, &quick, &[Gate::new("des_million_ranks/", 25.0)]).unwrap_err();
-        assert!(err.contains("mode mismatch"), "{err}");
-    }
-
-    #[test]
     fn per_group_thresholds_apply_independently() {
         // 30% on the DES case (gated at 25 → fails), 30% on the vfs case
         // (gated at 40 → passes): one report, two verdicts.
-        let base = parse_summary(&summary(
-            "full",
-            &[("des_million_ranks/hot", 1000), ("vfs_resolve_deep/stat", 1000)],
-        ))
-        .unwrap();
-        let cur = parse_summary(&summary(
-            "full",
-            &[("des_million_ranks/hot", 1300), ("vfs_resolve_deep/stat", 1300)],
-        ))
-        .unwrap();
+        let base = summary(&[("des_million_ranks/hot", 1000), ("vfs_resolve_deep/stat", 1000)]);
+        let cur = summary(&[("des_million_ranks/hot", 1300), ("vfs_resolve_deep/stat", 1300)]);
         let gates = [Gate::new("des_million_ranks/", 25.0), Gate::new("vfs_resolve_deep/", 40.0)];
         let report = diff_gates(&base, &cur, &gates).unwrap();
         assert_eq!(report.rows.len(), 2);
@@ -355,26 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn ungated_groups_are_ignored_and_vanished_gated_cases_fail() {
-        let base =
-            parse_summary(&summary("full", &[("classify/cold500", 100), ("loader/other", 100)]))
-                .unwrap();
-        let cur = parse_summary(&summary("full", &[("loader/other", 9000)])).unwrap();
-        let gates = [Gate::new("classify/", 40.0)];
-        let report = diff_gates(&base, &cur, &gates).unwrap();
-        assert!(report.rows.is_empty(), "loader/ is not gated");
-        assert_eq!(report.missing, vec!["classify/cold500".to_string()]);
-        assert!(!report.ok());
-    }
-
-    #[test]
     fn the_checked_in_baseline_parses() {
         // Guards the writer and parser against drifting apart: the real
         // repo-root baseline must always be readable, and it must hold every
         // group the hotpath bench times.
         let text = include_str!("../../../BENCH_des.json");
         let s = parse_summary(text).unwrap();
-        assert_eq!(s.mode, "full");
         for group in ["des_million_ranks/", "loader/", "shrinkwrap_cost/", "ablations/"] {
             assert!(s.cases.iter().any(|c| c.name.starts_with(group)), "no {group} rows");
         }

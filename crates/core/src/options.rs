@@ -171,18 +171,6 @@ impl Strategy {
         Strategy::Backend(LoaderBackend::glibc())
     }
 
-    pub fn glibc() -> Self {
-        Self::ldd()
-    }
-
-    pub fn musl() -> Self {
-        Strategy::Backend(LoaderBackend::musl())
-    }
-
-    pub fn future() -> Self {
-        Strategy::Backend(LoaderBackend::future())
-    }
-
     /// The strategy's display name (`"native"` or the backend name).
     pub fn name(&self) -> &str {
         match self {
@@ -329,7 +317,7 @@ mod tests {
             assert_eq!(loader.name(), backend.name());
         }
         let o = ShrinkwrapOptions::new().backend(LoaderBackend::musl());
-        assert_eq!(o.strategy, Strategy::musl());
+        assert_eq!(o.strategy, Strategy::Backend(LoaderBackend::musl()));
         assert_ne!(o.strategy, Strategy::ldd());
         assert_ne!(o.strategy, Strategy::Native);
     }

@@ -357,7 +357,7 @@ impl ClassifiedStream {
 }
 
 /// Simulate launching `cfg.ranks` ranks whose per-rank startup op stream is
-/// `ops` (captured by [`crate::profile::profile_load`] on a cold mount).
+/// `ops` (captured by [`crate::profile::profile_load_checked`] on a cold mount).
 ///
 /// Classifies and simulates in one call; when sweeping several rank points
 /// over one stream, build the [`ClassifiedStream`] once and call

@@ -178,7 +178,7 @@ pub use matrix::{
     CachePolicy, CellKey, ExperimentMatrix, MatrixBackend, Scenario, ScenarioSpec, WrapState,
     DEFAULT_REPLICATES,
 };
-pub use profile::{profile_load, profile_load_checked, profile_load_with};
+pub use profile::profile_load_checked;
 pub use queueing::{
     erlang_c, factor_second_moment, mg1_bounds, validate_against_mg1, Mg1Bounds, QueueingCheck,
     ServiceMoments,

@@ -12,23 +12,19 @@
 //! cell then freezes into the binary ([`depchaos_core::freeze_load`])
 //! instead of resolving it again, and the wrapped capture.
 
-use depchaos_loader::{Environment, GlibcLoader, LoadError, LoadResult, Loader};
+use depchaos_loader::{LoadError, LoadResult, Loader};
 use depchaos_vfs::{StraceLog, Vfs};
 
 /// Replay a cold-cache load of `exe` under any [`Loader`] backend and
-/// return its op stream — the input to [`crate::simulate_launch`]. The
-/// filesystem's backend (local vs NFS, negative caching) determines the
-/// per-op costs recorded in the stream.
+/// return its op stream — the input to [`crate::simulate_launch`] — with
+/// the [`LoadResult`], so callers can see *how* the load went: a backend
+/// can run to completion with unresolved dependencies (musl on a
+/// search-path-stripped image, the future loader on a RUNPATH-only world),
+/// and the matrix engine records that per cell. The filesystem's backend
+/// (local vs NFS, negative caching) determines the per-op costs recorded
+/// in the stream.
 ///
 /// Drops caches first, so back-to-back profiles are independent.
-pub fn profile_load_with(fs: &Vfs, exe: &str, loader: &dyn Loader) -> Result<StraceLog, LoadError> {
-    profile_load_checked(fs, exe, loader).map(|(log, _)| log)
-}
-
-/// [`profile_load_with`], also returning the [`LoadResult`] so callers can
-/// see *how* the load went: a backend can run to completion with unresolved
-/// dependencies (musl on a search-path-stripped image, the future loader on
-/// a RUNPATH-only world), and the matrix engine records that per cell.
 pub fn profile_load_checked(
     fs: &Vfs,
     exe: &str,
@@ -41,17 +37,12 @@ pub fn profile_load_checked(
     result.map(|r| (log, r))
 }
 
-/// [`profile_load_with`] under the glibc model — the paper's measurement
-/// configuration.
-pub fn profile_load(fs: &Vfs, exe: &str, env: &Environment) -> Result<StraceLog, LoadError> {
-    profile_load_with(fs, exe, &GlibcLoader::new(fs).with_env(env.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use depchaos_elf::io::install;
     use depchaos_elf::ElfObject;
+    use depchaos_loader::{Environment, GlibcLoader};
 
     #[test]
     fn profile_captures_cold_stream() {
@@ -59,13 +50,14 @@ mod tests {
         install(&fs, "/bin/app", &ElfObject::exe("app").needs("liba.so").runpath("/l").build())
             .unwrap();
         install(&fs, "/l/liba.so", &ElfObject::dso("liba.so").build()).unwrap();
-        let log = profile_load(&fs, "/bin/app", &Environment::bare()).unwrap();
+        let glibc = GlibcLoader::new(&fs).with_env(Environment::bare());
+        let (log, _) = profile_load_checked(&fs, "/bin/app", &glibc).unwrap();
         assert!(log.stat_openat() >= 2, "exe open + liba probe");
         // Cold NFS: the probes cost a full round trip each.
         assert!(log.entries.iter().any(|e| e.cost_ns >= 200_000));
 
         // Second profile is identical (drop_caches resets state).
-        let log2 = profile_load(&fs, "/bin/app", &Environment::bare()).unwrap();
+        let (log2, _) = profile_load_checked(&fs, "/bin/app", &glibc).unwrap();
         assert_eq!(log.stat_openat(), log2.stat_openat());
         assert_eq!(log.total_ns(), log2.total_ns());
     }
@@ -73,7 +65,8 @@ mod tests {
     #[test]
     fn missing_exe_propagates() {
         let fs = Vfs::nfs();
-        assert!(profile_load(&fs, "/bin/ghost", &Environment::bare()).is_err());
+        let glibc = GlibcLoader::new(&fs).with_env(Environment::bare());
+        assert!(profile_load_checked(&fs, "/bin/ghost", &glibc).is_err());
     }
 
     #[test]
@@ -90,9 +83,9 @@ mod tests {
         let env = Environment::bare().with_ld_library_path("/llp");
 
         let glibc = GlibcLoader::new(&fs).with_env(env.clone());
-        let g = profile_load_with(&fs, "/bin/app", &glibc).unwrap();
+        let (g, _) = profile_load_checked(&fs, "/bin/app", &glibc).unwrap();
         let musl = MuslLoader::new(&fs).with_env(env);
-        let m = profile_load_with(&fs, "/bin/app", &musl).unwrap();
+        let (m, _) = profile_load_checked(&fs, "/bin/app", &musl).unwrap();
 
         // glibc probes /rp first and hits; musl goes straight to /llp.
         assert!(g.entries.iter().any(|e| e.path_str().starts_with("/rp/")));

@@ -193,9 +193,9 @@ pub struct CellIdentity<'a> {
     /// fixed requests share one key, mirroring execution.
     pub adaptive: Option<AdaptiveControl>,
     /// The base configuration: experiment seed + cluster calibration.
-    /// `ranks`, `broadcast_cache`, `service_dist`, and the per-cell seed
-    /// are axis-derived and already covered above, so only the true
-    /// calibration fields participate.
+    /// `ranks`, `broadcast_cache`, `service_dist`, `fault` and `topology`
+    /// are axis-derived and already covered above, so only the seed and
+    /// the true calibration fields participate.
     pub base: &'a LaunchConfig,
 }
 
@@ -279,13 +279,29 @@ impl CellIdentity<'_> {
                 buf.u64(self.effective_replicates() as u64);
             }
         }
-        buf.u64(self.base.seed);
-        buf.u64(self.base.ranks_per_node as u64);
-        buf.u64(self.base.rtt_ns);
-        buf.u64(self.base.meta_service_ns);
-        buf.u64(self.base.warm_ns);
-        buf.u64(self.base.base_overhead_ns);
-        buf.u64(self.base.per_rank_overhead_ns);
+        // Every base field is named, so a field added to `LaunchConfig`
+        // does not compile until the key decides whether to hash it.
+        let LaunchConfig {
+            ranks: _,           // the cell's rank point: `self.ranks` above
+            broadcast_cache: _, // set by the cache policy: `spec.cache` above
+            service_dist: _,    // the distribution axis: `spec.dist` above
+            fault: _,           // the fault axis: `spec.fault` above
+            topology: _,        // the fleet axis: `spec.topology` above
+            seed,
+            ranks_per_node,
+            rtt_ns,
+            meta_service_ns,
+            warm_ns,
+            base_overhead_ns,
+            per_rank_overhead_ns,
+        } = *self.base;
+        buf.u64(seed);
+        buf.u64(ranks_per_node as u64);
+        buf.u64(rtt_ns);
+        buf.u64(meta_service_ns);
+        buf.u64(warm_ns);
+        buf.u64(base_overhead_ns);
+        buf.u64(per_rank_overhead_ns);
 
         // Two independently keyed lanes; the keys are arbitrary nothing-up-
         // my-sleeve constants and part of the on-disk format.

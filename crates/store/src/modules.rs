@@ -70,8 +70,12 @@ impl ModuleSystem {
         self.loaded.retain(|l| l != name);
     }
 
-    /// `module swap a b`.
+    /// `module swap a b`. An unknown `to` is an error that leaves the
+    /// loaded set as it was.
     pub fn swap(&mut self, from: &str, to: &str) -> Result<(), ModuleError> {
+        if !self.available.contains_key(to) {
+            return Err(ModuleError::Unknown(to.to_string()));
+        }
         self.unload(from);
         self.load(to)
     }
@@ -149,7 +153,10 @@ mod tests {
     #[test]
     fn unknown_module_errors() {
         let mut ms = system();
+        ms.load("rocm/4.5.0").unwrap();
         assert_eq!(ms.load("rocm/9.9"), Err(ModuleError::Unknown("rocm/9.9".into())));
+        assert_eq!(ms.swap("rocm/4.5.0", "rocm/9.9"), Err(ModuleError::Unknown("rocm/9.9".into())));
+        assert_eq!(ms.loaded(), &["rocm/4.5.0".to_string()]);
     }
 
     #[test]

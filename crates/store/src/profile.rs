@@ -14,11 +14,17 @@ use depchaos_vfs::{path as vpath, Vfs, VfsError};
 use crate::store::{InstalledPackage, StoreInstaller};
 
 /// A named sequence of generations with an atomically-switchable current
-/// pointer (`<base>/current` symlink).
+/// pointer (`<base>/current` symlink). Generations are numbered from 1 and
+/// a number is never reused, so deleting old generations leaves the kept
+/// ones' `generation-N` links and numbers as they were.
 #[derive(Debug)]
 pub struct Profile {
     base: String,
-    generations: Vec<InstalledPackage>,
+    /// The kept generations with their numbers, in increasing number.
+    generations: Vec<(usize, InstalledPackage)>,
+    /// The highest generation number ever used.
+    latest: usize,
+    /// The current generation's number (0 before the first `set`).
     current: usize,
 }
 
@@ -27,34 +33,38 @@ impl Profile {
     pub fn create(fs: &Vfs, base: impl Into<String>) -> Result<Self, VfsError> {
         let base = base.into();
         fs.mkdir_p(&base)?;
-        Ok(Profile { base, generations: Vec::new(), current: 0 })
+        Ok(Profile { base, generations: Vec::new(), latest: 0, current: 0 })
     }
 
     /// Install `pkg` as the next generation and atomically repoint
     /// `current`. The previous generation's files are untouched.
     pub fn set(&mut self, fs: &Vfs, pkg: InstalledPackage) -> Result<usize, VfsError> {
-        let gen_no = self.generations.len() + 1;
+        let gen_no = self.latest + 1;
         let link = format!("{}/generation-{gen_no}", self.base);
         fs.symlink(&link, &pkg.prefix)?;
-        self.generations.push(pkg);
+        self.generations.push((gen_no, pkg));
+        self.latest = gen_no;
         self.current = gen_no;
         self.repoint(fs)?;
         Ok(gen_no)
     }
 
-    /// Roll back one generation (no-op at the first).
+    /// Roll back to the previous kept generation (no-op at the oldest).
     pub fn rollback(&mut self, fs: &Vfs) -> Result<usize, VfsError> {
-        if self.current > 1 {
-            self.current -= 1;
-            self.repoint(fs)?;
-        }
-        Ok(self.current)
+        let prev = self.generations.iter().rev().find(|(n, _)| *n < self.current);
+        self.switch(fs, prev.map(|(n, _)| *n))
     }
 
-    /// Roll forward after a rollback.
+    /// Roll forward to the next kept generation (no-op at the newest).
     pub fn roll_forward(&mut self, fs: &Vfs) -> Result<usize, VfsError> {
-        if self.current < self.generations.len() {
-            self.current += 1;
+        let next = self.generations.iter().find(|(n, _)| *n > self.current);
+        self.switch(fs, next.map(|(n, _)| *n))
+    }
+
+    /// Make generation `to`, if any, current; returns the current number.
+    fn switch(&mut self, fs: &Vfs, to: Option<usize>) -> Result<usize, VfsError> {
+        if let Some(gen_no) = to {
+            self.current = gen_no;
             self.repoint(fs)?;
         }
         Ok(self.current)
@@ -77,24 +87,25 @@ impl Profile {
 
     /// The live generation records (GC roots).
     pub fn roots(&self) -> impl Iterator<Item = &InstalledPackage> {
-        self.generations.iter()
+        self.generations.iter().map(|(_, pkg)| pkg)
     }
 
-    /// Drop generations before `keep_from` (1-based), making their closures
-    /// GC-eligible. The current pointer must stay within the kept range.
+    /// Drop the generations numbered below `keep_from`, making their
+    /// closures GC-eligible. The current generation is kept whatever its
+    /// number, as `nix-env --delete-generations` keeps it.
     pub fn delete_generations_before(
         &mut self,
         fs: &Vfs,
         keep_from: usize,
     ) -> Result<(), VfsError> {
-        for gen_no in 1..keep_from {
-            let link = format!("{}/generation-{gen_no}", self.base);
-            let _ = fs.remove(&link);
-        }
-        // Record deletion by truncating from the front; renumbering is not
-        // needed for GC purposes, only membership.
-        let drop_n = keep_from.saturating_sub(1).min(self.generations.len());
-        self.generations.drain(..drop_n);
+        let (base, current) = (&self.base, self.current);
+        self.generations.retain(|(gen_no, _)| {
+            let keep = *gen_no >= keep_from || *gen_no == current;
+            if !keep {
+                let _ = fs.remove(&format!("{base}/generation-{gen_no}"));
+            }
+            keep
+        });
         Ok(())
     }
 }
@@ -173,6 +184,48 @@ mod tests {
 
         profile.roll_forward(&fs).unwrap();
         assert_eq!(fs.canonicalize(&bin).unwrap(), format!("{}/app", gen2.bin_dir));
+    }
+
+    #[test]
+    fn deleting_old_generations_keeps_numbering_and_rollback_sound() {
+        let fs = Vfs::local();
+        let mut store = StoreInstaller::spack_like();
+        let mut profile = Profile::create(&fs, "/profiles/default").unwrap();
+        let gens: Vec<_> = (1..=4)
+            .map(|i| store.install(&fs, &repo(&format!("rev{i}")), "app").unwrap())
+            .collect();
+        let bin = profile.current_bin("app");
+        let assert_current = |profile: &Profile, gen_no: usize| {
+            let at = &gens[gen_no - 1];
+            assert_eq!(fs.canonicalize(&bin).unwrap(), format!("{}/app", at.bin_dir));
+            let r = GlibcLoader::new(&fs).with_env(Environment::bare()).load(&bin).unwrap();
+            assert!(r.success(), "generation {gen_no}: {:?}", r.failures.first());
+            assert_eq!(profile.current, gen_no);
+        };
+
+        for (i, pkg) in gens[..3].iter().enumerate() {
+            assert_eq!(profile.set(&fs, pkg.clone()).unwrap(), i + 1);
+        }
+        profile.delete_generations_before(&fs, 2).unwrap();
+        assert!(!fs.exists("/profiles/default/generation-1"));
+        assert_current(&profile, 3);
+        // The next generation takes the next unused number, not `len + 1`.
+        assert_eq!(profile.set(&fs, gens[3].clone()).unwrap(), 4);
+        assert_current(&profile, 4);
+        // Rollback walks the kept generations only; at the oldest it stays.
+        for expect in [3, 2, 2] {
+            assert_eq!(profile.rollback(&fs).unwrap(), expect);
+            assert_current(&profile, expect);
+        }
+        assert_eq!(profile.roll_forward(&fs).unwrap(), 3);
+        assert_current(&profile, 3);
+
+        // Deleting past the current generation keeps it.
+        profile.delete_generations_before(&fs, 10).unwrap();
+        assert_eq!(profile.roots().count(), 1);
+        assert_eq!(profile.rollback(&fs).unwrap(), 3);
+        assert_eq!(profile.roll_forward(&fs).unwrap(), 3);
+        assert_current(&profile, 3);
     }
 
     #[test]

@@ -83,9 +83,8 @@ pub mod prelude {
     pub use depchaos_elf::{ElfEditor, ElfObject, Machine, Symbol};
     pub use depchaos_graph::{ConstraintTally, DepGraph, VersionConstraint};
     pub use depchaos_launch::{
-        profile_load, profile_load_checked, profile_load_with, render_fig6, simulate_launch,
-        CachePolicy, ExperimentMatrix, LaunchConfig, MatrixBackend, ProfileCache, SweepReport,
-        WrapState,
+        profile_load_checked, render_fig6, simulate_launch, CachePolicy, ExperimentMatrix,
+        LaunchConfig, MatrixBackend, ProfileCache, SweepReport, WrapState,
     };
     pub use depchaos_loader::{
         analyze_tree, Environment, FutureLoader, GlibcLoader, HashStoreService, LdCache, Loader,

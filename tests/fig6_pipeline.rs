@@ -90,10 +90,11 @@ fn negative_caching_ablation() {
     let second_load_ns = |storage: StorageModel| {
         let fs = Vfs::new(storage.backend());
         let w = pynamic::install(&fs, "/apps/p", N_LIBS).unwrap();
-        profile_load(&fs, &w.exe_path, &env).unwrap(); // cold first load
-                                                       // Second load without dropping caches.
+        let glibc = GlibcLoader::new(&fs).with_env(env.clone());
+        profile_load_checked(&fs, &w.exe_path, &glibc).unwrap(); // cold first load
+                                                                 // Second load without dropping caches.
         let t0 = fs.elapsed_ns();
-        GlibcLoader::new(&fs).with_env(env.clone()).load(&w.exe_path).unwrap();
+        glibc.load(&w.exe_path).unwrap();
         fs.elapsed_ns() - t0
     };
     let off = second_load_ns(StorageModel::Nfs);
