@@ -84,11 +84,12 @@ fn warm_stream(n: usize) -> StraceLog {
     log
 }
 
-/// One `des_million_ranks/*` case.
+/// One `des_million_ranks/*` case: `calls` simulations per timed call.
 struct DesPoint {
     name: &'static str,
     cfg: LaunchConfig,
     ops: StraceLog,
+    calls: usize,
 }
 
 fn des_points() -> Vec<DesPoint> {
@@ -105,16 +106,21 @@ fn des_points() -> Vec<DesPoint> {
                 ..LaunchConfig::default()
             },
             ops: cold_stream(500),
+            calls: 1,
         },
+        // A warm launch is one coalesced replay, a few ns: the row times
+        // 1,024 of them, so its whole-ns reading is finer than its gate.
         DesPoint {
-            name: "warm_4Mi_local500",
+            name: "warm_4Mi_local500_x1024",
             cfg: LaunchConfig { ranks: 4 * mi, ranks_per_node: 16, ..LaunchConfig::default() },
             ops: warm_stream(500),
+            calls: 1024,
         },
         DesPoint {
             name: "contended_16Ki_cold500",
             cfg: LaunchConfig { ranks: 16 * 1024, ranks_per_node: 16, ..LaunchConfig::default() },
             ops: cold_stream(500),
+            calls: 1,
         },
         DesPoint {
             // The analytic all-cold path: 262,144 cold nodes, no broadcast
@@ -123,6 +129,7 @@ fn des_points() -> Vec<DesPoint> {
             name: "allcold_4Mi_cold500",
             cfg: LaunchConfig { ranks: 4 * mi, ranks_per_node: 16, ..LaunchConfig::default() },
             ops: cold_stream(500),
+            calls: 1,
         },
     ]
 }
@@ -279,7 +286,9 @@ fn main() {
         let classified = ClassifiedStream::classify(&p.ops, &p.cfg);
         let r = simulate_classified(&classified, &p.cfg);
         let mean_ns = time_fn(|| {
-            black_box(simulate_classified(&classified, &p.cfg));
+            for _ in 0..p.calls {
+                black_box(simulate_classified(&classified, black_box(&p.cfg)));
+            }
         });
         let note = format!(
             "ranks {} nodes {} server_ops {} simulated {:.3}s",
@@ -439,12 +448,14 @@ fn main() {
     // `full_matrix`: the fig6-backends matrix widened by the full
     // distribution axis, simulated as one BatchPlan pass with profiling
     // and classification pre-warmed (a repeat sweep pays exactly this).
-    // Most of its seconds are the 528 stochastic replicate sims, whose
-    // per-event cost `des_million_ranks/contended_16Ki_cold500` already
-    // gates. `row_throughput` isolates the planner: 1,024 rows over one
-    // cold-500 schedule, each a distinct cold fleet, reported per row.
+    // Its rows and the 528 stochastic replicate sims that take most of its
+    // time come from the axes, not the world's size, so a small world
+    // (Pynamic-100) times all of them; a larger one made this one row over
+    // half of a bench run, and `heap/*` gates the per-event cost.
+    // `row_throughput` isolates the planner: 1,024 rows over one cold-500
+    // schedule, each a distinct cold fleet, reported per row.
     let batch_matrix = ExperimentMatrix::new()
-        .workload(Pynamic::new(300))
+        .workload(Pynamic::new(100))
         .backends(MatrixBackend::all())
         .storage(StorageModel::Nfs)
         .wrap_states(WrapState::all())

@@ -73,20 +73,21 @@ impl ServiceDistribution {
     /// Inverse of [`ServiceDistribution::name`]: `deterministic`,
     /// `jitter-SPREAD_MILLI`, or `lognormal-SIGMA_MILLI` — the spellings
     /// every report and TSV prints, which is what the serve front door
-    /// accepts as a `dist` delta.
+    /// accepts as a `dist` delta. Only those spellings: `parse(s) ==
+    /// Some(d)` implies `d.name() == s`.
     pub fn parse(s: &str) -> Option<ServiceDistribution> {
         if s == "deterministic" {
             return Some(ServiceDistribution::Deterministic);
         }
         if let Some(milli) = s.strip_prefix("jitter-") {
-            let spread_milli: u32 = milli.parse().ok()?;
+            let spread_milli: u32 = canonical_number(milli)?;
             if spread_milli >= 1000 {
                 return None;
             }
             return Some(ServiceDistribution::UniformJitter { spread_milli });
         }
         if let Some(milli) = s.strip_prefix("lognormal-") {
-            return Some(ServiceDistribution::LogNormal { sigma_milli: milli.parse().ok()? });
+            return Some(ServiceDistribution::LogNormal { sigma_milli: canonical_number(milli)? });
         }
         None
     }
@@ -103,15 +104,36 @@ impl ServiceDistribution {
                 1.0 + s * (2.0 * rng.unit() - 1.0)
             }
             ServiceDistribution::LogNormal { sigma_milli } => {
-                let sigma = sigma_milli as f64 / 1000.0;
                 // Box–Muller; `1 - unit()` keeps the log argument in (0, 1].
                 let u1 = 1.0 - rng.unit();
                 let u2 = rng.unit();
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (sigma * z - sigma * sigma / 2.0).exp()
+                log_normal_factor(sigma_milli, u1, (std::f64::consts::TAU * u2).cos())
             }
         }
     }
+}
+
+/// The log-normal factor `exp(σ·Z − σ²/2)` of the Box–Muller normal
+/// `Z = √(−2 ln u₁)·cos(2π·u₂)`, given `u1` and that cosine. The one
+/// formula [`ServiceDistribution::sample`] and the heap kernel's draw
+/// (`des::draw_service_ns`) share, so the two differ only in how they
+/// evaluate the cosine.
+#[inline]
+pub(crate) fn log_normal_factor(sigma_milli: u32, u1: f64, cos_2pi_u2: f64) -> f64 {
+    let sigma = sigma_milli as f64 / 1000.0;
+    let z = (-2.0 * u1.ln()).sqrt() * cos_2pi_u2;
+    (sigma * z - sigma * sigma / 2.0).exp()
+}
+
+/// A name's number segment in its one spelling, `0` or `[1-9][0-9]*`:
+/// `str::parse` alone also takes a sign and leading zeros, so two
+/// spellings would name one value.
+pub(crate) fn canonical_number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    let digits = !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !digits || (s.starts_with('0') && s != "0") {
+        return None;
+    }
+    s.parse().ok()
 }
 
 /// How cold-node requests are assigned to the metadata servers of a
@@ -204,11 +226,11 @@ impl ServerTopology {
     }
 
     /// Inverse of [`ServerTopology::name`]: `servers-S-hash` or
-    /// `servers-S-least` with `S ≥ 1`.
+    /// `servers-S-least` with `S ≥ 1`, spelled as `name` spells it.
     pub fn parse(s: &str) -> Option<ServerTopology> {
         let rest = s.strip_prefix("servers-")?;
         let (count, policy) = rest.split_once('-')?;
-        let servers: usize = count.parse().ok()?;
+        let servers: usize = canonical_number(count)?;
         if servers < 1 {
             return None;
         }

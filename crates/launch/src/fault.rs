@@ -34,6 +34,8 @@
 //!
 //! [`SplitMix::FAULT`]: depchaos_workloads::SplitMix::FAULT
 
+use crate::config::canonical_number;
+
 /// The fault-injection model one launch simulates under. See the module
 /// docs for semantics; parameters are integers (milli-units for rates and
 /// factors) so the model can sit in `Eq + Hash` scenario keys and hash
@@ -87,15 +89,16 @@ impl FaultModel {
     }
 
     /// Inverse of [`FaultModel::name`] — the spelling the serve front door
-    /// accepts as a `fault:` delta.
+    /// accepts as a `fault:` delta, and only that one: `parse(s) ==
+    /// Some(m)` implies `m.name() == s`.
     pub fn parse(s: &str) -> Option<FaultModel> {
         if s == "none" {
             return Some(FaultModel::None);
         }
         if let Some(rest) = s.strip_prefix("stall-") {
             let mut it = rest.splitn(2, '-');
-            let at_ns = it.next()?.parse().ok()?;
-            let duration_ns = it.next()?.parse().ok()?;
+            let at_ns = canonical_number(it.next()?)?;
+            let duration_ns = canonical_number(it.next()?)?;
             return Some(FaultModel::ServerStall { at_ns, duration_ns });
         }
         if let Some(rest) = s.strip_prefix("loss-") {
@@ -104,16 +107,16 @@ impl FaultModel {
                 return None;
             }
             return Some(FaultModel::RpcLoss {
-                loss_milli: parts[0].parse().ok()?,
-                timeout_ns: parts[1].parse().ok()?,
-                backoff_base_ns: parts[2].parse().ok()?,
-                max_retries: parts[3].parse().ok()?,
+                loss_milli: canonical_number(parts[0])?,
+                timeout_ns: canonical_number(parts[1])?,
+                backoff_base_ns: canonical_number(parts[2])?,
+                max_retries: canonical_number(parts[3])?,
             });
         }
         if let Some(rest) = s.strip_prefix("stragglers-") {
             let mut it = rest.splitn(2, '-');
-            let frac_milli = it.next()?.parse().ok()?;
-            let slow_milli = it.next()?.parse().ok()?;
+            let frac_milli = canonical_number(it.next()?)?;
+            let slow_milli = canonical_number(it.next()?)?;
             return Some(FaultModel::Stragglers { frac_milli, slow_milli });
         }
         None

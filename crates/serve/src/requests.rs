@@ -168,9 +168,10 @@ fn bounded_fault(fault: FaultModel) -> Result<FaultModel, String> {
 }
 
 /// The axis delta `key`, if the request has one, in the axis's own
-/// spelling; an unknown spelling is an error naming `what`.
+/// spelling; an unknown spelling is an error naming the field and `what`.
 fn axis<T>(f: &mut Fields, key: &str, what: &str, parse: Shape<T>) -> Result<Option<T>, String> {
-    f.get(key, string)?.map(|s| parse(&s).ok_or(format!("unknown {what} {s:?}"))).transpose()
+    let known = |s: String| parse(&s).ok_or(format!("field {key:?}: unknown {what} {s:?}"));
+    f.get(key, string)?.map(known).transpose()
 }
 
 impl WhatIfRequest {
@@ -481,7 +482,16 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-0"}"#, "out of range"),
             (r#"{"id":"q","base":"pynamic-20","wrap":"sideways"}"#, "unknown wrap state"),
             (r#"{"id":"q","base":"pynamic-20","dist":"cauchy"}"#, "unknown distribution"),
+            (
+                r#"{"id":"q","base":"pynamic-20","dist":"lognormal-+500"}"#,
+                r#"field "dist": unknown distribution "lognormal-+500""#,
+            ),
+            (r#"{"id":"q","base":"pynamic-20","dist":"lognormal-0500"}"#, r#"field "dist""#),
             (r#"{"id":"q","base":"pynamic-20","fault":"gremlins"}"#, "unknown fault model"),
+            (
+                r#"{"id":"q","base":"pynamic-20","fault":"stall-+0-1000"}"#,
+                r#"field "fault": unknown fault model "stall-+0-1000""#,
+            ),
             (r#"{"id":"q","base":"pynamic-20","servers":0}"#, "\"servers\""),
             (r#"{"id":"q","base":"pynamic-20","servers":8.9}"#, "\"servers\""),
             (r#"{"id":"q","base":"pynamic-20","seed":1e3}"#, "\"seed\""),

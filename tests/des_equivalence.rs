@@ -18,9 +18,30 @@ use depchaos::launch::{
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
 
-/// The distribution axis a selector index names in the properties below.
+/// How many distributions [`dist_of`] names.
+const DISTS: u8 = 12;
+
+/// The distribution axis a selector index names in the properties below:
+/// deterministic at 0, then jitter spreads from none to nearly the whole
+/// mean, and lognormal σ on a grid that crosses the heap draw's σ ≤ 4
+/// bound, past which it samples through libm.
 fn dist_of(sel: u8) -> ServiceDistribution {
-    ServiceDistribution::all()[sel as usize % 3]
+    let jitter = |spread_milli| ServiceDistribution::UniformJitter { spread_milli };
+    let log_normal = |sigma_milli| ServiceDistribution::LogNormal { sigma_milli };
+    [
+        ServiceDistribution::Deterministic,
+        jitter(0),
+        jitter(250),
+        jitter(999),
+        log_normal(1),
+        log_normal(250),
+        log_normal(500),
+        log_normal(750),
+        log_normal(1000),
+        log_normal(4000),
+        log_normal(4001),
+        log_normal(8000),
+    ][(sel % DISTS) as usize]
 }
 
 /// The fault axis a selector index names: healthy, a brownout inside the
@@ -72,7 +93,7 @@ proptest! {
         ranks in 1usize..6000,
         rpn_sel in 0usize..4,
         knobs in 0u8..8,
-        dist_sel in 0u8..3,
+        dist_sel in 0..DISTS,
         fault_sel in 0u8..4,
         seed in any::<u64>(),
     ) {
@@ -125,7 +146,7 @@ proptest! {
     fn stochastic_draws_are_pure_data(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 1..80),
         points in prop::collection::vec(1usize..5000, 1..4),
-        dist_sel in 1u8..3, // only the stochastic variants
+        dist_sel in 1..DISTS, // only the stochastic variants
         seed in any::<u64>(),
     ) {
         let ops = stream_of(&spec);
@@ -176,7 +197,7 @@ proptest! {
         // distributions often share one.
         seeds in prop::collection::vec(any::<u64>(), 1..4),
         rows in prop::collection::vec(
-            (1usize..5000, 0usize..4, any::<bool>(), 0u8..3, 0u8..4, 0usize..3),
+            (1usize..5000, 0usize..4, any::<bool>(), 0..DISTS, 0u8..4, 0usize..3),
             1..8,
         ),
     ) {
@@ -218,7 +239,7 @@ proptest! {
     fn batched_replicated_sweep_equals_per_call_loop(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 1..60),
         points in prop::collection::vec(1usize..5000, 1..4),
-        dist_sel in 0u8..3,
+        dist_sel in 0..DISTS,
         fault_sel in 0u8..4,
         replicates in 1usize..6,
         seed in any::<u64>(),

@@ -26,9 +26,30 @@ use depchaos::launch::{
 use depchaos::vfs::{Op, Outcome, StraceLog, Syscall};
 use proptest::prelude::*;
 
-/// The distribution axis a selector index names in the properties below.
+/// How many distributions [`dist_of`] names.
+const DISTS: u8 = 12;
+
+/// The distribution axis a selector index names in the properties below:
+/// deterministic at 0, then jitter spreads from none to nearly the whole
+/// mean, and lognormal σ on a grid that crosses the heap draw's σ ≤ 4
+/// bound, past which it samples through libm.
 fn dist_of(sel: u8) -> ServiceDistribution {
-    ServiceDistribution::all()[sel as usize % 3]
+    let jitter = |spread_milli| ServiceDistribution::UniformJitter { spread_milli };
+    let log_normal = |sigma_milli| ServiceDistribution::LogNormal { sigma_milli };
+    [
+        ServiceDistribution::Deterministic,
+        jitter(0),
+        jitter(250),
+        jitter(999),
+        log_normal(1),
+        log_normal(250),
+        log_normal(500),
+        log_normal(750),
+        log_normal(1000),
+        log_normal(4000),
+        log_normal(4001),
+        log_normal(8000),
+    ][(sel % DISTS) as usize]
 }
 
 /// The fault axis: healthy, a brownout inside the contention window,
@@ -87,7 +108,7 @@ proptest! {
         ranks in 1usize..5000,
         rpn_sel in 0usize..4,
         knobs in 0u8..8,
-        dist_sel in 0u8..3,
+        dist_sel in 0..DISTS,
         fault_sel in 0u8..4,
         seed in any::<u64>(),
     ) {
@@ -126,7 +147,7 @@ proptest! {
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 0..80),
         ranks in 1usize..4000,
         fleet_sel in 0usize..6,
-        dist_sel in 0u8..3,
+        dist_sel in 0..DISTS,
         fault_sel in 0u8..4,
         seed in any::<u64>(),
     ) {
