@@ -148,49 +148,6 @@ use crate::config::{
 };
 use crate::fault::{backoff_ns, FaultCounts, FaultModel};
 
-/// The per-server busy-until clocks of a [`crate::ServerTopology`] fleet,
-/// plus the routing policy. `S = 1` degenerates to the pre-topology single
-/// `server_busy_ns` cell exactly: one server, always picked, same max/add
-/// sequence. The event loop holds one [`Lane`]'s servers (one FIFO server,
-/// or a least-loaded pool); only the [`reference`](mod@reference) oracle
-/// holds a whole hash-routed fleet, as its independent check of the lanes.
-pub(crate) struct ServerLanes {
-    /// Busy-until clock per server, indexed by server.
-    pub(crate) busy_ns: Vec<u64>,
-    assign: AssignPolicy,
-}
-
-impl ServerLanes {
-    /// `cfg`'s whole fleet under its routing policy.
-    pub(crate) fn new(cfg: &LaunchConfig) -> Self {
-        ServerLanes { busy_ns: vec![0; cfg.topology.servers.max(1)], assign: cfg.topology.assign }
-    }
-
-    /// A lane's `servers`, least-loaded: one server is plain FIFO.
-    fn pool(servers: usize) -> Self {
-        ServerLanes { busy_ns: vec![0; servers], assign: AssignPolicy::LeastLoaded }
-    }
-
-    /// The server serving `node`'s request popped at this instant. Both
-    /// policies are draw-free: `HashByNode` is a pure function of the node
-    /// index, `LeastLoaded` of the current busy clocks (ties to the lowest
-    /// server index).
-    pub(crate) fn pick(&self, node: usize) -> usize {
-        match self.assign {
-            AssignPolicy::HashByNode => node % self.busy_ns.len(),
-            AssignPolicy::LeastLoaded => {
-                let mut best = 0usize;
-                for l in 1..self.busy_ns.len() {
-                    if self.busy_ns[l] < self.busy_ns[best] {
-                        best = l;
-                    }
-                }
-                best
-            }
-        }
-    }
-}
-
 /// The [`LaunchConfig`] fields classification depends on: the latency
 /// calibration. Two configs with equal `ClassifyParams` can share one
 /// [`ClassifiedStream`] — rank count, node shape, overheads, cache policy,
@@ -1011,14 +968,22 @@ fn heap_schedule(
         })
         .collect();
 
-    let mut servers = ServerLanes::pool(lane.servers);
+    // The lane's busy-until clocks: one for a FIFO lane, S for a
+    // least-loaded pool, which serves each request on its earliest-free
+    // server, lowest index on ties.
+    let mut busy_ns = vec![0u64; lane.servers];
     let mut done_max_ns = 0u64;
     while let Some((arrival, i)) = events.pop() {
+        let mut server = 0;
+        for s in 1..busy_ns.len() {
+            if busy_ns[s] < busy_ns[server] {
+                server = s;
+            }
+        }
         // FIFO after the server's previous work, never before `arrival`.
-        let server = servers.pick(i);
         let n = &mut node_state[i];
-        let done = hook.start(servers.busy_ns[server].max(arrival)) + n.svc_ns;
-        servers.busy_ns[server] = done;
+        let done = hook.start(busy_ns[server].max(arrival)) + n.svc_ns;
+        busy_ns[server] = done;
         if let Some(rearrival) = hook.lost(i, arrival) {
             // The server did the work (its busy clock stands), but the
             // same request, with the same drawn service, arrives again.
@@ -1193,9 +1158,11 @@ pub mod reference {
     //! streams;
     //! under [`crate::ServiceDistribution::Deterministic`] with
     //! [`FaultModel::None`] no generator is constructed and the walk is
-    //! the original, verbatim. The server fleet is the shared
-    //! `ServerLanes`: the same per-lane busy clocks and routing picker
-    //! as the fast path, degenerating to the single busy cell at `S = 1`.
+    //! the original, verbatim. The server fleet is the oracle's own: the
+    //! whole fleet's busy clocks, routed without the fast path's lanes —
+    //! `HashByNode` serves node `i` on server `i % S`, `LeastLoaded` on
+    //! the server of least `(busy clock, index)` — and a single busy cell
+    //! at `S = 1`.
 
     use super::*;
 
@@ -1333,12 +1300,18 @@ pub mod reference {
             }
         }
 
-        let mut lanes = ServerLanes::new(cfg);
+        let servers = cfg.topology.servers.max(1);
+        let mut busy_ns = vec![0u64; servers];
         let mut peak_queue_depth = 0usize;
         while let Some(Reverse((arrival, i, svc, extra))) = heap.pop() {
             peak_queue_depth = peak_queue_depth.max(heap.len() + 1);
-            let lane = lanes.pick(i);
-            let mut start = lanes.busy_ns[lane].max(arrival);
+            let server = match cfg.topology.assign {
+                AssignPolicy::HashByNode => i % servers,
+                AssignPolicy::LeastLoaded => {
+                    (0..servers).min_by_key(|&s| (busy_ns[s], s)).expect("one server at least")
+                }
+            };
+            let mut start = busy_ns[server].max(arrival);
             if let FaultModel::ServerStall { at_ns, duration_ns } = fault {
                 let end = at_ns.saturating_add(duration_ns);
                 if start >= at_ns && start < end {
@@ -1346,7 +1319,7 @@ pub mod reference {
                 }
             }
             let done = start + svc;
-            lanes.busy_ns[lane] = done;
+            busy_ns[server] = done;
             if let FaultModel::RpcLoss { loss_milli, timeout_ns, backoff_base_ns, max_retries } =
                 fault
             {

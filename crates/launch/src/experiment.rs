@@ -213,10 +213,10 @@ impl ProfileCache {
 /// ([`freeze_load`]), capture the wrapped op stream.
 ///
 /// Freezing the plain capture's load instead of resolving again inside
-/// [`wrap`] changes no byte: a load only reads the filesystem, both run on
+/// [`fn@wrap`] changes no byte: a load only reads the filesystem, both run on
 /// the same world with the same backend, environment and empty ld.so.cache,
 /// and the wrapped capture drops caches before it starts. When the plain
-/// capture fails there is no load to freeze, and the cell calls [`wrap`],
+/// capture fails there is no load to freeze, and the cell calls [`fn@wrap`],
 /// so its error text is the one a plain wrap reports.
 fn profile_cell(
     key: CellKey,

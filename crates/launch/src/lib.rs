@@ -181,7 +181,6 @@ pub use matrix::{
 pub use profile::profile_load_checked;
 pub use queueing::{
     erlang_c, factor_second_moment, mg1_bounds, validate_against_mg1, Mg1Bounds, QueueingCheck,
-    ServiceMoments,
 };
 pub use sweep::{
     render_fig6, render_fig6_paired, replicate_seed, sweep_paired, LaunchStats, PairedPoint,

@@ -8,7 +8,7 @@
 //! [`validate_against_mg1`] flags any sweep cell whose replicate mean
 //! escapes the envelope. Three layers, from descriptive to binding:
 //!
-//! * **Moments** ([`ServiceMoments`]): the server's per-op service time is
+//! * **Moments**: the server's per-op service time is
 //!   a classified base time scaled by a mean-one factor `F`, so `E[S] =
 //!   mean(sₖ)` and `E[S²] = mean(sₖ²)·E[F²]`, with `E[F²]` closed-form per
 //!   distribution — `1` (deterministic), `1 + spread²/3` (uniform jitter on
@@ -111,32 +111,6 @@ pub fn erlang_c(servers: usize, offered_load: f64) -> f64 {
     waiting / (below + waiting)
 }
 
-/// First and second moments of one server op's service time under a
-/// distribution, averaged over the stream's segment schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceMoments {
-    pub mean_ns: f64,
-    pub second_moment_ns2: f64,
-}
-
-impl ServiceMoments {
-    /// Moments over `stream`'s server ops; `None` when the stream never
-    /// touches the server.
-    pub fn of(stream: &ClassifiedStream, dist: ServiceDistribution) -> Option<ServiceMoments> {
-        let segs = stream.server_segments();
-        if segs.is_empty() {
-            return None;
-        }
-        let k = segs.len() as f64;
-        let sum: u128 = segs.iter().map(|s| s.service_ns as u128).sum();
-        let sum_sq: u128 = segs.iter().map(|s| (s.service_ns as u128).pow(2)).sum();
-        Some(ServiceMoments {
-            mean_ns: sum as f64 / k,
-            second_moment_ns2: sum_sq as f64 / k * factor_second_moment(dist),
-        })
-    }
-}
-
 /// The queueing-theory envelope for one (stream, config) cell at one rank
 /// point: M/G/k descriptors plus hard mean-launch bounds. (The name keeps
 /// the historical `Mg1` prefix from when the model was single-server; the
@@ -232,16 +206,19 @@ pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
     }
 
     let half_rtt = cfg.rtt_ns as u128 / 2;
-    let service_total: u128 = segs.iter().map(|s| s.service_ns as u128).sum();
-    // One unimpeded cold replay: every pre-local, both half-RTTs, the
-    // service itself, and the client-side payload time, plus the tail.
-    let free: u128 = segs
-        .iter()
-        .map(|s| {
-            s.pre_local_ns as u128 + 2 * half_rtt + s.service_ns as u128 + s.client_extra_ns as u128
-        })
-        .sum::<u128>()
-        + stream.tail_local() as u128;
+    // Every sum over the schedule, in one pass: the service total and its
+    // squares, exact in u128 and in f64 in schedule order, and one
+    // unimpeded cold replay — every pre-local, both half-RTTs, the service
+    // itself, and the client-side payload time, plus the tail.
+    let (mut service_total, mut service_sq, mut service_sq_f64) = (0u128, 0u128, 0f64);
+    let mut free = stream.tail_local() as u128;
+    for s in segs {
+        let service = s.service_ns as u128;
+        service_total += service;
+        service_sq += service * service;
+        service_sq_f64 += (s.service_ns as f64).powi(2);
+        free += s.pre_local_ns as u128 + 2 * half_rtt + service + s.client_extra_ns as u128;
+    }
     let first_arrival = segs[0].pre_local_ns as u128 + half_rtt;
     let return_path =
         half_rtt + segs[k as usize - 1].client_extra_ns as u128 + stream.tail_local() as u128;
@@ -293,21 +270,22 @@ pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
     } else {
         f64::INFINITY
     };
-    let moments = ServiceMoments::of(stream, dist).expect("k > 0");
+    // E[S] = mean(sₖ) and E[S²] = mean(sₖ²)·E[F²].
+    let mean = service_total as f64 / k as f64;
+    let second_moment = service_sq as f64 / k as f64 * factor_second_moment(dist);
     let mean_wait_ns = if utilisation < 1.0 {
         let lambda = cold as f64 * k as f64 / free as f64 * amp;
         if servers == 1 {
             // Pollaczek–Khinchine, exact-form M/G/1.
-            lambda * moments.second_moment_ns2 / (2.0 * (1.0 - utilisation))
+            lambda * second_moment / (2.0 * (1.0 - utilisation))
         } else {
             // Lee–Longton M/G/k: the M/M/k wait (Erlang-C delay
             // probability over the spare capacity) scaled by the
             // service-time variability (1 + c²)/2. Collapses to the
             // branch above at k = 1, kept separate so single-server
             // descriptors stay bit-identical to the pre-topology code.
-            let mean = moments.mean_ns;
             let offered = lambda * mean; // erlangs; < servers since ρ < 1
-            let service_cv2 = moments.second_moment_ns2 / (mean * mean) - 1.0;
+            let service_cv2 = second_moment / (mean * mean) - 1.0;
             let w_mmk = erlang_c(servers, offered) * mean / (servers as f64 - offered);
             (1.0 + service_cv2) / 2.0 * w_mmk
         }
@@ -325,7 +303,6 @@ pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
         u64::MAX
     };
 
-    let service_sq_total: f64 = segs.iter().map(|s| (s.service_ns as f64).powi(2)).sum();
     Mg1Bounds {
         ranks: cfg.ranks,
         cold_nodes: cold as usize,
@@ -336,7 +313,7 @@ pub fn mg1_bounds(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Mg1Bounds {
         lower_ns: lower.min(u64::MAX as u128) as u64,
         upper_ns: upper,
         factor_cv2: cv2,
-        work_sd_ns: (cv2 * cold as f64 * service_sq_total).sqrt(),
+        work_sd_ns: (cv2 * cold as f64 * service_sq_f64).sqrt(),
         applicable,
     }
 }

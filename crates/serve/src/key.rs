@@ -24,7 +24,8 @@
 //!    the same way), and the
 //!    [`ServerTopology`](depchaos_launch::ServerTopology) (server count + assignment
 //!    policy tag — a single-server cell hashes `(1, hash)` explicitly, so
-//!    the axis can never alias another field);
+//!    the axis can never alias another field, and under either policy,
+//!    since one server routes nothing);
 //! 5. the rank point, then the replicate-control plan behind a tag byte:
 //!    under **adaptive** control ([`AdaptiveControl`]) a draw-taking cell
 //!    hashes the stopping-rule *parameters* (target, `min_k`, `max_k`,
@@ -255,10 +256,14 @@ impl CellIdentity<'_> {
                 buf.u32(slow_milli);
             }
         }
-        buf.u64(self.spec.topology.servers as u64);
-        buf.u8(match self.spec.topology.assign {
-            AssignPolicy::HashByNode => 0,
-            AssignPolicy::LeastLoaded => 1,
+        // A one-server fleet routes nothing, so it hashes the `hash` tag
+        // whatever its policy: the engine, the label and the envelope
+        // treat it as unrouted too.
+        let topology = self.spec.topology;
+        buf.u64(topology.servers as u64);
+        buf.u8(match topology.assign {
+            AssignPolicy::LeastLoaded if !topology.is_single() => 1,
+            _ => 0,
         });
         buf.u64(self.ranks as u64);
         // Replicate control, tagged. The adaptive arm hashes the rule's

@@ -16,8 +16,10 @@
 //! replicates. Recognised base workloads: `pynamic-N`, `pynamic-rpath-N`,
 //! `axom-SEED`, `rocm-4.5`, `rocm-mixed`, `emacs` (plus `poison`, the
 //! deliberately-panicking panic-isolation fixture — never useful outside
-//! tests). Axis deltas take the exact names the reports print (`wrap`,
-//! `cache`, `backend`, `storage`, `dist`, `fault` — fault spellings are
+//! tests), each in its canonical spelling: `N` and `SEED` are plain
+//! decimal, without a sign or a leading zero. Axis deltas take the exact
+//! names the reports print (`wrap`, `cache`, `backend`, `storage`,
+//! `dist`, `fault` — fault spellings are
 //! [`FaultModel::parse`]'s: `none`, `stall-AT-DUR`,
 //! `loss-MILLI-TIMEOUT-BACKOFF-RETRIES`, `stragglers-FRAC-SLOW`); `ranks`
 //! replaces the rank-point list; `replicates` and `seed` override the
@@ -113,8 +115,23 @@ pub struct WhatIfRequest {
     pub seed: Option<u64>,
 }
 
-/// Resolve a base-workload name to a workload instance.
+/// Resolve a base-workload name to a workload instance, in its canonical
+/// spelling only: the name must be the workload's own
+/// [`Workload::name`], which labels its answers. `str::parse` alone would
+/// read `pynamic-020` and `axom-+7` as `pynamic-20` and `axom-7`.
 fn resolve_workload(name: &str) -> Result<Arc<dyn Workload>, String> {
+    let workload = workload_named(name)?;
+    if workload.name() != name {
+        return Err(format!(
+            "field \"base\": {name:?} is not a canonical name (the workload is {:?})",
+            workload.name()
+        ));
+    }
+    Ok(workload)
+}
+
+/// The workload a base name spells, canonically or not.
+fn workload_named(name: &str) -> Result<Arc<dyn Workload>, String> {
     let libs = |n: &str| -> Result<usize, String> {
         let n: usize = n.parse().map_err(|_| format!("bad library count in {name:?}"))?;
         if n == 0 || n > 5000 {
@@ -480,6 +497,12 @@ mod tests {
             (r#"{"id":"q"}"#, "\"base\""),
             (r#"{"id":"q","base":"frobnicator"}"#, "unknown base workload"),
             (r#"{"id":"q","base":"pynamic-0"}"#, "out of range"),
+            (
+                r#"{"id":"q","base":"pynamic-020"}"#,
+                r#"field "base": "pynamic-020" is not a canonical name"#,
+            ),
+            (r#"{"id":"q","base":"pynamic-+20"}"#, r#"field "base""#),
+            (r#"{"id":"q","base":"axom-07"}"#, r#"field "base""#),
             (r#"{"id":"q","base":"pynamic-20","wrap":"sideways"}"#, "unknown wrap state"),
             (r#"{"id":"q","base":"pynamic-20","dist":"cauchy"}"#, "unknown distribution"),
             (

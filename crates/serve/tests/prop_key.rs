@@ -66,10 +66,11 @@ impl Ident {
             ][pick(4) as usize],
             topology: [
                 ServerTopology::single(),
+                ServerTopology::least_loaded(1),
                 ServerTopology::hash(2),
                 ServerTopology::hash(8),
                 ServerTopology::least_loaded(2),
-            ][pick(4) as usize],
+            ][pick(5) as usize],
         };
         let defaults = LaunchConfig::default();
         let base = LaunchConfig {
@@ -108,7 +109,8 @@ impl Ident {
     /// — adaptive or fixed — while draw-taking cells under adaptive
     /// control are governed by the stopping-rule parameters, not the
     /// requested count), and the seed + calibration fields of the base
-    /// config.
+    /// config. A one-server fleet routes nothing, so its policy is not
+    /// part of the identity.
     #[allow(clippy::type_complexity)]
     fn semantic(&self) -> (ScenarioSpec, usize, Plan, u64, usize, u64, u64, u64, u64, u64) {
         let takes_draws = !self.spec.dist.is_deterministic() || self.spec.fault.takes_draws();
@@ -117,8 +119,12 @@ impl Ident {
             _ if takes_draws => Plan::Fixed(self.replicates.max(1)),
             _ => Plan::Fixed(1),
         };
+        let mut spec = self.spec.clone();
+        if spec.topology.is_single() {
+            spec.topology = ServerTopology::single();
+        }
         (
-            self.spec.clone(),
+            spec,
             self.ranks,
             plan,
             self.base.seed,
@@ -137,12 +143,21 @@ proptest! {
 
     /// key(a) == key(b)  ⟺  semantic(a) == semantic(b).
     #[test]
-    fn key_equality_iff_identity_equality(a in 0u64..1 << 48, b in 0u64..1 << 48, copy in any::<bool>()) {
+    fn key_equality_iff_identity_equality(a in 0u64..1 << 48, b in 0u64..1 << 48, copy in 0u8..4) {
         let ia = Ident::from_seed(a);
         // Half the cases compare an identity against its own copy, so the
         // "equal ⇒ equal" direction is exercised every run, not only on
-        // coincidental draws.
-        let ib = if copy { ia.clone() } else { Ident::from_seed(b) };
+        // coincidental draws. Half of those copies take `b`'s fleet, so a
+        // one-server fleet meets itself under the other policy tag too.
+        let ib = match copy {
+            0 | 1 => Ident::from_seed(b),
+            2 => ia.clone(),
+            _ => {
+                let mut ib = ia.clone();
+                ib.spec.topology = Ident::from_seed(b).spec.topology;
+                ib
+            }
+        };
         prop_assert_eq!(ia.semantic() == ib.semantic(), ia.key() == ib.key(),
             "a={:?} b={:?}", ia, ib);
     }

@@ -3,9 +3,11 @@
 //! scenario label, `parse(s) == Some(x)` implies `x.name() == s`, and
 //! `parse(&x.name()) == Some(x)`. A number segment that `str::parse` alone
 //! would read, such as `+500` or `0500`, is an unknown name, not a second
-//! spelling of `500`.
+//! spelling of `500`. The same holds for a request's `base`: an accepted
+//! base is the name of the workload it resolves to.
 
 use depchaos_launch::{AssignPolicy, FaultModel, ServerTopology, ServiceDistribution};
+use depchaos_serve::WhatIfRequest;
 use proptest::prelude::*;
 
 /// A number of any bit length, from a raw draw.
@@ -43,6 +45,22 @@ proptest! {
         }
         if let Some(t) = ServerTopology::parse(&s) {
             prop_assert_eq!(t.name(), s);
+        }
+    }
+
+    /// Every base a request accepts is its workload's name, which labels
+    /// the answers: `pynamic-020` is not a second spelling of `pynamic-20`.
+    #[test]
+    fn an_accepted_base_is_its_workloads_name(
+        prefix in prop::sample::select(vec!["pynamic-", "pynamic-rpath-", "axom-"]),
+        number in "[+0-]?[0-9]{1,4}",
+    ) {
+        let base = format!("{prefix}{number}");
+        if let Ok(request) = WhatIfRequest::parse(&format!(r#"{{"id":"q","base":"{base}"}}"#)) {
+            let matrix = request.matrix().expect("an accepted base resolves");
+            for scenario in matrix.expand() {
+                prop_assert_eq!(scenario.cell_key().workload, base.clone());
+            }
         }
     }
 

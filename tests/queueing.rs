@@ -15,20 +15,8 @@ use depchaos::vfs::{Op, Outcome, StorageModel, StraceLog, Syscall};
 use depchaos::workloads::{Axom, Pynamic, Rocm};
 use proptest::prelude::*;
 
-/// Build a stream from `(kind, cost)` pairs, as in `des_equivalence.rs`.
-fn stream_of(spec: &[(u8, u64)]) -> StraceLog {
-    let mut log = StraceLog::new();
-    for (i, &(kind, cost_ns)) in spec.iter().enumerate() {
-        let (op, outcome) = match kind % 4 {
-            0 => (Op::Stat, Outcome::Ok),
-            1 => (Op::Openat, Outcome::Enoent),
-            2 => (Op::Read, Outcome::Ok),
-            _ => (Op::Readlink, Outcome::Ok),
-        };
-        log.push(Syscall::new(op, &format!("/p/{i}"), outcome, cost_ns));
-    }
-    log
-}
+mod common;
+use common::stream_of;
 
 fn cold_stream(n: usize) -> StraceLog {
     let mut log = StraceLog::new();
