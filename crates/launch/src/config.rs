@@ -150,9 +150,11 @@ pub enum AssignPolicy {
     /// closed form per lane.
     #[default]
     HashByNode,
-    /// Each request goes to the server with the earliest busy-until clock
-    /// at the moment the event is served, ties broken by server index.
-    /// Depends on the event schedule, so it is never analytic-eligible.
+    /// Each request goes to a server with the earliest busy-until clock
+    /// at the moment the event is served. Which of two equally free
+    /// servers takes it changes no clock's value, so ties are unobservable
+    /// (the reference oracle breaks them by index). Depends on the event
+    /// schedule, so it is never analytic-eligible.
     LeastLoaded,
 }
 

@@ -17,8 +17,8 @@
 //!    servers (a [`ServerTopology`] on the config — the default `S = 1` is
 //!    the paper's model, bit for bit), requests routed by an
 //!    [`AssignPolicy`] (seed-free hash-by-node, which splits the fleet into
-//!    independent single-server lanes, or least-loaded with index
-//!    tie-breaks); each *node* replays the op
+//!    independent single-server lanes, or least-loaded onto an
+//!    earliest-free server, a min-heap pick); each *node* replays the op
 //!    stream sequentially (the
 //!    loader is serial), round-tripping every cold op. Ranks beyond the
 //!    first on a node hit the node's page cache — which is why the unit of

@@ -96,7 +96,18 @@ pub fn factor_second_moment(dist: ServiceDistribution) -> f64 {
 /// with the usual running-term recurrence. For `k = 1` this is exactly
 /// `a` (= ρ), which is what makes the Lee–Longton M/G/k wait collapse to
 /// Pollaczek–Khinchine at a single server.
+///
+/// Past about 709 erlangs the term and the sum outgrow `f64`. Both enter
+/// the result only as a ratio, so whenever the sum passes 2⁸⁹⁶ both are
+/// scaled by 2⁻⁵¹². That product is exact while it stays normal, and every
+/// later step commutes with it, so a value the recurrence reaches without
+/// overflow keeps its bits. A term the scale pushes below the normal range
+/// is then under 2⁻¹⁴⁰⁰ of the sum, so the result rounds to 0 either way.
 pub fn erlang_c(servers: usize, offered_load: f64) -> f64 {
+    // 2⁸⁹⁶ and 2⁻⁵¹². Between two checks the term grows to at most a²
+    // times the sum's bound, which no `a` below 2⁶⁴ overflows.
+    const RESCALE_ABOVE: f64 = f64::from_bits((1023 + 896) << 52);
+    const RESCALE_BY: f64 = f64::from_bits((1023 - 512) << 52);
     debug_assert!(servers >= 1);
     debug_assert!(offered_load < servers as f64);
     let mut term = 1.0; // aⁿ/n!, starting at n = 0
@@ -104,6 +115,10 @@ pub fn erlang_c(servers: usize, offered_load: f64) -> f64 {
     for n in 0..servers {
         below += term;
         term *= offered_load / (n as f64 + 1.0);
+        if below > RESCALE_ABOVE {
+            below *= RESCALE_BY;
+            term *= RESCALE_BY;
+        }
     }
     // term is now aᵏ/k!.
     let rho = offered_load / servers as f64;
@@ -608,6 +623,35 @@ mod tests {
         // makes arrivals less likely to wait.
         assert!(erlang_c(4, 2.4) < erlang_c(2, 1.2));
         assert!(erlang_c(16, 9.6) < erlang_c(4, 2.4));
+    }
+
+    #[test]
+    fn erlang_c_stays_finite_past_709_erlangs_and_keeps_its_bits_below() {
+        // An unscaled recurrence overflows to NaN at these loads.
+        for (servers, offered) in [(1000, 720.0), (65536, 6000.0), (712, 711.9)] {
+            let c = erlang_c(servers, offered);
+            assert!((0.0..=1.0).contains(&c), "C({servers}, {offered}) = {c}");
+        }
+        // Values an unscaled recurrence reaches without overflow keep
+        // their bits, rescaled (800, 700.0) or not (4, 2.0).
+        assert_eq!(erlang_c(4, 2.0).to_bits(), 0x3fc6_42c8_590b_2164);
+        assert_eq!(erlang_c(800, 700.0).to_bits(), 0x3f20_0ff1_b55f_9970);
+        // Here only an unscaled sum overflows, and it answers 0.0; C(800,
+        // 710) summed in log space is 5.2401533866404e-4.
+        assert!((erlang_c(800, 710.0) / 5.2401533866404e-4 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_wide_hash_fleet_has_a_finite_mgk_wait() {
+        use crate::config::ServerTopology;
+        // 4,096 cold nodes on 4,096 hash servers at ρ = 0.2 offer 819
+        // erlangs, past an unscaled recurrence's overflow (NaN there).
+        let cfg = fast_cfg().with_topology(ServerTopology::hash(4096));
+        let stream = ClassifiedStream::classify(&cold_stream(300), &cfg);
+        let b = mg1_bounds(&stream, &cfg.with_ranks(4096 * 128));
+        assert_eq!(b.cold_nodes, 4096);
+        assert!((b.utilisation - 0.2).abs() < 1e-12, "ρ = {}", b.utilisation);
+        assert!(b.mean_wait_ns.is_finite() && b.mean_wait_ns >= 0.0, "{}", b.mean_wait_ns);
     }
 
     #[test]

@@ -35,13 +35,13 @@
 //! is not plain ASCII digits, a 0 in `ranks`, `replicates`, `servers` or
 //! `servers_ideal` (each takes values ≥ 1), a `servers` or
 //! `servers_ideal` above [`MAX_SERVERS`], a rank count above
-//! [`MAX_RANKS`], a `replicates` above [`MAX_REPLICATES`], or a fault
-//! time above [`MAX_SERVICE_NS`] or retry count above
-//! [`MAX_FAULT_RETRIES`] is an error naming its field. These checks run
-//! before the store is consulted. It
-//! answers one error line under the request's `id`, or `line-N` when none
-//! is readable. The batch is split on `\n`, and a line that is not UTF-8
-//! answers one error line under `line-N`.
+//! [`MAX_RANKS`] or a repeated rank point, a `replicates` above
+//! [`MAX_REPLICATES`], or a fault time above [`MAX_SERVICE_NS`] or retry
+//! count above [`MAX_FAULT_RETRIES`] is an error naming its field. These
+//! checks run before the store is consulted. It answers one error line
+//! under the request's `id`, or `line-N` when none is readable. The batch
+//! is split on `\n`, and a line that is not UTF-8 answers one error line
+//! under `line-N`.
 //!
 //! Each answer is one JSONL line per `(query, rank point)` carrying only
 //! simulator-deterministic integers (or the cell's error string), so a
@@ -184,6 +184,17 @@ fn bounded_fault(fault: FaultModel) -> Result<FaultModel, String> {
     ))
 }
 
+/// `ranks` as rank points when none repeats: a repeated point would
+/// simulate its cell again, and answer and store it twice.
+fn distinct_ranks(ranks: Vec<u64>) -> Result<Vec<usize>, String> {
+    let mut sorted = ranks.clone();
+    sorted.sort_unstable();
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(format!("field \"ranks\" repeats the rank point {}", w[0])),
+        None => Ok(ranks.into_iter().map(|n| n as usize).collect()),
+    }
+}
+
 /// The axis delta `key`, if the request has one, in the axis's own
 /// spelling; an unknown spelling is an error naming the field and `what`.
 fn axis<T>(f: &mut Fields, key: &str, what: &str, parse: Shape<T>) -> Result<Option<T>, String> {
@@ -222,9 +233,7 @@ impl WhatIfRequest {
                 .unwrap_or(FaultModel::None),
             ranks: match f.get("ranks", uint_list)? {
                 None => vec![512, 1024, 2048],
-                Some(r) if r.iter().all(|n| (1..=MAX_RANKS).contains(n)) => {
-                    r.into_iter().map(|n| n as usize).collect()
-                }
+                Some(r) if r.iter().all(|n| (1..=MAX_RANKS).contains(n)) => distinct_ranks(r)?,
                 Some(_) => {
                     return Err(format!("field \"ranks\" must hold integers from 1 to {MAX_RANKS}"))
                 }
@@ -539,6 +548,11 @@ mod tests {
                 "\"ranks\" must hold integers from 1 to 4194304",
             ),
             (r#"{"id":"q","base":"pynamic-20","ranks":[512,4194305]}"#, "\"ranks\" must hold"),
+            (
+                r#"{"id":"d","base":"pynamic-20","ranks":[512,512],"dist":"lognormal-500"}"#,
+                "field \"ranks\" repeats the rank point 512",
+            ),
+            (r#"{"id":"q","base":"pynamic-20","ranks":[64,128,64]}"#, "\"ranks\" repeats"),
             (r#"{"id":"q","base":"pynamic-20","replicates":0}"#, "\"replicates\" must be"),
             (
                 concat!(

@@ -17,6 +17,10 @@
 //!    with the busiest lane's ⌈N/S⌉ nodes would. If assignment leaked any
 //!    arrival-order state, the lane populations — and this equality —
 //!    would drift.
+//! 4. **A pool wider than its fleet never queues.** With at least as many
+//!    servers as cold nodes, a least-loaded pool always has a server free
+//!    at each arrival, as the hash fleet of that size gives every node its
+//!    own: the two answer the same, except under `RpcLoss`.
 
 use depchaos::launch::{
     reference::simulate_launch_reference, replicate_seed, simulate_classified, simulate_launch,
@@ -28,8 +32,9 @@ mod common;
 use common::{dist_of, fault_of, stream_of, DISTS};
 
 /// The fleet shapes contract 2 sweeps: both policies, lane counts that
-/// divide the node population evenly, unevenly, and not at all.
-fn fleets() -> [ServerTopology; 6] {
+/// divide the node population evenly, unevenly, and not at all, and a
+/// least-loaded pool both wider and narrower than its lane.
+fn fleets() -> [ServerTopology; 7] {
     [
         ServerTopology::hash(2),
         ServerTopology::hash(3),
@@ -37,6 +42,7 @@ fn fleets() -> [ServerTopology; 6] {
         ServerTopology::least_loaded(2),
         ServerTopology::least_loaded(3),
         ServerTopology::least_loaded(8),
+        ServerTopology::least_loaded(64),
     ]
 }
 
@@ -89,7 +95,7 @@ proptest! {
     fn fleet_heap_matches_reference_and_batch(
         spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 0..80),
         ranks in 1usize..4000,
-        fleet_sel in 0usize..6,
+        fleet_sel in 0usize..7,
         dist_sel in 0..DISTS,
         fault_sel in 0u8..4,
         seed in any::<u64>(),
@@ -176,6 +182,41 @@ proptest! {
             simulate_launch(&ops, &fleet_cfg).time_to_launch_ns,
             simulate_launch(&ops, &lane_cfg).time_to_launch_ns,
             "an S={servers} hash fleet must finish exactly when its busiest lane does"
+        );
+    }
+
+    /// Contract 4: at each arrival at most N − 1 other requests are still
+    /// in service, so a pool of S ≥ N servers starts every request on
+    /// arrival, as a node's own hash server does. Under `RpcLoss` a
+    /// re-issued request can wait behind its own lost attempt on its hash
+    /// server, so loss is left out.
+    #[test]
+    fn a_pool_at_least_as_wide_as_its_fleet_answers_like_hash(
+        spec in prop::collection::vec((0u8..4, 0u64..1_000_000), 0..80),
+        nodes in 1usize..100,
+        spare in 0usize..4,
+        dist_sel in 0..DISTS,
+        fault_sel in prop::sample::select(vec![0u8, 1, 3]),
+        seed in any::<u64>(),
+    ) {
+        let ops = stream_of(&spec);
+        let servers = nodes + spare;
+        let hash = LaunchConfig {
+            ranks: nodes * 16,
+            ranks_per_node: 16,
+            service_dist: dist_of(dist_sel),
+            fault: fault_of(fault_sel),
+            topology: ServerTopology::hash(servers),
+            seed,
+            ..LaunchConfig::default()
+        };
+        let pool = LaunchConfig { topology: ServerTopology::least_loaded(servers), ..hash.clone() };
+        prop_assert_eq!(
+            simulate_launch(&ops, &pool),
+            simulate_launch(&ops, &hash),
+            "servers={} {}",
+            servers,
+            hash.fault.name()
         );
     }
 }
