@@ -27,8 +27,10 @@
 //!   fig6-servers ladder (`flatten_sweep`), one S = 8 pass, and the
 //!   stochastic lane heap (`s4_jitter_2Ki`: 64,000 events on 4 lanes).
 //! * `heap/*` — the event loop on the fig6-queueing profile (Pynamic-150,
-//!   16Ki ranks), in ns per event: one server under lognormal service,
-//!   and a least-loaded pool of 4 under jitter.
+//!   16Ki ranks), in ns per event, each node drawing its service times in
+//!   blocks of 16: one server under lognormal service (polynomial blocks
+//!   certified against libm) and under jitter, and a least-loaded pool of
+//!   4 under jitter.
 //! * `serve/*` — a fully warm one-cell query and a cold cell through the
 //!   incremental executor, profiling pre-warmed, and one warm what-if line
 //!   of three rank points through `serve_batch`: parse, lookup and render.
@@ -375,9 +377,15 @@ fn main() {
     // The event loop on the fig6-queueing profile: Pynamic-150's plain
     // glibc capture on NFS, 16Ki ranks (128 cold nodes × 11,628 server
     // ops), one kernel per row. Each row is ns per event, so it reads the
-    // cost of one pop and push: a single server under lognormal-500
-    // service, and a least-loaded pool of 4 under jitter-250, the regime
-    // whose inserts land deepest in the event queue.
+    // cost of one pop and push plus, every 16 events of a node, one block
+    // fill of its next 16 service times:
+    // * `lognormal_16Ki`: one server under lognormal-500, whose blocks are
+    //   certified from polynomial `ln`, `cos` and `exp` (libm only for the
+    //   rare lane the rounding test cannot decide);
+    // * `jitter_16Ki`: one server under jitter-250, whose blocks are
+    //   `sample`'s own arithmetic;
+    // * `jitter_16Ki_least4`: a least-loaded pool of 4 under jitter-250,
+    //   the regime whose inserts land deepest in the event queue.
     let queueing_profiles = ProfileCache::new();
     let p150 = queueing_profiles.get_or_profile(
         &Pynamic::new(150),
@@ -389,6 +397,11 @@ fn main() {
         (
             "pynamic150_lognormal_16Ki",
             ServiceDistribution::log_normal(0.5),
+            ServerTopology::single(),
+        ),
+        (
+            "pynamic150_jitter_16Ki",
+            ServiceDistribution::uniform_jitter(0.25),
             ServerTopology::single(),
         ),
         (

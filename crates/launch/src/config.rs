@@ -115,9 +115,9 @@ impl ServiceDistribution {
 
 /// The log-normal factor `exp(σ·Z − σ²/2)` of the Box–Muller normal
 /// `Z = √(−2 ln u₁)·cos(2π·u₂)`, given `u1` and that cosine. The one
-/// formula [`ServiceDistribution::sample`] and the heap kernel's draw
-/// (`des::draw_service_ns`) share, so the two differ only in how they
-/// evaluate the cosine.
+/// formula [`ServiceDistribution::sample`] evaluates, and the one the heap
+/// kernel's service-time blocks fall back to for the draws their rounding
+/// test cannot certify.
 #[inline]
 pub(crate) fn log_normal_factor(sigma_milli: u32, u1: f64, cos_2pi_u2: f64) -> f64 {
     let sigma = sigma_milli as f64 / 1000.0;

@@ -89,9 +89,9 @@
 //! errors that name the field, integers are ASCII digits only, and
 //! `ranks`, `replicates`, `servers` and `servers_ideal` take values ≥ 1,
 //! a rank count at most [`MAX_RANKS`], replicates at most
-//! [`MAX_REPLICATES`], a fleet at most [`MAX_SERVERS`], and a fault's
-//! times and retries at most [`depchaos_launch::MAX_SERVICE_NS`] and
-//! [`MAX_FAULT_RETRIES`];
+//! [`MAX_REPLICATES`], a fleet at most [`MAX_SERVERS`], a log-normal σ
+//! at most [`MAX_SIGMA_MILLI`] milli, and a fault's times and retries at
+//! most [`depchaos_launch::MAX_SERVICE_NS`] and [`MAX_FAULT_RETRIES`];
 //! the store's records are read by the same reader ([`codec`]). A line
 //! that is not UTF-8 answers one error line under `line-N`. Answers are
 //! one JSONL line per (query, rank point) carrying only
@@ -129,6 +129,6 @@ pub use exec::{default_jobs, run_matrix_incremental, ExecStats};
 pub use key::{CellIdentity, ScenarioKey, ENGINE_EPOCH};
 pub use requests::{
     serve_batch, BatchReport, QueryOutcome, WhatIfRequest, MAX_FAULT_RETRIES, MAX_RANKS,
-    MAX_REPLICATES, MAX_SERVERS,
+    MAX_REPLICATES, MAX_SERVERS, MAX_SIGMA_MILLI,
 };
 pub use store::{LoadStats, ResultStore};

@@ -36,8 +36,9 @@
 //! `servers_ideal` (each takes values ≥ 1), a `servers` or
 //! `servers_ideal` above [`MAX_SERVERS`], a rank count above
 //! [`MAX_RANKS`] or a repeated rank point, a `replicates` above
-//! [`MAX_REPLICATES`], or a fault time above [`MAX_SERVICE_NS`] or retry
-//! count above [`MAX_FAULT_RETRIES`] is an error naming its field. These
+//! [`MAX_REPLICATES`], a log-normal `dist` whose σ is above
+//! [`MAX_SIGMA_MILLI`] milli, or a fault time above [`MAX_SERVICE_NS`] or
+//! retry count above [`MAX_FAULT_RETRIES`] is an error naming its field. These
 //! checks run before the store is consulted. It answers one error line
 //! under the request's `id`, or `line-N` when none is readable. The batch
 //! is split on `\n`, and a line that is not UTF-8 answers one error line
@@ -83,6 +84,13 @@ pub const MAX_RANKS: u64 = 1 << 22;
 /// whole batch on one allocation; every report section, bench row and
 /// benchmark workload runs at most [`DEFAULT_REPLICATES`].
 pub const MAX_REPLICATES: u64 = 1024;
+
+/// The largest log-normal σ, in milli-units, a request's `dist` may ask
+/// for: σ = 20, the largest the heap kernel's release draw sweep covers.
+/// The M/G/k check's `E[F²] = e^{σ²}` overflows from σ ≈ 26.6, so an
+/// unbounded σ was answered with an infinite or NaN mean wait in its
+/// stored record.
+pub const MAX_SIGMA_MILLI: u32 = 20_000;
 
 /// The largest `RETRIES` of a requested `loss-…` fault. With it and the
 /// time bound ([`MAX_SERVICE_NS`], which also bounds the timeout and the
@@ -164,6 +172,16 @@ fn workload_named(name: &str) -> Result<Arc<dyn Workload>, String> {
     }
 }
 
+/// `dist` when it is not a log-normal above [`MAX_SIGMA_MILLI`].
+fn bounded_dist(dist: ServiceDistribution) -> Result<ServiceDistribution, String> {
+    match dist {
+        ServiceDistribution::LogNormal { sigma_milli } if sigma_milli > MAX_SIGMA_MILLI => {
+            Err(format!("field \"dist\" takes lognormal-S with S at most {MAX_SIGMA_MILLI}"))
+        }
+        _ => Ok(dist),
+    }
+}
+
 /// `fault` when its times are at most [`MAX_SERVICE_NS`] and its retries at
 /// most [`MAX_FAULT_RETRIES`]: past these the engine's clock sums could
 /// wrap, and a wrapped time would be answered and stored as a launch time.
@@ -226,6 +244,8 @@ impl WhatIfRequest {
             cache: axis(&mut f, "cache", "cache policy", CachePolicy::parse)?
                 .unwrap_or(CachePolicy::Cold),
             dist: axis(&mut f, "dist", "distribution", ServiceDistribution::parse)?
+                .map(bounded_dist)
+                .transpose()?
                 .unwrap_or(ServiceDistribution::Deterministic),
             fault: axis(&mut f, "fault", "fault model", FaultModel::parse)?
                 .map(bounded_fault)
@@ -623,6 +643,23 @@ mod tests {
         ] {
             let line = format!(r#"{{"id":"q","base":"pynamic-20","fault":"{fault}"}}"#);
             assert_eq!(WhatIfRequest::parse(&line).unwrap().fault, want);
+        }
+    }
+
+    #[test]
+    fn a_lognormal_sigma_above_20_is_refused_naming_dist_and_the_bound() {
+        let line = |dist: &str| {
+            format!(r#"{{"id":"s","base":"pynamic-20","ranks":[512],"dist":"{dist}"}}"#)
+        };
+        for dist in ["lognormal-20001", "lognormal-30000", "lognormal-4294967295"] {
+            let err = WhatIfRequest::parse(&line(dist)).unwrap_err();
+            assert_eq!(err, "field \"dist\" takes lognormal-S with S at most 20000", "{dist}");
+        }
+        for (dist, want) in [
+            ("lognormal-20000", ServiceDistribution::LogNormal { sigma_milli: MAX_SIGMA_MILLI }),
+            ("jitter-999", ServiceDistribution::UniformJitter { spread_milli: 999 }),
+        ] {
+            assert_eq!(WhatIfRequest::parse(&line(dist)).unwrap().dist, want);
         }
     }
 

@@ -12,7 +12,7 @@ use depchaos_launch::{
 };
 use depchaos_serve::{
     CellRecord, LoadStats, ResultStore, ScenarioKey, WhatIfRequest, ENGINE_EPOCH,
-    MAX_FAULT_RETRIES, MAX_RANKS, MAX_REPLICATES, MAX_SERVERS,
+    MAX_FAULT_RETRIES, MAX_RANKS, MAX_REPLICATES, MAX_SERVERS, MAX_SIGMA_MILLI,
 };
 use depchaos_vfs::StorageModel;
 use proptest::prelude::*;
@@ -80,7 +80,9 @@ fn dist(rng: &mut TestRng) -> ServiceDistribution {
     match rng.below(0, 3) {
         0 => ServiceDistribution::Deterministic,
         1 => ServiceDistribution::UniformJitter { spread_milli: rng.below(0, 1000) as u32 },
-        _ => ServiceDistribution::LogNormal { sigma_milli: rng.next_u64() as u32 },
+        _ => ServiceDistribution::LogNormal {
+            sigma_milli: rng.below(0, MAX_SIGMA_MILLI as u64 + 1) as u32,
+        },
     }
 }
 

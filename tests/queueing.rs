@@ -8,8 +8,8 @@ use std::time::Instant;
 use depchaos::launch::{
     mg1_bounds, reference::simulate_launch_reference, run_adaptive_units, simulate_classified,
     validate_against_mg1, AdaptiveControl, AdaptiveUnit, ClassifiedStream, ExperimentMatrix,
-    LaunchConfig, LaunchStats, MatrixBackend, ProfileCache, ServiceDistribution, SolverClass,
-    WrapState,
+    LaunchConfig, LaunchStats, MatrixBackend, ProfileCache, ServerTopology, ServiceDistribution,
+    SolverClass, WrapState,
 };
 use depchaos::vfs::{Op, Outcome, StorageModel, StraceLog, Syscall};
 use depchaos::workloads::{Axom, Pynamic, Rocm};
@@ -154,6 +154,34 @@ fn fig6_dist_cells_validate_against_mg1() {
         for (ranks, q) in &r.queueing {
             assert!(q.within, "{} at {ranks}", r.spec.label());
             assert!(q.bounds.lower_ns <= q.bounds.upper_ns);
+        }
+    }
+}
+
+/// The largest σ a what-if request may ask for, 20, keeps the M/G/k mean
+/// wait finite on the two Pynamic-20 cells whose stored wait was infinite
+/// (512 ranks on one server) or NaN (524,288 ranks on 4,096 hash servers)
+/// at σ = 30, where `E[F²] = e^{σ²}` overflows.
+#[test]
+fn mg1_wait_is_finite_at_the_largest_admitted_sigma() {
+    let cell = ProfileCache::new().get_or_profile(
+        &Pynamic::new(20),
+        &MatrixBackend::glibc(),
+        StorageModel::Nfs,
+    );
+    let log = &cell.plain.as_ref().expect("Pynamic-20 profiles on glibc").log;
+    for (ranks, topology) in
+        [(512, ServerTopology::single()), (524_288, ServerTopology::hash(4096))]
+    {
+        for (sigma, finite) in [(20.0, true), (30.0, false)] {
+            let cfg = LaunchConfig::default()
+                .with_ranks(ranks)
+                .with_service_dist(ServiceDistribution::log_normal(sigma))
+                .with_topology(topology);
+            let stream = ClassifiedStream::classify(log, &cfg);
+            let b = mg1_bounds(&stream, &cfg);
+            assert!(b.utilisation < 1.0, "{ranks} ranks: ρ = {}", b.utilisation);
+            assert_eq!(b.mean_wait_ns.is_finite(), finite, "{ranks} ranks at σ = {sigma}");
         }
     }
 }
