@@ -210,8 +210,11 @@ pub enum OnMissing {
     Keep,
 }
 
-/// Options for [`crate::wrap()`].
-#[derive(Debug, Clone, Default)]
+/// Options for [`crate::wrap()`]. `default()` and [`ShrinkwrapOptions::new`]
+/// are one set: the glibc (*ldd*) strategy, a wrap that fails on a missing
+/// dependency, search paths stripped and no `dlopen` promotion. Every wrap
+/// also runs the advisory duplicate-strong-symbol scan.
+#[derive(Debug, Clone)]
 pub struct ShrinkwrapOptions {
     pub strategy: Strategy,
     pub on_missing: OnMissing,
@@ -227,19 +230,24 @@ pub struct ShrinkwrapOptions {
     /// Clear `RPATH`/`RUNPATH` on the wrapped binary (they are dead weight
     /// once every entry is absolute).
     pub strip_search_paths: bool,
-    /// Emit warnings for duplicate strong symbols across the closure
-    /// (Shrinkwrap "does not explicitly check symbol shadowing ... it
-    /// preserves the order the user set"; the check is advisory).
-    pub warn_duplicate_symbols: bool,
+}
+
+impl Default for ShrinkwrapOptions {
+    fn default() -> Self {
+        ShrinkwrapOptions {
+            strategy: Strategy::default(),
+            on_missing: OnMissing::default(),
+            env: Environment::default(),
+            cache: LdCache::default(),
+            declare_dlopens: false,
+            strip_search_paths: true,
+        }
+    }
 }
 
 impl ShrinkwrapOptions {
     pub fn new() -> Self {
-        ShrinkwrapOptions {
-            strip_search_paths: true,
-            warn_duplicate_symbols: true,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     pub fn strategy(mut self, s: Strategy) -> Self {
@@ -286,13 +294,13 @@ mod tests {
 
     #[test]
     fn defaults_are_safe() {
-        let o = ShrinkwrapOptions::new();
-        assert_eq!(o.strategy, Strategy::ldd());
-        assert_eq!(o.strategy.name(), "glibc");
-        assert_eq!(o.on_missing, OnMissing::Error);
-        assert!(o.strip_search_paths);
-        assert!(o.warn_duplicate_symbols);
-        assert!(!o.declare_dlopens);
+        for o in [ShrinkwrapOptions::new(), ShrinkwrapOptions::default()] {
+            assert_eq!(o.strategy, Strategy::ldd());
+            assert_eq!(o.strategy.name(), "glibc");
+            assert_eq!(o.on_missing, OnMissing::Error);
+            assert!(o.strip_search_paths);
+            assert!(!o.declare_dlopens);
+        }
     }
 
     #[test]

@@ -225,31 +225,31 @@ impl<'a> Target<'a> {
 
         // Advisory duplicate-strong-symbol scan over the frozen closure,
         // using the resolution's already-parsed objects where available.
-        if opts.warn_duplicate_symbols {
-            let mut owner: HashMap<String, String> = HashMap::new();
-            for path in new_needed.iter().filter(|p| p.contains('/')) {
-                let parsed;
-                let obj = match closure.parsed.get(path) {
-                    Some(obj) => obj,
-                    None => match io::peek_object(self.fs, path) {
-                        Ok(obj) => {
-                            parsed = obj;
-                            &parsed
-                        }
-                        Err(_) => continue,
-                    },
-                };
-                for sym in &obj.symbols {
-                    if sym.binding == SymbolBinding::Strong {
-                        if let Some(first) = owner.get(&sym.name) {
-                            warnings.push(WrapWarning::DuplicateStrongSymbol {
-                                symbol: sym.name.clone(),
-                                first: first.clone(),
-                                second: path.clone(),
-                            });
-                        } else {
-                            owner.insert(sym.name.clone(), path.clone());
-                        }
+        // Shrinkwrap "does not explicitly check symbol shadowing ... it
+        // preserves the order the user set", so a duplicate is a warning.
+        let mut owner: HashMap<String, String> = HashMap::new();
+        for path in new_needed.iter().filter(|p| p.contains('/')) {
+            let parsed;
+            let obj = match closure.parsed.get(path) {
+                Some(obj) => obj,
+                None => match io::peek_object(self.fs, path) {
+                    Ok(obj) => {
+                        parsed = obj;
+                        &parsed
+                    }
+                    Err(_) => continue,
+                },
+            };
+            for sym in &obj.symbols {
+                if sym.binding == SymbolBinding::Strong {
+                    if let Some(first) = owner.get(&sym.name) {
+                        warnings.push(WrapWarning::DuplicateStrongSymbol {
+                            symbol: sym.name.clone(),
+                            first: first.clone(),
+                            second: path.clone(),
+                        });
+                    } else {
+                        owner.insert(sym.name.clone(), path.clone());
                     }
                 }
             }
@@ -309,16 +309,19 @@ mod tests {
         fs
     }
 
+    /// `default()` is `new()`: a binary wrapped under either loses its
+    /// RUNPATH.
     #[test]
     fn wrap_freezes_absolute_paths_in_load_order() {
-        let fs = world();
-        let opts = ShrinkwrapOptions::new().env(Environment::bare());
-        let rep = wrap(&fs, "/bin/app", &opts).unwrap();
-        assert_eq!(rep.new_needed, vec!["/l1/liba.so", "/l2/libb.so", "/l2/libc6.so"]);
-        assert_eq!(rep.lifted(), vec!["/l2/libc6.so"]);
-        let obj = io::peek_object(&fs, "/bin/app").unwrap();
-        assert_eq!(obj.needed, rep.new_needed);
-        assert!(obj.runpath.is_empty(), "search paths stripped");
+        for opts in [ShrinkwrapOptions::new(), ShrinkwrapOptions::default()] {
+            let fs = world();
+            let rep = wrap(&fs, "/bin/app", &opts.env(Environment::bare())).unwrap();
+            assert_eq!(rep.new_needed, vec!["/l1/liba.so", "/l2/libb.so", "/l2/libc6.so"]);
+            assert_eq!(rep.lifted(), vec!["/l2/libc6.so"]);
+            let obj = io::peek_object(&fs, "/bin/app").unwrap();
+            assert_eq!(obj.needed, rep.new_needed);
+            assert!(obj.runpath.is_empty(), "search paths stripped");
+        }
     }
 
     #[test]

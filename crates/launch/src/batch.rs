@@ -1,5 +1,5 @@
 //! Batch execution: simulate every pending (cell, rank point, replicate)
-//! of a sweep in one pass, solving each distinct cold fleet once.
+//! of a sweep in one pass, solving each distinct kernel once.
 //!
 //! The sweep layers above this module — [`crate::sweep`],
 //! [`crate::experiment`], and through it the incremental executor in
@@ -12,59 +12,59 @@
 //! 1. **Gather.** Callers register each distinct [`ClassifiedStream`]
 //!    once ([`BatchPlan::stream`]) and then push one *row* per pending
 //!    simulation ([`BatchPlan::push`]): the stream id and the row's
-//!    [`LaunchConfig`]. Step 2 assigns its solver class.
+//!    [`LaunchConfig`], checked against the stream's calibration.
 //!
-//! 2. **Partition.** At push time every row is classified into one of
-//!    four solver classes by [`SolverClass::of`], the one rule
-//!    [`simulate_classified`](crate::simulate_classified) calls too. It
-//!    reads the schedule's round-major verdict, which classification
-//!    computed once per stream.
+//! 2. **Split into kernels.** `des::kernels` splits each row's cold fleet
+//!    into kernels, as [`simulate_classified`](crate::simulate_classified)
+//!    does. A kernel is one *lane* of the fleet with all its solve reads
+//!    besides the schedule: nodes, servers, distribution, fault model and
+//!    seed. An S-server hash-routed fleet is `min(S, N)` independent
+//!    single-server lanes, lane `l` holding nodes `l, l + S, …`; a
+//!    single-server or `LeastLoaded` fleet is one lane of all its nodes. A
+//!    draw-free kernel is named by its node count alone (node ids from 0,
+//!    seed 0), so a deterministic hash row is the single-server kernel at
+//!    `⌈N/S⌉` (and `⌊N/S⌋`) nodes. A row with no server segments has none.
 //!
-//! 3. **Solve each kernel once.** A kernel job is one *lane* of a row's
-//!    cold fleet (see `des::Lane`): an S-server hash-routed fleet is
-//!    `min(S, N)` independent single-server lanes, lane `l` holding nodes
-//!    `l, l + S, …`, and a single-server or `LeastLoaded` fleet is one
-//!    lane of all its nodes. [`BatchPlan::execute`] collapses every row's
-//!    lanes to unique `(schedule, lane, distribution, seed, fault)` tuples,
-//!    with the seed normalised away for rows that take no draws, since a
-//!    lane's completion time is a pure function of that tuple. A draw-free
-//!    lane is named by its node count alone, so a deterministic hash row is the
-//!    single-server kernel at `⌈N/S⌉` (and `⌊N/S⌋`) nodes. Replicate 0 of
-//!    every rank point, every deterministic replicate, and every cell that
-//!    only differs in overheads or warm fleet size all collapse onto the
-//!    same kernels, which the per-call path's own kernel dispatch solves
-//!    once. Being pure, the kernels are independent work: the pipeline
-//!    ([`ExperimentMatrix::run_with`](crate::ExperimentMatrix::run_with))
+//! 3. **Solve each kernel once.** [`BatchPlan::execute`] collapses every
+//!    row's kernels to unique `(schedule, kernel)` jobs, since
+//!    `des::solve(stream, kernel)` reads nothing else, and solves each in
+//!    the regime its own rule picks, whichever rows share it. Replicate 0
+//!    of every rank point, every deterministic replicate, and every cell
+//!    that only differs in overheads or warm fleet size all collapse onto
+//!    the same kernels. Being pure, the kernels are independent work: the
+//!    pipeline ([`ExperimentMatrix::run_with`](crate::ExperimentMatrix::run_with))
 //!    solves them on its `jobs` workers, largest `lane nodes × server ops`
 //!    first, and `execute` is the same path on one worker. The results are
 //!    bit-identical for every `jobs`; peak memory grows with `jobs` × the
 //!    largest kernel in flight.
 //!
-//! 4. **Fold and scatter.** Each row folds its lanes' `(cold finish, fault
-//!    counts)` into its own — the latest finish, the counts summed — and
-//!    combines that with the per-row arithmetic — warm-fleet replay, op
-//!    accounting, peak queue, spawn and base overheads — through the same
-//!    functions [`simulate_classified`](crate::simulate_classified) uses.
+//! 4. **Scatter.** `des::scatter`, which
+//!    [`simulate_classified`](crate::simulate_classified) uses too, folds
+//!    each row's kernels into its `(cold finish, fault counts)` — the
+//!    latest finish, the counts summed — and adds the warm-fleet replay,
+//!    op accounting, peak queue, spawn and base overheads.
 //!
 //! # The four solver classes
 //!
-//! | class | rows | cost per kernel (one lane) |
-//! |-------|------|-----------------|
-//! | [`SolverClass::Coalesced`] | no server segments (fully warm / serverless) | no kernel: O(1) scatter arithmetic |
-//! | [`SolverClass::Analytic`] | deterministic, ≥ 2 cold nodes, round-major schedule | one envelope recursion, O(server_ops) |
-//! | [`SolverClass::Stochastic`] | jittered service distribution | one heap replay (seeds never collapse) |
-//! | [`SolverClass::Heap`] | deterministic but lone-cold-node or not round-major, or any fault-injected row | one heap replay, under the fault's hook |
+//! [`BatchPlan::class_counts`] reports each row's [`SolverClass::of`], the
+//! regime of its busiest kernel:
 //!
-//! A row pushed as `Analytic` can still *demote* to the heap: the
-//! envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
-//! discoverable during the recursion, and the shared kernel dispatch
-//! falls back to the heap when it trips, in a plan exactly as per call.
+//! | class | busiest kernel | cost per kernel (one lane) |
+//! |-------|------|-----------------|
+//! | [`SolverClass::Coalesced`] | none: no server segments (fully warm / serverless) | no kernel: O(1) scatter arithmetic |
+//! | [`SolverClass::Analytic`] | healthy, deterministic, a FIFO lane of ≥ 2 nodes, round-major schedule | one envelope recursion, O(server_ops) |
+//! | [`SolverClass::Stochastic`] | healthy, jittered service distribution | one heap replay (seeds never collapse) |
+//! | [`SolverClass::Heap`] | a deterministic one-node lane, least-loaded pool or schedule that is not round-major, or any fault model | one heap replay, under the fault's hook |
+//!
+//! A kernel the rule gives the envelope can still *demote* to the heap:
+//! the envelope cap (`MAX_ENVELOPE_LINES` in [`crate::des`]) is only
+//! discoverable during the recursion, and `des::solve` falls back to the
+//! heap when it trips, in a plan exactly as per call.
 //!
 //! # Exactness
 //!
 //! Every numeric path here is the per-call one: every kernel goes through
-//! the per-call kernel dispatch, and every row through the per-call fold
-//! and scatter.
+//! `des::solve`, and every row through `des::scatter`.
 //! `tests/des_equivalence.rs` pins the whole plan against per-call
 //! [`simulate_classified`](crate::simulate_classified) and the
 //! `des::reference` oracle property-by-property.
@@ -73,7 +73,7 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use crate::config::{LaunchConfig, LaunchResult};
-use crate::des::{self, ClassifiedStream, FleetRun, Lane, SolverClass};
+use crate::des::{self, ClassifiedStream, FleetRun, Kernel, SolverClass};
 use crate::pool;
 
 /// Handle to a segment schedule registered with [`BatchPlan::stream`].
@@ -84,13 +84,12 @@ pub struct StreamId(usize);
 struct Row {
     stream: usize,
     cfg: LaunchConfig,
-    class: SolverClass,
 }
 
-/// A plan's unique kernels: each kernel's first row and [`Lane`], and
-/// row `r`'s kernels `of_rows[row_ends[r - 1]..row_ends[r]]`.
-struct Kernels<'p> {
-    jobs: Vec<(&'p Row, Lane)>,
+/// A plan's unique `(stream, kernel)` jobs, and row `r`'s kernels
+/// `of_rows[row_ends[r - 1]..row_ends[r]]`.
+struct Kernels {
+    jobs: Vec<(usize, Kernel)>,
     of_rows: Vec<usize>,
     row_ends: Vec<usize>,
 }
@@ -125,9 +124,8 @@ impl<'a> BatchPlan<'a> {
         StreamId(self.streams.len() - 1)
     }
 
-    /// Push one pending simulation of `stream` under `cfg`, partitioning
-    /// it into its solver class. Returns the row index ([`execute`]
-    /// returns results in push order).
+    /// Push one pending simulation of `stream` under `cfg`. Returns the
+    /// row index ([`execute`] returns results in push order).
     ///
     /// Panics like [`simulate_classified`](crate::simulate_classified) if
     /// `cfg`'s latency calibration differs from the stream's
@@ -135,8 +133,8 @@ impl<'a> BatchPlan<'a> {
     ///
     /// [`execute`]: BatchPlan::execute
     pub fn push(&mut self, stream: StreamId, cfg: &LaunchConfig) -> usize {
-        let class = SolverClass::of(cfg, self.streams[stream.0]);
-        self.rows.push(Row { stream: stream.0, cfg: cfg.clone(), class });
+        self.streams[stream.0].check_calibration(cfg);
+        self.rows.push(Row { stream: stream.0, cfg: cfg.clone() });
         self.rows.len() - 1
     }
 
@@ -150,30 +148,31 @@ impl<'a> BatchPlan<'a> {
     }
 
     /// Row counts per solver class, in `[Coalesced, Analytic,
-    /// Stochastic, Heap]` order — push-time partitioning, before any
-    /// envelope-cap demotions during [`execute`](BatchPlan::execute).
+    /// Stochastic, Heap]` order: each row's [`SolverClass::of`], the
+    /// regime of its busiest kernel, before any envelope-cap demotion
+    /// during [`execute`](BatchPlan::execute).
     pub fn class_counts(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
         for row in &self.rows {
-            counts[row.class as usize] += 1;
+            counts[SolverClass::of(&row.cfg, self.stream_of(row)) as usize] += 1;
         }
         counts
     }
 
-    /// Solve every row on one worker: one kernel solve per unique kernel
-    /// job, then the per-row fold and scatter. Results are in push order, each
-    /// bit-identical to [`simulate_classified`](crate::simulate_classified)
-    /// on the row's (stream, cfg). The pipeline runs the same path on its
-    /// `jobs` workers.
+    /// Solve every row on one worker: one solve per unique kernel, then
+    /// the per-row scatter. Results are in push order, each bit-identical
+    /// to [`simulate_classified`](crate::simulate_classified) on the row's
+    /// (stream, cfg). The pipeline runs the same path on its `jobs`
+    /// workers.
     pub fn execute(&self) -> Vec<LaunchResult> {
         self.execute_on(1).0
     }
 
-    /// Solve every row: one kernel solve per unique kernel job, the
-    /// kernels spread over `jobs` workers, then the per-row fold and
-    /// scatter in push order. Returns the rows' results and the workers the
-    /// solve ran on. Each kernel is pure in its job, so the results do not
-    /// depend on `jobs`.
+    /// Solve every row: one solve per unique kernel, the kernels spread
+    /// over `jobs` workers, then the per-row scatter in push order.
+    /// Returns the rows' results and the workers the solve ran on. A
+    /// kernel's solve reads nothing but its stream and itself, so the
+    /// results do not depend on `jobs`.
     pub(crate) fn execute_on(&self, jobs: usize) -> (Vec<LaunchResult>, usize) {
         let kernels = self.kernels();
         // Largest kernel first (lane nodes × server ops, its event count on
@@ -181,12 +180,12 @@ impl<'a> BatchPlan<'a> {
         // idle.
         let mut order: Vec<usize> = (0..kernels.jobs.len()).collect();
         order.sort_by_key(|&k| {
-            let (row, lane) = kernels.jobs[k];
-            Reverse(lane.count as u64 * self.stream_of(row).server_ops())
+            let (stream, kernel) = kernels.jobs[k];
+            Reverse(kernel.count as u64 * self.streams[stream].server_ops())
         });
         let solved = pool::map(jobs, &order, |&k| {
-            let (row, lane) = kernels.jobs[k];
-            des::solve_lane(self.stream_of(row), &row.cfg, row.class, lane)
+            let (stream, kernel) = kernels.jobs[k];
+            des::solve(self.streams[stream], kernel)
         });
         let mut runs = vec![FleetRun::default(); kernels.jobs.len()];
         for (k, run) in order.into_iter().zip(solved) {
@@ -198,38 +197,30 @@ impl<'a> BatchPlan<'a> {
             .iter()
             .zip(&kernels.row_ends)
             .map(|(row, &end)| {
-                let lanes = kernels.of_rows[start..end].iter().map(|&k| runs[k]);
+                let row_runs = kernels.of_rows[start..end].iter().map(|&k| runs[k]);
                 start = end;
-                let stream = self.stream_of(row);
-                des::scatter(stream, &row.cfg, des::fold_lanes(stream, lanes))
+                des::scatter(self.stream_of(row), &row.cfg, row_runs)
             })
             .collect();
         (results, pool::workers(jobs, kernels.jobs.len()))
     }
 
-    /// The plan's unique kernel jobs and the kernels each row folds. A
-    /// kernel job is (schedule, lane, distribution, seed, fault), the seed
-    /// normalised to 0 for rows that take no draws: a lane's replay is a
-    /// pure function of that tuple. One schedule can carry rows of several
-    /// distributions, since classification reads only the calibration.
-    /// Each kernel is solved under its first row's class.
-    fn kernels(&self) -> Kernels<'_> {
+    /// The plan's unique `(stream, kernel)` jobs and the kernels each row
+    /// folds. A kernel carries all its solve reads besides the schedule,
+    /// and [`des::kernels`] already names a draw-free kernel by its node
+    /// count alone, so equal jobs are one solve. One schedule can carry
+    /// rows of several distributions, since classification reads only the
+    /// calibration.
+    fn kernels(&self) -> Kernels {
         let mut index = HashMap::new();
         let mut kernels = Kernels { jobs: Vec::new(), of_rows: Vec::new(), row_ends: Vec::new() };
         for row in &self.rows {
-            // A coalesced row has no lanes: no cold node of it ever
-            // occupies a server.
-            if row.class != SolverClass::Coalesced {
-                let cfg = &row.cfg;
-                let seed = if cfg.takes_draws() { cfg.seed } else { 0 };
-                for lane in des::lanes(cfg) {
-                    let key = (row.stream, lane, cfg.service_dist, seed, cfg.fault);
-                    let k = *index.entry(key).or_insert_with(|| {
-                        kernels.jobs.push((row, lane));
-                        kernels.jobs.len() - 1
-                    });
-                    kernels.of_rows.push(k);
-                }
+            for kernel in des::kernels(&row.cfg, self.stream_of(row)) {
+                let k = *index.entry((row.stream, kernel)).or_insert_with(|| {
+                    kernels.jobs.push((row.stream, kernel));
+                    kernels.jobs.len() - 1
+                });
+                kernels.of_rows.push(k);
             }
             kernels.row_ends.push(kernels.of_rows.len());
         }

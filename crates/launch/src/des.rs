@@ -8,13 +8,13 @@
 //! must pass through its server's queue. Requests route by the topology's
 //! [`AssignPolicy`]. `HashByNode` pins node `i` to server `i % S`
 //! (seed-free, schedule-independent), so the fleet is `min(S, N)`
-//! independent FIFO lanes, lane `l` holding nodes `l, l + S, l + 2S, …`
-//! (a `Lane`): every engine below solves each lane as a single-server
-//! system, its draws still indexed by global node id, and the fleet
-//! finishes with its latest lane. `LeastLoaded` serves a request on an
-//! earliest-free server, the top of a min-heap of busy clocks; that depends
-//! on the event schedule, so its S servers share one lane of every node.
-//! `S = 1` is one lane of the whole fleet: the pre-topology DES, bit for bit.
+//! independent FIFO lanes, lane `l` holding nodes `l, l + S, l + 2S, …`:
+//! every engine below solves each lane as a single-server system, its
+//! draws still indexed by global node id, and the fleet finishes with its
+//! latest lane. `LeastLoaded` serves a request on an earliest-free server,
+//! the top of a min-heap of busy clocks; that depends on the event
+//! schedule, so its S servers share one lane of every node. `S = 1` is one
+//! lane of the whole fleet: the pre-topology DES, bit for bit.
 //!
 //! # The hot path: classify once, then the cheapest exact regime
 //!
@@ -29,21 +29,22 @@
 //!    output is immutable — the experiment engine shares one
 //!    `ClassifiedStream` across every rank point and replicate of a cell
 //!    instead of re-deriving (and re-allocating) it per point.
-//! 2. [`simulate_classified`] takes the row's [`SolverClass`] from
-//!    [`SolverClass::of`] — the cheapest of the regimes below, all of
-//!    which produce **bit-identical results** — solves the cold fleet in
-//!    it, and adds the per-row arithmetic (warm fleet, op accounting,
-//!    overheads). That one rule, the heap dispatch and the per-row
-//!    arithmetic are shared with [`crate::batch::BatchPlan`], which is
-//!    what keeps a batched row and a per-call result equal:
+//! 2. [`simulate_classified`] splits the row's cold fleet into kernels
+//!    (`kernels`), solves each (`solve`) in the cheapest of the regimes
+//!    below, all **bit-identical**, and adds the per-row arithmetic
+//!    (`scatter`). A kernel is a value, so `solve(stream, kernel)` reads
+//!    nothing else, and [`crate::batch::BatchPlan`] solves each distinct
+//!    one once through the same three functions. `envelope_solves` is the
+//!    one regime rule, and [`SolverClass::of`] names the regime of a row's
+//!    busiest kernel:
 //!
-//!    * **Coalesced** — no server segments: every node replays the same
-//!      local compute, so one replay covers the fleet.
-//!    * **Analytic** — the symmetric all-cold fleet of two or more cold
-//!      nodes under deterministic service: when the segment schedule is
-//!      round-major (uniform metadata streams always are), each lane
-//!      collapses to a max-plus line-envelope recursion over the
-//!      segments, `O(server_ops)` independent of the node count, exact
+//!    * **Coalesced** — no server segments, so no kernel: every node
+//!      replays the same local compute, so one replay covers the fleet.
+//!    * **Analytic** — a healthy FIFO lane of two or more cold nodes under
+//!      deterministic service: when the segment schedule is round-major
+//!      (uniform metadata streams always are), the lane collapses to a
+//!      max-plus line-envelope recursion over the segments,
+//!      `O(server_ops)` independent of the node count, exact
 //!      `peak_queue_depth` included. Warm and serverless nodes are always
 //!      coalesced analytically (one replay, multiplied out).
 //!    * **Heap** — a lane's cold nodes walk the segment schedule, one
@@ -55,9 +56,10 @@
 //!      costs more than O(8 + log lane nodes), so a lane pays `O(lane
 //!      nodes × server_ops)` events at no more than a heap's cost each; a
 //!      hash fleet pays S small queues, a least-loaded pool `O(log S)` a pick.
-//!      The engine of lone cold nodes, of schedules that are not round-major
-//!      (payload-heavy gaps can break the ordering) or outgrow the envelope's
-//!      cap, and of the stochastic and faulted classes.
+//!      The engine of one-node lanes (cheaper than the envelope there), of
+//!      least-loaded pools, of schedules that are not round-major
+//!      (payload-heavy gaps can break the ordering) or outgrow the
+//!      envelope's cap, and of every stochastic or faulted kernel.
 //!    * **Reference** ([`reference`](mod@reference)) — the retained oracle: every node
 //!      walks every op, `O(nodes × ops · log nodes)`. Never used by the
 //!      sweeps; exists so the others have an independent ground truth
@@ -144,9 +146,9 @@
 //! service times (common random numbers). [`FaultModel::None`] plugs in the
 //! zero-sized healthy hook, whose every method is the identity, so the
 //! healthy loop carries no per-event fault dispatch and its results are
-//! bit-identical to the pre-fault DES. Any other model sends the row to the
-//! heap: retries break the closed form's round-major symmetry and stalls
-//! its service pacing. [`reference`](mod@reference) carries the same fault
+//! bit-identical to the pre-fault DES. Any other model sends every kernel
+//! to the heap: retries break the closed form's round-major symmetry and
+//! stalls its service pacing. [`reference`](mod@reference) carries the same fault
 //! semantics as the oracle, and `LaunchResult.server_ops` keeps counting
 //! *distinct* ops — retried attempts are accounted separately in
 //! `retries_issued`.
@@ -666,105 +668,102 @@ pub fn simulate_launch(ops: &StraceLog, cfg: &LaunchConfig) -> LaunchResult {
 /// was classified under (rank count, node shape, overheads, and cache
 /// policy may differ freely).
 pub fn simulate_classified(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
-    let class = SolverClass::of(cfg, stream);
-    let run = match class {
-        // No cold node of a coalesced row ever occupies a server: it has
-        // no lanes.
-        SolverClass::Coalesced => fold_lanes(stream, []),
-        _ => fold_lanes(stream, lanes(cfg).map(|lane| solve_lane(stream, cfg, class, lane))),
-    };
-    scatter(stream, cfg, run)
+    stream.check_calibration(cfg);
+    scatter(stream, cfg, kernels(cfg, stream).map(|kernel| solve(stream, kernel)))
 }
 
-/// The solver class a simulation row takes: which of the bit-identical
-/// regimes is cheapest for its (schedule, distribution, fault, cold-fleet,
-/// topology) combination. [`SolverClass::of`] is the one rule;
-/// [`simulate_classified`] and [`crate::batch::BatchPlan::push`] both call
-/// it, and solve every lane of the row in its class.
+/// The solver class of a simulation row: the regime of its busiest
+/// kernel, or `Coalesced` when it has none ([`SolverClass::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverClass {
-    /// No server segments: warm or serverless rows coalesce to pure
-    /// segment arithmetic — no event, no draw, no fault can manifest.
+    /// No server segments, so no kernel: warm or serverless rows are pure
+    /// segment arithmetic, where no event, draw or fault can manifest.
     Coalesced,
-    /// Deterministic service, ≥ 2 cold nodes, round-major schedule, and
-    /// a hash-routed (or single-server) fleet: the max-plus line-envelope
-    /// recursion per lane. `LeastLoaded` multi-server rows take
-    /// [`SolverClass::Heap`] — their routing depends on the event
-    /// schedule.
+    /// Healthy, deterministic service on a FIFO lane of two or more nodes
+    /// over a round-major schedule: the max-plus line-envelope recursion.
     Analytic,
-    /// Jittered service distribution: an event-heap replay with the
-    /// per-(node, segment) draw streams. Distinct seeds never collapse.
+    /// Healthy jittered service: an event-heap replay with the per-(node,
+    /// segment) draw streams. Distinct seeds never collapse.
     Stochastic,
-    /// Event-heap fallback: a lone cold node (the heap is cheaper than the
-    /// envelope), a schedule that violates the round-major guard, or any
-    /// fault-injected row — stalls and retries break the analytic
-    /// symmetry, so every [`FaultModel`] other than `None` lands here
-    /// whatever the distribution.
+    /// The event heap for the rest: a one-node lane (cheaper than the
+    /// envelope there), a least-loaded pool, a schedule that is not
+    /// round-major, or any [`FaultModel`] but `None`, whose stalls and
+    /// retries break the analytic symmetry whatever the distribution.
     Heap,
 }
 
 impl SolverClass {
-    /// The class of a row simulating `cfg` over `stream`. The busiest lane
-    /// decides whether a row is analytic: a lone node is always
-    /// round-major, and the stream's verdict holds for any larger lane.
-    /// Panics if `cfg`'s latency calibration differs from the stream's.
+    /// The class of a row simulating `cfg` over `stream`: the regime of
+    /// its busiest kernel (its other kernels share it, but a one-node lane
+    /// beside a two-node analytic one). Panics if `cfg`'s latency
+    /// calibration differs from the stream's.
     pub fn of(cfg: &LaunchConfig, stream: &ClassifiedStream) -> SolverClass {
         stream.check_calibration(cfg);
-        if stream.segments.is_empty() {
-            SolverClass::Coalesced
-        } else if !cfg.fault.is_none() {
-            SolverClass::Heap
-        } else if !cfg.service_dist.is_deterministic() {
-            SolverClass::Stochastic
-        } else if cfg.cold_nodes() > 1
-            && lanes(cfg).next().is_some_and(|busiest| {
-                busiest.servers == 1 && (busiest.count == 1 || stream.round_major)
-            })
-        {
-            SolverClass::Analytic
-        } else {
-            SolverClass::Heap
+        match kernels(cfg, stream).next() {
+            None => SolverClass::Coalesced,
+            Some(busiest) if envelope_solves(stream, &busiest) => SolverClass::Analytic,
+            Some(busiest) if busiest.fault.is_none() && !busiest.dist.is_deterministic() => {
+                SolverClass::Stochastic
+            }
+            Some(_) => SolverClass::Heap,
         }
     }
 }
 
-/// One kernel of a row's cold fleet: the `count` cold nodes `first,
-/// first + stride, …` (global node ids, which seed their NODE and FAULT
-/// draws) on `servers` least-loaded servers. A hash-routed fleet of S
-/// servers is `min(S, N)` FIFO lanes (`servers == 1`, stride S) that never
-/// interact; a single server is one such lane of all N nodes. A
-/// `LeastLoaded` fleet of S > 1 servers routes by the event schedule, so
-/// it is one lane of all N nodes on its S servers.
+/// One lane of a row's cold fleet, and all [`solve`] reads besides the
+/// schedule: the `count` cold nodes `first, first + stride, …` (global
+/// node ids, which seed their NODE and FAULT draws from `seed`) on
+/// `servers` least-loaded servers, under `dist` and `fault`. A hash-routed
+/// fleet of S servers is `min(S, N)` FIFO lanes (`servers == 1`, stride
+/// S) that never interact; a single server is one such lane of all N
+/// nodes; a `LeastLoaded` fleet of S > 1 servers routes by the event
+/// schedule, so it is one lane of all N nodes. Only [`kernels`] builds one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Lane {
+pub(crate) struct Kernel {
     first: usize,
     stride: usize,
     pub(crate) count: usize,
     servers: usize,
+    dist: ServiceDistribution,
+    fault: FaultModel,
+    seed: u64,
 }
 
-impl Lane {
+impl Kernel {
     /// Global id of the lane's `j`-th node.
     fn node(&self, j: usize) -> u64 {
         (self.first + j * self.stride) as u64
     }
 }
 
-/// The lanes of `cfg`'s cold fleet, busiest first. A row that takes draws
-/// gets every lane, lane `l` holding nodes `l, l + S, …`. A draw-free lane
-/// is a function of its node count alone, and the lanes come in two sizes
-/// (the first lane holds `⌈N/S⌉` nodes, the last `⌊N/S⌋`), so a draw-free
-/// row gets its first lane and, when S does not divide N, its last, each
-/// named by the first `count` nodes: every draw-free row's lanes of one
-/// size are one kernel, the single-server fleet of that size included.
-pub(crate) fn lanes(cfg: &LaunchConfig) -> impl Iterator<Item = Lane> {
-    let n = cfg.cold_nodes();
-    let (lanes, servers) = match cfg.topology.assign {
-        AssignPolicy::LeastLoaded if cfg.topology.servers > 1 => (1, cfg.topology.servers),
-        _ => (cfg.topology.servers.clamp(1, n), 1),
-    };
+/// The kernels of `cfg`'s cold fleet over `stream`, busiest first, and
+/// none for an empty schedule: no cold node of such a row ever occupies a
+/// server. A row that takes draws gets every lane, lane `l` holding nodes
+/// `l, l + S, …`. A draw-free lane is a function of its node count alone,
+/// and the lanes come in two sizes (the first lane holds `⌈N/S⌉` nodes,
+/// the last `⌊N/S⌋`), so a draw-free row gets its first lane and, when S
+/// does not divide N, its last, each named by the first `count` nodes and
+/// seed 0: every draw-free row's lanes of one size are one kernel, the
+/// single-server fleet of that size included.
+pub(crate) fn kernels<'a>(
+    cfg: &'a LaunchConfig,
+    stream: &ClassifiedStream,
+) -> impl Iterator<Item = Kernel> + 'a {
     let draws = cfg.takes_draws();
-    let solved = if draws { lanes } else { 1 + usize::from(!n.is_multiple_of(lanes)) };
+    // A warm launch takes a few ns, so a row with no server segments sizes
+    // no fleet, and the iterator borrows `cfg` rather than carry copies of
+    // its distribution and fault model.
+    let (n, lanes, servers, solved) = if stream.segments.is_empty() {
+        (0, 1, 1, 0)
+    } else {
+        let n = cfg.cold_nodes();
+        let (lanes, servers) = match cfg.topology.assign {
+            AssignPolicy::LeastLoaded if cfg.topology.servers > 1 => (1, cfg.topology.servers),
+            _ => (cfg.topology.servers.clamp(1, n), 1),
+        };
+        let solved = if draws { lanes } else { 1 + usize::from(!n.is_multiple_of(lanes)) };
+        (n, lanes, servers, solved)
+    };
     (0..solved).map(move |k| {
         let l = if draws || k == 0 { k } else { lanes - 1 };
         let count = (n - l).div_ceil(lanes);
@@ -775,55 +774,55 @@ pub(crate) fn lanes(cfg: &LaunchConfig) -> impl Iterator<Item = Lane> {
             (true, 1) => (l, 1),
             (true, _) => (l, lanes),
         };
-        Lane { first, stride, count, servers }
+        let seed = if draws { cfg.seed } else { 0 };
+        Kernel { first, stride, count, servers, dist: cfg.service_dist, fault: cfg.fault, seed }
     })
 }
 
-/// One lane's replay, and a row's once its lanes are folded: `(slowest
-/// cold finish, fault accounting)`.
+/// One kernel's replay: `(slowest cold finish, fault accounting)`.
 pub(crate) type FleetRun = (u64, FaultCounts);
 
-/// Solve one of `cfg`'s lanes over `stream` in `class`'s regime — the one
-/// kernel dispatch [`simulate_classified`] and [`crate::batch::BatchPlan`]
-/// share. An analytic lane whose envelope trips the line cap falls back to
-/// the heap.
-pub(crate) fn solve_lane(
-    stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    class: SolverClass,
-    lane: Lane,
-) -> FleetRun {
-    if class == SolverClass::Analytic {
-        if let Some(done) = closed_form(stream, cfg, lane.count) {
+/// Solve `kernel` over `stream`: the envelope when [`envelope_solves`]
+/// admits it and it stays under its line cap, the heap otherwise. The
+/// arguments are its only inputs, so [`crate::batch::BatchPlan`] solves
+/// each distinct `(stream, kernel)` once.
+pub(crate) fn solve(stream: &ClassifiedStream, kernel: Kernel) -> FleetRun {
+    if envelope_solves(stream, &kernel) {
+        if let Some(done) = closed_form(stream, kernel.count) {
             return (done, FaultCounts::default());
         }
     }
-    heap_kernel(stream, cfg, lane)
+    heap_kernel(stream, kernel)
 }
 
-/// Fold a row's lane runs into the row's: the latest lane finish, and the
-/// lanes' fault counts summed with the largest backoff kept. A lane
-/// finishes no earlier than one replay of the local compute its nodes
-/// also do, which is all a coalesced row (no lanes) does.
-pub(crate) fn fold_lanes(
-    stream: &ClassifiedStream,
-    runs: impl IntoIterator<Item = FleetRun>,
-) -> FleetRun {
-    runs.into_iter().fold(
-        (stream.local_total_ns(), FaultCounts::default()),
-        |(done, fc), (lane_done, lane_fc)| (done.max(lane_done), fc.merge(lane_fc)),
-    )
+/// The one regime rule: the max-plus envelope solves `kernel` when it is
+/// healthy and deterministic, a FIFO lane of two or more nodes, over a
+/// round-major schedule. A one-node lane is round-major too, but the heap
+/// is the cheaper solver there; a least-loaded pool routes by the event
+/// schedule.
+fn envelope_solves(stream: &ClassifiedStream, kernel: &Kernel) -> bool {
+    kernel.fault.is_none()
+        && kernel.dist.is_deterministic()
+        && kernel.servers == 1
+        && kernel.count > 1
+        && stream.round_major
 }
 
-/// The per-row arithmetic around a cold fleet's replay: the coalesced warm
-/// fleet, op accounting, the peak queue, and the spawn and base overheads.
-/// The one scatter [`simulate_classified`] and [`crate::batch::BatchPlan`]
-/// share.
+/// The per-row arithmetic around a cold fleet's kernel runs, shared by
+/// [`simulate_classified`] and [`crate::batch::BatchPlan`]: the fleet
+/// finishes with its latest kernel (fault counts summed, the largest
+/// backoff kept), and no earlier than one replay of the local compute,
+/// which is all a coalesced row does; then the coalesced warm fleet, op
+/// accounting, the peak queue, and the spawn and base overheads.
 pub(crate) fn scatter(
     stream: &ClassifiedStream,
     cfg: &LaunchConfig,
-    (cold_done_ns, fc): FleetRun,
+    runs: impl IntoIterator<Item = FleetRun>,
 ) -> LaunchResult {
+    let (cold_done_ns, fc) = runs.into_iter().fold(
+        (stream.local_total_ns(), FaultCounts::default()),
+        |(done, fc), (run_done, run_fc)| (done.max(run_done), fc.merge(run_fc)),
+    );
     let nodes = cfg.nodes();
     let cold_nodes = cfg.cold_nodes();
     let warm_nodes = nodes - cold_nodes;
@@ -851,9 +850,9 @@ pub(crate) fn scatter(
     }
 }
 
-/// The heap dispatch: replay `lane`'s cold nodes through
-/// [`heap_schedule`] with the service draws `cfg.service_dist` asks for
-/// and `cfg.fault`'s hook. Under `Deterministic` no generator is even
+/// The heap dispatch: replay `kernel`'s cold nodes through
+/// [`heap_schedule`] with the service draws its distribution asks for and
+/// its fault model's hook. Under `Deterministic` no generator is even
 /// constructed; otherwise each node keeps a [`DrawBlock`] on its
 /// NODE-domain stream, by global id, and fills it with the service times
 /// of its next [`BLOCK`] segments whenever its cursor reaches a multiple
@@ -861,21 +860,16 @@ pub(crate) fn scatter(
 /// indexed by (seed, node, segment), and a re-issued request keeps its
 /// drawn time. Each (distribution, hook) pair is its own monomorphised
 /// loop.
-fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig, lane: Lane) -> FleetRun {
-    fn with_draws(
-        stream: &ClassifiedStream,
-        cfg: &LaunchConfig,
-        lane: Lane,
-        hook: impl FaultHook,
-    ) -> FleetRun {
-        let (dist, segs) = (cfg.service_dist, &stream.segments);
+fn heap_kernel(stream: &ClassifiedStream, kernel: Kernel) -> FleetRun {
+    fn with_draws(stream: &ClassifiedStream, kernel: Kernel, hook: impl FaultHook) -> FleetRun {
+        let (dist, segs) = (kernel.dist, &stream.segments);
         if dist.is_deterministic() {
-            return heap_schedule(stream, cfg, lane, hook, |_, _, seg| seg.service_ns);
+            return heap_schedule(stream, kernel, hook, |_, _, seg| seg.service_ns);
         }
-        let mut blocks: Vec<DrawBlock> = (0..lane.count)
-            .map(|j| DrawBlock::new(SplitMix::split(cfg.seed, SplitMix::NODE, lane.node(j))))
+        let mut blocks: Vec<DrawBlock> = (0..kernel.count)
+            .map(|j| DrawBlock::new(SplitMix::split(kernel.seed, SplitMix::NODE, kernel.node(j))))
             .collect();
-        heap_schedule(stream, cfg, lane, hook, |j, s, _| {
+        heap_schedule(stream, kernel, hook, |j, s, _| {
             let block = &mut blocks[j];
             if s % BLOCK == 0 {
                 block.fill(dist, &segs[s..segs.len().min(s + BLOCK)]);
@@ -883,10 +877,10 @@ fn heap_kernel(stream: &ClassifiedStream, cfg: &LaunchConfig, lane: Lane) -> Fle
             block.times[s % BLOCK]
         })
     }
-    if cfg.fault.is_none() {
-        with_draws(stream, cfg, lane, Healthy)
+    if kernel.fault.is_none() {
+        with_draws(stream, kernel, Healthy)
     } else {
-        with_draws(stream, cfg, lane, Faulty::new(cfg, lane))
+        with_draws(stream, kernel, Faulty::new(kernel, stream.params.rtt_ns / 2))
     }
 }
 
@@ -957,13 +951,13 @@ struct Faulty {
 }
 
 impl Faulty {
-    /// The hook for `lane`'s nodes, each drawing from its global id's
-    /// stream.
-    fn new(cfg: &LaunchConfig, lane: Lane) -> Self {
-        let fault = cfg.fault;
+    /// The hook for `kernel`'s nodes, each drawing from its global id's
+    /// stream, on a calibration of `half_rtt` each way.
+    fn new(kernel: Kernel, half_rtt: u64) -> Self {
+        let fault = kernel.fault;
         let mut rngs: Vec<SplitMix> = if fault.takes_draws() {
-            (0..lane.count)
-                .map(|j| SplitMix::split(cfg.seed, SplitMix::FAULT, lane.node(j)))
+            (0..kernel.count)
+                .map(|j| SplitMix::split(kernel.seed, SplitMix::FAULT, kernel.node(j)))
                 .collect()
         } else {
             Vec::new()
@@ -979,15 +973,7 @@ impl Faulty {
         };
         let counts =
             FaultCounts { slowed_nodes: slow.iter().filter(|&&s| s).count(), ..Default::default() };
-        Faulty {
-            fault,
-            half_rtt: cfg.rtt_ns / 2,
-            rngs,
-            slow,
-            slow_factor,
-            attempts: vec![0; lane.count],
-            counts,
-        }
+        Faulty { fault, half_rtt, rngs, slow, slow_factor, attempts: vec![0; kernel.count], counts }
     }
 }
 
@@ -1148,10 +1134,10 @@ impl EventQueue {
     }
 }
 
-/// The event loop every stochastic, faulted, and guard-declined lane
-/// runs: one cursor per lane node over the segment schedule, one event
-/// per server op, queued in an [`EventQueue`]. `draw(j, s, seg)` supplies
-/// the distribution-scaled service time of the lane's `j`-th node at
+/// The event loop every kernel the envelope does not solve runs: one
+/// cursor per lane node over the segment schedule, one event per server
+/// op, queued in an [`EventQueue`]. `draw(j, s, seg)` supplies the
+/// distribution-scaled service time of the lane's `j`-th node at
 /// segment `s` (`seg`), called once per node and segment in segment order,
 /// and `hook` the fault semantics ([`FaultHook`]). Ties break on
 /// that local index, which orders the lane's nodes as their global ids
@@ -1159,12 +1145,11 @@ impl EventQueue {
 /// fleet would. Returns the lane's [`FleetRun`].
 fn heap_schedule(
     stream: &ClassifiedStream,
-    cfg: &LaunchConfig,
-    lane: Lane,
+    kernel: Kernel,
     mut hook: impl FaultHook,
     mut draw: impl FnMut(usize, usize, &ServerSeg) -> u64,
 ) -> FleetRun {
-    let half_rtt = cfg.rtt_ns / 2;
+    let half_rtt = stream.params.rtt_ns / 2;
     // Per-node cursor into the segment schedule, and the drawn service
     // time and client extra of the node's pending request. Only cold
     // nodes exist here, and only their server ops are events.
@@ -1174,8 +1159,8 @@ fn heap_schedule(
         extra_ns: u64,
     }
     let first = stream.segments[0];
-    let mut events = EventQueue::new(lane.count);
-    let mut node_state: Vec<Node> = (0..lane.count)
+    let mut events = EventQueue::new(kernel.count);
+    let mut node_state: Vec<Node> = (0..kernel.count)
         .map(|i| {
             events.push(first.pre_local_ns + half_rtt, i);
             let svc_ns = hook.service(i, draw(i, 0, &first));
@@ -1186,7 +1171,7 @@ fn heap_schedule(
     // The lane's busy-until clocks, one per server, as a min-heap: a
     // request is served on its top, and which of two equally free servers
     // takes it changes no clock's value.
-    let mut busy_ns: BinaryHeap<Reverse<u64>> = vec![Reverse(0); lane.servers].into();
+    let mut busy_ns: BinaryHeap<Reverse<u64>> = vec![Reverse(0); kernel.servers].into();
     let mut done_max_ns = 0u64;
     while let Some((arrival, i)) = events.pop() {
         // FIFO after the server's previous work, never before `arrival`.
@@ -1228,13 +1213,13 @@ fn heap_schedule(
 const MAX_ENVELOPE_LINES: usize = 64;
 
 /// Closed form for a FIFO lane of `nodes` identical cold nodes under
-/// deterministic service, for a lane of an analytic row
-/// ([`SolverClass::of`]; a least-loaded pool routes by the event schedule,
-/// so it never is one): the nodes replay the segment schedule through the
-/// lane's server, and the slowest cold finish is **bit-identical** to
-/// [`heap_schedule`]'s, computed in `O(server_ops × envelope lines)`
-/// independent of the node count. `None` when the envelope outgrows
-/// [`MAX_ENVELOPE_LINES`]; the caller falls back to the heap.
+/// deterministic service, for a kernel [`envelope_solves`] admits (a
+/// least-loaded pool routes by the event schedule, so it never is one):
+/// the nodes replay the segment schedule through the lane's server, and
+/// the slowest cold finish is **bit-identical** to [`heap_schedule`]'s,
+/// computed in `O(server_ops × envelope lines)` independent of the node
+/// count. `None` when the envelope outgrows [`MAX_ENVELOPE_LINES`]; the
+/// caller falls back to the heap.
 ///
 /// # Why this is exact
 ///
@@ -1259,11 +1244,11 @@ const MAX_ENVELOPE_LINES: usize = 64;
 /// rtt + client extra + next pre-local). Uniform metadata streams satisfy
 /// it trivially; a payload-heavy read followed by a bare stat can violate
 /// it (its huge gap lets node 0 lap the stragglers), and then the
-/// stream's verdict is false and [`SolverClass::of`] sends the row to the
-/// heap. A single cold node is always round-major.
-fn closed_form(stream: &ClassifiedStream, cfg: &LaunchConfig, nodes: usize) -> Option<u64> {
+/// stream's verdict is false and [`envelope_solves`] sends the kernel to
+/// the heap. A single cold node is always round-major.
+fn closed_form(stream: &ClassifiedStream, nodes: usize) -> Option<u64> {
     let segs = &stream.segments;
-    let (half_rtt, last) = (cfg.rtt_ns / 2, nodes as u64 - 1);
+    let (half_rtt, last) = (stream.params.rtt_ns / 2, nodes as u64 - 1);
     // The envelope: D(i, round) = max over lines of (c + i·slope), for
     // lane-local node index i in [0, last]. Round 0: every node arrives at
     // a₀ = pre_local₀ + rtt/2 and is served back to back — the single line
@@ -2414,20 +2399,20 @@ mod tests {
         log
     }
 
-    /// `cfg`'s row with every lane replayed on the heap, whatever its
+    /// `cfg`'s row with every kernel replayed on the heap, whatever its
     /// class.
     fn heap_row(stream: &ClassifiedStream, cfg: &LaunchConfig) -> LaunchResult {
-        let runs = lanes(cfg).map(|lane| heap_kernel(stream, cfg, lane));
-        scatter(stream, cfg, fold_lanes(stream, runs))
+        scatter(stream, cfg, kernels(cfg, stream).map(|kernel| heap_kernel(stream, kernel)))
     }
 
-    /// `cfg`'s row with every lane solved by the closed form, whatever its
-    /// class: the envelope's own answer, `None` when it outgrows its cap.
+    /// `cfg`'s row with every kernel solved by the closed form, whatever
+    /// its class: the envelope's own answer, `None` when it outgrows its
+    /// cap.
     fn envelope_row(stream: &ClassifiedStream, cfg: &LaunchConfig) -> Option<LaunchResult> {
-        let runs = lanes(cfg)
-            .map(|lane| Some((closed_form(stream, cfg, lane.count)?, FaultCounts::default())))
+        let runs = kernels(cfg, stream)
+            .map(|kernel| Some((closed_form(stream, kernel.count)?, FaultCounts::default())))
             .collect::<Option<Vec<FleetRun>>>()?;
-        Some(scatter(stream, cfg, fold_lanes(stream, runs)))
+        Some(scatter(stream, cfg, runs))
     }
 
     #[test]
@@ -2513,6 +2498,15 @@ mod tests {
         let classified = ClassifiedStream::classify(&ops, &single);
         assert_eq!(SolverClass::of(&single, &classified), SolverClass::Heap);
         assert_eq!(envelope_row(&classified, &single), Some(heap_row(&classified, &single)));
+        // So is every one-node lane, whichever row it belongs to: four
+        // nodes on four hash servers are four lone nodes.
+        let lone_lanes = fast_cfg().with_ranks(512).with_topology(ServerTopology::hash(4));
+        assert_eq!(lone_lanes.cold_nodes(), 4);
+        assert_eq!(SolverClass::of(&lone_lanes, &classified), SolverClass::Heap);
+        assert_eq!(
+            simulate_classified(&classified, &lone_lanes),
+            simulate_launch_reference(&ops, &lone_lanes)
+        );
 
         // Stochastic and broadcast regimes are out of the analytic scope by
         // construction.

@@ -37,32 +37,30 @@
 //!    Simulation is two-phase:
 //!    [`ClassifiedStream::classify`] compacts the op stream into a
 //!    per-server-op schedule exactly once (with its local-compute total
-//!    and round-major verdict), and [`simulate_classified`] replays it
-//!    through the cheapest exact regime, the [`SolverClass`] that
-//!    [`SolverClass::of`] picks from the row's config and stream — the
-//!    closed form when a symmetric all-cold fleet of two or more nodes is
-//!    round-major (`O(server_ops)`, node-count independent, exact peak
-//!    queue depth), otherwise the one per-server-op event loop, whose
+//!    and round-major verdict), and [`simulate_classified`] splits the
+//!    row's cold fleet into kernels, one per distinct lane, each a value
+//!    holding all its solve reads besides the schedule. Each kernel takes
+//!    the cheapest exact regime by one rule — the closed form for a
+//!    healthy, deterministic FIFO lane of two or more nodes over a
+//!    round-major schedule (`O(server_ops)`, node-count independent, exact
+//!    peak queue depth), otherwise the one per-server-op event loop, whose
 //!    event queue is a ring kept sorted by inserting from its rear with a
 //!    binary heap for the rare deep insert (O(1) per event at the back,
 //!    never more than a heap's O(log nodes)), and whose fault model plugs
 //!    in as a hook (the healthy hook is zero-sized) —
 //!    coalescing the symmetric warm/serverless nodes analytically in every
-//!    regime. That takes a 4M-rank point (broadcast *or* all-cold) to
-//!    microseconds while staying bit-identical to the retained
-//!    [`des::reference`] oracle (property-tested equivalence,
+//!    regime. [`SolverClass::of`] names a row's [`SolverClass`], the
+//!    regime of its busiest kernel. That takes a 4M-rank point (broadcast
+//!    *or* all-cold) to microseconds while staying bit-identical to the
+//!    retained [`des::reference`] oracle (property-tested equivalence,
 //!    deterministic *and* stochastic).
 //! 3. [`batch`] is the batched execution layer over the DES: a
 //!    [`BatchPlan`] gathers every pending (cell, rank point, replicate)
-//!    as rows over shared segment schedules, classifies each row with the
-//!    per-call rule, [`SolverClass::of`] — **coalesced** (no server
-//!    segments — pure arithmetic), **analytic** (deterministic round-major
-//!    fleets, one closed-form envelope recursion each), **stochastic**
-//!    (per-seed heap replay), and **heap** (lone-cold-node, not round-major
-//!    or faulted rows, plus envelope-cap demotions) — deduplicates the rows'
-//!    lanes to unique (schedule, lane) kernels, and solves, folds and
-//!    scatters them through the per-call kernel dispatch and per-row
-//!    arithmetic.
+//!    as rows over shared segment schedules, splits each row into kernels
+//!    as the per-call path does, solves each distinct `(stream, kernel)`
+//!    once, and scatters the rows through the per-row arithmetic.
+//!    [`BatchPlan::class_counts`] reports the rows by [`SolverClass::of`]:
+//!    **coalesced**, **analytic**, **stochastic** and **heap**.
 //!    Outputs are bit-identical to per-row
 //!    [`simulate_classified`]; every sweep layer below runs on it.
 //! 4. [`adaptive`] and [`sweep`] add the stochastic dimension. Each

@@ -192,9 +192,11 @@ pub fn string(raw: &str) -> Option<String> {
     unesc(raw.strip_prefix('"')?.strip_suffix('"')?)
 }
 
-/// An unsigned integer value: ASCII digits only, within `u64`.
+/// An unsigned integer value: ASCII digits only, within `u64`, and no
+/// leading zero unless the value is `0`, as JSON spells integers.
 pub fn uint(raw: &str) -> Option<u64> {
-    raw.bytes().all(|b| b.is_ascii_digit()).then(|| raw.parse().ok())?
+    let canonical = raw == "0" || !raw.starts_with('0');
+    (canonical && raw.bytes().all(|b| b.is_ascii_digit())).then(|| raw.parse().ok())?
 }
 
 /// A boolean value: `true` or `false`.
@@ -456,6 +458,29 @@ mod tests {
         assert_eq!(err, "unknown field \"x0\"");
         // A pairwise duplicate check would take minutes here.
         assert!(elapsed.as_secs_f64() < 5.0, "2 MB line took {elapsed:?}");
+    }
+
+    /// No encoder writes a leading zero, so a record that has one was not
+    /// written by this format: the line is malformed, naming the field, and
+    /// a store skips and counts it.
+    #[test]
+    fn a_leading_zero_is_malformed() {
+        assert_eq!(
+            (uint("0"), uint("512"), uint("0512"), uint("00")),
+            (Some(0), Some(512), None, None)
+        );
+        let line = sample_record().encode();
+        let padded = line.replace("\"ranks\":512,", "\"ranks\":0512,");
+        assert_ne!(padded, line);
+        assert_eq!(CellRecord::decode(&padded).unwrap_err(), "malformed field \"ranks\"");
+        let dir = std::env::temp_dir()
+            .join(format!("depchaos-codec-test-{}-leading-zero", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("store.jsonl"), format!("{line}\n{padded}\n")).unwrap();
+        let stats = crate::ResultStore::open(&dir).unwrap().load_stats();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(stats, crate::LoadStats { loaded: 1, corrupt_skipped: 1, ..Default::default() });
     }
 
     #[test]

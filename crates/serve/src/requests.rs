@@ -599,6 +599,14 @@ mod tests {
             (r#"{"id":"q","base":"pynamic-20","fault":"loss-50-1-1099511627777-3"}"#, "\"fault\""),
             (r#"{"id":"q","base":"pynamic-20","fault":"loss-50-1-1-17"}"#, "at most 16 retries"),
             (r#"{"id":"q","base":"pynamic-20","seed":+5}"#, "\"seed\""),
+            (
+                r#"{"id":"lz","base":"pynamic-20","ranks":[0512],"replicates":011}"#,
+                "malformed field \"ranks\"",
+            ),
+            (
+                r#"{"id":"q","base":"pynamic-20","replicates":011}"#,
+                "malformed field \"replicates\"",
+            ),
             (r#"{"id":"q","base":"pynamic-20","seed":18446744073709551616}"#, "\"seed\""),
             (r#"{"id":"q","base":"pynamic-20","severs":8}"#, "unknown field \"severs\""),
             (r#"{"id":"q","base":"pynamic-20","x":{"ranks":[64]}}"#, "nested value in field \"x\""),

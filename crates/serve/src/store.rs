@@ -16,8 +16,11 @@
 //!   torn line never swallows a new record.
 //! * **Compact** rewrites the log from the live index (dropping duplicate,
 //!   corrupt, and wrong-epoch bytes) into a temporary file, fsyncs it, and
-//!   atomically renames it over the old log, sorted by (label, ranks) so
-//!   compacted stores diff cleanly. A crash at any instant leaves either
+//!   atomically renames it over the old log, sorted by (label, ranks,
+//!   key): records that share a label and a rank point (the same cell
+//!   under another seed, replicate count or calibration) still have one
+//!   order, so two stores of the same records compact to the same bytes
+//!   and compacted stores diff cleanly. A crash at any instant leaves either
 //!   the old log or the new one — never a mix, and a stale `.tmp` from a
 //!   killed compaction is simply ignored (and overwritten) next time.
 //!
@@ -188,7 +191,7 @@ impl ResultStore {
             return Ok(inner.index.len());
         };
         let mut records: Vec<&CellRecord> = inner.index.values().collect();
-        records.sort_by(|a, b| (&a.label, a.ranks).cmp(&(&b.label, b.ranks)));
+        records.sort_by(|a, b| (&a.label, a.ranks, a.key).cmp(&(&b.label, b.ranks, b.key)));
         let tmp = path.with_extension("jsonl.tmp");
         {
             let mut w = std::io::BufWriter::new(File::create(&tmp)?);
@@ -369,6 +372,27 @@ mod tests {
         assert_eq!(store.get(ScenarioKey(1)).unwrap().profile.stat_openat, 2);
         assert!(store.contains(ScenarioKey(4)));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Records that share a label and a rank point (one cell under other
+    /// seeds, say) compact to one order whatever order they were put in.
+    #[test]
+    fn compaction_writes_one_order_for_records_of_one_label_and_rank_point() {
+        let recs: Vec<CellRecord> = (0..8).map(|i| rec(100 + i, "same", 512, i as usize)).collect();
+        let mut logs = Vec::new();
+        for (tag, puts) in
+            [("order-fwd", recs.clone()), ("order-rev", recs.into_iter().rev().collect())]
+        {
+            let dir = temp_dir(tag);
+            let store = ResultStore::open(&dir).unwrap();
+            for r in puts {
+                store.put(r).unwrap();
+            }
+            assert_eq!(store.compact().unwrap(), 8);
+            logs.push(std::fs::read(dir.join("store.jsonl")).unwrap());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(logs[0] == logs[1], "compacted logs differ");
     }
 
     #[test]

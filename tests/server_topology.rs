@@ -24,8 +24,10 @@
 
 use depchaos::launch::{
     reference::simulate_launch_reference, replicate_seed, simulate_classified, simulate_launch,
-    AssignPolicy, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ServerTopology,
+    AssignPolicy, BatchPlan, ClassifiedStream, FaultModel, LaunchConfig, ProfileCache,
+    ServerTopology, SolverClass,
 };
+use depchaos::serve::WhatIfRequest;
 use proptest::prelude::*;
 
 mod common;
@@ -218,5 +220,46 @@ proptest! {
             servers,
             hash.fault.name()
         );
+    }
+}
+
+/// A one-node lane takes the heap whichever row it belongs to, so the
+/// order of a query's rank points cannot change a kernel's solver. The
+/// 128-rank row of this query is one node, and its 512-rank row four
+/// nodes on four hash servers: both rows are lone nodes, solved on the
+/// heap, in a plan of either order as per call.
+#[test]
+fn one_node_lanes_take_the_heap_whatever_their_row() {
+    let line = r#"{"id":"q","base":"pynamic-20","ranks":[128,512],"servers":4}"#;
+    let matrix = WhatIfRequest::parse(line).unwrap().matrix().unwrap();
+    let scenarios = matrix.expand();
+    assert_eq!(scenarios.len(), 1);
+    let scenario = &scenarios[0];
+    let cell = ProfileCache::new().get_or_profile(
+        scenario.workload.as_ref(),
+        &scenario.backend,
+        scenario.storage,
+    );
+    let profile = cell.outcome(scenario.wrap).as_ref().expect("pynamic-20 loads");
+    let cfg = scenario.launch_config(matrix.base());
+    let stream = ClassifiedStream::classify(&profile.log, &cfg);
+    let rows: Vec<LaunchConfig> =
+        matrix.effective_rank_points().into_iter().map(|r| cfg.clone().with_ranks(r)).collect();
+    assert_eq!(rows.iter().map(LaunchConfig::cold_nodes).collect::<Vec<_>>(), [1, 4]);
+    for row in &rows {
+        assert_eq!(SolverClass::of(row, &stream), SolverClass::Heap, "ranks={}", row.ranks);
+    }
+    let per_call: Vec<_> = rows.iter().map(|row| simulate_classified(&stream, row)).collect();
+    for order in [[0, 1], [1, 0]] {
+        let mut plan = BatchPlan::new();
+        let id = plan.stream(&stream);
+        for i in order {
+            plan.push(id, &rows[i]);
+        }
+        assert_eq!(plan.class_counts(), [0, 0, 0, 2]);
+        let got = plan.execute();
+        for (k, i) in order.into_iter().enumerate() {
+            assert_eq!(got[k], per_call[i], "order={order:?}");
+        }
     }
 }
